@@ -357,16 +357,10 @@ def cmd_classify(cfg: dict, args) -> int:
         mdp, family, theta, cfg["epsilon"], cfg["chi"], mode=mode,
         n=cfg.get("n"),
         seed=_resolve_seed(cfg, args) if mode == "estimated" else None,
-        threads=args.threads,
     )
     payload = report.to_json()
     if cfg.get("raw_hessian") and mode == "estimated":
-        from .estimators import batch_hessian
-
-        raw = batch_hessian(mdp, family, theta, int(cfg["n"]),
-                            _resolve_seed(cfg, args) + 1,
-                            threads=args.threads)
-        payload["raw_hessian_mean"] = raw.raw_mean.tolist()
+        payload["raw_hessian_mean"] = report.raw_hessian.tolist()
     _emit(payload, args, "classify.json")
     return EXIT_OK
 
@@ -534,7 +528,7 @@ def cmd_cnc(cfg: dict, args) -> int:
         raise ConfigError("method 'enumerate' but the MDP exceeds the cap")
     if method in ("auto", "mc"):
         mean, stderr = sosp.cnc_estimate(mdp, family, theta, u, int(cfg["n"]),
-                                         seed, threads=args.threads)
+                                         seed)
         payload["mean_sq_projection"] = mean
         payload["std_error"] = stderr
         payload["iota_sq_floor"] = max(1e-6, mean - 3.0 * stderr)
@@ -565,8 +559,6 @@ def build_parser() -> argparse.ArgumentParser:
         cmd.add_argument("--out", default=None, help="output directory")
         cmd.add_argument("--seed", type=int, default=None,
                          help="override config seed")
-        cmd.add_argument("--threads", type=int, default=1,
-                         help="worker-thread cap for batch operations")
         cmd.add_argument("--format", choices=("json", "csv"), default="json")
         if name == "classify":
             cmd.add_argument("--theta", default=None,

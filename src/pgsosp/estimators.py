@@ -15,9 +15,9 @@ theta).  Its expectation is the exact Hessian of the truncated objective;
 single samples are asymmetric, so eigenanalysis always consumes the
 symmetrized mean while unbiasedness checks use the raw mean.
 
-A variant that ties every Phi term to the final step's log-probability is
-available behind ``use_printed_phi`` for comparison; it is biased and only
-the default form passes the enumeration identities.
+A variant of hessian_estimate that ties every Phi term to the final step's
+log-probability is available behind ``use_printed_phi`` for comparison; it
+is biased and only the default form passes the enumeration identities.
 """
 from __future__ import annotations
 
@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
-from .mdp import TabularMdp, Trajectory, discounted_return, occupancy, sample_batch
+from .mdp import TabularMdp, Trajectory, discounted_return, occupancy
 from .util import frozen_array
 
 
@@ -142,17 +142,14 @@ def _hessian_table(mdp: TabularMdp, family, theta: np.ndarray) -> np.ndarray:
 
 
 def pg_sample_block(mdp: TabularMdp, family, theta: np.ndarray, n: int,
-                    seed: int, threads: int = 1) -> np.ndarray:
-    """(n, p) array of pg_estimate samples via the vectorized rollout.
+                    seed: int) -> np.ndarray:
+    """(n, p) array of pg_estimate samples via the batch rollout.
 
-    Row i is bit-identical to pg_estimate on the i-th trajectory of
-    sample_batch; the estimator arithmetic never depends on the thread
-    count, which only parallelizes the rollout itself.
+    Row i is bit-identical to pg_estimate on row i of rollout_batch.
     """
     from .mdp import rollout_batch
 
-    states, actions, rewards = rollout_batch(mdp, family, theta, n, seed,
-                                             threads=threads)
+    states, actions, rewards = rollout_batch(mdp, family, theta, n, seed)
     table = score_table(mdp, family, theta)
     gammas = mdp.gamma ** np.arange(mdp.horizon)
     returns = (gammas * rewards).sum(axis=1)
@@ -160,8 +157,7 @@ def pg_sample_block(mdp: TabularMdp, family, theta: np.ndarray, n: int,
 
 
 def batch_gradient(mdp: TabularMdp, family, theta: np.ndarray, n: int,
-                   seed: int, threads: int = 1,
-                   center: np.ndarray | None = None,
+                   seed: int, center: np.ndarray | None = None,
                    sigma_bound: float | None = None) -> GradEstimate:
     """Mean of pg_estimate over n trajectories with derived seeds.
 
@@ -172,7 +168,7 @@ def batch_gradient(mdp: TabularMdp, family, theta: np.ndarray, n: int,
     bounds are lower bounds on the true suprema, so the derived deviation
     bound can undershoot.
     """
-    samples = pg_sample_block(mdp, family, theta, n, seed, threads=threads)
+    samples = pg_sample_block(mdp, family, theta, n, seed)
     mean = samples.sum(axis=0) / n
     ref = mean if center is None else np.asarray(center, dtype=float)
     norm_max = float(np.linalg.norm(samples - ref, axis=1).max())
@@ -191,34 +187,28 @@ def batch_gradient(mdp: TabularMdp, family, theta: np.ndarray, n: int,
                         std_error=std_error)
 
 
+# Rows per block of the batch Hessian reduction; bounds the (m, h, p, p)
+# gather and fixes the summation order.
+_HESSIAN_BLOCK = 8192
+
+
 def batch_hessian(mdp: TabularMdp, family, theta: np.ndarray, n: int,
-                  seed: int, threads: int = 1, chunk: int = 8192,
-                  use_printed_phi: bool = False) -> HessianEstimate:
+                  seed: int) -> HessianEstimate:
     """Mean of hessian_estimate over n trajectories with derived seeds.
 
-    Vectorized in chunks; each row matches hessian_estimate on the
-    corresponding sample_batch trajectory.
+    Vectorized in blocks of rows; each row's term matches hessian_estimate
+    on the corresponding rollout_batch trajectory.
     """
     from .mdp import rollout_batch
 
-    if use_printed_phi:
-        trajs = sample_batch(mdp, family, theta, n, seed, threads=threads)
-        total = np.zeros((family.param_dim, family.param_dim))
-        for traj in trajs:
-            total += hessian_estimate(traj, family, theta, use_printed_phi=True)
-        raw = total / n
-        return HessianEstimate(raw_mean=raw, symmetrized=(raw + raw.T) / 2.0, n=n)
-
-    states, actions, rewards = rollout_batch(mdp, family, theta, n, seed,
-                                             threads=threads)
+    states, actions, rewards = rollout_batch(mdp, family, theta, n, seed)
     scores = score_table(mdp, family, theta)
     hessians = _hessian_table(mdp, family, theta)
     gammas = mdp.gamma ** np.arange(mdp.horizon)
     p = family.param_dim
     total = np.zeros((p, p))
-    for lo in range(0, n, chunk):
-        hi = min(lo + chunk, n)
-        sl = slice(lo, hi)
+    for lo in range(0, n, _HESSIAN_BLOCK):
+        sl = slice(lo, min(lo + _HESSIAN_BLOCK, n))
         w = (gammas * rewards[sl])[:, ::-1].cumsum(axis=1)[:, ::-1]
         s_block = scores[states[sl], actions[sl]]           # (m, h, p)
         grad_phi = np.einsum("mh,mhp->mp", w, s_block)

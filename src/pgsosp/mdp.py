@@ -7,15 +7,13 @@ identities that are exact only for the infinite-horizon quantities are
 asserted elsewhere with the analytic tail bound gamma^h * r_max / (1 - gamma)
 folded into their tolerances.
 
-All types are immutable after construction and safe to share across
-threads.  Trajectory sampling is pure given its seed; batch samplers derive
-the i-th trajectory's stream from (seed, i), so parallel execution matches
-the serial order exactly.
+All types are immutable after construction.  Trajectory sampling is pure
+given its seed; the batch sampler derives the i-th trajectory's stream
+from (seed, i).
 """
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 import numpy as np
 
@@ -172,20 +170,17 @@ def example_one_mdp(gamma: float = 0.5, horizon: int = 1) -> TabularMdp:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Exactly-h-step rollout with the sampling seed that produced it."""
+    """Exactly-h-step rollout."""
 
     states: np.ndarray
     actions: np.ndarray
     rewards: np.ndarray
     gamma: float
-    seed: int
-    log_probs: np.ndarray
 
     def __post_init__(self):
         object.__setattr__(self, "states", frozen_array(self.states, dtype=np.int64))
         object.__setattr__(self, "actions", frozen_array(self.actions, dtype=np.int64))
         object.__setattr__(self, "rewards", frozen_array(self.rewards))
-        object.__setattr__(self, "log_probs", frozen_array(self.log_probs))
 
     def __len__(self) -> int:
         return len(self.states)
@@ -216,107 +211,76 @@ def _shape_check(mdp: TabularMdp, family) -> None:
         family.check_mdp(mdp)
 
 
+def _pick(cdf: np.ndarray, u: float) -> int:
+    """Inverse-CDF pick: the first index whose cumulative mass exceeds u.
+
+    A draw at or above the CDF's rounded total (a cumsum can end just
+    below 1) takes the last entry that adds mass, never a zero-probability
+    tail entry.
+    """
+    i = int(cdf.searchsorted(u, side="right"))
+    if i == len(cdf):
+        i = int(cdf.searchsorted(cdf[-1], side="left"))
+    return i
+
+
+def _walk(mdp: TabularMdp, draws: np.ndarray, action_cdf
+          ) -> tuple[np.ndarray, np.ndarray]:
+    """Map an (n, 2h+1) block of uniforms to (states, actions), each (n, h).
+
+    In row i, draws[i, 0] picks s_0 from rho0, draws[i, 2t+1] picks a_t
+    from action_cdf(s_t), and draws[i, 2t+2] picks s_{t+1} from
+    P(.|s_t, a_t).
+    """
+    n, h = draws.shape[0], mdp.horizon
+    states = np.empty((n, h), dtype=np.int64)
+    actions = np.empty((n, h), dtype=np.int64)
+    rho0_cdf, trans_cdf = mdp._rho0_cdf, mdp._trans_cdf
+    for i in range(n):
+        row = draws[i]
+        s = _pick(rho0_cdf, row[0])
+        for t in range(h):
+            a = _pick(action_cdf(s), row[2 * t + 1])
+            states[i, t] = s
+            actions[i, t] = a
+            s = _pick(trans_cdf[s, a], row[2 * t + 2])
+    return states, actions
+
+
 def sample_trajectory(mdp: TabularMdp, family, theta: np.ndarray,
                       seed: int) -> Trajectory:
     """Roll out exactly `horizon` steps; deterministic given the seed."""
     _shape_check(mdp, family)
     theta = np.asarray(theta, dtype=float)
-    rng = derive_rng(seed)
-    h = mdp.horizon
-    draws = rng.random(2 * h + 1)
-    states = np.empty(h, dtype=np.int64)
-    actions = np.empty(h, dtype=np.int64)
-    rewards = np.empty(h)
-    log_probs = np.empty(h)
-    s = int(np.searchsorted(mdp._rho0_cdf, draws[0], side="right"))
-    s = min(s, mdp.n_states - 1)
-    for t in range(h):
-        probs = family.action_probs(theta, s)
-        a = int(np.searchsorted(probs.cumsum(), draws[2 * t + 1], side="right"))
-        a = min(a, mdp.n_actions - 1)
-        states[t] = s
-        actions[t] = a
-        rewards[t] = mdp.reward[s, a]
-        log_probs[t] = math.log(probs[a])
-        nxt = int(np.searchsorted(mdp._trans_cdf[s, a], draws[2 * t + 2],
-                                  side="right"))
-        s = min(nxt, mdp.n_states - 1)
-    return Trajectory(states=states, actions=actions, rewards=rewards,
-                      gamma=mdp.gamma, seed=int(seed), log_probs=log_probs)
-
-
-def sample_batch(mdp: TabularMdp, family, theta: np.ndarray, n: int,
-                 seed: int, threads: int = 1) -> list[Trajectory]:
-    """n independent trajectories with per-index derived seeds.
-
-    The i-th trajectory uses the stream (seed, i); results are returned in
-    index order regardless of execution order, so any thread count yields
-    the serial output.
-    """
-    if n < 1:
-        raise ConfigError("batch size must be >= 1")
-    _shape_check(mdp, family)
-
-    def one(i: int) -> Trajectory:
-        rng = derive_rng(seed, i)
-        sub_seed = int(rng.integers(0, 2**63 - 1))
-        return sample_trajectory(mdp, family, theta, sub_seed)
-
-    if threads and threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(one, range(n)))
-    return [one(i) for i in range(n)]
+    draws = derive_rng(seed).random(2 * mdp.horizon + 1)
+    states, actions = _walk(mdp, draws[None, :],
+                            lambda s: family.action_probs(theta, s).cumsum())
+    return Trajectory(states=states[0], actions=actions[0],
+                      rewards=mdp.reward[states[0], actions[0]], gamma=mdp.gamma)
 
 
 def rollout_batch(mdp: TabularMdp, family, theta: np.ndarray, n: int,
-                  seed: int, threads: int = 1
-                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Array form of sample_batch: (states, actions, rewards), each (n, h).
+                  seed: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """n trajectories as arrays (states, actions, rewards), each (n, h).
 
-    Uses exactly the per-index stream derivation of sample_batch /
-    sample_trajectory, so row i equals the i-th Trajectory of the object
-    path; it only skips the per-trajectory object construction.  Threads
-    parallelize row generation only; rows land at their index, so any
-    thread count yields the same arrays.
+    Row i uses the stream derived from (seed, i): its sub-seed seeds the
+    same draws as sample_trajectory, so row i equals
+    sample_trajectory(..., seed=sub_seed_i).
     """
     if n < 1:
         raise ConfigError("batch size must be >= 1")
     _shape_check(mdp, family)
     theta = np.asarray(theta, dtype=float)
-    h = mdp.horizon
+    width = 2 * mdp.horizon + 1
     pi_cdf = np.stack(
         [family.action_probs(theta, s) for s in range(mdp.n_states)]
     ).cumsum(axis=1)
-    states = np.empty((n, h), dtype=np.int64)
-    actions = np.empty((n, h), dtype=np.int64)
-    n_s, n_a = mdp.n_states, mdp.n_actions
-    trans_cdf = mdp._trans_cdf
-    rho0_cdf = mdp._rho0_cdf
-
-    def fill(i: int) -> None:
+    draws = np.empty((n, width))
+    for i in range(n):
         sub_seed = int(derive_rng(seed, i).integers(0, 2 ** 63 - 1))
-        draws = derive_rng(sub_seed).random(2 * h + 1)
-        s = min(int(np.searchsorted(rho0_cdf, draws[0], side="right")), n_s - 1)
-        for t in range(h):
-            a = min(int(np.searchsorted(pi_cdf[s], draws[2 * t + 1],
-                                        side="right")), n_a - 1)
-            states[i, t] = s
-            actions[i, t] = a
-            s = min(int(np.searchsorted(trans_cdf[s, a], draws[2 * t + 2],
-                                        side="right")), n_s - 1)
-
-    if threads and threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(fill, range(n)))
-    else:
-        for i in range(n):
-            fill(i)
-    rewards = mdp.reward[states, actions]
-    return states, actions, rewards
+        draws[i] = derive_rng(sub_seed).random(width)
+    states, actions = _walk(mdp, draws, pi_cdf.__getitem__)
+    return states, actions, mdp.reward[states, actions]
 
 
 def discounted_return(traj: Trajectory, gamma: float) -> float:

@@ -23,11 +23,11 @@ from typing import Iterator
 import numpy as np
 
 from .errors import EnumerationCapError, OracleConsistencyError
+from .estimators import hessian_estimate, score_table
 from .mdp import TabularMdp, Trajectory, policy_matrix, value_stack, value_functions
-from .policy import ExampleOnePiecewise
+from .policy import _INV_SQRT_2PI, ExampleOnePiecewise
 
 ENUM_CAP = 1_000_000
-_INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
 
 # ---------------------------------------------------------------------------
@@ -91,18 +91,6 @@ def enumerate_trajectories(
             yield from walk(0, s0, float(mdp.rho0[s0]))
 
 
-def as_trajectory(mdp: TabularMdp, family, theta: np.ndarray,
-                  states: np.ndarray, actions: np.ndarray,
-                  rewards: np.ndarray) -> Trajectory:
-    """Wrap enumerated arrays as a Trajectory (for estimator-route sums)."""
-    log_probs = np.array([
-        math.log(family.action_probs(theta, int(s))[int(a)])
-        for s, a in zip(states, actions)
-    ])
-    return Trajectory(states=states, actions=actions, rewards=rewards,
-                      gamma=mdp.gamma, seed=-1, log_probs=log_probs)
-
-
 # ---------------------------------------------------------------------------
 # Objective
 # ---------------------------------------------------------------------------
@@ -163,12 +151,7 @@ def _gradient_enumeration(mdp: TabularMdp, family, theta: np.ndarray,
                           cap: int = ENUM_CAP) -> np.ndarray:
     """Score-function route: sum_tau p(tau) (sum_t dlog pi) R(tau)."""
     theta = np.asarray(theta, dtype=float)
-    pi = policy_matrix(mdp, family, theta)
-    score = np.zeros((mdp.n_states, mdp.n_actions, family.param_dim))
-    for s in range(mdp.n_states):
-        for a in range(mdp.n_actions):
-            if pi[s, a] > 0.0:
-                score[s, a] = family.grad_log_prob(theta, s, a)
+    score = score_table(mdp, family, theta)
     gammas = mdp.gamma ** np.arange(mdp.horizon)
     grad = np.zeros(family.param_dim)
     for prob, states, actions, rewards in enumerate_trajectories(
@@ -213,15 +196,11 @@ def exact_hessian(mdp: TabularMdp, family, theta: np.ndarray,
     the DP gradient.
     """
     if is_enumerable(mdp, cap):
-        from .estimators import hessian_estimate
-
         p = family.param_dim
         total = np.zeros((p, p))
         for prob, states, actions, rewards in enumerate_trajectories(
                 mdp, family, theta, cap):
-            traj = Trajectory(states=states, actions=actions, rewards=rewards,
-                              gamma=mdp.gamma, seed=-1,
-                              log_probs=np.zeros(len(states)))
+            traj = Trajectory(states, actions, rewards, mdp.gamma)
             total += prob * hessian_estimate(traj, family, theta)
         return (total + total.T) / 2.0
     grad = lambda th: _gradient_visitation(mdp, family, th)

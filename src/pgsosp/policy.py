@@ -27,7 +27,6 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ConfigError, PolicyDomainError
-from .util import frozen_array
 
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
@@ -225,27 +224,6 @@ def make_family(tag: str, n_states: int = None, n_actions: int = None):
     if tag == "example_one":
         return ExampleOnePiecewise()
     raise ConfigError(f"unknown policy family {tag!r}; expected one of {FAMILY_TAGS}")
-
-
-@dataclass(frozen=True)
-class PolicyParams:
-    """Parameter vector bound to a policy family."""
-
-    theta: np.ndarray
-    family: object
-
-    def __post_init__(self):
-        theta = frozen_array(self.theta)
-        if theta.ndim != 1:
-            raise ConfigError("theta must be a flat vector")
-        if theta.shape[0] != self.family.param_dim:
-            raise ConfigError(
-                f"theta has dimension {theta.shape[0]}, family "
-                f"{self.family.name!r} needs {self.family.param_dim}"
-            )
-        if not np.all(np.isfinite(theta)):
-            raise ConfigError("theta entries must be finite")
-        object.__setattr__(self, "theta", theta)
 
 
 @dataclass(frozen=True)

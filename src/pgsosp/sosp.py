@@ -26,16 +26,15 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import ConfigError, PreconditionError
 from .estimators import batch_gradient, batch_hessian, pg_estimate
-from .mdp import TabularMdp
+from .mdp import TabularMdp, Trajectory
 from .oracle import (
     ENUM_CAP,
-    as_trajectory,
     enumerate_trajectories,
     exact_gradient,
     exact_hessian,
@@ -102,7 +101,11 @@ def classify_region(grad: np.ndarray, hessian: np.ndarray, epsilon: float,
 
 @dataclass(frozen=True)
 class SecondOrderReport:
-    """Gradient/Hessian snapshot with eigenanalysis and region verdict."""
+    """Gradient/Hessian snapshot with eigenanalysis and region verdict.
+
+    In estimated mode raw_hessian keeps the unsymmetrized Hessian mean; it
+    is not part of to_json.
+    """
 
     grad: np.ndarray
     grad_norm: float
@@ -116,11 +119,14 @@ class SecondOrderReport:
     mode: str = "oracle"
     grad_std_error: np.ndarray | None = None
     n_samples: int | None = None
+    raw_hessian: np.ndarray | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "grad", frozen_array(self.grad))
         object.__setattr__(self, "hessian", frozen_array(self.hessian))
         object.__setattr__(self, "u_p", frozen_array(self.u_p))
+        if self.raw_hessian is not None:
+            object.__setattr__(self, "raw_hessian", frozen_array(self.raw_hessian))
 
     def to_json(self) -> dict:
         out = {
@@ -165,8 +171,8 @@ def report_from_grad_hessian(grad: np.ndarray, hessian: np.ndarray,
 
 def second_order_report(mdp: TabularMdp, family, theta: np.ndarray,
                         epsilon: float, chi: float, mode: str = "oracle",
-                        n: int | None = None, seed: int | None = None,
-                        threads: int = 1) -> SecondOrderReport:
+                        n: int | None = None,
+                        seed: int | None = None) -> SecondOrderReport:
     """Classify a parameter point from oracle or estimated derivatives.
 
     mode="oracle" uses the exact DP/enumeration pipeline; mode="estimated"
@@ -181,12 +187,13 @@ def second_order_report(mdp: TabularMdp, family, theta: np.ndarray,
     if mode == "estimated":
         if not n or n < 1 or seed is None:
             raise ConfigError("estimated mode needs n >= 1 and a seed")
-        g = batch_gradient(mdp, family, theta, n, seed, threads=threads)
-        h = batch_hessian(mdp, family, theta, n, seed + 1, threads=threads)
-        return report_from_grad_hessian(
+        g = batch_gradient(mdp, family, theta, n, seed)
+        h = batch_hessian(mdp, family, theta, n, seed + 1)
+        report = report_from_grad_hessian(
             g.mean, h.symmetrized, epsilon, chi, mode="estimated",
             grad_std_error=g.std_error, n_samples=n,
         )
+        return replace(report, raw_hessian=h.raw_mean)
     raise ConfigError(f"unknown report mode {mode!r}")
 
 
@@ -391,8 +398,7 @@ def prop3_step_size(delta: float, zeta: float, ell: float, varrho: float,
     _check_gamma(gamma)
     cap = min(delta, 1.0 / zeta, zeta / ell ** 2,
               zeta * varrho ** 2 / (3.0 * sigma ** 2))
-    denom_base = g ** 2 * r_max ** 2 / (1.0 - gamma) ** 2 + zeta * varrho ** 2 + sigma ** 2
-    rhs = 2.0 * zeta * varrho ** 4 / (27.0 * denom_base ** 2)
+    rhs = _log_cap_rhs(zeta, varrho, sigma, g ** 2 * r_max ** 2 / (1.0 - gamma) ** 2)
 
     def log_cap_satisfied(alpha: float, relaxation: float = 1.0) -> bool:
         if alpha <= 0:
@@ -404,10 +410,12 @@ def prop3_step_size(delta: float, zeta: float, ell: float, varrho: float,
     return cap, log_cap_satisfied
 
 
-def prop3_log_cap_rhs(zeta: float, varrho: float, sigma: float, g: float,
-                      r_max: float, gamma: float) -> float:
-    denom = g ** 2 * r_max ** 2 / (1.0 - gamma) ** 2 + zeta * varrho ** 2 + sigma ** 2
-    return 2.0 * zeta * varrho ** 4 / (27.0 * denom ** 2)
+def _log_cap_rhs(zeta: float, varrho: float, sigma: float, grad_bound_sq: float,
+                 scale: float = 1.0) -> float:
+    """scale * 2 zeta varrho^4 / (27 (grad_bound_sq + zeta varrho^2 + sigma^2)^2)."""
+    return scale * 2.0 * zeta * varrho ** 4 / (
+        27.0 * (grad_bound_sq + zeta * varrho ** 2 + sigma ** 2) ** 2
+    )
 
 
 def _check_delta(delta: float) -> None:
@@ -420,12 +428,12 @@ def _check_delta(delta: float) -> None:
 # ---------------------------------------------------------------------------
 
 def cnc_estimate(mdp: TabularMdp, family, theta: np.ndarray, u: np.ndarray,
-                 n: int, seed: int, threads: int = 1) -> tuple[float, float]:
+                 n: int, seed: int) -> tuple[float, float]:
     """Monte-Carlo mean of <g(tau), u>^2 over n trajectories."""
     u = _unit_check(u)
     from .estimators import pg_sample_block
 
-    samples = pg_sample_block(mdp, family, theta, n, seed, threads=threads)
+    samples = pg_sample_block(mdp, family, theta, n, seed)
     vals = (samples @ u) ** 2
     mean = float(vals.sum() / n)
     se = float(vals.std(ddof=1) / math.sqrt(n)) if n > 1 else 0.0
@@ -452,7 +460,7 @@ def cnc_enumerate(mdp: TabularMdp, family, theta: np.ndarray, u: np.ndarray,
     total = 0.0
     for prob, states, actions, rewards in enumerate_trajectories(
             mdp, family, theta, cap):
-        traj = as_trajectory(mdp, family, theta, states, actions, rewards)
+        traj = Trajectory(states, actions, rewards, mdp.gamma)
         total += prob * float(pg_estimate(traj, family, theta) @ u) ** 2
     return total
 

@@ -32,19 +32,18 @@ from .errors import ConfigError, PreconditionError
 from .estimators import pg_estimate
 from .mdp import TabularMdp, sample_trajectory
 from .oracle import analytic_example1, exact_gradient, exact_hessian, exact_objective
-from .policy import ExampleOnePiecewise
+from .policy import _INV_SQRT_2PI, ExampleOnePiecewise
 from .sosp import (
     Region,
     SecondOrderReport,
+    _log_cap_rhs,
     escape_budget,
-    escape_budget_admissible,
     report_from_grad_hessian,
     trap_budget,
 )
 from .util import derive_rng, frozen_array
 
 _DIVERGENCE_NORM = 1e8
-_INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
 
 # ---------------------------------------------------------------------------
@@ -698,9 +697,7 @@ def trap_benchmark_alpha(zeta: float, varrho: float, noise_sigma: float,
     cap = min(delta, 1.0 / zeta, zeta / ell ** 2,
               zeta * varrho ** 2 / (3.0 * noise_sigma ** 2))
     grad_bound = zeta * varrho + noise_sigma
-    rhs = relaxation * 2.0 * zeta * varrho ** 4 / (
-        27.0 * (grad_bound ** 2 + zeta * varrho ** 2 + noise_sigma ** 2) ** 2
-    )
+    rhs = _log_cap_rhs(zeta, varrho, noise_sigma, grad_bound ** 2, relaxation)
 
     def log_ok(a: float) -> bool:
         return a * math.log(1.0 / a) <= rhs
@@ -855,11 +852,3 @@ def example1_sosp_study(n_seeds: int, theta0: np.ndarray, alpha: float,
         chi=chi,
         kappa_hat_0=kappa_hat_0,
     )
-
-
-def study_kappa_hat(alpha: float, sigma_h0: float, chi: float,
-                    epsilon: float) -> int | None:
-    """Escape budget for the study's bookkeeping, or None when inadmissible."""
-    if escape_budget_admissible(alpha, sigma_h0):
-        return escape_budget(alpha, sigma_h0, chi, epsilon)
-    return None

@@ -2,8 +2,7 @@
 
 Randomness policy: every stochastic operation derives its stream from a
 counter-based Philox generator keyed by (seed, *indices).  Streams for
-different indices are statistically independent and order-independent,
-so batch work can run serially or in parallel with identical results.
+different indices are statistically independent and order-independent.
 """
 from __future__ import annotations
 
@@ -20,7 +19,7 @@ def derive_rng(seed: int, *key: int) -> np.random.Generator:
 
 
 def frozen_array(values, dtype=float) -> np.ndarray:
-    """Copy to a contiguous read-only array (safe to share across threads)."""
+    """Copy to a contiguous read-only array."""
     arr = np.array(values, dtype=dtype)
     arr.setflags(write=False)
     return arr

@@ -3,6 +3,7 @@ import pytest
 
 from pgsosp.mdp import TabularMdp, example_one_mdp, random_mdp
 from pgsosp.policy import ExampleOnePiecewise, TabularSoftmax
+from pgsosp.util import derive_rng
 
 # One verdict entry per acceptance criterion, printed in the terminal
 # summary (fd-level capture would swallow plain prints from the tests).
@@ -45,6 +46,12 @@ def bandit_family():
 @pytest.fixture
 def example1():
     return example_one_mdp(), ExampleOnePiecewise()
+
+
+def sub_seed(seed, i):
+    """Seed of row i of rollout_batch(..., seed): sample_trajectory at this
+    seed draws the same trajectory."""
+    return int(derive_rng(seed, i).integers(0, 2**63 - 1))
 
 
 def make_random_problem(seed, n_states=3, n_actions=2, horizon=4, gamma=0.5):

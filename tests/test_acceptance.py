@@ -13,13 +13,13 @@ from pgsosp.cli import main as cli_main
 from pgsosp.estimators import batch_gradient, hessian_estimate, pg_estimate
 from pgsosp.mdp import (
     TabularMdp,
+    Trajectory,
     perf_diff_tail_tolerance,
     performance_difference_check,
     random_mdp,
 )
 from pgsosp.oracle import (
     analytic_example1,
-    as_trajectory,
     enumerate_trajectories,
     exact_gradient,
     exact_hessian,
@@ -117,7 +117,7 @@ def test_ac02_estimator_unbiasedness_by_enumeration():
         grad_sum = np.zeros(p)
         hess_sum = np.zeros((p, p))
         for prob, s, a, r in enumerate_trajectories(mdp, family, theta):
-            traj = as_trajectory(mdp, family, theta, s, a, r)
+            traj = Trajectory(s, a, r, mdp.gamma)
             grad_sum += prob * pg_estimate(traj, family, theta)
             hess_sum += prob * hessian_estimate(traj, family, theta)
 

@@ -139,6 +139,38 @@ class TestClassifyCommand:
         assert payload["region"] == "L1"
         assert payload["mode"] == "estimated"
 
+    def test_raw_hessian_reuses_the_report_batch(self, tmp_path, capsys,
+                                                 monkeypatch):
+        from pgsosp import estimators, sosp
+        from pgsosp.mdp import example_one_mdp
+        from pgsosp.policy import ExampleOnePiecewise
+
+        calls = []
+        original = estimators.batch_hessian
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(sosp, "batch_hessian", counted)
+        monkeypatch.setattr(estimators, "batch_hessian", counted)
+        cfg = write_config(tmp_path, "c.json", dict(
+            CLASSIFY_CFG, mode="estimated", n=500, seed=4, raw_hessian=True))
+        code, out, _ = run_cli(capsys, ["classify", "--config", cfg,
+                                        "--theta", "0.3,0.4"])
+        assert code == 0
+        assert len(calls) == 1
+        expected = original(example_one_mdp(), ExampleOnePiecewise(),
+                            [0.3, 0.4], 500, 5).raw_mean
+        assert json.loads(out)["raw_hessian_mean"] == expected.tolist()
+
+    def test_threads_flag_rejected(self, tmp_path):
+        cfg = write_config(tmp_path, "c.json", CLASSIFY_CFG)
+        with pytest.raises(SystemExit) as exc:
+            main(["classify", "--config", cfg, "--theta", "0,0",
+                  "--threads", "2"])
+        assert exc.value.code == 2
+
 
 TRAIN_CFG = {
     "command": "train",

@@ -12,9 +12,8 @@ from pgsosp.estimators import (
     pg_estimate,
     pg_sample_block,
 )
-from pgsosp.mdp import TabularMdp, Trajectory, sample_batch
+from pgsosp.mdp import TabularMdp, Trajectory, sample_trajectory
 from pgsosp.oracle import (
-    as_trajectory,
     enumerate_trajectories,
     exact_gradient,
     exact_hessian,
@@ -23,12 +22,12 @@ from pgsosp.oracle import (
 from pgsosp.policy import TabularSoftmax
 from pgsosp.util import derive_rng
 
-from conftest import make_random_problem
+from conftest import make_random_problem, sub_seed
 
 
 def bandit_traj(action, gamma=0.5):
     return Trajectory(states=[0], actions=[action], rewards=[1.0 - action],
-                      gamma=gamma, seed=0, log_probs=[math.log(0.5)])
+                      gamma=gamma)
 
 
 class TestPgEstimate:
@@ -44,7 +43,7 @@ class TestPgEstimate:
         theta = np.zeros(2)
         total = np.zeros(2)
         for prob, s, a, r in enumerate_trajectories(bandit, bandit_family, theta):
-            traj = as_trajectory(bandit, bandit_family, theta, s, a, r)
+            traj = Trajectory(s, a, r, bandit.gamma)
             total += prob * pg_estimate(traj, bandit_family, theta)
         assert total == pytest.approx([0.25, -0.25], abs=1e-14)
         oracle = exact_gradient(bandit, bandit_family, theta)
@@ -67,7 +66,7 @@ class TestUnbiasedness:
         theta = rng.uniform(-1, 1, family.param_dim)
         total = np.zeros(family.param_dim)
         for prob, s, a, r in enumerate_trajectories(mdp, family, theta):
-            traj = as_trajectory(mdp, family, theta, s, a, r)
+            traj = Trajectory(s, a, r, mdp.gamma)
             total += prob * pg_estimate(traj, family, theta)
         oracle = exact_gradient(mdp, family, theta).value
         scale = max(1.0, np.linalg.norm(oracle))
@@ -81,7 +80,7 @@ class TestUnbiasedness:
         p = family.param_dim
         total = np.zeros((p, p))
         for prob, s, a, r in enumerate_trajectories(mdp, family, theta):
-            traj = as_trajectory(mdp, family, theta, s, a, r)
+            traj = Trajectory(s, a, r, mdp.gamma)
             total += prob * hessian_estimate(traj, family, theta)
         oracle = exact_hessian(mdp, family, theta)
         assert np.abs((total + total.T) / 2.0 - oracle).max() <= 1e-6
@@ -94,7 +93,7 @@ class TestUnbiasedness:
         theta = np.zeros(2)
         total = np.zeros((2, 2))
         for prob, s, a, r in enumerate_trajectories(bandit, bandit_family, theta):
-            traj = as_trajectory(bandit, bandit_family, theta, s, a, r)
+            traj = Trajectory(s, a, r, bandit.gamma)
             total += prob * hessian_estimate(traj, bandit_family, theta)
         oracle = exact_hessian(bandit, bandit_family, theta)
         assert np.abs(total - oracle).max() <= 1e-10
@@ -108,7 +107,7 @@ class TestUnbiasedness:
         repaired = np.zeros((p, p))
         printed = np.zeros((p, p))
         for prob, s, a, r in enumerate_trajectories(mdp, family, theta):
-            traj = as_trajectory(mdp, family, theta, s, a, r)
+            traj = Trajectory(s, a, r, mdp.gamma)
             repaired += prob * hessian_estimate(traj, family, theta)
             printed += prob * hessian_estimate(traj, family, theta,
                                                use_printed_phi=True)
@@ -124,7 +123,7 @@ class TestSingleActionDegenerate:
                          reward=np.ones((2, 1)), rho0=np.array([1.0, 0.0]),
                          gamma=0.5, horizon=3, r_min=1.0, r_max=1.0)
         fam = TabularSoftmax(2, 1)
-        traj = sample_batch(mdp, fam, np.zeros(2), 1, seed=0)[0]
+        traj = sample_trajectory(mdp, fam, np.zeros(2), sub_seed(0, 0))
         assert np.array_equal(hessian_estimate(traj, fam, np.zeros(2)),
                               np.zeros((2, 2)))
         assert np.array_equal(pg_estimate(traj, fam, np.zeros(2)), np.zeros(2))
@@ -140,7 +139,8 @@ class TestMonteCarloAgreement:
         oracle = exact_hessian(mdp, family, theta)
         # Elementwise standard errors from a smaller replicate sample.
         m = 20_000
-        trajs = sample_batch(mdp, family, theta, m, seed=24)
+        trajs = (sample_trajectory(mdp, family, theta, sub_seed(24, i))
+                 for i in range(m))
         stack = np.stack([hessian_estimate(t, family, theta) for t in trajs])
         stack = (stack + stack.transpose(0, 2, 1)) / 2.0
         se = stack.std(axis=0, ddof=1) / math.sqrt(n)
@@ -184,7 +184,7 @@ class TestBatchGradient:
         mdp, family = make_random_problem(15, horizon=4)
         theta = np.linspace(-0.4, 0.4, family.param_dim)
         est = batch_gradient(mdp, family, theta, 1, seed=77)
-        traj = sample_batch(mdp, family, theta, 1, seed=77)[0]
+        traj = sample_trajectory(mdp, family, theta, sub_seed(77, 0))
         assert np.array_equal(est.mean, pg_estimate(traj, family, theta))
 
     def test_bandit_large_sample(self, bandit, bandit_family):
@@ -207,20 +207,12 @@ class TestBatchGradient:
         bound = reg.G * mdp.r_max / (1.0 - mdp.gamma) ** 2
         assert est.per_sample_norm_max <= bound + 1e-9
 
-    def test_thread_count_does_not_change_bits(self):
-        mdp, family = make_random_problem(17, horizon=4)
-        theta = np.zeros(family.param_dim)
-        a = batch_gradient(mdp, family, theta, 300, seed=8, threads=1)
-        b = batch_gradient(mdp, family, theta, 300, seed=8, threads=4)
-        assert np.array_equal(a.mean, b.mean)
-        assert np.array_equal(a.std_error, b.std_error)
-        assert a.per_sample_norm_max == b.per_sample_norm_max
-
     def test_block_rows_match_object_path(self):
         mdp, family = make_random_problem(18, horizon=5)
         theta = np.linspace(-0.3, 0.3, family.param_dim)
         block = pg_sample_block(mdp, family, theta, 32, seed=9)
-        trajs = sample_batch(mdp, family, theta, 32, seed=9)
+        trajs = [sample_trajectory(mdp, family, theta, sub_seed(9, i))
+                 for i in range(32)]
         slow = np.stack([pg_estimate(t, family, theta) for t in trajs])
         assert np.array_equal(block, slow)
 

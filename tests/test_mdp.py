@@ -7,6 +7,7 @@ from pgsosp.errors import ConfigError
 from pgsosp.mdp import (
     TabularMdp,
     Trajectory,
+    _walk,
     discounted_return,
     example_one_mdp,
     mdp_from_dict,
@@ -16,14 +17,13 @@ from pgsosp.mdp import (
     performance_difference_check,
     policy_matrix,
     rollout_batch,
-    sample_batch,
     sample_trajectory,
     value_functions,
 )
 from pgsosp.policy import ExampleOnePiecewise, TabularSoftmax
 from pgsosp.util import derive_rng
 
-from conftest import make_random_problem
+from conftest import make_random_problem, sub_seed
 
 
 def single_state_mdp(gamma=0.5, horizon=3, reward=1.0):
@@ -123,21 +123,13 @@ class TestSampling:
         se = math.sqrt(p_true * (1.0 - p_true) / n)
         assert abs(p_right - p_true) <= 3.0 * se
 
-    def test_parallel_batch_matches_serial(self):
-        mdp, family = make_random_problem(3)
-        theta = np.linspace(-0.5, 0.5, family.param_dim)
-        serial = sample_batch(mdp, family, theta, 40, seed=11, threads=1)
-        parallel = sample_batch(mdp, family, theta, 40, seed=11, threads=4)
-        for a, b in zip(serial, parallel):
-            assert np.array_equal(a.states, b.states)
-            assert np.array_equal(a.actions, b.actions)
-
     def test_rollout_batch_matches_objects(self):
+        # Row i of the batch is sample_trajectory at row i's sub-seed.
         mdp, family = make_random_problem(4)
         theta = np.linspace(-0.5, 0.5, family.param_dim)
-        trajs = sample_batch(mdp, family, theta, 32, seed=13)
         states, actions, rewards = rollout_batch(mdp, family, theta, 32, seed=13)
-        for i, t in enumerate(trajs):
+        for i in range(32):
+            t = sample_trajectory(mdp, family, theta, sub_seed(13, i))
             assert np.array_equal(t.states, states[i])
             assert np.array_equal(t.actions, actions[i])
             assert np.array_equal(t.rewards, rewards[i])
@@ -147,27 +139,42 @@ class TestSampling:
         with pytest.raises(ConfigError):
             sample_trajectory(mdp, TabularSoftmax(2, 2), np.zeros(4), seed=0)
 
+    def test_top_draw_skips_zero_probability_tail(self):
+        # The cumsum of (0.7, 0.2, 0.1, 0) ends at 1 - 2**-53, so the
+        # largest draw random() can return lies above every CDF total.
+        row = np.array([0.7, 0.2, 0.1, 0.0])
+        assert row.cumsum()[-1] <= np.nextafter(1.0, 0.0)
+        mdp = TabularMdp(
+            n_states=4, n_actions=4, transition=np.tile(row, (4, 4, 1)),
+            reward=np.ones((4, 4)), rho0=row, gamma=0.5, horizon=2,
+            r_min=1.0, r_max=1.0,
+        )
+        draws = np.full((1, 2 * mdp.horizon + 1), np.nextafter(1.0, 0.0))
+        states, actions = _walk(mdp, draws, lambda s: row.cumsum())
+        # rho0 picks s_0, the policy row picks a_0 and a_1, and a
+        # transition row picks s_1.
+        assert (row[states] > 0).all()
+        assert (row[actions] > 0).all()
+
 
 class TestDiscountedReturn:
     def test_geometric(self):
         traj = Trajectory(states=[0, 0, 0], actions=[0, 0, 0],
-                          rewards=[1.0, 1.0, 1.0], gamma=0.5, seed=0,
-                          log_probs=[0.0, 0.0, 0.0])
+                          rewards=[1.0, 1.0, 1.0], gamma=0.5)
         assert discounted_return(traj, 0.5) == 1.75
 
     def test_zero(self):
         traj = Trajectory(states=[0, 0], actions=[0, 0], rewards=[0.0, 0.0],
-                          gamma=0.9, seed=0, log_probs=[0.0, 0.0])
+                          gamma=0.9)
         assert discounted_return(traj, 0.9) == 0.0
 
     def test_two_step(self):
         traj = Trajectory(states=[0, 0], actions=[0, 0], rewards=[2.0, 3.0],
-                          gamma=0.9, seed=0, log_probs=[0.0, 0.0])
+                          gamma=0.9)
         assert discounted_return(traj, 0.9) == pytest.approx(4.7, abs=1e-12)
 
     def test_empty_rejected(self):
-        traj = Trajectory(states=[], actions=[], rewards=[], gamma=0.5,
-                          seed=0, log_probs=[])
+        traj = Trajectory(states=[], actions=[], rewards=[], gamma=0.5)
         with pytest.raises(ConfigError):
             discounted_return(traj, 0.5)
 

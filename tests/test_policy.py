@@ -6,7 +6,6 @@ import pytest
 from pgsosp.errors import ConfigError, PolicyDomainError
 from pgsosp.policy import (
     ExampleOnePiecewise,
-    PolicyParams,
     TabularSoftmax,
     estimate_regularity,
     make_family,
@@ -194,15 +193,6 @@ class TestRegularity:
 
 
 class TestPolicyParams:
-    def test_dimension_check(self):
-        with pytest.raises(ConfigError):
-            PolicyParams(theta=np.zeros(3), family=TabularSoftmax(1, 2))
-
-    def test_finite_check(self):
-        with pytest.raises(ConfigError):
-            PolicyParams(theta=np.array([np.nan, 0.0]),
-                         family=TabularSoftmax(1, 2))
-
     def test_make_family(self):
         fam = make_family("tabular_softmax", 2, 3)
         assert fam.param_dim == 6
