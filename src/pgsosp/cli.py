@@ -100,9 +100,13 @@ _SCHEMAS = {
     ),
 }
 
-_PROBLEM_KEYS = {"kind", "mdp", "mdp_path", "policy", "gamma", "horizon",
-                 "eigenvalues", "noise", "cubic", "zeta", "theta_star",
-                 "noise_sigma"}
+# Keys each problem kind accepts besides "kind".
+_KIND_KEYS = {
+    "example1": {"gamma", "horizon"},
+    "mdp": {"mdp", "mdp_path", "policy"},
+    "quadratic_saddle": {"eigenvalues", "noise", "cubic"},
+    "strongly_concave": {"zeta", "theta_star", "noise_sigma"},
+}
 
 
 def load_config(path: str, command: str) -> dict:
@@ -132,10 +136,19 @@ def _positive(cfg: dict, key: str, strict: bool = True):
     return value
 
 
+def _problem_kind(spec: dict) -> str:
+    """The kind of a problem block, after checking the block's keys for it."""
+    _check_keys(spec, {"kind"}.union(*_KIND_KEYS.values()), {"kind"}, "problem")
+    kind = spec["kind"]
+    if not isinstance(kind, str) or kind not in _KIND_KEYS:
+        raise ConfigError(f"problem.kind: unknown kind {kind!r}")
+    _check_keys(spec, {"kind"} | _KIND_KEYS[kind], set(), "problem")
+    return kind
+
+
 def build_problem(spec: dict):
     """(mdp, family) from a problem block; MDP-backed kinds only."""
-    _check_keys(spec, _PROBLEM_KEYS, {"kind"}, "problem")
-    kind = spec["kind"]
+    kind = _problem_kind(spec)
     if kind == "example1":
         mdp = mdp_mod.example_one_mdp(
             gamma=spec.get("gamma", 0.5), horizon=spec.get("horizon", 1)
@@ -169,8 +182,7 @@ def _build_noise(noise_cfg: dict) -> trainer.NoiseSpec:
 
 def build_source(spec: dict):
     """Gradient source for training runs: MDP-backed or synthetic."""
-    _check_keys(spec, _PROBLEM_KEYS, {"kind"}, "problem")
-    kind = spec["kind"]
+    kind = _problem_kind(spec)
     if kind in ("example1", "mdp"):
         mdp, family = build_problem(spec)
         return trainer.MdpPolicySource(mdp, family)
@@ -186,7 +198,6 @@ def build_source(spec: dict):
             theta_star=np.array(spec.get("theta_star", [0.0, 0.0]), float),
             noise_sigma=float(spec.get("noise_sigma", 0.0)),
         )
-    raise ConfigError(f"problem.kind: unknown kind {kind!r}")
 
 
 def _resolve_seed(cfg: dict, args) -> int:
@@ -392,25 +403,24 @@ def cmd_train(cfg: dict, args) -> int:
 
 
 def cmd_escape(cfg: dict, args) -> int:
-    seed = _resolve_seed(cfg, args)
-    runs = int(cfg.get("runs", 200))
-    alpha = float(cfg.get("alpha", 1e-3))
-    if set(cfg) <= {"command", "seed", "runs", "alpha", "contrast"}:
-        result = trainer.default_escape_benchmark(
-            runs=runs, seed=seed, contrast=bool(cfg.get("contrast", False)),
-            alpha=alpha,
-        )
+    hessian = np.diag(cfg.get("eigenvalues", [1.0, -1.0]))
+    contrast = bool(cfg.get("contrast", False))
+    if contrast:
+        if "noise" in cfg:
+            raise ConfigError("escape: 'contrast' sets the noise; drop 'noise'")
+        _, u_p = sosp.sym_eig_max(hessian)
+        noise = trainer.NoiseSpec(kind="orthogonal", scale=1.0, direction=u_p)
     else:
-        eigenvalues = cfg.get("eigenvalues", [1.0, -1.0])
         noise = _build_noise(cfg.get("noise", {"kind": "rademacher"}))
-        source = trainer.QuadraticSaddleSource(np.diag(eigenvalues), noise)
-        result = trainer.verify_escape(
-            source, alpha=alpha, runs=runs, seed=seed,
-            chi=float(cfg.get("chi", 1.0)), epsilon=float(cfg.get("epsilon", 1.0)),
-            sigma_h0=float(cfg.get("sigma_h0", 10.0)),
-            cap_factor=int(cfg.get("cap_factor", 10)),
-            iota_sq=cfg.get("iota_sq"),
-        )
+    result = trainer.verify_escape(
+        trainer.QuadraticSaddleSource(hessian, noise),
+        alpha=float(cfg.get("alpha", 1e-3)), runs=int(cfg.get("runs", 200)),
+        seed=_resolve_seed(cfg, args),
+        chi=float(cfg.get("chi", 1.0)), epsilon=float(cfg.get("epsilon", 1.0)),
+        sigma_h0=float(cfg.get("sigma_h0", 10.0)),
+        cap_factor=int(cfg.get("cap_factor", 10)),
+        iota_sq=cfg.get("iota_sq", 1.0 if contrast else None),
+    )
     _emit(result.to_json(), args, "escape.json")
     return EXIT_OK
 
@@ -447,11 +457,15 @@ def cmd_oracle_check(cfg: dict, args) -> int:
     max_states = int(cfg.get("max_states", 4))
     max_actions = int(cfg.get("max_actions", 3))
     max_horizon = int(cfg.get("max_horizon", 6))
-    checks = {
-        "gradient_two_way": 0, "gradient_fd": 0, "perf_diff": 0,
-        "occupancy_mass": 0, "advantage_centering": 0, "fisher_psd": 0,
-    }
+    checks = dict.fromkeys(
+        ("gradient_two_way", "gradient_fd", "perf_diff", "occupancy_mass",
+         "advantage_centering", "fisher_psd"), 0)
     failures = dict.fromkeys(checks, 0)
+
+    def tally(name: str, ok) -> None:
+        checks[name] += 1
+        failures[name] += 0 if ok else 1
+
     from .util import derive_rng
 
     for i in range(n_mdps):
@@ -466,37 +480,25 @@ def cmd_oracle_check(cfg: dict, args) -> int:
 
         oracle = exact_gradient(mdp, family, theta)
         scale = max(1.0, float(np.linalg.norm(oracle.visitation)))
-        ok = oracle.enumeration is not None and (
+        tally("gradient_two_way", oracle.enumeration is not None and (
             np.linalg.norm(oracle.enumeration - oracle.visitation) <= 1e-8 * scale
-        )
-        checks["gradient_two_way"] += 1
-        failures["gradient_two_way"] += 0 if ok else 1
+        ))
 
         fd = fd_gradient(lambda t: exact_objective(mdp, family, t), theta)
-        ok = np.linalg.norm(fd - oracle.visitation) <= 1e-4 * scale
-        checks["gradient_fd"] += 1
-        failures["gradient_fd"] += 0 if ok else 1
+        tally("gradient_fd", np.linalg.norm(fd - oracle.visitation) <= 1e-4 * scale)
 
         theta_b = rng.uniform(-1.0, 1.0, family.param_dim)
         lhs, rhs = mdp_mod.performance_difference_check(mdp, family, theta, theta_b)
-        ok = abs(lhs - rhs) <= mdp_mod.perf_diff_tail_tolerance(mdp)
-        checks["perf_diff"] += 1
-        failures["perf_diff"] += 0 if ok else 1
+        tally("perf_diff", abs(lhs - rhs) <= mdp_mod.perf_diff_tail_tolerance(mdp))
 
         d = mdp_mod.occupancy(mdp, family, theta)
-        ok = abs(d.sum() - mdp_mod.occupancy_mass(mdp)) <= 1e-10
-        checks["occupancy_mass"] += 1
-        failures["occupancy_mass"] += 0 if ok else 1
+        tally("occupancy_mass", abs(d.sum() - mdp_mod.occupancy_mass(mdp)) <= 1e-10)
 
         _, _, adv = mdp_mod.value_functions(mdp, family, theta)
         pi = mdp_mod.policy_matrix(mdp, family, theta)
-        ok = np.abs((pi * adv).sum(axis=1)).max() <= 1e-12
-        checks["advantage_centering"] += 1
-        failures["advantage_centering"] += 0 if ok else 1
+        tally("advantage_centering", np.abs((pi * adv).sum(axis=1)).max() <= 1e-12)
 
-        ok = fisher_matrix(mdp, family, theta).lambda_min >= -1e-10
-        checks["fisher_psd"] += 1
-        failures["fisher_psd"] += 0 if ok else 1
+        tally("fisher_psd", fisher_matrix(mdp, family, theta).lambda_min >= -1e-10)
 
     payload = {
         "n_mdps": n_mdps,

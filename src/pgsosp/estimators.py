@@ -15,6 +15,10 @@ theta).  Its expectation is the exact Hessian of the truncated objective;
 single samples are asymmetric, so eigenanalysis always consumes the
 symmetrized mean while unbiasedness checks use the raw mean.
 
+Batch means and exact expectations (pgsosp.oracle) share the array
+reductions over (m, h) trajectory blocks, with row weights 1/n or p(tau);
+pg_estimate and hessian_estimate are the per-trajectory references.
+
 A variant of hessian_estimate that ties every Phi term to the final step's
 log-probability is available behind ``use_printed_phi`` for comparison; it
 is biased and only the default form passes the enumeration identities.
@@ -26,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
-from .mdp import TabularMdp, Trajectory, discounted_return, occupancy
+from .mdp import TabularMdp, Trajectory, discounted_return, occupancy, policy_matrix
 from .util import frozen_array
 
 
@@ -119,7 +123,7 @@ class HessianEstimate:
 def score_table(mdp: TabularMdp, family, theta: np.ndarray) -> np.ndarray:
     """(S, A, p) table of d log pi; zero rows for zero-probability actions.
 
-    Only ever indexed at sampled (on-policy) pairs, where pi > 0.
+    Only read at on-policy (sampled or enumerated) pairs, or weighted by pi.
     """
     table = np.zeros((mdp.n_states, mdp.n_actions, family.param_dim))
     for s in range(mdp.n_states):
@@ -141,6 +145,35 @@ def _hessian_table(mdp: TabularMdp, family, theta: np.ndarray) -> np.ndarray:
     return table
 
 
+def _pg_rows(mdp: TabularMdp, scores: np.ndarray, states: np.ndarray,
+             actions: np.ndarray, rewards: np.ndarray) -> np.ndarray:
+    """(m, p) pg_estimate rows of an (m, h) block, given its score_table."""
+    gammas = mdp.gamma ** np.arange(mdp.horizon)
+    returns = (gammas * rewards).sum(axis=1)
+    return scores[states, actions].sum(axis=1) * returns[:, None]
+
+
+def _hessian_sum(mdp: TabularMdp, scores: np.ndarray, hessians: np.ndarray,
+                 states: np.ndarray, actions: np.ndarray, rewards: np.ndarray,
+                 weights: np.ndarray) -> np.ndarray:
+    """sum_i weights[i] * hessian_estimate(tau_i) (raw) over an (m, h) block.
+
+    The d^2 Phi term goes through an (S, A) table of summed reward-to-go
+    weights, so no (m, h, p, p) gather is built.
+    """
+    n_s, n_a, p = scores.shape
+    gammas = mdp.gamma ** np.arange(mdp.horizon)
+    w = (gammas * rewards)[:, ::-1].cumsum(axis=1)[:, ::-1]
+    rows = scores[states, actions]                          # (m, h, p)
+    grad_phi = np.einsum("mh,mhp->mp", w, rows)
+    total = (weights[:, None] * grad_phi).T @ rows.sum(axis=1)
+    pair_weights = np.bincount((states * n_a + actions).ravel(),
+                               weights=(weights[:, None] * w).ravel(),
+                               minlength=n_s * n_a)
+    return total + np.tensordot(pair_weights, hessians.reshape(n_s * n_a, p, p),
+                                axes=1)
+
+
 def pg_sample_block(mdp: TabularMdp, family, theta: np.ndarray, n: int,
                     seed: int) -> np.ndarray:
     """(n, p) array of pg_estimate samples via the batch rollout.
@@ -150,10 +183,8 @@ def pg_sample_block(mdp: TabularMdp, family, theta: np.ndarray, n: int,
     from .mdp import rollout_batch
 
     states, actions, rewards = rollout_batch(mdp, family, theta, n, seed)
-    table = score_table(mdp, family, theta)
-    gammas = mdp.gamma ** np.arange(mdp.horizon)
-    returns = (gammas * rewards).sum(axis=1)
-    return table[states, actions].sum(axis=1) * returns[:, None]
+    return _pg_rows(mdp, score_table(mdp, family, theta), states, actions,
+                    rewards)
 
 
 def batch_gradient(mdp: TabularMdp, family, theta: np.ndarray, n: int,
@@ -187,34 +218,19 @@ def batch_gradient(mdp: TabularMdp, family, theta: np.ndarray, n: int,
                         std_error=std_error)
 
 
-# Rows per block of the batch Hessian reduction; bounds the (m, h, p, p)
-# gather and fixes the summation order.
-_HESSIAN_BLOCK = 8192
-
-
 def batch_hessian(mdp: TabularMdp, family, theta: np.ndarray, n: int,
                   seed: int) -> HessianEstimate:
     """Mean of hessian_estimate over n trajectories with derived seeds.
 
-    Vectorized in blocks of rows; each row's term matches hessian_estimate
-    on the corresponding rollout_batch trajectory.
+    The sum over the rollout_batch rows is _hessian_sum with unit weights,
+    the reduction exact_hessian applies with enumeration probabilities.
     """
     from .mdp import rollout_batch
 
     states, actions, rewards = rollout_batch(mdp, family, theta, n, seed)
-    scores = score_table(mdp, family, theta)
-    hessians = _hessian_table(mdp, family, theta)
-    gammas = mdp.gamma ** np.arange(mdp.horizon)
-    p = family.param_dim
-    total = np.zeros((p, p))
-    for lo in range(0, n, _HESSIAN_BLOCK):
-        sl = slice(lo, min(lo + _HESSIAN_BLOCK, n))
-        w = (gammas * rewards[sl])[:, ::-1].cumsum(axis=1)[:, ::-1]
-        s_block = scores[states[sl], actions[sl]]           # (m, h, p)
-        grad_phi = np.einsum("mh,mhp->mp", w, s_block)
-        total_score = s_block.sum(axis=1)                   # (m, p)
-        total += np.einsum("mp,mq->pq", grad_phi, total_score)
-        total += np.einsum("mh,mhpq->pq", w, hessians[states[sl], actions[sl]])
+    total = _hessian_sum(mdp, score_table(mdp, family, theta),
+                         _hessian_table(mdp, family, theta),
+                         states, actions, rewards, np.ones(n))
     raw = total / n
     return HessianEstimate(raw_mean=raw, symmetrized=(raw + raw.T) / 2.0, n=n)
 
@@ -237,18 +253,9 @@ def fisher_matrix(mdp: TabularMdp, family, theta: np.ndarray) -> FisherReport:
     (tabular softmax families are singular along logit shifts, so zero is
     common).
     """
-    d = occupancy(mdp, family, theta)
-    p = family.param_dim
-    f = np.zeros((p, p))
-    for s in range(mdp.n_states):
-        if d[s] == 0.0:
-            continue
-        probs = family.action_probs(theta, s)
-        for a in range(mdp.n_actions):
-            if probs[a] <= 0.0:
-                continue
-            g = family.grad_log_prob(theta, s, a)
-            f += d[s] * probs[a] * np.outer(g, g)
+    scores = score_table(mdp, family, theta)
+    f = np.einsum("s,sa,sap,saq->pq", occupancy(mdp, family, theta),
+                  policy_matrix(mdp, family, theta), scores, scores)
     f = (f + f.T) / 2.0
     lam_min = float(np.linalg.eigvalsh(f)[0])
     return FisherReport(matrix=f, lambda_min=lam_min)

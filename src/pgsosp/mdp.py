@@ -312,21 +312,15 @@ def occupancy_mass(mdp: TabularMdp) -> float:
 
 
 def value_functions(mdp: TabularMdp, family, theta: np.ndarray):
-    """Finite-horizon backward induction; returns the t = 0 slices.
+    """The t = 0 slices (V_0, Q_0, A_0) of value_stack's backward induction.
 
     V_h = 0,  Q_t(s,a) = R(s,a) + gamma * sum_s' P(s'|s,a) V_{t+1}(s'),
     V_t(s) = sum_a pi(a|s) Q_t(s,a),  A = Q - V (advantages sum to zero
     under pi at every state).
     """
     _shape_check(mdp, family)
-    pi = policy_matrix(mdp, family, theta)
-    v = np.zeros(mdp.n_states)
-    q = np.zeros((mdp.n_states, mdp.n_actions))
-    for _ in range(mdp.horizon):
-        q = mdp.reward + mdp.gamma * (mdp.transition @ v)
-        v = (pi * q).sum(axis=1)
-    a = q - v[:, None]
-    return v, q, a
+    v, q = value_stack(mdp, family, theta)
+    return v[0], q[0], q[0] - v[0][:, None]
 
 
 def value_stack(mdp: TabularMdp, family, theta: np.ndarray):

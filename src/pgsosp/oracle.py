@@ -7,7 +7,8 @@ Three independent routes are maintained deliberately:
   time-indexed visitation form;
 * trajectory enumeration (small problems only): probability-weighted sums
   over every length-h trajectory, which realize the score-function forms
-  of the gradient and Hessian as literal finite sums;
+  of the gradient and Hessian as literal finite sums, reduced in array
+  chunks by the Monte-Carlo batch routines with p(tau) in place of 1/n;
 * central finite differences, used as the cross-check on both.
 
 The enumeration cap keeps every oracle call interactive; beyond it only
@@ -16,6 +17,7 @@ differences of the DP gradient.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Iterator
@@ -23,11 +25,12 @@ from typing import Iterator
 import numpy as np
 
 from .errors import EnumerationCapError, OracleConsistencyError
-from .estimators import hessian_estimate, score_table
-from .mdp import TabularMdp, Trajectory, policy_matrix, value_stack, value_functions
+from .estimators import _hessian_sum, _hessian_table, _pg_rows, score_table
+from .mdp import TabularMdp, policy_matrix, value_stack, value_functions
 from .policy import _INV_SQRT_2PI, ExampleOnePiecewise
 
 ENUM_CAP = 1_000_000
+_ENUM_CHUNK = 1024  # trajectories per array chunk; bounds reduction memory
 
 
 # ---------------------------------------------------------------------------
@@ -45,12 +48,12 @@ def enumeration_size_bound(mdp: TabularMdp) -> float:
     return support0 * mdp.n_actions * (mdp.n_actions * branching) ** (mdp.horizon - 1)
 
 
-def is_enumerable(mdp: TabularMdp, cap: int = ENUM_CAP) -> bool:
-    return enumeration_size_bound(mdp) <= cap
+def is_enumerable(mdp: TabularMdp) -> bool:
+    return enumeration_size_bound(mdp) <= ENUM_CAP
 
 
 def enumerate_trajectories(
-    mdp: TabularMdp, family, theta: np.ndarray, cap: int = ENUM_CAP
+    mdp: TabularMdp, family, theta: np.ndarray
 ) -> Iterator[tuple[float, np.ndarray, np.ndarray, np.ndarray]]:
     """Yield (probability, states, actions, rewards) over all trajectories.
 
@@ -59,9 +62,9 @@ def enumerate_trajectories(
     Zero-probability branches are pruned, so every yielded trajectory is
     on-policy.
     """
-    if enumeration_size_bound(mdp) > cap:
+    if not is_enumerable(mdp):
         raise EnumerationCapError(
-            f"enumeration bound {enumeration_size_bound(mdp):.3g} exceeds cap {cap}"
+            f"enumeration bound {enumeration_size_bound(mdp):.3g} exceeds cap {ENUM_CAP}"
         )
     theta = np.asarray(theta, dtype=float)
     pi = policy_matrix(mdp, family, theta)
@@ -91,6 +94,15 @@ def enumerate_trajectories(
             yield from walk(0, s0, float(mdp.rho0[s0]))
 
 
+def _enumeration_chunks(mdp: TabularMdp, family, theta: np.ndarray):
+    """The whole enumeration as (states, actions, rewards, probs) arrays of
+    at most _ENUM_CHUNK rows."""
+    items = enumerate_trajectories(mdp, family, theta)
+    while chunk := list(itertools.islice(items, _ENUM_CHUNK)):
+        probs, states, actions, rewards = zip(*chunk)
+        yield np.stack(states), np.stack(actions), np.stack(rewards), np.array(probs)
+
+
 # ---------------------------------------------------------------------------
 # Objective
 # ---------------------------------------------------------------------------
@@ -101,11 +113,10 @@ def exact_objective(mdp: TabularMdp, family, theta: np.ndarray) -> float:
     return float(mdp.rho0 @ v)
 
 
-def objective_by_enumeration(mdp: TabularMdp, family, theta: np.ndarray,
-                             cap: int = ENUM_CAP) -> float:
+def objective_by_enumeration(mdp: TabularMdp, family, theta: np.ndarray) -> float:
     gammas = mdp.gamma ** np.arange(mdp.horizon)
     total = 0.0
-    for prob, _, _, rewards in enumerate_trajectories(mdp, family, theta, cap):
+    for prob, _, _, rewards in enumerate_trajectories(mdp, family, theta):
         total += prob * float(gammas @ rewards)
     return total
 
@@ -147,38 +158,32 @@ def _gradient_visitation(mdp: TabularMdp, family, theta: np.ndarray) -> np.ndarr
     return grad
 
 
-def _gradient_enumeration(mdp: TabularMdp, family, theta: np.ndarray,
-                          cap: int = ENUM_CAP) -> np.ndarray:
+def _gradient_enumeration(mdp: TabularMdp, family, theta: np.ndarray) -> np.ndarray:
     """Score-function route: sum_tau p(tau) (sum_t dlog pi) R(tau)."""
     theta = np.asarray(theta, dtype=float)
-    score = score_table(mdp, family, theta)
-    gammas = mdp.gamma ** np.arange(mdp.horizon)
+    scores = score_table(mdp, family, theta)
     grad = np.zeros(family.param_dim)
-    for prob, states, actions, rewards in enumerate_trajectories(
-            mdp, family, theta, cap):
-        ret = float(gammas @ rewards)
-        grad += prob * ret * score[states, actions].sum(axis=0)
+    for *block, probs in _enumeration_chunks(mdp, family, theta):
+        grad += probs @ _pg_rows(mdp, scores, *block)
     return grad
 
 
-def exact_gradient(mdp: TabularMdp, family, theta: np.ndarray,
-                   cap: int = ENUM_CAP,
-                   agreement_tol: float = 1e-8) -> GradientOracle:
+def exact_gradient(mdp: TabularMdp, family, theta: np.ndarray) -> GradientOracle:
     """Exact gradient, cross-checked between the two routes when feasible.
 
     Raises OracleConsistencyError if both routes exist and disagree beyond
-    agreement_tol relative to the gradient scale.
+    1e-8 relative to the gradient scale.
     """
     visitation = _gradient_visitation(mdp, family, theta)
     enumeration = None
-    if is_enumerable(mdp, cap):
-        enumeration = _gradient_enumeration(mdp, family, theta, cap)
-        scale = max(1.0, float(np.linalg.norm(visitation)))
+    if is_enumerable(mdp):
+        enumeration = _gradient_enumeration(mdp, family, theta)
+        tol = 1e-8 * max(1.0, float(np.linalg.norm(visitation)))
         gap = float(np.linalg.norm(enumeration - visitation))
-        if gap > agreement_tol * scale:
+        if gap > tol:
             raise OracleConsistencyError(
                 f"gradient routes disagree: |enum - dp| = {gap:.3e} "
-                f"(tolerance {agreement_tol * scale:.3e})"
+                f"(tolerance {tol:.3e})"
             )
     return GradientOracle(visitation=visitation, enumeration=enumeration)
 
@@ -187,24 +192,23 @@ def exact_gradient(mdp: TabularMdp, family, theta: np.ndarray,
 # Hessian
 # ---------------------------------------------------------------------------
 
-def exact_hessian(mdp: TabularMdp, family, theta: np.ndarray,
-                  cap: int = ENUM_CAP) -> np.ndarray:
+def exact_hessian(mdp: TabularMdp, family, theta: np.ndarray) -> np.ndarray:
     """Exact Hessian of the truncated objective, symmetrized.
 
-    Enumerates the expectation of the single-trajectory Hessian integrand
-    when feasible; otherwise falls back to central finite differences of
-    the DP gradient.
+    When the MDP is enumerable this is E_tau[hessian_estimate(tau)], the
+    batch_hessian reduction weighted by the enumeration probabilities;
+    otherwise central finite differences of the DP gradient.
     """
-    if is_enumerable(mdp, cap):
-        p = family.param_dim
-        total = np.zeros((p, p))
-        for prob, states, actions, rewards in enumerate_trajectories(
-                mdp, family, theta, cap):
-            traj = Trajectory(states, actions, rewards, mdp.gamma)
-            total += prob * hessian_estimate(traj, family, theta)
+    theta = np.asarray(theta, dtype=float)
+    if is_enumerable(mdp):
+        scores = score_table(mdp, family, theta)
+        hessians = _hessian_table(mdp, family, theta)
+        total = np.zeros((family.param_dim, family.param_dim))
+        for chunk in _enumeration_chunks(mdp, family, theta):
+            total += _hessian_sum(mdp, scores, hessians, *chunk)
         return (total + total.T) / 2.0
     grad = lambda th: _gradient_visitation(mdp, family, th)
-    return fd_hessian_from_gradient(grad, np.asarray(theta, dtype=float))
+    return fd_hessian_from_gradient(grad, theta)
 
 
 # ---------------------------------------------------------------------------

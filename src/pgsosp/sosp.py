@@ -31,14 +31,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import ConfigError, PreconditionError
-from .estimators import batch_gradient, batch_hessian, pg_estimate
-from .mdp import TabularMdp, Trajectory
-from .oracle import (
-    ENUM_CAP,
-    enumerate_trajectories,
-    exact_gradient,
-    exact_hessian,
-)
+from .estimators import _pg_rows, batch_gradient, batch_hessian, score_table
+from .mdp import TabularMdp
+from .oracle import _enumeration_chunks, exact_gradient, exact_hessian
 from .util import frozen_array
 
 
@@ -453,15 +448,15 @@ def empirical_iota_sq(mdp: TabularMdp, family, theta: np.ndarray,
     return max(floor, mean - 3.0 * se)
 
 
-def cnc_enumerate(mdp: TabularMdp, family, theta: np.ndarray, u: np.ndarray,
-                  cap: int = ENUM_CAP) -> float:
+def cnc_enumerate(mdp: TabularMdp, family, theta: np.ndarray,
+                  u: np.ndarray) -> float:
     """Exact E[<g(tau), u>^2] by trajectory enumeration."""
     u = _unit_check(u)
+    theta = np.asarray(theta, dtype=float)
+    scores = score_table(mdp, family, theta)
     total = 0.0
-    for prob, states, actions, rewards in enumerate_trajectories(
-            mdp, family, theta, cap):
-        traj = Trajectory(states, actions, rewards, mdp.gamma)
-        total += prob * float(pg_estimate(traj, family, theta) @ u) ** 2
+    for *block, probs in _enumeration_chunks(mdp, family, theta):
+        total += float(probs @ (_pg_rows(mdp, scores, *block) @ u) ** 2)
     return total
 
 
@@ -490,23 +485,26 @@ class CncLowerBound:
         }
 
 
-def cnc_lower_bound(mdp: TabularMdp, family, theta: np.ndarray, omega: float,
-                    cap: int = ENUM_CAP) -> CncLowerBound:
-    """Evaluate the closed-form floor with c0 obtained by enumeration."""
+def cnc_lower_bound(mdp: TabularMdp, family, theta: np.ndarray,
+                    omega: float) -> CncLowerBound:
+    """Evaluate the closed-form floor with c0 obtained by enumeration.
+
+    c0 = E[sum_{i<j} <s_i, s_j>] over the step scores s_t, computed as
+    E[(|sum_t s_t|^2 - sum_t |s_t|^2) / 2].
+    """
     if omega <= 0:
         raise ConfigError("cnc_lower_bound: omega must be positive")
     theta = np.asarray(theta, dtype=float)
-    hess = exact_hessian(mdp, family, theta, cap)
+    hess = exact_hessian(mdp, family, theta)
     lam_p, _ = sym_eig_max(hess)
     op_norm = float(np.abs(np.linalg.eigvalsh(hess)).max())
+    scores = score_table(mdp, family, theta)
     c0 = 0.0
-    for prob, states, actions, _rewards in enumerate_trajectories(
-            mdp, family, theta, cap):
-        scores = [family.grad_log_prob(theta, int(s), int(a))
-                  for s, a in zip(states, actions)]
-        for i in range(len(scores)):
-            for j in range(i + 1, len(scores)):
-                c0 += prob * float(scores[i] @ scores[j])
+    for states, actions, _, probs in _enumeration_chunks(mdp, family, theta):
+        rows = scores[states, actions]                      # (m, h, p)
+        sum_sq = (rows.sum(axis=1) ** 2).sum(axis=1)
+        sq_sum = (rows ** 2).sum(axis=(1, 2))
+        c0 += float(probs @ (sum_sq - sq_sum)) / 2.0
     base = mdp.r_min ** 2 * mdp.horizon * omega / (1.0 - mdp.gamma) ** 2
     if op_norm > 0:
         corrected = base + (

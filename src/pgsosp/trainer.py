@@ -31,8 +31,8 @@ import numpy as np
 from .errors import ConfigError, PreconditionError
 from .estimators import pg_estimate
 from .mdp import TabularMdp, sample_trajectory
-from .oracle import analytic_example1, exact_gradient, exact_hessian, exact_objective
-from .policy import _INV_SQRT_2PI, ExampleOnePiecewise
+from .oracle import exact_gradient, exact_hessian, exact_objective
+from .policy import _INV_SQRT_2PI
 from .sosp import (
     Region,
     SecondOrderReport,
@@ -207,31 +207,22 @@ class StronglyConcaveSource:
 class MdpPolicySource:
     """MDP + policy family as a gradient source.
 
-    Oracle quantities come from the exact pipeline; for the piecewise
-    benchmark family the closed forms are used directly (the canonical
-    benchmark MDP has horizon 1, where the closed forms and the truncated
-    MDP objective coincide exactly).
+    J, grad J and hess J come from the exact oracles (pgsosp.oracle) for
+    every family and horizon; updates use single-trajectory estimates.
     """
 
     def __init__(self, mdp: TabularMdp, family):
         self.mdp = mdp
         self.family = family
         self.dim = family.param_dim
-        self._analytic = isinstance(family, ExampleOnePiecewise)
 
     def objective(self, theta) -> float:
-        if self._analytic:
-            return analytic_example1(theta).objective
         return exact_objective(self.mdp, self.family, theta)
 
     def gradient(self, theta) -> np.ndarray:
-        if self._analytic:
-            return analytic_example1(theta).grad
         return exact_gradient(self.mdp, self.family, theta).value
 
     def hessian(self, theta) -> np.ndarray:
-        if self._analytic:
-            return analytic_example1(theta).hessian
         return exact_hessian(self.mdp, self.family, theta)
 
     def _draw_trajectory(self, theta, rng):

@@ -1,10 +1,12 @@
 import json
 import math
+import os
 import subprocess
 import sys
 
 import pytest
 
+import pgsosp
 from pgsosp.cli import main
 
 
@@ -85,6 +87,26 @@ CLASSIFY_CFG = {
     "problem": {"kind": "example1"},
     "epsilon": 0.1, "chi": 1.0,
 }
+
+
+@pytest.mark.parametrize("command, problem, key", [
+    ("classify", {"kind": "example1", "zeta": 5.0, "eigenvalues": [3.0]}, "zeta"),
+    ("classify", {"kind": "mdp", "mdp_path": "m.json", "horizon": 2}, "horizon"),
+    ("train", {"kind": "quadratic_saddle", "noise_sigma": 0.1}, "noise_sigma"),
+    ("train", {"kind": "strongly_concave", "cubic": 1.0}, "cubic"),
+])
+def test_problem_key_of_another_kind_rejected(tmp_path, capsys, command,
+                                              problem, key):
+    cfg = {"command": command, "problem": problem, "epsilon": 0.1, "chi": 1.0}
+    argv = [command, "--config"]
+    if command == "train":
+        cfg.update(theta0=[0.0, 0.0], alpha=0.01, max_iters=1, seed=0)
+        argv.append(write_config(tmp_path, "p.json", cfg))
+    else:
+        argv += [write_config(tmp_path, "p.json", cfg), "--theta", "0,0"]
+    code, _, err = run_cli(capsys, argv)
+    assert code == 2
+    assert repr(key) in err
 
 
 class TestClassifyCommand:
@@ -245,6 +267,29 @@ class TestEscapeTrapCommands:
         assert payload["escape_fraction"] >= 0.9
         assert payload["kappa_hat_0"] == 380
 
+    def test_contrast_kept_with_explicit_keys(self, tmp_path, capsys):
+        from pgsosp.trainer import default_escape_benchmark
+
+        base = {"command": "escape", "seed": 3, "runs": 40, "contrast": True}
+        outs = []
+        for name, cfg in (("a.json", base), ("b.json", dict(base, chi=1.0))):
+            code, out, _ = run_cli(capsys, ["escape", "--config",
+                                            write_config(tmp_path, name, cfg)])
+            assert code == 0
+            outs.append(json.loads(out))
+        assert outs[0] == outs[1]
+        expected = default_escape_benchmark(runs=40, seed=3, contrast=True)
+        assert outs[1] == json.loads(json.dumps(expected.to_json()))
+
+    def test_contrast_with_noise_rejected(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, "e.json", {
+            "command": "escape", "seed": 1, "runs": 5, "contrast": True,
+            "noise": {"kind": "rademacher"},
+        })
+        code, _, err = run_cli(capsys, ["escape", "--config", cfg])
+        assert code == 2
+        assert "contrast" in err
+
     def test_trap_quick_run(self, tmp_path, capsys):
         cfg = write_config(tmp_path, "t.json", {
             "command": "trap", "seed": 1, "runs": 20, "alpha": 0.05,
@@ -295,9 +340,12 @@ class TestCncCommand:
 def test_console_entry_point(tmp_path):
     cfg = tmp_path / "c.json"
     cfg.write_text(json.dumps(CONSTANTS_CFG))
+    # The child imports the same pgsosp as this process, installed or not.
+    src = os.path.dirname(os.path.dirname(pgsosp.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "pgsosp.cli", "constants", "--config", str(cfg)],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path),
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["ell"] == 12.0

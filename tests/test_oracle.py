@@ -168,6 +168,48 @@ class TestEnumeration:
                                         np.zeros(n_s * n_a)))
 
 
+class TestEnumerationReductions:
+    def test_chunked_sums_match_per_trajectory_references(self):
+        # 4096 trajectories: more than two chunks of the array reductions.
+        from pgsosp.estimators import hessian_estimate, pg_estimate
+        from pgsosp.mdp import Trajectory
+        from pgsosp.oracle import _ENUM_CHUNK, _gradient_enumeration
+        from pgsosp.sosp import cnc_enumerate, cnc_lower_bound
+
+        mdp, family = make_random_problem(61, n_states=3, n_actions=2,
+                                          horizon=6)
+        rng = derive_rng(5, 49)
+        theta = rng.uniform(-1, 1, family.param_dim)
+        u = rng.standard_normal(family.param_dim)
+        u /= np.linalg.norm(u)
+        p = family.param_dim
+        hess, grad, cnc, c0, count = np.zeros((p, p)), np.zeros(p), 0.0, 0.0, 0
+        for prob, states, actions, rewards in enumerate_trajectories(
+                mdp, family, theta):
+            traj = Trajectory(states, actions, rewards, mdp.gamma)
+            h = hessian_estimate(traj, family, theta)
+            g = pg_estimate(traj, family, theta)
+            scores = [family.grad_log_prob(theta, int(s), int(a))
+                      for s, a in zip(states, actions)]
+            hess += prob * (h + h.T) / 2.0
+            grad += prob * g
+            cnc += prob * float(g @ u) ** 2
+            c0 += prob * sum(float(scores[i] @ scores[j])
+                             for i in range(len(scores))
+                             for j in range(i + 1, len(scores)))
+            count += 1
+        assert count == 4096 > 2 * _ENUM_CHUNK
+        pairs = [
+            (exact_hessian(mdp, family, theta), hess),
+            (_gradient_enumeration(mdp, family, theta), grad),
+            (cnc_enumerate(mdp, family, theta, u), cnc),
+            (cnc_lower_bound(mdp, family, theta, omega=0.1).c0, c0),
+        ]
+        for got, ref in pairs:
+            tol = 1e-12 * max(1.0, float(np.abs(ref).max()))
+            assert float(np.abs(np.asarray(got) - ref).max()) <= tol
+
+
 class TestAnalyticExample1:
     def test_origin(self):
         res = analytic_example1(np.zeros(2))

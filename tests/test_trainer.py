@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from pgsosp.errors import ConfigError, PreconditionError
+from pgsosp.mdp import example_one_mdp
+from pgsosp.oracle import exact_gradient, exact_hessian, exact_objective
 from pgsosp.policy import ExampleOnePiecewise
 from pgsosp.sosp import Region
 from pgsosp.trainer import (
@@ -111,6 +113,19 @@ class TestRun:
             inc = nxt.varsigma - prev.varsigma
             expected = 1 if prev.region in (Region.L1, Region.L3) else 7
             assert inc == expected
+
+    def test_example1_source_uses_the_oracles_at_any_horizon(self):
+        # At h = 3 the `up` self-loop re-decides at s0, so the h = 1 closed
+        # forms no longer give J: the oracle says 0.6625, they say 0.5067.
+        mdp, family = example_one_mdp(horizon=3), ExampleOnePiecewise()
+        source = MdpPolicySource(mdp, family)
+        theta = np.array([0.3, 0.6])
+        assert source.objective(theta) == exact_objective(mdp, family, theta)
+        assert source.objective(theta) == pytest.approx(0.6625, abs=1e-4)
+        assert np.array_equal(source.gradient(theta),
+                              exact_gradient(mdp, family, theta).value)
+        assert np.array_equal(source.hessian(theta),
+                              exact_hessian(mdp, family, theta))
 
     def test_divergence_abort_records_iteration(self):
         source = QuadraticSaddleSource(np.diag([5.0, 1.0]), NoiseSpec("zero"))
