@@ -480,9 +480,9 @@ def cmd_oracle_check(cfg: dict, args) -> int:
 
         oracle = exact_gradient(mdp, family, theta)
         scale = max(1.0, float(np.linalg.norm(oracle.visitation)))
-        tally("gradient_two_way", oracle.enumeration is not None and (
-            np.linalg.norm(oracle.enumeration - oracle.visitation) <= 1e-8 * scale
-        ))
+        if oracle.enumeration is not None:
+            tally("gradient_two_way", np.linalg.norm(
+                oracle.enumeration - oracle.visitation) <= 1e-8 * scale)
 
         fd = fd_gradient(lambda t: exact_objective(mdp, family, t), theta)
         tally("gradient_fd", np.linalg.norm(fd - oracle.visitation) <= 1e-4 * scale)
@@ -533,7 +533,7 @@ def cmd_cnc(cfg: dict, args) -> int:
                                          seed)
         payload["mean_sq_projection"] = mean
         payload["std_error"] = stderr
-        payload["iota_sq_floor"] = max(1e-6, mean - 3.0 * stderr)
+        payload["iota_sq_floor"] = sosp.iota_sq_floor(mean, stderr)
     _emit(payload, args, "cnc.json")
     return EXIT_OK
 

@@ -31,16 +31,14 @@ import numpy as np
 
 from .errors import ConfigError
 from .mdp import TabularMdp, Trajectory, discounted_return, occupancy, policy_matrix
+from .policy import _require_on_policy
 from .util import frozen_array
 
 
 def score_sum(traj: Trajectory, family, theta: np.ndarray) -> np.ndarray:
     """sum_t d log pi(a_t|s_t); raises on zero-probability (off-policy) steps."""
-    scores = np.stack([
-        family.grad_log_prob(theta, int(s), int(a))
-        for s, a in zip(traj.states, traj.actions)
-    ])
-    return scores.sum(axis=0)
+    _require_on_policy(family.probs(theta), traj.states, traj.actions)
+    return family.score(theta)[traj.states, traj.actions].sum(axis=0)
 
 
 def pg_estimate(traj: Trajectory, family, theta: np.ndarray) -> np.ndarray:
@@ -59,21 +57,20 @@ def hessian_estimate(traj: Trajectory, family, theta: np.ndarray,
     """Single-trajectory Hessian estimate (raw, possibly asymmetric)."""
     p = family.param_dim
     w = reward_to_go(traj)
-    scores = [family.grad_log_prob(theta, int(s), int(a))
-              for s, a in zip(traj.states, traj.actions)]
+    _require_on_policy(family.probs(theta), traj.states, traj.actions)
+    scores = family.score(theta)[traj.states, traj.actions]
+    hessians = family.hess(theta)[traj.states, traj.actions]
     if use_printed_phi:
         # Every term tied to the last step's log-probability; biased.
-        s_last, a_last = int(traj.states[-1]), int(traj.actions[-1])
-        grad_phi = w.sum() * family.grad_log_prob(theta, s_last, a_last)
-        hess_phi = w.sum() * family.hessian_log_prob(theta, s_last, a_last)
+        grad_phi = w.sum() * scores[-1]
+        hess_phi = w.sum() * hessians[-1]
     else:
         grad_phi = np.zeros(p)
         hess_phi = np.zeros((p, p))
-        for t, (s, a) in enumerate(zip(traj.states, traj.actions)):
+        for t in range(len(traj)):
             grad_phi += w[t] * scores[t]
-            hess_phi += w[t] * family.hessian_log_prob(theta, int(s), int(a))
-    total_score = np.sum(scores, axis=0)
-    return np.outer(grad_phi, total_score) + hess_phi
+            hess_phi += w[t] * hessians[t]
+    return np.outer(grad_phi, scores.sum(axis=0)) + hess_phi
 
 
 @dataclass(frozen=True)
@@ -112,37 +109,13 @@ class HessianEstimate:
         object.__setattr__(self, "raw_mean", frozen_array(self.raw_mean))
         object.__setattr__(self, "symmetrized", frozen_array(self.symmetrized))
 
-    def to_json(self) -> dict:
-        return {
-            "raw_mean": self.raw_mean.tolist(),
-            "symmetrized": self.symmetrized.tolist(),
-            "n": self.n,
-        }
-
 
 def score_table(mdp: TabularMdp, family, theta: np.ndarray) -> np.ndarray:
     """(S, A, p) table of d log pi; zero rows for zero-probability actions.
 
     Only read at on-policy (sampled or enumerated) pairs, or weighted by pi.
     """
-    table = np.zeros((mdp.n_states, mdp.n_actions, family.param_dim))
-    for s in range(mdp.n_states):
-        probs = family.action_probs(theta, s)
-        for a in range(mdp.n_actions):
-            if probs[a] > 0.0:
-                table[s, a] = family.grad_log_prob(theta, s, a)
-    return table
-
-
-def _hessian_table(mdp: TabularMdp, family, theta: np.ndarray) -> np.ndarray:
-    p = family.param_dim
-    table = np.zeros((mdp.n_states, mdp.n_actions, p, p))
-    for s in range(mdp.n_states):
-        probs = family.action_probs(theta, s)
-        for a in range(mdp.n_actions):
-            if probs[a] > 0.0:
-                table[s, a] = family.hessian_log_prob(theta, s, a)
-    return table
+    return family.score(theta)
 
 
 def _pg_rows(mdp: TabularMdp, scores: np.ndarray, states: np.ndarray,
@@ -228,8 +201,7 @@ def batch_hessian(mdp: TabularMdp, family, theta: np.ndarray, n: int,
     from .mdp import rollout_batch
 
     states, actions, rewards = rollout_batch(mdp, family, theta, n, seed)
-    total = _hessian_sum(mdp, score_table(mdp, family, theta),
-                         _hessian_table(mdp, family, theta),
+    total = _hessian_sum(mdp, score_table(mdp, family, theta), family.hess(theta),
                          states, actions, rewards, np.ones(n))
     raw = total / n
     return HessianEstimate(raw_mean=raw, symmetrized=(raw + raw.T) / 2.0, n=n)
@@ -239,9 +211,6 @@ def batch_hessian(mdp: TabularMdp, family, theta: np.ndarray, n: int,
 class FisherReport:
     matrix: np.ndarray
     lambda_min: float
-
-    def to_json(self) -> dict:
-        return {"matrix": self.matrix.tolist(), "lambda_min": self.lambda_min}
 
 
 def fisher_matrix(mdp: TabularMdp, family, theta: np.ndarray) -> FisherReport:

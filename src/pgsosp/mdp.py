@@ -194,9 +194,7 @@ class Trajectory:
 
 def policy_matrix(mdp: TabularMdp, family, theta: np.ndarray) -> np.ndarray:
     """pi(a|s) as an (n_states, n_actions) matrix."""
-    return np.stack(
-        [family.action_probs(theta, s) for s in range(mdp.n_states)], axis=0
-    )
+    return family.probs(theta)
 
 
 def _shape_check(mdp: TabularMdp, family) -> None:
@@ -224,13 +222,13 @@ def _pick(cdf: np.ndarray, u: float) -> int:
     return i
 
 
-def _walk(mdp: TabularMdp, draws: np.ndarray, action_cdf
+def _walk(mdp: TabularMdp, draws: np.ndarray, action_cdf: np.ndarray
           ) -> tuple[np.ndarray, np.ndarray]:
     """Map an (n, 2h+1) block of uniforms to (states, actions), each (n, h).
 
     In row i, draws[i, 0] picks s_0 from rho0, draws[i, 2t+1] picks a_t
-    from action_cdf(s_t), and draws[i, 2t+2] picks s_{t+1} from
-    P(.|s_t, a_t).
+    from the (S, A) policy CDF row action_cdf[s_t], and draws[i, 2t+2]
+    picks s_{t+1} from P(.|s_t, a_t).
     """
     n, h = draws.shape[0], mdp.horizon
     states = np.empty((n, h), dtype=np.int64)
@@ -240,7 +238,7 @@ def _walk(mdp: TabularMdp, draws: np.ndarray, action_cdf
         row = draws[i]
         s = _pick(rho0_cdf, row[0])
         for t in range(h):
-            a = _pick(action_cdf(s), row[2 * t + 1])
+            a = _pick(action_cdf[s], row[2 * t + 1])
             states[i, t] = s
             actions[i, t] = a
             s = _pick(trans_cdf[s, a], row[2 * t + 2])
@@ -251,10 +249,9 @@ def sample_trajectory(mdp: TabularMdp, family, theta: np.ndarray,
                       seed: int) -> Trajectory:
     """Roll out exactly `horizon` steps; deterministic given the seed."""
     _shape_check(mdp, family)
-    theta = np.asarray(theta, dtype=float)
     draws = derive_rng(seed).random(2 * mdp.horizon + 1)
     states, actions = _walk(mdp, draws[None, :],
-                            lambda s: family.action_probs(theta, s).cumsum())
+                            family.probs(theta).cumsum(axis=1))
     return Trajectory(states=states[0], actions=actions[0],
                       rewards=mdp.reward[states[0], actions[0]], gamma=mdp.gamma)
 
@@ -270,16 +267,13 @@ def rollout_batch(mdp: TabularMdp, family, theta: np.ndarray, n: int,
     if n < 1:
         raise ConfigError("batch size must be >= 1")
     _shape_check(mdp, family)
-    theta = np.asarray(theta, dtype=float)
     width = 2 * mdp.horizon + 1
-    pi_cdf = np.stack(
-        [family.action_probs(theta, s) for s in range(mdp.n_states)]
-    ).cumsum(axis=1)
     draws = np.empty((n, width))
     for i in range(n):
         sub_seed = int(derive_rng(seed, i).integers(0, 2 ** 63 - 1))
         draws[i] = derive_rng(sub_seed).random(width)
-    states, actions = _walk(mdp, draws, pi_cdf.__getitem__)
+    states, actions = _walk(mdp, draws,
+                            policy_matrix(mdp, family, theta).cumsum(axis=1))
     return states, actions, mdp.reward[states, actions]
 
 

@@ -25,7 +25,7 @@ from typing import Iterator
 import numpy as np
 
 from .errors import EnumerationCapError, OracleConsistencyError
-from .estimators import _hessian_sum, _hessian_table, _pg_rows, score_table
+from .estimators import _hessian_sum, _pg_rows, score_table
 from .mdp import TabularMdp, policy_matrix, value_stack, value_functions
 from .policy import _INV_SQRT_2PI, ExampleOnePiecewise
 
@@ -149,7 +149,7 @@ def _gradient_visitation(mdp: TabularMdp, family, theta: np.ndarray) -> np.ndarr
     pi = policy_matrix(mdp, family, theta)
     _, q = value_stack(mdp, family, theta)
     kernel = np.einsum("sa,sat->st", pi, mdp.transition)
-    grad_pi = np.stack([family.grad_prob(theta, s) for s in range(mdp.n_states)])
+    grad_pi = family.dprobs(theta)
     w = mdp.rho0.copy()
     grad = np.zeros(family.param_dim)
     for t in range(mdp.horizon):
@@ -202,7 +202,7 @@ def exact_hessian(mdp: TabularMdp, family, theta: np.ndarray) -> np.ndarray:
     theta = np.asarray(theta, dtype=float)
     if is_enumerable(mdp):
         scores = score_table(mdp, family, theta)
-        hessians = _hessian_table(mdp, family, theta)
+        hessians = family.hess(theta)
         total = np.zeros((family.param_dim, family.param_dim))
         for chunk in _enumeration_chunks(mdp, family, theta):
             total += _hessian_sum(mdp, scores, hessians, *chunk)

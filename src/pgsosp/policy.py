@@ -1,5 +1,20 @@
 """Differentiable policy families over finite state/action spaces.
 
+A family answers whole tables at one parameter point theta (p = param_dim):
+
+``probs(theta)``   (S, A)        pi(a|s)
+``dprobs(theta)``  (S, A, p)     d pi(a|s) / d theta
+``score(theta)``   (S, A, p)     d log pi(a|s)
+``hess(theta)``    (S, A, p, p)  d^2 log pi(a|s)
+
+``score`` and ``hess`` are zero wherever pi(a|s) = 0, so consumers read
+them at on-policy (sampled or enumerated) pairs or weighted by pi.  Each
+closed form is written once, in its table method.  The per-query methods
+``action_probs(theta, s)``, ``grad_prob(theta, s)``,
+``grad_log_prob(theta, s, a)`` and ``hessian_log_prob(theta, s, a)`` are
+shared by both families: they slice the tables, and the two log-policy
+queries raise PolicyDomainError for a zero-probability action.
+
 Two families are provided:
 
 ``TabularSoftmax``
@@ -15,11 +30,10 @@ Two families are provided:
     exp(-(2 - |theta|^2)/2)/sqrt(2*pi) outside the box, and ``up`` takes
     the remaining mass.  The two absorbing states play fixed actions.
 
-All functions are pure in (theta, state, action) and thread-safe.
+All methods are pure functions of their arguments.
 """
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -32,6 +46,35 @@ _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
 # Action layout of the three-state benchmark.
 RIGHT, LEFT, UP = 0, 1, 2
+
+
+def _require_on_policy(probs: np.ndarray, states, actions) -> None:
+    """Raise at the first (state, action) pair that probs gives no mass."""
+    if (probs[states, actions] > 0.0).all():
+        return
+    for s, a in zip(np.ravel(states), np.ravel(actions)):
+        if probs[s, a] <= 0.0:
+            raise PolicyDomainError(f"zero-probability action {a} in state {s}")
+
+
+def _action_probs(self, theta: np.ndarray, state: int) -> np.ndarray:
+    return self.probs(theta)[state]
+
+
+def _grad_prob(self, theta: np.ndarray, state: int) -> np.ndarray:
+    """d pi(a|s) / d theta for every action: shape (n_actions, p)."""
+    return self.dprobs(theta)[state]
+
+
+def _grad_log_prob(self, theta: np.ndarray, state: int, action: int) -> np.ndarray:
+    _require_on_policy(self.probs(theta), state, action)
+    return self.score(theta)[state, action]
+
+
+def _hessian_log_prob(self, theta: np.ndarray, state: int,
+                      action: int) -> np.ndarray:
+    _require_on_policy(self.probs(theta), state, action)
+    return self.hess(theta)[state, action]
 
 
 class TabularSoftmax:
@@ -49,46 +92,46 @@ class TabularSoftmax:
     def param_dim(self) -> int:
         return self.n_states * self.n_actions
 
-    def _block(self, state: int) -> slice:
-        a = self.n_actions
-        return slice(state * a, (state + 1) * a)
+    def probs(self, theta: np.ndarray) -> np.ndarray:
+        logits = np.asarray(theta, dtype=float).reshape(self.n_states,
+                                                        self.n_actions)
+        e = np.exp(logits - logits.max(axis=1, keepdims=True))
+        return e / e.sum(axis=1, keepdims=True)
 
-    def action_probs(self, theta: np.ndarray, state: int) -> np.ndarray:
-        logits = np.asarray(theta, dtype=float)[self._block(state)]
-        z = logits - logits.max()
-        e = np.exp(z)
-        return e / e.sum()
+    def dprobs(self, theta: np.ndarray) -> np.ndarray:
+        pi = self.probs(theta)
+        return self._on_own_block(
+            pi[:, :, None] * (np.eye(self.n_actions) - pi[:, None, :]))
 
-    def grad_log_prob(self, theta: np.ndarray, state: int, action: int) -> np.ndarray:
-        pi = self.action_probs(theta, state)
-        if pi[action] <= 0.0:
-            raise PolicyDomainError(
-                f"zero-probability action {action} in state {state}"
-            )
-        g = np.zeros(self.param_dim)
-        block = self._block(state)
-        g[block] = -pi
-        g[state * self.n_actions + action] += 1.0
-        return g
+    def score(self, theta: np.ndarray) -> np.ndarray:
+        pi = self.probs(theta)
+        rows = pi[:, None, :]
+        blocks = np.where(np.eye(self.n_actions, dtype=bool), 1.0 - rows, -rows)
+        blocks[pi <= 0.0] = 0.0
+        return self._on_own_block(blocks)
 
-    def hessian_log_prob(self, theta: np.ndarray, state: int, action: int) -> np.ndarray:
-        pi = self.action_probs(theta, state)
-        if pi[action] <= 0.0:
-            raise PolicyDomainError(
-                f"zero-probability action {action} in state {state}"
-            )
-        h = np.zeros((self.param_dim, self.param_dim))
-        block = self._block(state)
-        h[block, block] = np.outer(pi, pi) - np.diag(pi)
-        return h
+    def hess(self, theta: np.ndarray) -> np.ndarray:
+        pi = self.probs(theta)
+        n_s, n_a = self.n_states, self.n_actions
+        rows = pi[:, None, :]
+        block = pi[:, :, None] * rows - np.eye(n_a) * rows       # (S, A, A)
+        out = np.zeros((n_s, n_a, n_s, n_a, n_s, n_a))
+        s = np.arange(n_s)
+        out[s, :, s, :, s] = block[:, None]
+        out[pi <= 0.0] = 0.0
+        return out.reshape(n_s, n_a, self.param_dim, self.param_dim)
 
-    def grad_prob(self, theta: np.ndarray, state: int) -> np.ndarray:
-        """d pi(a|s) / d theta for every action: shape (n_actions, p)."""
-        pi = self.action_probs(theta, state)
-        out = np.zeros((self.n_actions, self.param_dim))
-        block = self._block(state)
-        out[:, block] = pi[:, None] * (np.eye(self.n_actions) - pi[None, :])
-        return out
+    def _on_own_block(self, blocks: np.ndarray) -> np.ndarray:
+        """(S, A, A) blocks -> (S, A, p): row (s, a) is blocks[s, a] on
+        state s's logits and zero elsewhere."""
+        n_s, n_a = self.n_states, self.n_actions
+        out = np.zeros((n_s, n_a, n_s, n_a))
+        s = np.arange(n_s)
+        out[s, :, s] = blocks
+        return out.reshape(n_s, n_a, self.param_dim)
+
+    action_probs, grad_prob = _action_probs, _grad_prob
+    grad_log_prob, hessian_log_prob = _grad_log_prob, _hessian_log_prob
 
 
 class ExampleOnePiecewise:
@@ -96,8 +139,10 @@ class ExampleOnePiecewise:
 
     The start state s0 exposes actions (right, left, up) = (0, 1, 2); the
     absorbing states s1, s2 play ``right`` and ``left`` with probability 1
-    and contribute zero score.  Derivative queries on the boundary of the
-    unit box use the in-box branch (closed-set convention).
+    and contribute zero score.  Derivatives on the boundary of the unit
+    box use the in-box branch (closed-set convention).  ``probs``, ``score``
+    and ``hess`` raise PolicyDomainError for every state when the start
+    state's probabilities leave [0, 1].
     """
 
     name = "example_one"
@@ -118,69 +163,54 @@ class ExampleOnePiecewise:
     def _p2(self, theta: np.ndarray) -> float:
         return _INV_SQRT_2PI * math.exp(-(2.0 - float(theta @ theta)) / 2.0)
 
-    def action_probs(self, theta: np.ndarray, state: int) -> np.ndarray:
+    def probs(self, theta: np.ndarray) -> np.ndarray:
         theta = np.asarray(theta, dtype=float)
-        if state == 1:
-            return np.array([1.0, 0.0, 0.0])
-        if state == 2:
-            return np.array([0.0, 1.0, 0.0])
         if self.in_box(theta):
-            p1 = self._p1(theta)
-            probs = np.array([p1, 0.0, 1.0 - p1])
+            p = self._p1(theta)
+            start = [p, 0.0, 1.0 - p]
         else:
-            p2 = self._p2(theta)
-            probs = np.array([0.0, p2, 1.0 - p2])
-        if probs.min() < 0.0 or probs.max() > 1.0:
+            p = self._p2(theta)
+            start = [0.0, p, 1.0 - p]
+        if p < 0.0 or p > 1.0:  # exactly when 1 - p leaves [0, 1]
             raise PolicyDomainError(
                 f"action probabilities leave [0, 1] at theta={theta.tolist()}"
             )
-        return probs
+        return np.array([start, [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
 
-    def grad_prob(self, theta: np.ndarray, state: int) -> np.ndarray:
+    def dprobs(self, theta: np.ndarray) -> np.ndarray:
         theta = np.asarray(theta, dtype=float)
-        out = np.zeros((3, 2))
-        if state != 0:
-            return out
+        out = np.zeros((3, 3, 2))
         if self.in_box(theta):
-            dp1 = _INV_SQRT_2PI * np.array([-2.0 * theta[0], 2.0 * theta[1]])
-            out[RIGHT] = dp1
-            out[UP] = -dp1
+            out[0, RIGHT] = _INV_SQRT_2PI * np.array([-2.0 * theta[0], 2.0 * theta[1]])
+            out[0, UP] = -out[0, RIGHT]
         else:
-            dp2 = self._p2(theta) * theta
-            out[LEFT] = dp2
-            out[UP] = -dp2
+            out[0, LEFT] = self._p2(theta) * theta
+            out[0, UP] = -out[0, LEFT]
         return out
 
-    def grad_log_prob(self, theta: np.ndarray, state: int, action: int) -> np.ndarray:
-        theta = np.asarray(theta, dtype=float)
-        probs = self.action_probs(theta, state)
-        if probs[action] <= 0.0:
-            raise PolicyDomainError(
-                f"zero-probability action {action} in state {state}"
-            )
-        if state != 0:
-            return np.zeros(2)
-        return self.grad_prob(theta, 0)[action] / probs[action]
+    def score(self, theta: np.ndarray) -> np.ndarray:
+        start = self.probs(theta)[0, :, None]
+        out = np.zeros((3, 3, 2))
+        np.divide(self.dprobs(theta)[0], start, out=out[0], where=start > 0.0)
+        return out
 
-    def hessian_log_prob(self, theta: np.ndarray, state: int, action: int) -> np.ndarray:
-        theta = np.asarray(theta, dtype=float)
-        probs = self.action_probs(theta, state)
-        if probs[action] <= 0.0:
-            raise PolicyDomainError(
-                f"zero-probability action {action} in state {state}"
-            )
-        if state != 0:
-            return np.zeros((2, 2))
+    def hess(self, theta: np.ndarray) -> np.ndarray:
         # d^2 log p = (d^2 p)/p - (d log p)(d log p)^T
-        p = probs[action]
-        dlog = self.grad_prob(theta, 0)[action] / p
+        theta = np.asarray(theta, dtype=float)
+        start = self.probs(theta)[0]
+        dlog = self.score(theta)[0]
+        d2p = np.zeros((3, 2, 2))
         if self.in_box(theta):
-            d2p1 = _INV_SQRT_2PI * np.diag([-2.0, 2.0])
-            d2p = {RIGHT: d2p1, UP: -d2p1}[action]
+            d2p[RIGHT] = _INV_SQRT_2PI * np.diag([-2.0, 2.0])
+            d2p[UP] = -d2p[RIGHT]
         else:
-            d2p2 = self._p2(theta) * (np.outer(theta, theta) + np.eye(2))
-            d2p = {LEFT: d2p2, UP: -d2p2}[action]
-        return d2p / p - np.outer(dlog, dlog)
+            d2p[LEFT] = self._p2(theta) * (np.outer(theta, theta) + np.eye(2))
+            d2p[UP] = -d2p[LEFT]
+        on = start > 0.0
+        out = np.zeros((3, 3, 2, 2))
+        out[0, on] = (d2p[on] / start[on, None, None]
+                      - dlog[on, :, None] * dlog[on, None, :])
+        return out
 
     def check_mdp(self, mdp) -> None:
         """Reject MDPs that do not match the three-state benchmark layout."""
@@ -195,6 +225,9 @@ class ExampleOnePiecewise:
         if not np.array_equal(np.asarray(mdp.reward), ref["reward"]):
             raise ConfigError("example_one policy: MDP reward table differs "
                               "from the three-state benchmark")
+
+    action_probs, grad_prob = _action_probs, _grad_prob
+    grad_log_prob, hessian_log_prob = _grad_log_prob, _hessian_log_prob
 
 
 def _example_one_layout() -> dict:
@@ -243,13 +276,6 @@ class RegularityConstants:
     domain_box: tuple
     grid_spacing: float
 
-    def to_json(self) -> dict:
-        return {
-            "G": self.G, "L": self.L, "U": self.U, "W": self.W,
-            "domain_box": [list(b) for b in self.domain_box],
-            "grid_spacing": self.grid_spacing,
-        }
-
 
 def estimate_regularity(
     family,
@@ -273,54 +299,43 @@ def estimate_regularity(
     axes = [np.linspace(lo, hi, grid_density) for lo, hi in box]
     spacing = max((hi - lo) / (grid_density - 1) for lo, hi in box)
 
-    g_max = l_max = u_max = 0.0
-    hess_cache: dict = {}
-
-    def probe(idx):
+    # One set of tables per grid point; a point where the family raises
+    # keeps all-zero tables, which add nothing to any maximum.
+    grid = (grid_density,) * family.param_dim
+    n_s, n_a, p = family.n_states, family.n_actions, family.param_dim
+    probs = np.zeros(grid + (n_s, n_a))
+    dprobs = np.zeros(grid + (n_s, n_a, p))
+    scores = np.zeros(grid + (n_s, n_a, p))
+    hessians = np.zeros(grid + (n_s, n_a, p, p))
+    for idx in np.ndindex(*grid):
         theta = np.array([axes[d][i] for d, i in enumerate(idx)])
-        hessians = {}
-        nonlocal g_max, l_max, u_max
-        for s in range(family.n_states):
-            try:
-                probs = family.action_probs(theta, s)
-            except PolicyDomainError:
-                continue
-            u_max = max(u_max, float(np.abs(family.grad_prob(theta, s)).max()))
-            for a in range(family.n_actions):
-                if probs[a] <= 0.0:
-                    continue
-                g_max = max(
-                    g_max, float(np.abs(family.grad_log_prob(theta, s, a)).max())
-                )
-                h = family.hessian_log_prob(theta, s, a)
-                l_max = max(l_max, float(np.abs(h).max()))
-                hessians[(s, a)] = h
-        hess_cache[idx] = hessians
-
-    indices = list(itertools.product(*(range(grid_density),) * family.param_dim))
-    for idx in indices:
-        probe(idx)
+        try:
+            probs[idx] = family.probs(theta)
+        except PolicyDomainError:
+            continue
+        dprobs[idx] = family.dprobs(theta)
+        scores[idx] = family.score(theta)
+        hessians[idx] = family.hess(theta)
 
     w_max = None
     if estimate_w:
+        # Spectral norms of the Hessian change between axis neighbours, at
+        # (state, action) pairs with positive probability at both points.
         w_max = 0.0
-        for idx in indices:
-            here = hess_cache[idx]
-            for axis in range(family.param_dim):
-                if idx[axis] + 1 >= grid_density:
-                    continue
-                step = float(axes[axis][idx[axis] + 1] - axes[axis][idx[axis]])
-                if step <= 0.0:
-                    continue
-                neighbor = tuple(
-                    i + 1 if d == axis else i for d, i in enumerate(idx)
-                )
-                other = hess_cache[neighbor]
-                for key, h in here.items():
-                    if key in other:
-                        diff = np.linalg.norm(other[key] - h, 2)
-                        w_max = max(w_max, float(diff / step))
+        on = probs > 0.0
+        for axis in range(p):
+            lo = (slice(None),) * axis + (slice(None, -1),)
+            hi = (slice(None),) * axis + (slice(1, None),)
+            diff = hessians[hi] - hessians[lo]
+            diff[~(on[lo] & on[hi])] = 0.0
+            norms = np.linalg.norm(diff, 2, axis=(-2, -1))
+            steps = np.diff(axes[axis]).reshape((-1,) + (1,) * (norms.ndim - axis - 1))
+            ratios = np.divide(norms, steps, out=np.zeros_like(norms),
+                               where=steps > 0.0)
+            w_max = max(w_max, float(ratios.max()))
 
     return RegularityConstants(
-        G=g_max, L=l_max, U=u_max, W=w_max, domain_box=box, grid_spacing=spacing
+        G=float(np.abs(scores).max()), L=float(np.abs(hessians).max()),
+        U=float(np.abs(dprobs).max()), W=w_max, domain_box=box,
+        grid_spacing=spacing,
     )

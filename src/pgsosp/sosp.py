@@ -438,14 +438,16 @@ def cnc_estimate(mdp: TabularMdp, family, theta: np.ndarray, u: np.ndarray,
 def empirical_iota_sq(mdp: TabularMdp, family, theta: np.ndarray,
                       u: np.ndarray, n: int, seed: int,
                       floor: float = 1e-6) -> float:
-    """Conservative curvature-correlation floor from samples.
+    """Conservative curvature-correlation floor from samples: iota_sq_floor
+    of cnc_estimate's mean and standard error."""
+    return iota_sq_floor(*cnc_estimate(mdp, family, theta, u, n, seed), floor)
 
-    Returns max(floor, mean - 3 * std_error) of the squared projection
-    along u; the three-sigma margin keeps the estimate on the safe side of
-    the population value.
-    """
-    mean, se = cnc_estimate(mdp, family, theta, u, n, seed)
-    return max(floor, mean - 3.0 * se)
+
+def iota_sq_floor(mean: float, std_error: float, floor: float = 1e-6) -> float:
+    """max(floor, mean - 3 * std_error) of a sampled squared projection;
+    the three-sigma margin keeps the estimate on the safe side of the
+    population value."""
+    return max(floor, mean - 3.0 * std_error)
 
 
 def cnc_enumerate(mdp: TabularMdp, family, theta: np.ndarray,

@@ -388,14 +388,6 @@ class Prop1Result:
     trials: int
     passes: bool
 
-    def to_json(self) -> dict:
-        return {
-            "mean_gain": self.mean_gain, "std_error": self.std_error,
-            "bound": self.bound, "sampled_sigma_sq": self.sampled_sigma_sq,
-            "grad_norm": self.grad_norm, "trials": self.trials,
-            "passes": self.passes,
-        }
-
 
 def verify_prop1(source, theta: np.ndarray, alpha: float, trials: int,
                  seed: int, epsilon: float, ell: float,
@@ -738,19 +730,6 @@ class Example1StudyResult:
     epsilon: float
     chi: float
     kappa_hat_0: int | None
-
-    def to_json(self) -> dict:
-        return {
-            "l3_fraction": self.l3_fraction,
-            "first_l3": self.first_l3.tolist(),
-            "aborted": self.aborted,
-            "n_seeds": self.n_seeds,
-            "max_updates": self.max_updates,
-            "alpha": self.alpha,
-            "epsilon": self.epsilon,
-            "chi": self.chi,
-            "kappa_hat_0": self.kappa_hat_0,
-        }
 
 
 def example1_policy_step(theta: np.ndarray, uniforms: np.ndarray):

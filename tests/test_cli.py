@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import pgsosp
@@ -314,7 +315,40 @@ class TestOracleCheckCommand:
             assert entry["pass"], name
 
 
+    def test_mdps_above_the_cap_skip_the_two_way_check(self, tmp_path, capsys):
+        # At seed 1 one of the four MDPs is above the enumeration cap; its
+        # gradient has one route only, which is not a failed cross-check.
+        cfg = write_config(tmp_path, "o.json", {
+            "command": "oracle-check", "seed": 1, "n_mdps": 4,
+            "max_states": 8, "max_actions": 4, "max_horizon": 10,
+        })
+        code, out, _ = run_cli(capsys, ["oracle-check", "--config", cfg])
+        payload = json.loads(out)
+        assert code == 0
+        assert payload["all_pass"] is True
+        two_way = payload["identities"]["gradient_two_way"]
+        assert (two_way["checked"], two_way["failed"]) == (3, 0)
+        assert payload["identities"]["gradient_fd"]["checked"] == 4
+
+
 class TestCncCommand:
+    def test_floor_matches_empirical_iota_sq(self, tmp_path, capsys, bandit,
+                                             bandit_family):
+        from pgsosp.sosp import empirical_iota_sq
+
+        u = [0.6, -0.8]
+        cfg = write_config(tmp_path, "c.json", {
+            "command": "cnc",
+            "problem": {"kind": "mdp", "mdp": bandit.to_json(),
+                        "policy": "tabular_softmax"},
+            "theta": [0.3, -0.2], "u": u, "n": 3000, "seed": 5, "method": "mc",
+        })
+        code, out, _ = run_cli(capsys, ["cnc", "--config", cfg])
+        assert code == 0
+        floor = empirical_iota_sq(bandit, bandit_family, np.array([0.3, -0.2]),
+                                  np.array(u), n=3000, seed=5)
+        assert json.loads(out)["iota_sq_floor"] == floor
+
     def test_bandit_enumeration(self, tmp_path, capsys):
         bandit = {
             "n_states": 1, "n_actions": 2,

@@ -150,7 +150,7 @@ class TestSampling:
             r_min=1.0, r_max=1.0,
         )
         draws = np.full((1, 2 * mdp.horizon + 1), np.nextafter(1.0, 0.0))
-        states, actions = _walk(mdp, draws, lambda s: row.cumsum())
+        states, actions = _walk(mdp, draws, np.tile(row.cumsum(), (4, 1)))
         # rho0 picks s_0, the policy row picks a_0 and a_1, and a
         # transition row picks s_1.
         assert (row[states] > 0).all()

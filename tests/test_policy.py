@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -5,6 +6,8 @@ import pytest
 
 from pgsosp.errors import ConfigError, PolicyDomainError
 from pgsosp.policy import (
+    LEFT,
+    RIGHT,
     ExampleOnePiecewise,
     TabularSoftmax,
     estimate_regularity,
@@ -199,3 +202,126 @@ class TestPolicyParams:
         assert make_family("example_one").param_dim == 2
         with pytest.raises(ConfigError):
             make_family("gaussian")
+
+
+def _central_dprobs(fam, theta, step=1e-6):
+    out = np.zeros(fam.dprobs(theta).shape)
+    for j in range(theta.size):
+        bump = np.zeros(theta.size)
+        bump[j] = step
+        out[..., j] = (fam.probs(theta + bump) - fam.probs(theta - bump)) / (2 * step)
+    return out
+
+
+class TestTables:
+    @pytest.mark.parametrize("seed", range(5))
+    def test_softmax_dprobs_match_central_differences(self, seed):
+        fam = TabularSoftmax(3, 4)
+        theta = derive_rng(seed, 6).uniform(-2, 2, fam.param_dim)
+        assert np.abs(fam.dprobs(theta) - _central_dprobs(fam, theta)).max() <= 1e-8
+
+    @pytest.mark.parametrize("theta", [(0.3, 0.6), (0.7, 0.1), (-0.5, 0.5),
+                                       (1.3, 0.2), (-0.4, -0.9)])
+    def test_example1_dprobs_match_central_differences(self, theta):
+        # In the unit box (first two) and outside it, away from its edge.
+        fam = ExampleOnePiecewise()
+        theta = np.array(theta)
+        assert np.abs(fam.dprobs(theta) - _central_dprobs(fam, theta)).max() <= 1e-8
+
+    def test_softmax_zero_probability_rows_are_zero(self):
+        fam = TabularSoftmax(1, 2)
+        theta = np.array([800.0, 0.0])  # pi(1|0) underflows to an exact zero
+        assert fam.probs(theta)[0, 1] == 0.0
+        assert not fam.score(theta)[0, 1].any()
+        assert not fam.hess(theta)[0, 1].any()
+
+    def test_example1_zero_probability_rows_are_zero(self):
+        fam = ExampleOnePiecewise()
+        theta = np.array([0.5, 0.5])  # `left` is off in the box
+        assert fam.probs(theta)[0, LEFT] == 0.0
+        assert not fam.score(theta)[0, LEFT].any()
+        assert not fam.hess(theta)[0, LEFT].any()
+        assert fam.score(theta)[0, RIGHT].any()
+
+    def test_example1_tables_raise_outside_the_domain(self):
+        fam = ExampleOnePiecewise()
+        for table in (fam.probs, fam.score, fam.hess):
+            with pytest.raises(PolicyDomainError, match="leave"):
+                table(np.array([2.0, 1.5]))
+
+
+def _regularity_by_points(family, box, grid_density):
+    """Per-point reference: a try per state, one spectral norm per pair."""
+    axes = [np.linspace(lo, hi, grid_density) for lo, hi in box]
+    g = l = u = 0.0
+    hess = {}
+    indices = list(itertools.product(range(grid_density), repeat=len(box)))
+    for idx in indices:
+        theta = np.array([axes[d][i] for d, i in enumerate(idx)])
+        hess[idx] = {}
+        for s in range(family.n_states):
+            try:
+                probs = family.action_probs(theta, s)
+            except PolicyDomainError:
+                continue
+            u = max(u, float(np.abs(family.grad_prob(theta, s)).max()))
+            for a in np.flatnonzero(probs > 0.0):
+                g = max(g, float(np.abs(family.grad_log_prob(theta, s, a)).max()))
+                h = family.hessian_log_prob(theta, s, a)
+                l = max(l, float(np.abs(h).max()))
+                hess[idx][(s, a)] = h
+    w = 0.0
+    for idx in indices:
+        for axis in range(len(box)):
+            if idx[axis] + 1 >= grid_density:
+                continue
+            step = float(axes[axis][idx[axis] + 1] - axes[axis][idx[axis]])
+            if step <= 0.0:
+                continue
+            other = hess[tuple(i + (d == axis) for d, i in enumerate(idx))]
+            for key, h in hess[idx].items():
+                if key in other:
+                    w = max(w, float(np.linalg.norm(other[key] - h, 2) / step))
+    return g, l, u, w
+
+
+class TestRegularityGrid:
+    @pytest.mark.parametrize("family, box, grid", [
+        (TabularSoftmax(2, 2), [(-1.0, 1.0)] * 4, 6),
+        (TabularSoftmax(1, 2), [(-2.0, 2.0)] * 2, 9),
+        (ExampleOnePiecewise(), [(-2.0, 2.0)] * 2, 9),
+        (ExampleOnePiecewise(), [(-3.0, 3.0), (0.5, 0.5)], 11),
+    ])
+    def test_equals_the_per_point_loop(self, family, box, grid):
+        reg = estimate_regularity(family, box, grid)
+        assert (reg.G, reg.L, reg.U, reg.W) == _regularity_by_points(family, box, grid)
+
+
+class TestTracerHooks:
+    def test_instrument_restores_the_family_methods(self, monkeypatch):
+        # The benchmark's tracer rebinds these four methods from each
+        # family's own __dict__; a missing one fails only in traced runs.
+        import importlib.util
+        import pathlib
+        import sys
+
+        import pgsosp.cli  # noqa: F401  (the tracer instruments loaded modules)
+
+        path = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+        monkeypatch.setattr(sys, "dont_write_bytecode", True)
+        spec = importlib.util.spec_from_file_location("pgsosp_bench_tracer", path)
+        tracer = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(tracer)
+
+        queries = ("action_probs", "grad_prob", "grad_log_prob", "hessian_log_prob")
+        families = (TabularSoftmax, ExampleOnePiecewise)
+        before = {(cls, m): cls.__dict__[m] for cls in families for m in queries}
+        trace = tracer.Tracer()
+        restore = tracer.instrument(trace)
+        try:
+            assert all(cls.__dict__[m] is not before[cls, m] for cls, m in before)
+            TabularSoftmax(1, 2).action_probs(np.zeros(2), 0)
+        finally:
+            restore()
+        assert trace.total(tracer.CALLS, "policy.TabularSoftmax.action_probs") == 1
+        assert all(cls.__dict__[m] is before[cls, m] for cls, m in before)
