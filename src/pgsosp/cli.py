@@ -402,51 +402,26 @@ def cmd_train(cfg: dict, args) -> int:
     return EXIT_OK
 
 
+def _benchmark_keys(cfg: dict) -> dict:
+    """The config keys of an escape/trap benchmark, as builder keywords."""
+    return {key: value for key, value in cfg.items()
+            if key not in ("command", "seed")}
+
+
 def cmd_escape(cfg: dict, args) -> int:
-    hessian = np.diag(cfg.get("eigenvalues", [1.0, -1.0]))
-    contrast = bool(cfg.get("contrast", False))
-    if contrast:
-        if "noise" in cfg:
-            raise ConfigError("escape: 'contrast' sets the noise; drop 'noise'")
-        _, u_p = sosp.sym_eig_max(hessian)
-        noise = trainer.NoiseSpec(kind="orthogonal", scale=1.0, direction=u_p)
-    else:
-        noise = _build_noise(cfg.get("noise", {"kind": "rademacher"}))
-    result = trainer.verify_escape(
-        trainer.QuadraticSaddleSource(hessian, noise),
-        alpha=float(cfg.get("alpha", 1e-3)), runs=int(cfg.get("runs", 200)),
-        seed=_resolve_seed(cfg, args),
-        chi=float(cfg.get("chi", 1.0)), epsilon=float(cfg.get("epsilon", 1.0)),
-        sigma_h0=float(cfg.get("sigma_h0", 10.0)),
-        cap_factor=int(cfg.get("cap_factor", 10)),
-        iota_sq=cfg.get("iota_sq", 1.0 if contrast else None),
-    )
+    keys = _benchmark_keys(cfg)
+    if "noise" in keys:
+        keys["noise"] = _build_noise(keys["noise"])
+    result = trainer.default_escape_benchmark(seed=_resolve_seed(cfg, args), **keys)
     _emit(result.to_json(), args, "escape.json")
     return EXIT_OK
 
 
 def cmd_trap(cfg: dict, args) -> int:
-    seed = _resolve_seed(cfg, args)
-    zeta = float(cfg.get("zeta", 1.0))
-    varrho = float(cfg.get("varrho", 1.0))
-    noise_sigma = float(cfg.get("noise_sigma", 0.3))
-    delta = float(cfg.get("delta", 0.2))
-    relaxation = float(cfg.get("relaxation", 1.0))
-    alpha = cfg.get("alpha")
-    if alpha is None:
-        alpha = trainer.trap_benchmark_alpha(zeta, varrho, noise_sigma, delta,
-                                             relaxation)
-    source = trainer.StronglyConcaveSource(
-        zeta=zeta, theta_star=np.zeros(2), noise_sigma=noise_sigma,
-    )
-    theta0 = np.array(cfg.get("theta0", [varrho / math.sqrt(3.0), 0.0]))
-    result = trainer.verify_trap(
-        source, alpha=float(alpha), runs=int(cfg.get("runs", 500)), seed=seed,
-        delta=delta, varrho=varrho, theta0=theta0,
-        log_cap_relaxation=relaxation,
-    )
+    result = trainer.default_trap_benchmark(seed=_resolve_seed(cfg, args),
+                                            **_benchmark_keys(cfg))
     payload = result.to_json()
-    payload["bound"] = 1.0 - delta * math.log(1.0 / delta)
+    payload["bound"] = 1.0 - result.delta * math.log(1.0 / result.delta)
     _emit(payload, args, "trap.json")
     return EXIT_OK
 

@@ -19,9 +19,9 @@ Batch means and exact expectations (pgsosp.oracle) share the array
 reductions over (m, h) trajectory blocks, with row weights 1/n or p(tau);
 pg_estimate and hessian_estimate are the per-trajectory references.
 
-A variant of hessian_estimate that ties every Phi term to the final step's
-log-probability is available behind ``use_printed_phi`` for comparison; it
-is biased and only the default form passes the enumeration identities.
+Tying every Phi term to the final step's log-probability instead gives a
+biased estimator; the tests build that form to show it fails the
+enumeration identities.
 """
 from __future__ import annotations
 
@@ -52,24 +52,18 @@ def reward_to_go(traj: Trajectory) -> np.ndarray:
     return weighted[::-1].cumsum()[::-1]
 
 
-def hessian_estimate(traj: Trajectory, family, theta: np.ndarray,
-                     use_printed_phi: bool = False) -> np.ndarray:
+def hessian_estimate(traj: Trajectory, family, theta: np.ndarray) -> np.ndarray:
     """Single-trajectory Hessian estimate (raw, possibly asymmetric)."""
     p = family.param_dim
     w = reward_to_go(traj)
     _require_on_policy(family.probs(theta), traj.states, traj.actions)
     scores = family.score(theta)[traj.states, traj.actions]
     hessians = family.hess(theta)[traj.states, traj.actions]
-    if use_printed_phi:
-        # Every term tied to the last step's log-probability; biased.
-        grad_phi = w.sum() * scores[-1]
-        hess_phi = w.sum() * hessians[-1]
-    else:
-        grad_phi = np.zeros(p)
-        hess_phi = np.zeros((p, p))
-        for t in range(len(traj)):
-            grad_phi += w[t] * scores[t]
-            hess_phi += w[t] * hessians[t]
+    grad_phi = np.zeros(p)
+    hess_phi = np.zeros((p, p))
+    for t in range(len(traj)):
+        grad_phi += w[t] * scores[t]
+        hess_phi += w[t] * hessians[t]
     return np.outer(grad_phi, scores.sum(axis=0)) + hess_phi
 
 

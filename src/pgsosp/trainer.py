@@ -8,23 +8,26 @@ label, and the bookkeeping process varsigma that advances by 1 on L1/L3
 iterates and by the escape budget kappa_hat_0 on L2 iterates.
 
 Synthetic sources isolate the saddle-escape and trapping mechanics from
-MDP sampling noise:
+MDP sampling noise.  ``QuadraticSaddleSource`` is the one synthetic
+model: J(t) = 1/2 (t-c)^T H (t-c) - cubic/6 |t-c|^3 with bounded i.i.d.
+gradient noise whose energy along the top eigenvector is controlled by
+construction (the curvature-correlation floor).  The cubic term is zero
+by default; a nonzero value makes the objective deviate from its own
+quadratic model, which the coupled-run gap test needs (an exactly
+quadratic objective has identically zero gap).  ``StronglyConcaveSource``
+is the same model with H = -zeta I, center t* and noise uniform on the
+sphere of radius noise_sigma (bounded, zero mean, second moment
+noise_sigma^2).
 
-* ``QuadraticSaddleSource`` - J(t) = 1/2 (t-c)^T H (t-c) - cubic/6 |t-c|^3
-  with bounded i.i.d. gradient noise whose energy along the top eigenvector
-  is controlled by construction (the curvature-correlation floor).  The
-  cubic term is zero by default; a nonzero value makes the objective
-  deviate from its own quadratic model, which the coupled-run gap test
-  needs (an exactly quadratic objective has identically zero gap).
-* ``StronglyConcaveSource`` - J(t) = -zeta/2 |t - t*|^2 with noise uniform
-  on the sphere of radius noise_sigma (bounded, zero mean, second moment
-  noise_sigma^2).
+``default_escape_benchmark`` and ``default_trap_benchmark`` build the
+escape and trap benchmarks from their config keys; they hold every
+default the ``escape`` and ``trap`` commands use.
 """
 from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -36,9 +39,11 @@ from .policy import _INV_SQRT_2PI
 from .sosp import (
     Region,
     SecondOrderReport,
+    _check_delta,
     _log_cap_rhs,
     escape_budget,
     report_from_grad_hessian,
+    sym_eig_max,
     trap_budget,
 )
 from .util import derive_rng, frozen_array
@@ -122,15 +127,28 @@ class NoiseSpec:
 # ---------------------------------------------------------------------------
 
 class QuadraticSaddleSource:
-    """Quadratic (optionally cubic-perturbed) objective with CNC noise."""
+    """Quadratic (optionally cubic-perturbed) objective with CNC noise.
+
+    objective and gradient take one point or an (n, dim) block of points;
+    the escape and trap chains step with the same row formulas.
+    """
 
     def __init__(self, hessian: np.ndarray, noise: NoiseSpec,
                  center: np.ndarray | None = None, cubic: float = 0.0):
         h = np.asarray(hessian, dtype=float)
-        if h.ndim != 2 or h.shape[0] != h.shape[1] or np.abs(h - h.T).max() > 1e-10:
+        if h.ndim != 2 or h.shape[0] != h.shape[1]:
+            raise ConfigError("QuadraticSaddleSource needs a square matrix")
+        if h.size == 0:
+            raise ConfigError("eigenvalues: need at least one, got an empty Hessian")
+        if np.abs(h - h.T).max() > 1e-10:
             raise ConfigError("QuadraticSaddleSource needs a symmetric matrix")
         self.h = frozen_array(h)
         self.dim = h.shape[0]
+        if noise.direction is not None and noise.direction.shape != (self.dim,):
+            raise ConfigError(
+                f"noise: direction has {noise.direction.size} components, "
+                f"the source has dimension {self.dim}"
+            )
         self.noise = noise
         self.center = frozen_array(np.zeros(self.dim) if center is None else center)
         self.cubic = float(cubic)
@@ -138,19 +156,28 @@ class QuadraticSaddleSource:
         self.lambda_max = float(eigvals[-1])
         self.u_p = frozen_array(eigvecs[:, -1])
 
-    def objective(self, theta: np.ndarray) -> float:
-        d = np.asarray(theta, dtype=float) - self.center
-        value = 0.5 * float(d @ self.h @ d)
+    def _value(self, d: np.ndarray):
+        """J at offsets d = theta - center, row-wise over the last axis."""
+        value = 0.5 * np.einsum("...j,jk,...k->...", d, self.h, d)
         if self.cubic:
-            value -= self.cubic / 6.0 * float(np.linalg.norm(d)) ** 3
+            # Cube an array even for one row: numpy's scalar power rounds
+            # differently, and a row must not depend on the block size.
+            cubed = np.linalg.norm(d, axis=-1, keepdims=True) ** 3
+            value = value - self.cubic / 6.0 * cubed[..., 0]
         return value
 
-    def gradient(self, theta: np.ndarray) -> np.ndarray:
-        d = np.asarray(theta, dtype=float) - self.center
-        g = self.h @ d
+    def _slope(self, d: np.ndarray) -> np.ndarray:
+        """grad J at offsets d = theta - center, row-wise over the last axis."""
+        g = d @ self.h
         if self.cubic:
-            g = g - 0.5 * self.cubic * np.linalg.norm(d) * d
+            g = g - 0.5 * self.cubic * np.linalg.norm(d, axis=-1, keepdims=True) * d
         return g
+
+    def objective(self, theta: np.ndarray):
+        return self._value(np.asarray(theta, dtype=float) - self.center)
+
+    def gradient(self, theta: np.ndarray) -> np.ndarray:
+        return self._slope(np.asarray(theta, dtype=float) - self.center)
 
     def hessian(self, theta: np.ndarray) -> np.ndarray:
         d = np.asarray(theta, dtype=float) - self.center
@@ -168,40 +195,21 @@ class QuadraticSaddleSource:
         return self.sample_gradient(theta, rng), np.array(self.h)
 
 
-class StronglyConcaveSource:
+class StronglyConcaveSource(QuadraticSaddleSource):
     """J = -zeta/2 |theta - theta_star|^2 with spherical bounded noise."""
 
-    def __init__(self, zeta: float, theta_star: np.ndarray, noise_sigma: float,
-                 noise_bound: float | None = None):
+    def __init__(self, zeta: float, theta_star: np.ndarray, noise_sigma: float):
         if zeta <= 0:
-            raise ConfigError("zeta must be positive")
-        self.zeta = float(zeta)
-        self.theta_star = frozen_array(theta_star)
-        self.dim = self.theta_star.size
-        if noise_bound is None:
-            noise_bound = noise_sigma
-        if noise_sigma < 0 or noise_sigma > noise_bound + 1e-12:
-            raise ConfigError("need 0 <= noise_sigma <= noise_bound")
-        self.noise_sigma = float(noise_sigma)
-        self.noise_bound = float(noise_bound)
-        self.noise = NoiseSpec(kind="sphere" if noise_sigma > 0 else "zero",
-                               scale=self.noise_sigma)
-
-    def objective(self, theta: np.ndarray) -> float:
-        d = np.asarray(theta, dtype=float) - self.theta_star
-        return -0.5 * self.zeta * float(d @ d)
-
-    def gradient(self, theta: np.ndarray) -> np.ndarray:
-        return -self.zeta * (np.asarray(theta, dtype=float) - self.theta_star)
-
-    def hessian(self, theta: np.ndarray) -> np.ndarray:
-        return -self.zeta * np.eye(self.dim)
-
-    def sample_gradient(self, theta, rng) -> np.ndarray:
-        return self.gradient(theta) + self.noise.draw(rng, 1, self.dim)[0]
-
-    def sample_pair(self, theta, rng):
-        return self.sample_gradient(theta, rng), self.hessian(theta)
+            raise ConfigError(f"zeta: must be positive, got {zeta!r}")
+        if noise_sigma < 0:
+            raise ConfigError(f"noise_sigma: must be >= 0, got {noise_sigma!r}")
+        theta_star = np.asarray(theta_star, dtype=float)
+        super().__init__(
+            hessian=-float(zeta) * np.eye(theta_star.size),
+            noise=NoiseSpec(kind="sphere" if noise_sigma > 0 else "zero",
+                            scale=float(noise_sigma)),
+            center=theta_star,
+        )
 
 
 class MdpPolicySource:
@@ -506,31 +514,27 @@ class EscapeResult:
     runs: int
 
     def to_json(self) -> dict:
-        return {
-            "escape_fraction": self.escape_fraction,
-            "mean_escape_steps": self.mean_escape_steps,
-            "kappa_hat_0": self.kappa_hat_0,
-            "mean_gain": self.mean_gain,
-            "mean_gain_at_kappa": self.mean_gain_at_kappa,
-            "gain_threshold": self.gain_threshold,
-            "iota_sq": self.iota_sq,
-            "step_cap": self.step_cap,
-            "runs": self.runs,
-        }
+        return asdict(self)
+
+
+def _check_runs(runs: int) -> None:
+    if runs < 1:
+        raise ConfigError(f"runs: must be at least 1, got {runs!r}")
 
 
 def verify_escape(source: QuadraticSaddleSource, alpha: float, runs: int,
                   seed: int, chi: float, epsilon: float, sigma_h0: float,
-                  cap_factor: int = 10, theta0: np.ndarray | None = None,
+                  cap_factor: int = 10,
                   iota_sq: float | None = None) -> EscapeResult:
     """Fraction of runs whose objective gain reaches alpha^2 iota^2 sqrt(chi eps).
 
     Success is a value gain, not leaving a geometric region.  Each run
-    iterates from theta0 (the saddle center by default) until the gain
-    threshold or the step cap cap_factor * kappa_hat_0.  iota_sq defaults
-    to the source noise's constructed floor along the top eigenvector;
-    pass the benchmark floor explicitly for violation (contrast) runs.
+    iterates from the saddle center until the gain threshold or the step
+    cap cap_factor * kappa_hat_0.  iota_sq defaults to the source noise's
+    constructed floor along the top eigenvector; pass the benchmark floor
+    explicitly for violation (contrast) runs.
     """
+    _check_runs(runs)
     if source.lambda_max < math.sqrt(chi * epsilon) - 1e-12:
         raise PreconditionError(
             f"saddle source needs lambda_max >= sqrt(chi*eps) = "
@@ -543,9 +547,7 @@ def verify_escape(source: QuadraticSaddleSource, alpha: float, runs: int,
     threshold = alpha ** 2 * iota_sq * math.sqrt(chi * epsilon)
 
     dim = source.dim
-    theta = np.tile(source.center if theta0 is None else np.asarray(theta0, float),
-                    (runs, 1))
-    j0 = np.array([source.objective(t) for t in theta])
+    d = np.zeros((runs, dim))
     escape_step = np.full(runs, -1, dtype=np.int64)
     gain_at_kappa = None
     rng = derive_rng(seed)
@@ -553,7 +555,6 @@ def verify_escape(source: QuadraticSaddleSource, alpha: float, runs: int,
     if source.noise.frozen:
         frozen_noise = source.noise.draw(rng, runs, dim)
 
-    d = theta - source.center
     gains = np.zeros(runs)
     for step in range(1, cap + 1):
         active = escape_step < 0
@@ -561,15 +562,9 @@ def verify_escape(source: QuadraticSaddleSource, alpha: float, runs: int,
             break
         noise = frozen_noise if frozen_noise is not None \
             else source.noise.draw(rng, runs, dim)
-        grad = d @ source.h
-        if source.cubic:
-            norms = np.linalg.norm(d, axis=1, keepdims=True)
-            grad = grad - 0.5 * source.cubic * norms * d
-        d = np.where(active[:, None], d + alpha * (grad + noise), d)
-        value = 0.5 * np.einsum("ij,jk,ik->i", d, source.h, d)
-        if source.cubic:
-            value = value - source.cubic / 6.0 * np.linalg.norm(d, axis=1) ** 3
-        gains = np.where(active, value - j0, gains)
+        d = np.where(active[:, None], d + alpha * (source._slope(d) + noise), d)
+        # J(center) = 0, so the gain is J itself.
+        gains = np.where(active, source._value(d), gains)
         newly = active & (gains >= threshold)
         escape_step[newly] = step
         if step == kappa:
@@ -594,24 +589,35 @@ def verify_escape(source: QuadraticSaddleSource, alpha: float, runs: int,
     )
 
 
-def default_escape_benchmark(runs: int = 200, seed: int = 0,
-                             contrast: bool = False,
-                             alpha: float = 1e-3) -> EscapeResult:
-    """Two-dimensional saddle with eigenvalues +-1 and unit CNC noise.
+def default_escape_benchmark(runs: int = 200, seed: int = 0, alpha: float = 1e-3,
+                             contrast: bool = False, chi: float = 1.0,
+                             epsilon: float = 1.0, sigma_h0: float = 10.0,
+                             cap_factor: int = 10,
+                             eigenvalues=(1.0, -1.0),
+                             noise: NoiseSpec | None = None,
+                             iota_sq: float | None = None) -> EscapeResult:
+    """Saddle with Hessian diag(eigenvalues); unit Rademacher CNC noise by default.
 
     The contrast variant restricts the noise to the orthogonal complement
     of the escape direction (floor violated) while keeping the benchmark
-    gain threshold, documenting that the floor is what drives escape.
+    gain threshold iota_sq = 1, documenting that the floor is what drives
+    escape.  The keywords are the ``escape`` command's config keys.
     """
-    u_p = np.array([1.0, 0.0])
+    hessian = np.diag(np.asarray(eigenvalues, dtype=float))
     if contrast:
+        if noise is not None:
+            raise ConfigError("escape: 'contrast' sets the noise; drop 'noise'")
+        _, u_p = sym_eig_max(hessian)
         noise = NoiseSpec(kind="orthogonal", scale=1.0, direction=u_p)
-    else:
+        if iota_sq is None:
+            iota_sq = 1.0
+    elif noise is None:
         noise = NoiseSpec(kind="rademacher", scale=1.0)
-    source = QuadraticSaddleSource(hessian=np.diag([1.0, -1.0]), noise=noise)
-    return verify_escape(source, alpha=alpha, runs=runs, seed=seed,
-                         chi=1.0, epsilon=1.0, sigma_h0=10.0,
-                         iota_sq=1.0)
+    source = QuadraticSaddleSource(hessian, noise)
+    return verify_escape(source, alpha=float(alpha), runs=int(runs), seed=seed,
+                         chi=float(chi), epsilon=float(epsilon),
+                         sigma_h0=float(sigma_h0), cap_factor=int(cap_factor),
+                         iota_sq=iota_sq)
 
 
 # ---------------------------------------------------------------------------
@@ -629,23 +635,26 @@ class TrapResult:
     log_cap_relaxation: float
 
     def to_json(self) -> dict:
-        return {
-            "stay_fraction": self.stay_fraction, "kappa_0": self.kappa_0,
-            "alpha": self.alpha, "varrho": self.varrho, "delta": self.delta,
-            "runs": self.runs, "log_cap_relaxation": self.log_cap_relaxation,
-        }
+        return asdict(self)
 
 
-def verify_trap(source: StronglyConcaveSource, alpha: float, runs: int,
+def verify_trap(source: QuadraticSaddleSource, alpha: float, runs: int,
                 seed: int, delta: float, varrho: float,
                 theta0: np.ndarray,
                 log_cap_relaxation: float = 1.0) -> TrapResult:
     """Fraction of runs staying inside the radius-varrho ball for kappa_0 steps.
 
-    theta0 must lie inside the inner ball of radius varrho/sqrt(3).
+    The ball is centered on the source's center; theta0 must lie inside
+    the inner ball of radius varrho/sqrt(3).
     """
+    _check_runs(runs)
     theta0 = np.asarray(theta0, dtype=float)
-    start_dist = float(np.linalg.norm(theta0 - source.theta_star))
+    if theta0.shape != (source.dim,):
+        raise ConfigError(
+            f"theta0: expected {source.dim} components, got shape {theta0.shape}"
+        )
+    d0 = theta0 - source.center
+    start_dist = float(np.linalg.norm(d0))
     if start_dist > varrho / math.sqrt(3.0) + 1e-12:
         raise PreconditionError(
             f"theta0 must start inside the inner ball of radius "
@@ -653,12 +662,12 @@ def verify_trap(source: StronglyConcaveSource, alpha: float, runs: int,
         )
     kappa = trap_budget(alpha, delta)
     dim = source.dim
-    d = np.tile(theta0 - source.theta_star, (runs, 1))
+    d = np.tile(d0, (runs, 1))
     stayed = np.ones(runs, dtype=bool)
     rng = derive_rng(seed)
     for _ in range(kappa):
         noise = source.noise.draw(rng, runs, dim)
-        d = d + alpha * (-source.zeta * d + noise)
+        d = d + alpha * (source._slope(d) + noise)
         stayed &= np.linalg.norm(d, axis=1) <= varrho
     return TrapResult(
         stay_fraction=float(stayed.mean()), kappa_0=kappa, alpha=alpha,
@@ -672,13 +681,18 @@ def trap_benchmark_alpha(zeta: float, varrho: float, noise_sigma: float,
     """Largest admissible step size for the trap benchmark.
 
     Takes the four-way cap min{delta, 1/zeta, zeta/ell^2, zeta rho^2/(3 s^2)}
-    with ell = zeta, then shrinks until alpha*ln(1/alpha) clears the log
-    cap (evaluated with the source's gradient bound zeta*rho + sigma in
-    the role of the reward-weighted score bound), scaled by `relaxation`.
+    with ell = zeta (the last term is +inf without noise), then shrinks
+    until alpha*ln(1/alpha) clears the log cap (evaluated with the source's
+    gradient bound zeta*rho + sigma in the role of the reward-weighted
+    score bound), scaled by `relaxation`.
     """
+    _check_delta(delta)
+    if varrho <= 0:
+        raise ConfigError(f"varrho: must be positive, got {varrho!r}")
     ell = zeta
-    cap = min(delta, 1.0 / zeta, zeta / ell ** 2,
-              zeta * varrho ** 2 / (3.0 * noise_sigma ** 2))
+    noise_cap = zeta * varrho ** 2 / (3.0 * noise_sigma ** 2) if noise_sigma \
+        else math.inf
+    cap = min(delta, 1.0 / zeta, zeta / ell ** 2, noise_cap)
     grad_bound = zeta * varrho + noise_sigma
     rhs = _log_cap_rhs(zeta, varrho, noise_sigma, grad_bound ** 2, relaxation)
 
@@ -699,19 +713,28 @@ def trap_benchmark_alpha(zeta: float, varrho: float, noise_sigma: float,
 
 
 def default_trap_benchmark(runs: int = 500, seed: int = 0,
-                           relaxation: float = 1.0) -> TrapResult:
-    """Unit strongly-concave bowl, noise radius 0.3, delta 0.2.
+                           alpha: float | None = None, zeta: float = 1.0,
+                           varrho: float = 1.0, noise_sigma: float = 0.3,
+                           delta: float = 0.2, relaxation: float = 1.0,
+                           theta0=None) -> TrapResult:
+    """Two-dimensional strongly-concave bowl centered at the origin.
 
-    Starts on the boundary of the inner ball (the hardest admissible
-    start) and runs the full trapping budget at the capped step size.
+    By default (unit bowl, noise radius 0.3, delta 0.2) it starts on the
+    boundary of the inner ball (the hardest admissible start) and runs
+    the full trapping budget at the capped step size.  The keywords are
+    the ``trap`` command's config keys.
     """
-    zeta, varrho, noise_sigma, delta = 1.0, 1.0, 0.3, 0.2
+    zeta, varrho = float(zeta), float(varrho)
+    noise_sigma, delta = float(noise_sigma), float(delta)
+    relaxation = float(relaxation)
     source = StronglyConcaveSource(zeta=zeta, theta_star=np.zeros(2),
                                    noise_sigma=noise_sigma)
-    alpha = trap_benchmark_alpha(zeta, varrho, noise_sigma, delta, relaxation)
-    theta0 = np.array([varrho / math.sqrt(3.0), 0.0])
-    return verify_trap(source, alpha=alpha, runs=runs, seed=seed, delta=delta,
-                       varrho=varrho, theta0=theta0,
+    if alpha is None:
+        alpha = trap_benchmark_alpha(zeta, varrho, noise_sigma, delta, relaxation)
+    if theta0 is None:
+        theta0 = [varrho / math.sqrt(3.0), 0.0]
+    return verify_trap(source, alpha=float(alpha), runs=int(runs), seed=seed,
+                       delta=delta, varrho=varrho, theta0=theta0,
                        log_cap_relaxation=relaxation)
 
 

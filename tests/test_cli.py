@@ -1,3 +1,4 @@
+import inspect
 import json
 import math
 import os
@@ -8,7 +9,9 @@ import numpy as np
 import pytest
 
 import pgsosp
+from pgsosp import cli, trainer
 from pgsosp.cli import main
+from pgsosp.util import canonical_json
 
 
 def write_config(tmp_path, name, payload):
@@ -408,6 +411,90 @@ class TestOmegaFromFisher:
         assert code == 0
         payload = json.loads(out)
         assert "fisher_lambda_min" in payload
+
+
+ESCAPE_ALL_KEYS = {
+    "command": "escape", "seed": 5, "runs": 30, "alpha": 2e-3,
+    "contrast": False, "chi": 0.9, "epsilon": 1.1, "sigma_h0": 8.0,
+    "cap_factor": 7, "eigenvalues": [1.5, -1.0, 0.5],
+    "noise": {"kind": "sphere", "scale": 0.8, "frozen": False},
+    "iota_sq": 0.4,
+}
+TRAP_ALL_KEYS = {
+    "command": "trap", "seed": 3, "runs": 40, "alpha": 0.05, "zeta": 1.5,
+    "varrho": 2.0, "noise_sigma": 0.4, "delta": 0.3, "relaxation": 2.0,
+    "theta0": [0.3, -0.2],
+}
+
+
+class TestBenchmarkBuilders:
+    """The escape/trap commands pass their config keys to the two builders."""
+
+    @pytest.mark.parametrize("command, builder", [
+        ("escape", trainer.default_escape_benchmark),
+        ("trap", trainer.default_trap_benchmark),
+    ])
+    def test_schema_keys_are_the_builder_keywords(self, command, builder):
+        keys = cli._SCHEMAS[command]["allowed"] - {"command", "seed"}
+        params = set(inspect.signature(builder).parameters) - {"seed"}
+        assert keys == params
+
+    def test_escape_every_key_matches_builder(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, "e.json", ESCAPE_ALL_KEYS)
+        code, out, _ = run_cli(capsys, ["escape", "--config", cfg])
+        assert code == 0
+        kwargs = {k: v for k, v in ESCAPE_ALL_KEYS.items() if k != "command"}
+        kwargs["noise"] = trainer.NoiseSpec("sphere", 0.8)
+        expected = trainer.default_escape_benchmark(**kwargs)
+        assert out == canonical_json(expected.to_json())
+
+    def test_trap_every_key_matches_builder(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, "t.json", TRAP_ALL_KEYS)
+        code, out, _ = run_cli(capsys, ["trap", "--config", cfg])
+        assert code == 0
+        kwargs = {k: v for k, v in TRAP_ALL_KEYS.items() if k != "command"}
+        payload = trainer.default_trap_benchmark(**kwargs).to_json()
+        payload["bound"] = 1.0 - 0.3 * math.log(1.0 / 0.3)
+        assert out == canonical_json(payload)
+
+    def test_trap_without_noise_stays(self, tmp_path, capsys):
+        # The noise term of the step-size cap is +inf; a start inside the
+        # inner ball then contracts deterministically.
+        cfg = write_config(tmp_path, "t.json", {
+            "command": "trap", "seed": 1, "runs": 5, "noise_sigma": 0.0,
+        })
+        code, out, _ = run_cli(capsys, ["trap", "--config", cfg])
+        assert code == 0
+        assert json.loads(out)["stay_fraction"] == 1.0
+
+
+_SADDLE_3D_NOISE = {"kind": "signed_direction", "direction": [1.0, 0.0, 0.0]}
+
+
+@pytest.mark.parametrize("cfg, key", [
+    ({"command": "trap", "seed": 1, "theta0": [0.1, 0.2, 0.3]}, "theta0"),
+    ({"command": "trap", "seed": 1, "runs": -3}, "runs"),
+    ({"command": "trap", "seed": 1, "runs": 0}, "runs"),
+    ({"command": "trap", "seed": 1, "delta": 0.0}, "delta"),
+    ({"command": "trap", "seed": 1, "zeta": -1.0}, "zeta"),
+    ({"command": "trap", "seed": 1, "varrho": 0.0}, "varrho"),
+    ({"command": "escape", "seed": 1, "runs": 0}, "runs"),
+    ({"command": "escape", "seed": 1, "eigenvalues": []}, "eigenvalues"),
+    ({"command": "escape", "seed": 1, "noise": _SADDLE_3D_NOISE}, "noise"),
+    ({"command": "train", "seed": 1, "theta0": [0.0, 0.0], "alpha": 1e-3,
+      "max_iters": 5, "epsilon": 0.5, "chi": 1.0,
+      "problem": {"kind": "quadratic_saddle", "noise": _SADDLE_3D_NOISE}},
+     "noise"),
+], ids=["trap-theta0-3d", "trap-runs-negative", "trap-runs-zero",
+        "trap-delta-zero", "trap-zeta-negative", "trap-varrho-zero",
+        "escape-runs-zero", "escape-no-eigenvalues", "escape-noise-3d",
+        "train-noise-3d"])
+def test_malformed_synthetic_config_exits_2(tmp_path, capsys, cfg, key):
+    path = write_config(tmp_path, "bad.json", cfg)
+    code, out, err = run_cli(capsys, [cfg["command"], "--config", path])
+    assert code == 2
+    assert out == ""
+    assert key in err
 
 
 class TestSyntheticTrainSources:

@@ -11,6 +11,7 @@ from pgsosp.estimators import (
     hessian_estimate,
     pg_estimate,
     pg_sample_block,
+    reward_to_go,
 )
 from pgsosp.mdp import TabularMdp, Trajectory, sample_trajectory
 from pgsosp.oracle import (
@@ -104,13 +105,16 @@ class TestUnbiasedness:
         mdp, family = make_random_problem(3, horizon=3)
         theta = np.linspace(-0.8, 0.6, family.param_dim)
         p = family.param_dim
+        score, hess = family.score(theta), family.hess(theta)
         repaired = np.zeros((p, p))
         printed = np.zeros((p, p))
         for prob, s, a, r in enumerate_trajectories(mdp, family, theta):
             traj = Trajectory(s, a, r, mdp.gamma)
             repaired += prob * hessian_estimate(traj, family, theta)
-            printed += prob * hessian_estimate(traj, family, theta,
-                                               use_printed_phi=True)
+            w_total = reward_to_go(traj).sum()
+            scores = score[traj.states, traj.actions]
+            printed += prob * (np.outer(w_total * scores[-1], scores.sum(axis=0))
+                               + w_total * hess[traj.states[-1], traj.actions[-1]])
         oracle = exact_hessian(mdp, family, theta)
         assert np.abs((repaired + repaired.T) / 2 - oracle).max() <= 1e-10
         assert np.abs((printed + printed.T) / 2 - oracle).max() > 1e-3

@@ -62,6 +62,39 @@ class TestNoiseSpec:
             NoiseSpec("orthogonal", 1.0)
 
 
+class TestSyntheticSources:
+    @pytest.mark.parametrize("cubic", [0.0, 0.5])
+    @pytest.mark.parametrize("eigenvalues, center", [
+        ([1.5, -0.7], [0.3, -0.2]),
+        ([2.0, -1.0, 0.4], [-0.1, 0.25, 0.6]),
+    ])
+    def test_block_rows_equal_per_row_calls(self, eigenvalues, center, cubic):
+        source = QuadraticSaddleSource(np.diag(eigenvalues), NoiseSpec("zero"),
+                                       center=np.array(center), cubic=cubic)
+        block = derive_rng(0, 63).standard_normal((64, len(eigenvalues)))
+        values = source.objective(block)
+        grads = source.gradient(block)
+        assert values.shape == (64,) and grads.shape == block.shape
+        for theta, value, grad in zip(block, values, grads):
+            assert source.objective(theta) == value
+            assert np.array_equal(source.gradient(theta), grad)
+
+    def test_strongly_concave_formulas(self):
+        zeta = 1.7
+        theta_star = np.array([0.3, -1.1, 0.05])
+        source = StronglyConcaveSource(zeta, theta_star, noise_sigma=0.2)
+        assert np.array_equal(source.hessian(np.zeros(3)), -zeta * np.eye(3))
+        for theta in derive_rng(0, 64).standard_normal((50, 3)):
+            d = theta - theta_star
+            assert np.array_equal(source.gradient(theta), -zeta * d)
+            assert source.objective(theta) == pytest.approx(
+                -zeta / 2.0 * float(d @ d), rel=1e-15, abs=0.0)
+
+    def test_negative_noise_sigma_rejected(self):
+        with pytest.raises(ConfigError, match="noise_sigma"):
+            StronglyConcaveSource(1.0, np.zeros(2), noise_sigma=-0.1)
+
+
 class TestRun:
     def test_zero_step_size_is_fixed_point(self):
         source = StronglyConcaveSource(1.0, np.zeros(2), noise_sigma=0.5)
