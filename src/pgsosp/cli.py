@@ -32,7 +32,7 @@ from .oracle import (
 )
 from .policy import ExampleOnePiecewise, RegularityConstants, TabularSoftmax, \
     estimate_regularity, make_family
-from .util import canonical_json, format_float
+from .util import canonical_json, derive_rng, format_float, write_csv
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -169,15 +169,18 @@ def build_problem(spec: dict):
     )
 
 
-def _build_noise(noise_cfg: dict) -> trainer.NoiseSpec:
-    _check_keys(noise_cfg, {"kind", "scale", "direction", "frozen"},
-                {"kind"}, "noise")
-    direction = noise_cfg.get("direction")
-    return trainer.NoiseSpec(
-        kind=noise_cfg["kind"], scale=float(noise_cfg.get("scale", 1.0)),
-        direction=None if direction is None else np.array(direction, float),
-        frozen=bool(noise_cfg.get("frozen", False)),
-    )
+def _builder_keys(cfg: dict, *drop: str) -> dict:
+    """The keys of a config block as builder keywords, noise parsed."""
+    keys = {key: value for key, value in cfg.items() if key not in drop}
+    if "noise" in keys:
+        noise = keys["noise"]
+        _check_keys(noise, {"kind", "scale", "direction", "frozen"}, {"kind"}, "noise")
+        direction = noise.get("direction")
+        keys["noise"] = trainer.NoiseSpec(
+            kind=noise["kind"], scale=float(noise.get("scale", 1.0)),
+            direction=None if direction is None else np.array(direction, float),
+            frozen=bool(noise.get("frozen", False)))
+    return keys
 
 
 def build_source(spec: dict):
@@ -187,17 +190,9 @@ def build_source(spec: dict):
         mdp, family = build_problem(spec)
         return trainer.MdpPolicySource(mdp, family)
     if kind == "quadratic_saddle":
-        noise = _build_noise(spec.get("noise", {"kind": "rademacher"}))
-        return trainer.QuadraticSaddleSource(
-            hessian=np.diag(spec.get("eigenvalues", [1.0, -1.0])),
-            noise=noise, cubic=float(spec.get("cubic", 0.0)),
-        )
+        return trainer.quadratic_saddle_source(**_builder_keys(spec, "kind"))
     if kind == "strongly_concave":
-        return trainer.StronglyConcaveSource(
-            zeta=float(spec.get("zeta", 1.0)),
-            theta_star=np.array(spec.get("theta_star", [0.0, 0.0]), float),
-            noise_sigma=float(spec.get("noise_sigma", 0.0)),
-        )
+        return trainer.StronglyConcaveSource(**_builder_keys(spec, "kind"))
 
 
 def _resolve_seed(cfg: dict, args) -> int:
@@ -337,6 +332,13 @@ def cmd_constants(cfg: dict, args) -> int:
     return EXIT_OK
 
 
+def _vector(value, key: str, dim: int) -> np.ndarray:
+    if not (isinstance(value, (list, np.ndarray)) and len(value) == dim
+            and all(isinstance(x, (int, float)) for x in value)):
+        raise ConfigError(f"{key}: expected {dim} numbers, got {value!r}")
+    return np.array(value, dtype=float)
+
+
 def _parse_theta(args) -> np.ndarray:
     if args.theta is not None:
         try:
@@ -358,11 +360,7 @@ def _parse_theta(args) -> np.ndarray:
 
 def cmd_classify(cfg: dict, args) -> int:
     mdp, family = build_problem(cfg["problem"])
-    theta = _parse_theta(args)
-    if theta.shape != (family.param_dim,):
-        raise ConfigError(
-            f"theta: expected {family.param_dim} components, got {theta.size}"
-        )
+    theta = _vector(_parse_theta(args), "theta", family.param_dim)
     mode = cfg.get("mode", "oracle")
     report = sosp.second_order_report(
         mdp, family, theta, cfg["epsilon"], cfg["chi"], mode=mode,
@@ -392,8 +390,6 @@ def cmd_train(cfg: dict, args) -> int:
     payload = record.summary()
     _emit(payload, args, "summary.json")
     if args.out:
-        from .util import write_csv
-
         try:
             write_csv(os.path.join(args.out, "trace.csv"),
                       record.trace_header(source.dim), record.trace_rows())
@@ -402,36 +398,35 @@ def cmd_train(cfg: dict, args) -> int:
     return EXIT_OK
 
 
-def _benchmark_keys(cfg: dict) -> dict:
-    """The config keys of an escape/trap benchmark, as builder keywords."""
-    return {key: value for key, value in cfg.items()
-            if key not in ("command", "seed")}
-
-
 def cmd_escape(cfg: dict, args) -> int:
-    keys = _benchmark_keys(cfg)
-    if "noise" in keys:
-        keys["noise"] = _build_noise(keys["noise"])
-    result = trainer.default_escape_benchmark(seed=_resolve_seed(cfg, args), **keys)
+    result = trainer.default_escape_benchmark(seed=_resolve_seed(cfg, args),
+                                              **_builder_keys(cfg, "command", "seed"))
     _emit(result.to_json(), args, "escape.json")
     return EXIT_OK
 
 
 def cmd_trap(cfg: dict, args) -> int:
     result = trainer.default_trap_benchmark(seed=_resolve_seed(cfg, args),
-                                            **_benchmark_keys(cfg))
+                                            **_builder_keys(cfg, "command", "seed"))
     payload = result.to_json()
     payload["bound"] = 1.0 - result.delta * math.log(1.0 / result.delta)
     _emit(payload, args, "trap.json")
     return EXIT_OK
 
 
+def _at_least(cfg: dict, key: str, default: int, low: int) -> int:
+    value = cfg.get(key, default)
+    if not isinstance(value, (int, float)) or not low <= value < math.inf:
+        raise ConfigError(f"{key}: must be at least {low}, got {value!r}")
+    return int(value)
+
+
 def cmd_oracle_check(cfg: dict, args) -> int:
     seed = _resolve_seed(cfg, args)
-    n_mdps = int(cfg.get("n_mdps", 20))
-    max_states = int(cfg.get("max_states", 4))
-    max_actions = int(cfg.get("max_actions", 3))
-    max_horizon = int(cfg.get("max_horizon", 6))
+    n_mdps = _at_least(cfg, "n_mdps", 20, 1)
+    max_states = _at_least(cfg, "max_states", 4, 2)
+    max_actions = _at_least(cfg, "max_actions", 3, 2)
+    max_horizon = _at_least(cfg, "max_horizon", 6, 2)
     checks = dict.fromkeys(
         ("gradient_two_way", "gradient_fd", "perf_diff", "occupancy_mass",
          "advantage_centering", "fisher_psd"), 0)
@@ -440,8 +435,6 @@ def cmd_oracle_check(cfg: dict, args) -> int:
     def tally(name: str, ok) -> None:
         checks[name] += 1
         failures[name] += 0 if ok else 1
-
-    from .util import derive_rng
 
     for i in range(n_mdps):
         rng = derive_rng(seed, i)
@@ -490,14 +483,16 @@ def cmd_oracle_check(cfg: dict, args) -> int:
 
 def cmd_cnc(cfg: dict, args) -> int:
     mdp, family = build_problem(cfg["problem"])
-    theta = np.array(cfg["theta"], dtype=float)
+    theta = _vector(cfg["theta"], "theta", family.param_dim)
+    method = cfg.get("method", "auto")
+    if method not in ("auto", "enumerate", "mc"):
+        raise ConfigError(f"method: expected auto, enumerate or mc, got {method!r}")
     seed = _resolve_seed(cfg, args)
     if "u" in cfg:
-        u = np.array(cfg["u"], dtype=float)
+        u = _vector(cfg["u"], "u", family.param_dim)
     else:
         hess = exact_hessian(mdp, family, theta)
         _, u = sosp.sym_eig_max(hess)
-    method = cfg.get("method", "auto")
     payload = {"theta": theta.tolist(), "u": u.tolist(), "n": int(cfg["n"])}
     if method in ("auto", "enumerate") and is_enumerable(mdp):
         payload["enumeration"] = sosp.cnc_enumerate(mdp, family, theta, u)

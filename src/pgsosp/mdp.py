@@ -18,6 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
+from .policy import EXAMPLE_ONE_REWARD, EXAMPLE_ONE_TRANSITION
 from .util import derive_rng, frozen_array
 
 _ROW_SUM_TOL = 1e-12
@@ -152,14 +153,11 @@ def example_one_mdp(gamma: float = 0.5, horizon: int = 1) -> TabularMdp:
     objective of the piecewise policy family exactly; larger horizons add
     re-decision mass at s0 from the `up` self-loop.
     """
-    from .policy import _example_one_layout  # layout shared with the family check
-
-    layout = _example_one_layout()
     return TabularMdp(
         n_states=3,
         n_actions=3,
-        transition=layout["transition"],
-        reward=layout["reward"],
+        transition=EXAMPLE_ONE_TRANSITION,
+        reward=EXAMPLE_ONE_REWARD,
         rho0=np.array([1.0, 0.0, 0.0]),
         gamma=gamma,
         horizon=horizon,

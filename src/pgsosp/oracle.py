@@ -18,7 +18,6 @@ differences of the DP gradient.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -27,7 +26,8 @@ import numpy as np
 from .errors import EnumerationCapError, OracleConsistencyError
 from .estimators import _hessian_sum, _pg_rows, score_table
 from .mdp import TabularMdp, policy_matrix, value_stack, value_functions
-from .policy import _INV_SQRT_2PI, ExampleOnePiecewise
+from .policy import _INV_SQRT_2PI
+from .util import frozen_array
 
 ENUM_CAP = 1_000_000
 _ENUM_CHUNK = 1024  # trajectories per array chunk; bounds reduction memory
@@ -243,11 +243,24 @@ def fd_hessian_from_gradient(grad_func, theta: np.ndarray,
 # Closed forms for the three-state benchmark
 # ---------------------------------------------------------------------------
 
+_BOX_HESSIAN = frozen_array(_INV_SQRT_2PI * np.diag([-2.0, 2.0]))
+
+
 @dataclass(frozen=True)
 class Example1Analysis:
-    objective: float
+    """The Hessian is built when read; the lockstep study needs it only at reports."""
+
+    theta: np.ndarray
+    in_box: np.ndarray | bool
+    objective: float | np.ndarray
     grad: np.ndarray
-    hessian: np.ndarray
+
+    @property
+    def hessian(self) -> np.ndarray:
+        hess = self.theta[..., :, None] * self.theta[..., None, :] + np.eye(2)
+        hess *= self.objective[..., None, None]
+        hess[self.in_box] = _BOX_HESSIAN
+        return hess
 
 
 def analytic_example1(theta: np.ndarray) -> Example1Analysis:
@@ -255,17 +268,17 @@ def analytic_example1(theta: np.ndarray) -> Example1Analysis:
 
     In the closed unit box: J = (1 - t1^2 + t2^2)/sqrt(2 pi) with constant
     Hessian diag(-2, 2)/sqrt(2 pi).  Outside: J = exp((|t|^2 - 2)/2)/sqrt(2 pi)
-    with gradient J * theta and Hessian J * (theta theta^T + I).
+    with gradient J * theta and Hessian J * (theta theta^T + I).  theta
+    (..., 2) gives objective (...), a float for one point, gradient (..., 2)
+    and Hessian (..., 2, 2), with the same bits alone or inside a block.
     """
-    theta = np.asarray(theta, dtype=float)
-    if not np.all(np.isfinite(theta)) or theta.shape != (2,):
-        raise ValueError("theta must be a finite 2-vector")
-    if ExampleOnePiecewise.in_box(theta):
-        j = _INV_SQRT_2PI * (1.0 - theta[0] ** 2 + theta[1] ** 2)
-        grad = _INV_SQRT_2PI * np.array([-2.0 * theta[0], 2.0 * theta[1]])
-        hess = _INV_SQRT_2PI * np.diag([-2.0, 2.0])
-    else:
-        j = _INV_SQRT_2PI * math.exp((float(theta @ theta) - 2.0) / 2.0)
-        grad = j * theta
-        hess = j * (np.outer(theta, theta) + np.eye(2))
-    return Example1Analysis(objective=float(j), grad=grad, hessian=hess)
+    theta = frozen_array(theta)
+    if theta.ndim == 0 or theta.shape[-1] != 2 or not np.isfinite(theta).all():
+        raise ValueError("theta must be finite with a last axis of length 2")
+    in_box = ((theta >= 0.0) & (theta <= 1.0)).all(axis=-1)
+    sq = theta ** 2
+    j_out = _INV_SQRT_2PI * np.exp((sq[..., 0] + sq[..., 1] - 2.0) / 2.0)
+    j = np.where(in_box, _INV_SQRT_2PI * (1.0 - sq[..., 0] + sq[..., 1]), j_out)
+    grad = np.where(in_box[..., None], theta * _BOX_HESSIAN.diagonal(),  # H theta
+                    j_out[..., None] * theta)
+    return Example1Analysis(theta=theta, in_box=in_box, objective=j[()], grad=grad)

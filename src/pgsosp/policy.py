@@ -41,6 +41,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ConfigError, PolicyDomainError
+from .util import frozen_array
 
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
@@ -198,7 +199,8 @@ class ExampleOnePiecewise:
         # d^2 log p = (d^2 p)/p - (d log p)(d log p)^T
         theta = np.asarray(theta, dtype=float)
         start = self.probs(theta)[0]
-        dlog = self.score(theta)[0]
+        on = start > 0.0
+        dlog = self.dprobs(theta)[0, on] / start[on, None]
         d2p = np.zeros((3, 2, 2))
         if self.in_box(theta):
             d2p[RIGHT] = _INV_SQRT_2PI * np.diag([-2.0, 2.0])
@@ -206,23 +208,21 @@ class ExampleOnePiecewise:
         else:
             d2p[LEFT] = self._p2(theta) * (np.outer(theta, theta) + np.eye(2))
             d2p[UP] = -d2p[LEFT]
-        on = start > 0.0
         out = np.zeros((3, 3, 2, 2))
         out[0, on] = (d2p[on] / start[on, None, None]
-                      - dlog[on, :, None] * dlog[on, None, :])
+                      - dlog[:, :, None] * dlog[:, None, :])
         return out
 
     def check_mdp(self, mdp) -> None:
         """Reject MDPs that do not match the three-state benchmark layout."""
-        ref = _example_one_layout()
         if (mdp.n_states, mdp.n_actions) != (3, 3):
             raise ConfigError(
                 "example_one policy requires the 3-state/3-action benchmark MDP"
             )
-        if not np.array_equal(np.asarray(mdp.transition), ref["transition"]):
+        if not np.array_equal(np.asarray(mdp.transition), EXAMPLE_ONE_TRANSITION):
             raise ConfigError("example_one policy: MDP transition table differs "
                               "from the three-state benchmark")
-        if not np.array_equal(np.asarray(mdp.reward), ref["reward"]):
+        if not np.array_equal(np.asarray(mdp.reward), EXAMPLE_ONE_REWARD):
             raise ConfigError("example_one policy: MDP reward table differs "
                               "from the three-state benchmark")
 
@@ -230,8 +230,8 @@ class ExampleOnePiecewise:
     grad_log_prob, hessian_log_prob = _grad_log_prob, _hessian_log_prob
 
 
-def _example_one_layout() -> dict:
-    """Transition/reward tables of the figure's three-state MDP."""
+def _example_one_layout() -> tuple[np.ndarray, np.ndarray]:
+    """Read-only transition/reward tables of the figure's three-state MDP."""
     transition = np.zeros((3, 3, 3))
     transition[0, RIGHT, 1] = 1.0
     transition[0, LEFT, 2] = 1.0
@@ -242,7 +242,10 @@ def _example_one_layout() -> dict:
     reward = np.zeros((3, 3))
     reward[0, RIGHT] = 1.0
     reward[0, LEFT] = 1.0
-    return {"transition": transition, "reward": reward}
+    return frozen_array(transition), frozen_array(reward)
+
+
+EXAMPLE_ONE_TRANSITION, EXAMPLE_ONE_REWARD = _example_one_layout()
 
 
 FAMILY_TAGS = ("tabular_softmax", "example_one")

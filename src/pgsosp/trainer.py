@@ -19,23 +19,25 @@ is the same model with H = -zeta I, center t* and noise uniform on the
 sphere of radius noise_sigma (bounded, zero mean, second moment
 noise_sigma^2).
 
-``default_escape_benchmark`` and ``default_trap_benchmark`` build the
-escape and trap benchmarks from their config keys; they hold every
-default the ``escape`` and ``trap`` commands use.
+``quadratic_saddle_source``, ``default_escape_benchmark`` and
+``default_trap_benchmark`` build from config keys and hold their defaults;
+``example1_sosp_study`` steps its chains through ``analytic_example1``.
 """
 from __future__ import annotations
 
 import math
+import numbers
 import time
+import warnings
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from .errors import ConfigError, PreconditionError
-from .estimators import pg_estimate
+from .estimators import hessian_estimate, pg_estimate
 from .mdp import TabularMdp, sample_trajectory
-from .oracle import exact_gradient, exact_hessian, exact_objective
-from .policy import _INV_SQRT_2PI
+from .oracle import (Example1Analysis, analytic_example1, exact_gradient,
+                     exact_hessian, exact_objective)
 from .sosp import (
     Region,
     SecondOrderReport,
@@ -43,7 +45,6 @@ from .sosp import (
     _log_cap_rhs,
     escape_budget,
     report_from_grad_hessian,
-    sym_eig_max,
     trap_budget,
 )
 from .util import derive_rng, frozen_array
@@ -157,8 +158,9 @@ class QuadraticSaddleSource:
         self.u_p = frozen_array(eigvecs[:, -1])
 
     def _value(self, d: np.ndarray):
-        """J at offsets d = theta - center, row-wise over the last axis."""
-        value = 0.5 * np.einsum("...j,jk,...k->...", d, self.h, d)
+        """J at offsets d = theta - center, row-wise over the last axis; a row
+        has the same bits in any block for diagonal H or dimension <= 3."""
+        value = 0.5 * (d * (d @ self.h)).sum(axis=-1)
         if self.cubic:
             # Cube an array even for one row: numpy's scalar power rounds
             # differently, and a row must not depend on the block size.
@@ -198,7 +200,9 @@ class QuadraticSaddleSource:
 class StronglyConcaveSource(QuadraticSaddleSource):
     """J = -zeta/2 |theta - theta_star|^2 with spherical bounded noise."""
 
-    def __init__(self, zeta: float, theta_star: np.ndarray, noise_sigma: float):
+    def __init__(self, zeta: float = 1.0, theta_star=(0.0, 0.0),
+                 noise_sigma: float = 0.0):
+        zeta, noise_sigma = _number("zeta", zeta), _number("noise_sigma", noise_sigma)
         if zeta <= 0:
             raise ConfigError(f"zeta: must be positive, got {zeta!r}")
         if noise_sigma < 0:
@@ -241,8 +245,6 @@ class MdpPolicySource:
         return pg_estimate(self._draw_trajectory(theta, rng), self.family, theta)
 
     def sample_pair(self, theta, rng):
-        from .estimators import hessian_estimate
-
         traj = self._draw_trajectory(theta, rng)
         return (pg_estimate(traj, self.family, theta),
                 hessian_estimate(traj, self.family, theta))
@@ -468,8 +470,6 @@ def coupled_quadratic_run(source, theta0: np.ndarray, alpha: float,
     Hessian-estimate error); on an exactly quadratic objective the two
     recursions coincide and the gap is identically zero.
     """
-    import warnings
-
     theta0 = np.asarray(theta0, dtype=float)
     if kappa_hat_0 is not None and steps > kappa_hat_0:
         warnings.warn(
@@ -515,6 +515,14 @@ class EscapeResult:
 
     def to_json(self) -> dict:
         return asdict(self)
+
+
+def _number(key: str, value) -> float:
+    """A config value as a float, or a ConfigError naming its key."""
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        raise ConfigError(f"{key}: must be a number, got {value!r}") from None
 
 
 def _check_runs(runs: int) -> None:
@@ -589,6 +597,19 @@ def verify_escape(source: QuadraticSaddleSource, alpha: float, runs: int,
     )
 
 
+def quadratic_saddle_source(eigenvalues=(1.0, -1.0), noise: NoiseSpec | None = None,
+                            cubic: float = 0.0) -> QuadraticSaddleSource:
+    """The ``quadratic_saddle`` source: H = diag(eigenvalues), Rademacher noise."""
+    if not (isinstance(eigenvalues, (list, tuple, np.ndarray)) and len(eigenvalues)
+            and all(isinstance(x, numbers.Real) and math.isfinite(x)
+                    for x in eigenvalues)):
+        raise ConfigError(f"eigenvalues: need a non-empty list of finite "
+                          f"numbers, got {eigenvalues!r}")
+    return QuadraticSaddleSource(np.diag(np.asarray(eigenvalues, dtype=float)),
+                                 noise or NoiseSpec("rademacher"),
+                                 cubic=_number("cubic", cubic))
+
+
 def default_escape_benchmark(runs: int = 200, seed: int = 0, alpha: float = 1e-3,
                              contrast: bool = False, chi: float = 1.0,
                              epsilon: float = 1.0, sigma_h0: float = 10.0,
@@ -596,28 +617,26 @@ def default_escape_benchmark(runs: int = 200, seed: int = 0, alpha: float = 1e-3
                              eigenvalues=(1.0, -1.0),
                              noise: NoiseSpec | None = None,
                              iota_sq: float | None = None) -> EscapeResult:
-    """Saddle with Hessian diag(eigenvalues); unit Rademacher CNC noise by default.
+    """Escape benchmark on ``quadratic_saddle_source(eigenvalues, noise)``.
 
     The contrast variant restricts the noise to the orthogonal complement
     of the escape direction (floor violated) while keeping the benchmark
     gain threshold iota_sq = 1, documenting that the floor is what drives
     escape.  The keywords are the ``escape`` command's config keys.
     """
-    hessian = np.diag(np.asarray(eigenvalues, dtype=float))
+    source = quadratic_saddle_source(eigenvalues, noise)
     if contrast:
         if noise is not None:
             raise ConfigError("escape: 'contrast' sets the noise; drop 'noise'")
-        _, u_p = sym_eig_max(hessian)
-        noise = NoiseSpec(kind="orthogonal", scale=1.0, direction=u_p)
+        source = QuadraticSaddleSource(
+            source.h, NoiseSpec(kind="orthogonal", scale=1.0, direction=source.u_p))
         if iota_sq is None:
             iota_sq = 1.0
-    elif noise is None:
-        noise = NoiseSpec(kind="rademacher", scale=1.0)
-    source = QuadraticSaddleSource(hessian, noise)
-    return verify_escape(source, alpha=float(alpha), runs=int(runs), seed=seed,
-                         chi=float(chi), epsilon=float(epsilon),
-                         sigma_h0=float(sigma_h0), cap_factor=int(cap_factor),
-                         iota_sq=iota_sq)
+    return verify_escape(source, alpha=_number("alpha", alpha), runs=int(runs),
+                         seed=seed, chi=_number("chi", chi),
+                         epsilon=_number("epsilon", epsilon),
+                         sigma_h0=_number("sigma_h0", sigma_h0),
+                         cap_factor=int(cap_factor), iota_sq=iota_sq)
 
 
 # ---------------------------------------------------------------------------
@@ -724,16 +743,15 @@ def default_trap_benchmark(runs: int = 500, seed: int = 0,
     the full trapping budget at the capped step size.  The keywords are
     the ``trap`` command's config keys.
     """
-    zeta, varrho = float(zeta), float(varrho)
-    noise_sigma, delta = float(noise_sigma), float(delta)
-    relaxation = float(relaxation)
     source = StronglyConcaveSource(zeta=zeta, theta_star=np.zeros(2),
                                    noise_sigma=noise_sigma)
+    varrho, delta = _number("varrho", varrho), _number("delta", delta)
+    relaxation = _number("relaxation", relaxation)
     if alpha is None:
         alpha = trap_benchmark_alpha(zeta, varrho, noise_sigma, delta, relaxation)
     if theta0 is None:
         theta0 = [varrho / math.sqrt(3.0), 0.0]
-    return verify_trap(source, alpha=float(alpha), runs=int(runs), seed=seed,
+    return verify_trap(source, alpha=_number("alpha", alpha), runs=int(runs), seed=seed,
                        delta=delta, varrho=varrho, theta0=theta0,
                        log_cap_relaxation=relaxation)
 
@@ -755,45 +773,12 @@ class Example1StudyResult:
     kappa_hat_0: int | None
 
 
-def example1_policy_step(theta: np.ndarray, uniforms: np.ndarray):
-    """Vectorized single-trajectory gradient samples on the benchmark MDP.
-
-    theta: (n, 2) parameter block; uniforms: (n,) action draws.  Returns
-    (g, valid) where g[i] is the score-times-return sample for seed i at
-    horizon 1 and valid[i] is False where the parameters have left the
-    family's domain.  Matches the per-point family formulas exactly.
-    """
-    t1, t2 = theta[:, 0], theta[:, 1]
-    in_box = (t1 >= 0.0) & (t1 <= 1.0) & (t2 >= 0.0) & (t2 <= 1.0)
-    q = 1.0 - t1 ** 2 + t2 ** 2
-    p1 = _INV_SQRT_2PI * q
-    p2 = _INV_SQRT_2PI * np.exp((t1 ** 2 + t2 ** 2 - 2.0) / 2.0)
-    valid = np.where(in_box, True, p2 <= 1.0)
-
-    g = np.zeros_like(theta)
-    # In-box: action `right` w.p. p1 has reward 1 and score (-2 t1, 2 t2)/q;
-    # `up` has reward 0 so its sample vanishes.
-    take_right = in_box & (uniforms < p1)
-    safe_q = np.where(q > 0.0, q, 1.0)
-    g[:, 0] = np.where(take_right, -2.0 * t1 / safe_q, 0.0)
-    g[:, 1] = np.where(take_right, 2.0 * t2 / safe_q, 0.0)
-    # Out-of-box: action `left` w.p. p2 has reward 1 and score theta.
-    take_left = (~in_box) & (uniforms < p2)
-    g[:, 0] = np.where(take_left, t1, g[:, 0])
-    g[:, 1] = np.where(take_left, t2, g[:, 1])
-    return g, valid
-
-
-def example1_classify_values(theta: np.ndarray):
-    """Vectorized (grad_norm, lambda_max) of the benchmark closed forms."""
-    t1, t2 = theta[:, 0], theta[:, 1]
-    in_box = (t1 >= 0.0) & (t1 <= 1.0) & (t2 >= 0.0) & (t2 <= 1.0)
-    norm_sq = t1 ** 2 + t2 ** 2
-    j_out = _INV_SQRT_2PI * np.exp((norm_sq - 2.0) / 2.0)
-    grad_norm = np.where(in_box, 2.0 * _INV_SQRT_2PI * np.sqrt(norm_sq),
-                         j_out * np.sqrt(norm_sq))
-    lam = np.where(in_box, 2.0 * _INV_SQRT_2PI, j_out * (1.0 + norm_sq))
-    return grad_norm, lam
+def _example1_samples(closed: Example1Analysis, uniforms: np.ndarray):
+    """(g, valid) for a chain block from its closed forms and action uniforms."""
+    j = closed.objective[:, None]
+    g = np.divide(closed.grad, j, out=np.zeros_like(closed.grad),
+                  where=uniforms[:, None] < j)
+    return g, j[:, 0] <= 1.0
 
 
 def example1_sosp_study(n_seeds: int, theta0: np.ndarray, alpha: float,
@@ -802,34 +787,39 @@ def example1_sosp_study(n_seeds: int, theta0: np.ndarray, alpha: float,
                         kappa_hat_0: int | None = None) -> Example1StudyResult:
     """Run n_seeds REINFORCE chains on the benchmark MDP in lockstep.
 
-    Each seed's chain stops at its first iterate classified L3 (by the
-    closed-form derivatives) or at max_updates.  Sampling uses one shared
-    deterministic stream with one uniform per (seed, step).
+    Each chain stops at its first L3 iterate (by the closed forms of
+    ``analytic_example1``), at max_updates, or, aborted, on leaving the
+    family's domain.  One stream draws one uniform per (chain, step).
+
+    At horizon 1 the rewarded action (``right`` in the unit box, ``left``
+    outside it) has probability J(theta) and score grad J / J; ``up`` has
+    reward 0.  So a chain's single-trajectory sample is grad J / J when its
+    uniform is below J and 0 otherwise, and J > 1 means the family has
+    left its domain.
     """
     theta = np.tile(np.asarray(theta0, dtype=float), (n_seeds, 1))
     first_l3 = np.full(n_seeds, -1, dtype=np.int64)
     aborted = np.zeros(n_seeds, dtype=bool)
     rng = derive_rng(seed)
+    closed = analytic_example1(theta)
 
     def classify(step: int):
         active = (first_l3 < 0) & ~aborted
-        if not active.any():
-            return
-        grad_norm, lam = example1_classify_values(theta)
+        grad_norm = np.linalg.norm(closed.grad[active], axis=1)
+        lam = np.linalg.eigvalsh(closed.hessian[active])[:, -1]
         l3 = (grad_norm <= epsilon) & (lam <= math.sqrt(chi * epsilon))
-        newly = active & l3
-        first_l3[newly] = step
+        first_l3[active] = np.where(l3, step, -1)
 
     classify(0)
     for step in range(1, max_updates + 1):
         active = (first_l3 < 0) & ~aborted
         if not active.any():
             break
-        uniforms = rng.random(n_seeds)
-        g, valid = example1_policy_step(theta, uniforms)
+        g, valid = _example1_samples(closed, rng.random(n_seeds))
         aborted |= active & ~valid
         move = active & valid
         theta = np.where(move[:, None], theta + alpha * g, theta)
+        closed = analytic_example1(theta)
         if step % report_every == 0 or step == max_updates:
             classify(step)
 

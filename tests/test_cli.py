@@ -469,6 +469,15 @@ class TestBenchmarkBuilders:
 
 
 _SADDLE_3D_NOISE = {"kind": "signed_direction", "direction": [1.0, 0.0, 0.0]}
+_SADDLE_TRAIN = {"command": "train", "seed": 1, "theta0": [0.0, 0.0],
+                 "alpha": 1e-3, "max_iters": 5, "epsilon": 0.5, "chi": 1.0}
+_BANDIT_CNC = {
+    "command": "cnc", "n": 100, "seed": 1, "theta": [0.0, 0.0],
+    "problem": {"kind": "mdp", "policy": "tabular_softmax", "mdp": {
+        "n_states": 1, "n_actions": 2, "transition": [[[1.0], [1.0]]],
+        "reward": [[1.0, 0.0]], "rho0": [1.0], "gamma": 0.5, "horizon": 1,
+        "r_min": 0.0, "r_max": 1.0}},
+}
 
 
 @pytest.mark.parametrize("cfg, key", [
@@ -481,14 +490,39 @@ _SADDLE_3D_NOISE = {"kind": "signed_direction", "direction": [1.0, 0.0, 0.0]}
     ({"command": "escape", "seed": 1, "runs": 0}, "runs"),
     ({"command": "escape", "seed": 1, "eigenvalues": []}, "eigenvalues"),
     ({"command": "escape", "seed": 1, "noise": _SADDLE_3D_NOISE}, "noise"),
-    ({"command": "train", "seed": 1, "theta0": [0.0, 0.0], "alpha": 1e-3,
-      "max_iters": 5, "epsilon": 0.5, "chi": 1.0,
+    ({**_SADDLE_TRAIN,
       "problem": {"kind": "quadratic_saddle", "noise": _SADDLE_3D_NOISE}},
      "noise"),
+    ({"command": "escape", "seed": 1, "eigenvalues": 1.0}, "eigenvalues"),
+    ({"command": "escape", "seed": 1, "eigenvalues": ["a", 1]}, "eigenvalues"),
+    ({**_SADDLE_TRAIN,
+      "problem": {"kind": "quadratic_saddle", "eigenvalues": 1.0}},
+     "eigenvalues"),
+    ({**_SADDLE_TRAIN,
+      "problem": {"kind": "quadratic_saddle", "eigenvalues": ["a", 1]}},
+     "eigenvalues"),
+    ({"command": "trap", "seed": 1, "zeta": "x"}, "zeta"),
+    ({**_SADDLE_TRAIN, "problem": {"kind": "strongly_concave", "zeta": "x"}},
+     "zeta"),
+    ({**_BANDIT_CNC, "theta": [0.0, 0.0, 0.0]}, "theta"),
+    ({"command": "cnc", "n": 100, "seed": 1, "problem": {"kind": "example1"},
+      "theta": [0.1, 0.2, 0.3]}, "theta"),
+    ({**_BANDIT_CNC, "u": [1.0, 0.0, 0.0]}, "u:"),
+    ({**_BANDIT_CNC, "method": "bogus"}, "method"),
+    ({"command": "oracle-check", "seed": 1, "max_states": 1}, "max_states"),
+    ({"command": "oracle-check", "seed": 1, "max_actions": 1}, "max_actions"),
+    ({"command": "oracle-check", "seed": 1, "max_horizon": 1}, "max_horizon"),
+    ({"command": "oracle-check", "seed": 1, "n_mdps": -1}, "n_mdps"),
 ], ids=["trap-theta0-3d", "trap-runs-negative", "trap-runs-zero",
         "trap-delta-zero", "trap-zeta-negative", "trap-varrho-zero",
         "escape-runs-zero", "escape-no-eigenvalues", "escape-noise-3d",
-        "train-noise-3d"])
+        "train-noise-3d", "escape-eigenvalues-scalar",
+        "escape-eigenvalues-text", "train-eigenvalues-scalar",
+        "train-eigenvalues-text", "trap-zeta-text", "train-concave-zeta-text",
+        "cnc-theta-length-tabular",
+        "cnc-theta-length-example1", "cnc-u-length", "cnc-method-unknown",
+        "oracle-check-max-states", "oracle-check-max-actions",
+        "oracle-check-max-horizon", "oracle-check-n-mdps-negative"])
 def test_malformed_synthetic_config_exits_2(tmp_path, capsys, cfg, key):
     path = write_config(tmp_path, "bad.json", cfg)
     code, out, err = run_cli(capsys, [cfg["command"], "--config", path])

@@ -250,6 +250,23 @@ class TestAnalyticExample1:
         with pytest.raises(ValueError):
             analytic_example1(np.array([np.inf, 0.0]))
 
+    def test_block_equals_per_point_calls(self):
+        edges = [[0.0, 0.0], [1.0, 1.0], [1.0, 0.0], [0.0, 0.7], [0.4, 1.0],
+                 [1.0 + 1e-16, 0.5], [-1e-300, 0.5], [0.5, 1.0000000000000002]]
+        rng = derive_rng(2, 48)
+        points = np.concatenate([rng.uniform(-0.1, 1.1, (40, 2)),   # mostly inside
+                                 rng.uniform(-2.0, 2.0, (40, 2)),   # mostly outside
+                                 edges])
+        block = analytic_example1(points.reshape(4, -1, 2))
+        assert block.objective.shape == (4, points.shape[0] // 4)
+        for i, theta in enumerate(points):
+            one = analytic_example1(theta)
+            at = np.unravel_index(i, block.objective.shape)
+            assert isinstance(one.objective, float)
+            assert one.objective == block.objective[at]
+            assert np.array_equal(one.grad, block.grad[at])
+            assert np.array_equal(one.hessian, block.hessian[at])
+
 
 def test_example_one_mdp_invariants():
     mdp = example_one_mdp(gamma=0.9, horizon=1)

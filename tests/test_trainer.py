@@ -4,9 +4,15 @@ import numpy as np
 import pytest
 
 from pgsosp.errors import ConfigError, PreconditionError
-from pgsosp.mdp import example_one_mdp
-from pgsosp.oracle import exact_gradient, exact_hessian, exact_objective
-from pgsosp.policy import ExampleOnePiecewise
+from pgsosp.estimators import pg_estimate
+from pgsosp.mdp import Trajectory, _walk, example_one_mdp
+from pgsosp.oracle import (
+    analytic_example1,
+    exact_gradient,
+    exact_hessian,
+    exact_objective,
+)
+from pgsosp.policy import LEFT, RIGHT, ExampleOnePiecewise
 from pgsosp.sosp import Region
 from pgsosp.trainer import (
     CoupledRunResult,
@@ -17,8 +23,7 @@ from pgsosp.trainer import (
     TrainerConfig,
     coupled_quadratic_run,
     default_escape_benchmark,
-    example1_classify_values,
-    example1_policy_step,
+    _example1_samples,
     example1_sosp_study,
     run,
     trap_benchmark_alpha,
@@ -69,15 +74,20 @@ class TestSyntheticSources:
         ([2.0, -1.0, 0.4], [-0.1, 0.25, 0.6]),
     ])
     def test_block_rows_equal_per_row_calls(self, eigenvalues, center, cubic):
-        source = QuadraticSaddleSource(np.diag(eigenvalues), NoiseSpec("zero"),
-                                       center=np.array(center), cubic=cubic)
-        block = derive_rng(0, 63).standard_normal((64, len(eigenvalues)))
-        values = source.objective(block)
-        grads = source.gradient(block)
-        assert values.shape == (64,) and grads.shape == block.shape
-        for theta, value, grad in zip(block, values, grads):
-            assert source.objective(theta) == value
-            assert np.array_equal(source.gradient(theta), grad)
+        dim = len(eigenvalues)
+        # The same spectrum as a diagonal and as a rotated (full) Hessian.
+        rotation, _ = np.linalg.qr(derive_rng(0, 62).standard_normal((dim, dim)))
+        full = rotation @ np.diag(eigenvalues) @ rotation.T
+        block = derive_rng(0, 63).standard_normal((64, dim))
+        for hessian in (np.diag(eigenvalues), (full + full.T) / 2.0):
+            source = QuadraticSaddleSource(hessian, NoiseSpec("zero"),
+                                           center=np.array(center), cubic=cubic)
+            values = source.objective(block)
+            grads = source.gradient(block)
+            assert values.shape == (64,) and grads.shape == block.shape
+            for theta, value, grad in zip(block, values, grads):
+                assert source.objective(theta) == value
+                assert np.array_equal(source.gradient(theta), grad)
 
     def test_strongly_concave_formulas(self):
         zeta = 1.7
@@ -314,41 +324,32 @@ class TestExample1Vectorized:
         [1.2, 0.5],
     ])
     def test_gradient_samples_match_family(self, theta):
-        fam = ExampleOnePiecewise()
+        # The study's sample for a uniform equals pg_estimate on the h = 1
+        # trajectory the family samples with that uniform as its action draw.
+        mdp, fam = example_one_mdp(), ExampleOnePiecewise()
         theta = np.array(theta, dtype=float)
-        probs = fam.action_probs(theta, 0)
-        block = np.tile(theta, (2, 1))
-        # One uniform forcing the rewarded action, one forcing `up`.
-        if fam.in_box(theta):
-            uniforms = np.array([probs[0] * 0.5, probs[0] + 1e-12])
-            rewarded = 0
-        else:
-            uniforms = np.array([probs[1] * 0.5, probs[1] + 1e-12])
-            rewarded = 1
-        g, valid = example1_policy_step(block, uniforms)
+        start = fam.probs(theta)[0]
+        rewarded = RIGHT if fam.in_box(theta) else LEFT
+        # One uniform drawing the rewarded action, one drawing `up`.
+        uniforms = np.array([start[rewarded] * 0.5, start[rewarded] + 1e-12])
+        g, valid = _example1_samples(analytic_example1(np.tile(theta, (2, 1))),
+                                     uniforms)
         assert valid.all()
-        if probs[rewarded] > 0:
-            expected = fam.grad_log_prob(theta, 0, rewarded) * 1.0
-            assert g[0] == pytest.approx(expected, abs=1e-12)
+        for u, sample in zip(uniforms, g):
+            states, actions = _walk(mdp, np.array([[0.0, u, 0.0]]),
+                                    fam.probs(theta).cumsum(axis=1))
+            traj = Trajectory(states[0], actions[0],
+                              mdp.reward[states[0], actions[0]], mdp.gamma)
+            assert sample == pytest.approx(pg_estimate(traj, fam, theta),
+                                           abs=1e-12)
         assert np.array_equal(g[1], np.zeros(2))
 
     def test_invalid_domain_flagged(self):
-        block = np.array([[3.0, 3.0]])
-        _, valid = example1_policy_step(block, np.array([0.5]))
-        assert not valid[0]
-
-    def test_classify_values_match_analytic(self):
-        from pgsosp.oracle import analytic_example1
-
-        rng = derive_rng(0, 63)
-        thetas = rng.uniform(-1.2, 1.2, size=(50, 2))
-        grad_norm, lam = example1_classify_values(thetas)
-        for i, theta in enumerate(thetas):
-            res = analytic_example1(theta)
-            assert grad_norm[i] == pytest.approx(np.linalg.norm(res.grad),
-                                                 abs=1e-12)
-            assert lam[i] == pytest.approx(
-                np.linalg.eigvalsh(res.hessian)[-1], abs=1e-12)
+        # J(3, 3) = exp(8)/sqrt(2 pi) > 1: every chain aborts at its first step.
+        study = example1_sosp_study(3, np.array([3.0, 3.0]), 5e-4, 0.3, 1.0,
+                                    max_updates=10, seed=9)
+        assert study.aborted == 3
+        assert np.array_equal(study.first_l3, [-1, -1, -1])
 
     def test_study_deterministic(self):
         a = example1_sosp_study(20, np.array([0.01, 0.01]), 5e-4, 0.3, 1.0,
