@@ -177,7 +177,8 @@ def _builder_keys(cfg: dict, *drop: str) -> dict:
         _check_keys(noise, {"kind", "scale", "direction", "frozen"}, {"kind"}, "noise")
         direction = noise.get("direction")
         keys["noise"] = trainer.NoiseSpec(
-            kind=noise["kind"], scale=float(noise.get("scale", 1.0)),
+            kind=noise["kind"],
+            scale=trainer._number("noise.scale", noise.get("scale", 1.0)),
             direction=None if direction is None else np.array(direction, float),
             frozen=bool(noise.get("frozen", False)))
     return keys
@@ -360,10 +361,12 @@ def _parse_theta(args) -> np.ndarray:
 
 def cmd_classify(cfg: dict, args) -> int:
     mdp, family = build_problem(cfg["problem"])
+    epsilon = trainer._number("epsilon", cfg["epsilon"])
+    chi = trainer._number("chi", cfg["chi"])
     theta = _vector(_parse_theta(args), "theta", family.param_dim)
     mode = cfg.get("mode", "oracle")
     report = sosp.second_order_report(
-        mdp, family, theta, cfg["epsilon"], cfg["chi"], mode=mode,
+        mdp, family, theta, epsilon, chi, mode=mode,
         n=cfg.get("n"),
         seed=_resolve_seed(cfg, args) if mode == "estimated" else None,
     )
@@ -376,16 +379,19 @@ def cmd_classify(cfg: dict, args) -> int:
 
 def cmd_train(cfg: dict, args) -> int:
     source = build_source(cfg["problem"])
+    number = trainer._number
     config = trainer.TrainerConfig(
-        alpha=float(cfg["alpha"]), max_iters=int(cfg["max_iters"]),
-        epsilon=float(cfg["epsilon"]), chi=float(cfg["chi"]),
-        delta=float(cfg.get("delta", 0.1)),
-        batch_size=int(cfg.get("batch_size", 1)),
+        alpha=number("alpha", cfg["alpha"]),
+        max_iters=number("max_iters", cfg["max_iters"], int),
+        epsilon=number("epsilon", cfg["epsilon"]),
+        chi=number("chi", cfg["chi"]),
+        delta=number("delta", cfg.get("delta", 0.1)),
+        batch_size=number("batch_size", cfg.get("batch_size", 1), int),
         seed=_resolve_seed(cfg, args),
-        report_every=int(cfg.get("report_every", 1)),
-        kappa_hat_0=int(cfg.get("kappa_hat_0", 1)),
+        report_every=number("report_every", cfg.get("report_every", 1), int),
+        kappa_hat_0=number("kappa_hat_0", cfg.get("kappa_hat_0", 1), int),
     )
-    theta0 = np.array(cfg["theta0"], dtype=float)
+    theta0 = _vector(cfg["theta0"], "theta0", source.dim)
     record = trainer.run(source, config, theta0)
     payload = record.summary()
     _emit(payload, args, "summary.json")

@@ -34,10 +34,11 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .errors import ConfigError, PreconditionError
-from .estimators import hessian_estimate, pg_estimate
-from .mdp import TabularMdp, sample_trajectory
+from .estimators import _hessian_sum, _pg_rows
+from .mdp import TabularMdp, _shape_check, _walk
 from .oracle import (Example1Analysis, analytic_example1, exact_gradient,
                      exact_hessian, exact_objective)
+from .policy import _require_on_policy
 from .sosp import (
     Region,
     SecondOrderReport,
@@ -207,7 +208,7 @@ class StronglyConcaveSource(QuadraticSaddleSource):
             raise ConfigError(f"zeta: must be positive, got {zeta!r}")
         if noise_sigma < 0:
             raise ConfigError(f"noise_sigma: must be >= 0, got {noise_sigma!r}")
-        theta_star = np.asarray(theta_star, dtype=float)
+        theta_star = _finite_list("theta_star", theta_star)
         super().__init__(
             hessian=-float(zeta) * np.eye(theta_star.size),
             noise=NoiseSpec(kind="sphere" if noise_sigma > 0 else "zero",
@@ -220,10 +221,14 @@ class MdpPolicySource:
     """MDP + policy family as a gradient source.
 
     J, grad J and hess J come from the exact oracles (pgsosp.oracle) for
-    every family and horizon; updates use single-trajectory estimates.
+    every family and horizon; updates use single-trajectory estimates.  A
+    sample reads 2h+1 uniforms from the caller's stream, walks one
+    trajectory on the policy CDF and reduces it with the batch reducers,
+    so each table is built once per sample.
     """
 
     def __init__(self, mdp: TabularMdp, family):
+        _shape_check(mdp, family)  # once: the MDP and its arrays are read-only
         self.mdp = mdp
         self.family = family
         self.dim = family.param_dim
@@ -237,17 +242,26 @@ class MdpPolicySource:
     def hessian(self, theta) -> np.ndarray:
         return exact_hessian(self.mdp, self.family, theta)
 
-    def _draw_trajectory(self, theta, rng):
-        seed = int(rng.integers(0, 2 ** 63 - 1))
-        return sample_trajectory(self.mdp, self.family, theta, seed)
+    def _draw(self, theta, rng):
+        """(states, actions, rewards), each (1, h), from 2h+1 uniforms of rng."""
+        probs = self.family.probs(theta)
+        draws = rng.random(2 * self.mdp.horizon + 1)
+        states, actions = _walk(self.mdp, draws[None, :], probs.cumsum(axis=1))
+        _require_on_policy(probs, states, actions)
+        return states, actions, self.mdp.reward[states, actions]
 
     def sample_gradient(self, theta, rng) -> np.ndarray:
-        return pg_estimate(self._draw_trajectory(theta, rng), self.family, theta)
+        """pg_estimate of one trajectory, bit for bit."""
+        return _pg_rows(self.mdp, self.family.score(theta),
+                        *self._draw(theta, rng))[0]
 
     def sample_pair(self, theta, rng):
-        traj = self._draw_trajectory(theta, rng)
-        return (pg_estimate(traj, self.family, theta),
-                hessian_estimate(traj, self.family, theta))
+        """(pg_estimate, raw hessian_estimate up to rounding) of one trajectory."""
+        states, actions, rewards = self._draw(theta, rng)
+        scores = self.family.score(theta)
+        return (_pg_rows(self.mdp, scores, states, actions, rewards)[0],
+                _hessian_sum(self.mdp, scores, self.family.hess(theta),
+                             states, actions, rewards, np.ones(1)))
 
 
 # ---------------------------------------------------------------------------
@@ -327,9 +341,12 @@ def _varsigma_increment(region: Region, kappa_hat_0: int) -> int:
 def run(source, config: TrainerConfig, theta0: np.ndarray) -> RunRecord:
     """Execute max_iters updates with reports every report_every steps.
 
-    Fully deterministic given (config, theta0): the k-th update's i-th
-    sample uses the stream (seed, k, i).  Aborts (recording the offending
-    k) when an iterate goes non-finite or leaves the norm guard.
+    Fully deterministic given (config, theta0): one stream,
+    derive_rng(seed), feeds every sample in (k, i) order.  An MDP sample
+    reads 2h+1 uniforms, so its draw j is uniform (k*b + i)*(2h+1) + j of
+    the stream (b the batch size); synthetic sources draw their noise from
+    the same stream.  Aborts (recording the offending k) when an iterate
+    goes non-finite or leaves the norm guard.
     """
     start = time.perf_counter()
     theta = np.array(theta0, dtype=float)
@@ -354,15 +371,14 @@ def run(source, config: TrainerConfig, theta0: np.ndarray) -> RunRecord:
         varsigma += _varsigma_increment(report.region, config.kappa_hat_0)
         final_report = report
 
+    rng = derive_rng(config.seed)
     for k in range(config.max_iters):
         if k % config.report_every == 0:
             record(k)
-        samples = [
-            source.sample_gradient(theta, derive_rng(config.seed, k, i))
-            for i in range(config.batch_size)
-        ]
-        theta = theta + config.alpha * (np.sum(samples, axis=0) / config.batch_size)
-        if not np.all(np.isfinite(theta)) or np.linalg.norm(theta) > _DIVERGENCE_NORM:
+        samples = [source.sample_gradient(theta, rng)
+                   for _ in range(config.batch_size)]
+        theta = theta + config.alpha * (sum(samples) / config.batch_size)
+        if not np.linalg.norm(theta) <= _DIVERGENCE_NORM:  # also nan and inf
             diverged_at = k + 1
             break
     if diverged_at is None and config.max_iters > 0:
@@ -517,12 +533,23 @@ class EscapeResult:
         return asdict(self)
 
 
-def _number(key: str, value) -> float:
-    """A config value as a float, or a ConfigError naming its key."""
+def _number(key: str, value, kind=float):
+    """A config value as kind (float or int), or a ConfigError naming its key."""
     try:
-        return float(value)
-    except (TypeError, ValueError):
+        return kind(value)
+    except (TypeError, ValueError, OverflowError):
         raise ConfigError(f"{key}: must be a number, got {value!r}") from None
+
+
+def _finite_list(key: str, values) -> np.ndarray:
+    """A non-empty list of finite numbers as a float vector, or a
+    ConfigError naming its key."""
+    if not (isinstance(values, (list, tuple, np.ndarray)) and len(values)
+            and all(isinstance(x, numbers.Real) and math.isfinite(x)
+                    for x in values)):
+        raise ConfigError(f"{key}: need a non-empty list of finite "
+                          f"numbers, got {values!r}")
+    return np.asarray(values, dtype=float)
 
 
 def _check_runs(runs: int) -> None:
@@ -600,12 +627,7 @@ def verify_escape(source: QuadraticSaddleSource, alpha: float, runs: int,
 def quadratic_saddle_source(eigenvalues=(1.0, -1.0), noise: NoiseSpec | None = None,
                             cubic: float = 0.0) -> QuadraticSaddleSource:
     """The ``quadratic_saddle`` source: H = diag(eigenvalues), Rademacher noise."""
-    if not (isinstance(eigenvalues, (list, tuple, np.ndarray)) and len(eigenvalues)
-            and all(isinstance(x, numbers.Real) and math.isfinite(x)
-                    for x in eigenvalues)):
-        raise ConfigError(f"eigenvalues: need a non-empty list of finite "
-                          f"numbers, got {eigenvalues!r}")
-    return QuadraticSaddleSource(np.diag(np.asarray(eigenvalues, dtype=float)),
+    return QuadraticSaddleSource(np.diag(_finite_list("eigenvalues", eigenvalues)),
                                  noise or NoiseSpec("rademacher"),
                                  cubic=_number("cubic", cubic))
 
@@ -632,11 +654,13 @@ def default_escape_benchmark(runs: int = 200, seed: int = 0, alpha: float = 1e-3
             source.h, NoiseSpec(kind="orthogonal", scale=1.0, direction=source.u_p))
         if iota_sq is None:
             iota_sq = 1.0
-    return verify_escape(source, alpha=_number("alpha", alpha), runs=int(runs),
+    return verify_escape(source, alpha=_number("alpha", alpha),
+                         runs=_number("runs", runs, int),
                          seed=seed, chi=_number("chi", chi),
                          epsilon=_number("epsilon", epsilon),
                          sigma_h0=_number("sigma_h0", sigma_h0),
-                         cap_factor=int(cap_factor), iota_sq=iota_sq)
+                         cap_factor=_number("cap_factor", cap_factor, int),
+                         iota_sq=iota_sq)
 
 
 # ---------------------------------------------------------------------------
@@ -751,7 +775,8 @@ def default_trap_benchmark(runs: int = 500, seed: int = 0,
         alpha = trap_benchmark_alpha(zeta, varrho, noise_sigma, delta, relaxation)
     if theta0 is None:
         theta0 = [varrho / math.sqrt(3.0), 0.0]
-    return verify_trap(source, alpha=_number("alpha", alpha), runs=int(runs), seed=seed,
+    return verify_trap(source, alpha=_number("alpha", alpha),
+                       runs=_number("runs", runs, int), seed=seed,
                        delta=delta, varrho=varrho, theta0=theta0,
                        log_cap_relaxation=relaxation)
 

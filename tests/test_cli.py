@@ -504,6 +504,22 @@ _BANDIT_CNC = {
     ({"command": "trap", "seed": 1, "zeta": "x"}, "zeta"),
     ({**_SADDLE_TRAIN, "problem": {"kind": "strongly_concave", "zeta": "x"}},
      "zeta"),
+    ({**_SADDLE_TRAIN, "problem": {"kind": "strongly_concave",
+                                   "theta_star": []}}, "theta_star"),
+    ({**_SADDLE_TRAIN, "problem": {"kind": "quadratic_saddle"}, "alpha": "x"},
+     "alpha"),
+    ({**_SADDLE_TRAIN, "problem": {"kind": "quadratic_saddle"},
+      "max_iters": "x"}, "max_iters"),
+    ({**_SADDLE_TRAIN, "problem": {"kind": "quadratic_saddle"},
+      "batch_size": "x"}, "batch_size"),
+    ({**_SADDLE_TRAIN, "problem": {"kind": "quadratic_saddle"},
+      "theta0": ["a", 0.1]}, "theta0"),
+    ({"command": "escape", "seed": 1, "runs": "x"}, "runs"),
+    ({"command": "trap", "seed": 1, "runs": "x"}, "runs"),
+    ({"command": "escape", "seed": 1,
+      "noise": {"kind": "rademacher", "scale": "x"}}, "scale"),
+    ({"command": "classify", "problem": {"kind": "example1"},
+      "epsilon": "x", "chi": 1.0}, "epsilon"),
     ({**_BANDIT_CNC, "theta": [0.0, 0.0, 0.0]}, "theta"),
     ({"command": "cnc", "n": 100, "seed": 1, "problem": {"kind": "example1"},
       "theta": [0.1, 0.2, 0.3]}, "theta"),
@@ -519,6 +535,10 @@ _BANDIT_CNC = {
         "train-noise-3d", "escape-eigenvalues-scalar",
         "escape-eigenvalues-text", "train-eigenvalues-scalar",
         "train-eigenvalues-text", "trap-zeta-text", "train-concave-zeta-text",
+        "train-concave-theta-star-empty", "train-alpha-text",
+        "train-max-iters-text", "train-batch-size-text", "train-theta0-text",
+        "escape-runs-text", "trap-runs-text", "escape-noise-scale-text",
+        "classify-epsilon-text",
         "cnc-theta-length-tabular",
         "cnc-theta-length-example1", "cnc-u-length", "cnc-method-unknown",
         "oracle-check-max-states", "oracle-check-max-actions",

@@ -1,10 +1,13 @@
 import math
+import sys
 
 import numpy as np
 import pytest
 
-from pgsosp.errors import ConfigError, PreconditionError
-from pgsosp.estimators import pg_estimate
+from conftest import make_random_problem
+from pgsosp import util
+from pgsosp.errors import ConfigError, PolicyDomainError, PreconditionError
+from pgsosp.estimators import hessian_estimate, pg_estimate
 from pgsosp.mdp import Trajectory, _walk, example_one_mdp
 from pgsosp.oracle import (
     analytic_example1,
@@ -192,6 +195,137 @@ class TestRun:
                                seed=0, batch_size=4)
         record = run(source, config, np.array([0.1, 0.1]))
         assert record.metadata["batch_extension"] is True
+
+
+def _walk_one(mdp, family, theta, uniforms):
+    """The trajectory _walk builds from one row of 2h+1 uniforms."""
+    states, actions = _walk(mdp, uniforms[None, :],
+                            family.probs(theta).cumsum(axis=1))
+    return Trajectory(states[0], actions[0], mdp.reward[states[0], actions[0]],
+                      mdp.gamma)
+
+
+def _tabular(theta_of_dim):
+    mdp, family = make_random_problem(4)
+    return mdp, family, np.array(theta_of_dim(family.param_dim), dtype=float)
+
+
+_SAMPLE_CASES = {
+    "tabular-random": lambda: _tabular(
+        lambda p: derive_rng(3).uniform(-1.0, 1.0, p)),
+    # exp(-800) underflows: action 1 of state 0 has probability exactly 0.
+    "tabular-underflow": lambda: _tabular(lambda p: [800.0] + [0.0] * (p - 1)),
+    "example1-in-box": lambda: (example_one_mdp(), ExampleOnePiecewise(),
+                                np.array([0.3, 0.4])),
+    "example1-outside-box": lambda: (example_one_mdp(), ExampleOnePiecewise(),
+                                     np.array([-0.3, 0.2])),
+    "example1-h3": lambda: (example_one_mdp(horizon=3), ExampleOnePiecewise(),
+                            np.array([0.5, 0.6])),
+}
+
+
+class TestMdpSample:
+    @pytest.mark.parametrize("case", sorted(_SAMPLE_CASES))
+    def test_sample_gradient_is_pg_estimate_of_the_walk(self, case):
+        mdp, family, theta = _SAMPLE_CASES[case]()
+        if case == "tabular-underflow":
+            assert family.probs(theta)[0, 1] == 0.0
+        source = MdpPolicySource(mdp, family)
+        width = 2 * mdp.horizon + 1
+        for seed in range(40):
+            got = source.sample_gradient(theta, derive_rng(seed))
+            traj = _walk_one(mdp, family, theta, derive_rng(seed).random(width))
+            assert np.array_equal(got, pg_estimate(traj, family, theta))
+
+    @pytest.mark.parametrize("case", ["tabular-random", "example1-h3"])
+    def test_sample_pair_sees_the_same_trajectory(self, case):
+        mdp, family, theta = _SAMPLE_CASES[case]()
+        source = MdpPolicySource(mdp, family)
+        width = 2 * mdp.horizon + 1
+        for seed in range(20):
+            g, h = source.sample_pair(theta, derive_rng(seed))
+            assert np.array_equal(
+                g, source.sample_gradient(theta, derive_rng(seed)))
+            traj = _walk_one(mdp, family, theta, derive_rng(seed).random(width))
+            np.testing.assert_allclose(h, hessian_estimate(traj, family, theta),
+                                       rtol=1e-12, atol=1e-14)
+
+    def test_outside_example1_domain_raises(self):
+        source = MdpPolicySource(example_one_mdp(), ExampleOnePiecewise())
+        with pytest.raises(PolicyDomainError,
+                           match=r"action probabilities leave \[0, 1\]"):
+            source.sample_gradient(np.array([3.0, 3.0]), derive_rng(0))
+
+    @pytest.mark.parametrize("batch_size", [1, 2])
+    def test_run_reads_one_stream_in_update_order(self, batch_size):
+        # Draw j of sample i of update k is uniform (k*b + i)*(2h+1) + j.
+        mdp, family, theta = _SAMPLE_CASES["tabular-random"]()
+        alpha, seed, width = 0.5, 12, 2 * mdp.horizon + 1
+        record = run(MdpPolicySource(mdp, family),
+                     TrainerConfig(alpha=alpha, max_iters=3, epsilon=0.3,
+                                   chi=1.0, seed=seed, batch_size=batch_size),
+                     theta)
+        uniforms = derive_rng(seed).random(3 * batch_size * width)
+        uniforms = uniforms.reshape(3, batch_size, width)
+        for k in range(3):
+            samples = [pg_estimate(_walk_one(mdp, family, theta, row), family, theta)
+                       for row in uniforms[k]]
+            theta = theta + alpha * (np.sum(samples, axis=0) / batch_size)
+            assert record.rows[k + 1].k == k + 1
+            assert np.array_equal(record.rows[k + 1].theta, theta)
+
+    def test_synthetic_noise_reads_the_run_stream(self):
+        source = QuadraticSaddleSource(np.diag([1.0, -1.0]),
+                                       NoiseSpec("rademacher", 0.5))
+        alpha, theta = 0.1, np.array([0.2, -0.1])
+        record = run(source, TrainerConfig(alpha=alpha, max_iters=3,
+                                           epsilon=0.3, chi=1.0, seed=4), theta)
+        rng = derive_rng(4)
+        for k in range(3):
+            theta = theta + alpha * (source.gradient(theta)
+                                     + source.noise.draw(rng, 1, 2)[0])
+            assert np.array_equal(record.rows[k + 1].theta, theta)
+
+    def test_run_derives_one_stream_and_builds_each_table_once(self, monkeypatch):
+        # Counted, not timed: a return to a stream per update, or to a
+        # second probs table per sample, fails here.
+        mdp, family, theta = _SAMPLE_CASES["tabular-random"]()
+        source = MdpPolicySource(mdp, family)
+        derived = []
+        original = util.derive_rng
+
+        def counting_derive(*args):
+            derived.append(args)
+            return original(*args)
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("pgsosp") and \
+                    getattr(module, "derive_rng", None) is original:
+                monkeypatch.setattr(module, "derive_rng", counting_derive)
+
+        probs_calls = [0]
+        table = family.probs
+
+        def counting_probs(t):
+            probs_calls[0] += 1
+            return table(t)
+
+        monkeypatch.setattr(family, "probs", counting_probs)
+        per_update = []
+        sample = source.sample_gradient
+
+        def counted_sample(t, rng):
+            before = probs_calls[0]
+            g = sample(t, rng)
+            per_update.append(probs_calls[0] - before)
+            return g
+
+        monkeypatch.setattr(source, "sample_gradient", counted_sample)
+        run(source, TrainerConfig(alpha=0.05, max_iters=200, epsilon=0.3,
+                                  chi=1.0, seed=2, report_every=100), theta)
+        assert derived == [(2,)]
+        assert len(per_update) == 200
+        assert max(per_update) <= 2
 
 
 class TestProp1:
