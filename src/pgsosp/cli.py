@@ -151,7 +151,8 @@ def build_problem(spec: dict):
     kind = _problem_kind(spec)
     if kind == "example1":
         mdp = mdp_mod.example_one_mdp(
-            gamma=spec.get("gamma", 0.5), horizon=spec.get("horizon", 1)
+            gamma=trainer._number("gamma", spec.get("gamma", 0.5)),
+            horizon=trainer._number("horizon", spec.get("horizon", 1), int),
         )
         return mdp, ExampleOnePiecewise()
     if kind == "mdp":
@@ -175,12 +176,15 @@ def _builder_keys(cfg: dict, *drop: str) -> dict:
     if "noise" in keys:
         noise = keys["noise"]
         _check_keys(noise, {"kind", "scale", "direction", "frozen"}, {"kind"}, "noise")
-        direction = noise.get("direction")
+        direction, frozen = noise.get("direction"), noise.get("frozen", False)
+        if not isinstance(frozen, bool):
+            raise ConfigError(f"noise.frozen: must be true or false, got {frozen!r}")
         keys["noise"] = trainer.NoiseSpec(
             kind=noise["kind"],
             scale=trainer._number("noise.scale", noise.get("scale", 1.0)),
-            direction=None if direction is None else np.array(direction, float),
-            frozen=bool(noise.get("frozen", False)))
+            direction=None if direction is None
+            else trainer._finite_list("noise.direction", direction),
+            frozen=frozen)
     return keys
 
 
@@ -191,7 +195,11 @@ def build_source(spec: dict):
         mdp, family = build_problem(spec)
         return trainer.MdpPolicySource(mdp, family)
     if kind == "quadratic_saddle":
-        return trainer.quadratic_saddle_source(**_builder_keys(spec, "kind"))
+        keys = _builder_keys(spec, "kind")
+        if "noise" in keys and keys["noise"].frozen:
+            raise ConfigError("noise.frozen: train draws fresh noise at every "
+                              "update; frozen noise is for escape only")
+        return trainer.quadratic_saddle_source(**keys)
     if kind == "strongly_concave":
         return trainer.StronglyConcaveSource(**_builder_keys(spec, "kind"))
 
@@ -363,11 +371,12 @@ def cmd_classify(cfg: dict, args) -> int:
     mdp, family = build_problem(cfg["problem"])
     epsilon = trainer._number("epsilon", cfg["epsilon"])
     chi = trainer._number("chi", cfg["chi"])
+    mode, n = cfg.get("mode", "oracle"), cfg.get("n")
+    if mode == "estimated" and n is not None:
+        n = trainer._number("n", n, int)
     theta = _vector(_parse_theta(args), "theta", family.param_dim)
-    mode = cfg.get("mode", "oracle")
     report = sosp.second_order_report(
-        mdp, family, theta, epsilon, chi, mode=mode,
-        n=cfg.get("n"),
+        mdp, family, theta, epsilon, chi, mode=mode, n=n,
         seed=_resolve_seed(cfg, args) if mode == "estimated" else None,
     )
     payload = report.to_json()

@@ -529,6 +529,24 @@ _BANDIT_CNC = {
     ({"command": "oracle-check", "seed": 1, "max_actions": 1}, "max_actions"),
     ({"command": "oracle-check", "seed": 1, "max_horizon": 1}, "max_horizon"),
     ({"command": "oracle-check", "seed": 1, "n_mdps": -1}, "n_mdps"),
+    ({"command": "escape", "seed": 1,
+      "noise": {"kind": "signed_direction", "direction": ["a", 1]}},
+     "noise.direction"),
+    ({**_SADDLE_TRAIN, "problem": {
+        "kind": "quadratic_saddle",
+        "noise": {"kind": "signed_direction", "direction": ["a", 1]}}},
+     "noise.direction"),
+    ({"command": "classify", "problem": {"kind": "example1"}, "epsilon": 0.1,
+      "chi": 1.0, "mode": "estimated", "n": "x", "seed": 1}, "n: must be"),
+    ({"command": "classify", "problem": {"kind": "example1", "horizon": "x"},
+      "epsilon": 0.1, "chi": 1.0}, "horizon"),
+    ({"command": "classify", "problem": {"kind": "example1", "gamma": "x"},
+      "epsilon": 0.1, "chi": 1.0}, "gamma"),
+    ({"command": "escape", "seed": 1,
+      "noise": {"kind": "rademacher", "frozen": "no"}}, "noise.frozen"),
+    ({**_SADDLE_TRAIN, "problem": {
+        "kind": "quadratic_saddle",
+        "noise": {"kind": "rademacher", "frozen": True}}}, "noise.frozen"),
 ], ids=["trap-theta0-3d", "trap-runs-negative", "trap-runs-zero",
         "trap-delta-zero", "trap-zeta-negative", "trap-varrho-zero",
         "escape-runs-zero", "escape-no-eigenvalues", "escape-noise-3d",
@@ -542,7 +560,11 @@ _BANDIT_CNC = {
         "cnc-theta-length-tabular",
         "cnc-theta-length-example1", "cnc-u-length", "cnc-method-unknown",
         "oracle-check-max-states", "oracle-check-max-actions",
-        "oracle-check-max-horizon", "oracle-check-n-mdps-negative"])
+        "oracle-check-max-horizon", "oracle-check-n-mdps-negative",
+        "escape-noise-direction-text", "train-noise-direction-text",
+        "classify-estimated-n-text", "classify-example1-horizon-text",
+        "classify-example1-gamma-text",
+        "escape-noise-frozen-text", "train-noise-frozen"])
 def test_malformed_synthetic_config_exits_2(tmp_path, capsys, cfg, key):
     path = write_config(tmp_path, "bad.json", cfg)
     code, out, err = run_cli(capsys, [cfg["command"], "--config", path])

@@ -1,5 +1,6 @@
 import math
 import sys
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -17,13 +18,18 @@ from pgsosp.oracle import (
 )
 from pgsosp.policy import LEFT, RIGHT, ExampleOnePiecewise
 from pgsosp.sosp import Region
+from pgsosp.sosp import escape_budget, trap_budget
 from pgsosp.trainer import (
     CoupledRunResult,
+    EscapeResult,
     MdpPolicySource,
     NoiseSpec,
     QuadraticSaddleSource,
     StronglyConcaveSource,
     TrainerConfig,
+    TrapResult,
+    _block_steps,
+    _row_norm,
     coupled_quadratic_run,
     default_escape_benchmark,
     _example1_samples,
@@ -491,3 +497,253 @@ class TestExample1Vectorized:
         b = example1_sosp_study(20, np.array([0.01, 0.01]), 5e-4, 0.3, 1.0,
                                 max_updates=50_000, seed=9)
         assert np.array_equal(a.first_l3, b.first_l3)
+
+
+# ---------------------------------------------------------------------------
+# Block-stepped escape and trap chains against the per-step loops
+# ---------------------------------------------------------------------------
+
+def _reference_draw(noise, rng, n, dim):
+    """NoiseSpec.draw with numpy's row norm for the sphere kind."""
+    if noise.kind == "sphere":
+        v = rng.standard_normal((n, dim))
+        v /= np.linalg.norm(v, axis=1, keepdims=True)
+        return noise.scale * v
+    return noise.draw(rng, n, dim)
+
+
+def _reference_escape(source, alpha, runs, seed, chi, epsilon, sigma_h0,
+                      cap_factor=10, iota_sq=None):
+    """verify_escape as a per-step loop; also returns each run's escape step."""
+    kappa = escape_budget(alpha, sigma_h0, chi, epsilon)
+    cap = cap_factor * kappa
+    if iota_sq is None:
+        iota_sq = source.noise.iota_sq(source.u_p)
+    threshold = alpha ** 2 * iota_sq * math.sqrt(chi * epsilon)
+    dim = source.dim
+    d = np.zeros((runs, dim))
+    escape_step = np.full(runs, -1, dtype=np.int64)
+    gain_at_kappa = None
+    rng = derive_rng(seed)
+    frozen_noise = None
+    if source.noise.frozen:
+        frozen_noise = _reference_draw(source.noise, rng, runs, dim)
+    gains = np.zeros(runs)
+    for step in range(1, cap + 1):
+        active = escape_step < 0
+        if not active.any():
+            break
+        noise = frozen_noise if frozen_noise is not None \
+            else _reference_draw(source.noise, rng, runs, dim)
+        d = np.where(active[:, None], d + alpha * (source._slope(d) + noise), d)
+        gains = np.where(active, source._value(d), gains)
+        newly = active & (gains >= threshold)
+        escape_step[newly] = step
+        if step == kappa:
+            gain_at_kappa = gains.copy()
+    if gain_at_kappa is None:
+        gain_at_kappa = gains.copy()
+    escaped = escape_step >= 0
+    return EscapeResult(
+        escape_fraction=float(escaped.mean()),
+        mean_escape_steps=float(escape_step[escaped].mean()) if escaped.any() else float("nan"),
+        kappa_hat_0=kappa,
+        mean_gain=float(gains.mean()),
+        mean_gain_at_kappa=float(gain_at_kappa.mean()),
+        gain_threshold=threshold,
+        iota_sq=float(iota_sq),
+        step_cap=cap,
+        runs=runs,
+    ), escape_step
+
+
+def _reference_trap(source, alpha, runs, seed, delta, varrho, theta0):
+    """verify_trap as a per-step loop (frozen noise drawn once, as escape
+    draws it); also returns the step at which each run first left."""
+    kappa = trap_budget(alpha, delta)
+    dim = source.dim
+    d = np.tile(np.asarray(theta0, dtype=float) - source.center, (runs, 1))
+    stayed = np.ones(runs, dtype=bool)
+    left_at = np.full(runs, -1, dtype=np.int64)
+    rng = derive_rng(seed)
+    frozen_noise = None
+    if source.noise.frozen:
+        frozen_noise = _reference_draw(source.noise, rng, runs, dim)
+    for step in range(1, kappa + 1):
+        noise = frozen_noise if frozen_noise is not None \
+            else _reference_draw(source.noise, rng, runs, dim)
+        d = d + alpha * (source._slope(d) + noise)
+        stayed &= np.linalg.norm(d, axis=1) <= varrho
+        left_at[~stayed & (left_at < 0)] = step
+    return TrapResult(
+        stay_fraction=float(stayed.mean()), kappa_0=kappa, alpha=alpha,
+        varrho=varrho, delta=delta, runs=runs, log_cap_relaxation=1.0,
+    ), left_at
+
+
+def _assert_same(got, want):
+    for name, value in asdict(want).items():
+        other = getattr(got, name)
+        assert other == value or (math.isnan(other) and math.isnan(value)), name
+
+
+def _rotated(eigenvalues):
+    dim = len(eigenvalues)
+    rotation, _ = np.linalg.qr(derive_rng(0, 71).standard_normal((dim, dim)))
+    full = rotation @ np.diag(eigenvalues) @ rotation.T
+    return (full + full.T) / 2.0
+
+
+def _noises(u, other):
+    """Every noise kind, unfrozen and frozen; u is the escape direction and
+    other a unit vector orthogonal to it."""
+    specs = [NoiseSpec("rademacher", 1.0), NoiseSpec("sphere", 1.5),
+             NoiseSpec("signed_direction", 0.8, direction=u),
+             NoiseSpec("signed_direction", 1.0, direction=(u + other) / math.sqrt(2.0)),
+             NoiseSpec("orthogonal", 1.0, direction=u), NoiseSpec("zero")]
+    return specs + [replace(spec, frozen=True) for spec in specs]
+
+
+_ESCAPE_HESSIANS = {
+    "2d": np.diag([1.0, -1.0]),
+    "3d-rotated": _rotated([1.0, -1.0, 0.5]),
+}
+
+
+class TestBlockSteppedChains:
+    @pytest.mark.parametrize("dim", [1, 2, 3, 4, 5])
+    def test_row_norm_equals_numpy(self, dim):
+        rows = derive_rng(0, 72).standard_normal((51_200, dim))
+        rows *= derive_rng(0, 73).random((51_200, 1)) ** 4 * 1e3
+        assert np.array_equal(_row_norm(rows), np.linalg.norm(rows, axis=-1))
+        block = rows.reshape(200, 256, dim)
+        assert np.array_equal(_row_norm(block), np.linalg.norm(block, axis=-1))
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_sphere_draw_equals_numpy_norm(self, dim):
+        noise = NoiseSpec("sphere", 0.7)
+        assert np.array_equal(noise.draw(derive_rng(4), 3000, dim),
+                              _reference_draw(noise, derive_rng(4), 3000, dim))
+
+    @pytest.mark.parametrize("cubic", [0.0, 0.4])
+    @pytest.mark.parametrize("shape", sorted(_ESCAPE_HESSIANS))
+    def test_escape_every_noise_kind(self, shape, cubic):
+        hessian = _ESCAPE_HESSIANS[shape]
+        eigvecs = np.linalg.eigh(hessian)[1]
+        for i, noise in enumerate(_noises(eigvecs[:, -1], eigvecs[:, 0])):
+            source = QuadraticSaddleSource(hessian, noise, cubic=cubic)
+            args = dict(alpha=2e-3, runs=45, seed=i, chi=1.0, epsilon=1.0,
+                        sigma_h0=10.0, cap_factor=2)
+            want, _ = _reference_escape(source, **args)
+            _assert_same(verify_escape(source, **args), want)
+
+    def test_escape_contrast(self):
+        got = default_escape_benchmark(runs=30, seed=5, contrast=True,
+                                       cap_factor=2)
+        source = QuadraticSaddleSource(
+            np.diag([1.0, -1.0]),
+            NoiseSpec("orthogonal", 1.0, direction=np.array([1.0, 0.0])))
+        want, steps = _reference_escape(source, 1e-3, 30, 5, 1.0, 1.0, 10.0,
+                                        cap_factor=2, iota_sq=1.0)
+        assert (steps < 0).all()  # no run escapes
+        _assert_same(got, want)
+
+    def test_escape_all_runs_in_the_first_block(self):
+        u = np.array([1.0, 0.0])
+        source = QuadraticSaddleSource(
+            np.diag([1.0, -1.0]), NoiseSpec("signed_direction", 1.0, direction=u))
+        args = dict(alpha=1e-3, runs=50, seed=3, chi=1.0, epsilon=1.0,
+                    sigma_h0=10.0)
+        want, steps = _reference_escape(source, **args)
+        assert (steps > 0).all() and steps.max() <= _block_steps(50, 2)
+        _assert_same(verify_escape(source, **args), want)
+
+    @pytest.mark.parametrize("residue", ["edge", "inside"])
+    def test_escape_budget_step_in_a_block(self, residue):
+        """gain_at_kappa read from the buffer, with kappa_hat_0 at the last
+        step of a block or inside one, and runs escaping on both sides."""
+        runs = 60
+        block = _block_steps(runs, 2)
+        for sigma_h0 in np.linspace(3.0, 8.0, 501):
+            kappa = escape_budget(4e-3, sigma_h0, 1.0, 1.0)
+            if (kappa % block == 0) == (residue == "edge"):
+                break
+        source = QuadraticSaddleSource(np.diag([1.0, -1.0]), NoiseSpec("rademacher"))
+        args = dict(alpha=4e-3, runs=runs, seed=11, chi=1.0, epsilon=1.0,
+                    sigma_h0=float(sigma_h0), cap_factor=4)
+        want, steps = _reference_escape(source, **args)
+        assert want.kappa_hat_0 == kappa and kappa > block
+        assert ((steps > 0) & (steps <= kappa)).any()
+        assert ((steps > kappa) | (steps < 0)).any()
+        _assert_same(verify_escape(source, **args), want)
+
+    @pytest.mark.parametrize("cubic", [0.0, 0.3])
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_trap_every_noise_kind(self, dim, cubic):
+        hessian = _rotated([-1.0, -0.6, -0.3][:dim])
+        eigvecs = np.linalg.eigh(hessian)[1]
+        center = np.linspace(-0.2, 0.3, dim)
+        # kappa_0 = floor(ln(1/0.3) / 0.04^2) = 752, not a multiple of a block.
+        args = dict(alpha=0.04, runs=50, delta=0.3, varrho=0.25,
+                    theta0=center + 0.1 / math.sqrt(dim))
+        assert 752 % _block_steps(50, dim)
+        for i, noise in enumerate(_noises(eigvecs[:, -1], eigvecs[:, 0])):
+            source = QuadraticSaddleSource(hessian, noise, center=center, cubic=cubic)
+            want, _ = _reference_trap(source, seed=i, **args)
+            assert want.kappa_0 == 752
+            _assert_same(verify_trap(source, seed=i, **args), want)
+
+    def test_trap_runs_leave_mid_block(self):
+        source = StronglyConcaveSource(1.0, np.zeros(2), noise_sigma=0.6)
+        args = dict(alpha=0.05, runs=80, seed=2, delta=0.3, varrho=0.3,
+                    theta0=np.array([0.15, 0.0]))
+        want, left_at = _reference_trap(source, **args)
+        block = _block_steps(80, 2)
+        assert 0.0 < want.stay_fraction < 1.0
+        assert (left_at[left_at > 0] % block).any()  # some leave mid-block
+        assert want.kappa_0 % block
+        _assert_same(verify_trap(source, **args), want)
+
+    @staticmethod
+    def _count_rows(monkeypatch):
+        rows = []
+        draw = NoiseSpec.draw
+
+        def counting(self, rng, n, dim):
+            rows.append(n)
+            return draw(self, rng, n, dim)
+
+        monkeypatch.setattr(NoiseSpec, "draw", counting)
+        return rows
+
+    @pytest.mark.parametrize("runs", [1, 7, 200, 500])
+    def test_trap_draws_exactly_kappa_0_rows_per_run(self, monkeypatch, runs):
+        rows = self._count_rows(monkeypatch)
+        source = StronglyConcaveSource(1.0, np.zeros(2), noise_sigma=0.3)
+        res = verify_trap(source, alpha=0.1, runs=runs, seed=1, delta=0.5,
+                          varrho=1.0, theta0=np.array([0.3, 0.0]))
+        assert res.kappa_0 == 69
+        assert sum(rows) == res.kappa_0 * runs
+
+    @pytest.mark.parametrize("kind, frozen", [("rademacher", False),
+                                              ("signed_direction", False),
+                                              ("rademacher", True)])
+    def test_escape_draws_at_most_one_block_past_the_last_escape(
+            self, monkeypatch, kind, frozen):
+        u = np.array([1.0, 0.0])
+        source = QuadraticSaddleSource(
+            np.diag([1.0, -1.0]),
+            NoiseSpec(kind, 1.0, direction=u if kind != "rademacher" else None,
+                      frozen=frozen))
+        args = dict(alpha=1e-3, runs=40, seed=6, chi=1.0, epsilon=1.0,
+                    sigma_h0=10.0)
+        _, steps = _reference_escape(source, **args)
+        rows = self._count_rows(monkeypatch)
+        res = verify_escape(source, **args)
+        block = _block_steps(40, 2)
+        if frozen:
+            assert rows == [40]
+            return
+        assert sum(rows) <= (res.step_cap + block) * 40
+        if (steps > 0).all():
+            assert sum(rows) < (steps.max() + block) * 40
