@@ -1,10 +1,12 @@
 """Command-line surface.
 
-One JSON config schema shared by all subcommands, discriminated by its
-"command" key; unknown keys are rejected with their paths so typos in
-experiment sweeps fail fast.  Outputs are deterministic given config and
-seed (canonical JSON, fixed float formatting), so repeated invocations
-produce byte-identical artifacts.
+Each subcommand reads one JSON config whose "command" key names it.
+``load_config`` reads it once against ``_SCHEMAS``, the kind of every key
+of every block: an unknown or missing key, or a value of the wrong kind,
+fails there with its dotted path.  Handlers pass the typed values on, and
+the library code that uses them checks their ranges.  Outputs are
+deterministic given config and seed (canonical JSON, fixed float
+formatting), so repeated invocations produce byte-identical artifacts.
 
 Exit codes: 0 success, 2 config/validation error, 3 I/O error,
 4 acceptance-check failure.
@@ -32,84 +34,82 @@ from .oracle import (
 )
 from .policy import ExampleOnePiecewise, RegularityConstants, TabularSoftmax, \
     estimate_regularity, make_family
-from .util import canonical_json, derive_rng, format_float, write_csv
+from .util import Block, OneOf, _read, canonical_json, derive_rng, format_float, \
+    write_csv
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_IO = 3
 EXIT_CHECK = 4
 
-_COMMANDS = ("constants", "classify", "train", "escape", "trap",
-             "oracle-check", "cnc")
-
 
 # ---------------------------------------------------------------------------
-# Config validation
+# Config schemas
 # ---------------------------------------------------------------------------
 
-def _check_keys(obj: dict, allowed: set, required: set, path: str) -> None:
-    if not isinstance(obj, dict):
-        raise ConfigError(f"{path}: expected an object")
-    for key in obj:
-        if key not in allowed:
-            raise ConfigError(f"{path}: unknown key {key!r}")
-    for key in required:
-        if key not in obj:
-            raise ConfigError(f"{path}: missing key {key!r}")
+_NOISE = Block(dict(kind="text", scale="number", direction="vector", frozen="flag"),
+               required=("kind",))
 
+# The keys of each problem kind; example1 passes its keys to example_one_mdp,
+# the synthetic kinds theirs to their trainer builders.
+_PROBLEM = OneOf({
+    "example1": Block(dict(kind="text", gamma="number", horizon="integer")),
+    "mdp": Block(dict(kind="text", mdp=mdp_mod._MDP_BLOCK, mdp_path="text",
+                      policy="text")),
+    "quadratic_saddle": Block(dict(kind="text", eigenvalues="vector", noise=_NOISE,
+                                   cubic="number")),
+    "strongly_concave": Block(dict(kind="text", zeta="number", theta_star="vector",
+                                   noise_sigma="number")),
+})
 
 _SCHEMAS = {
-    "constants": dict(
-        required={"command", "r_min", "r_max", "gamma", "h", "p",
-                  "epsilon", "delta"},
-        allowed={"command", "seed", "regularity", "estimate", "r_min", "r_max",
-                 "gamma", "h", "p", "epsilon", "chi", "delta", "omega",
-                 "omega_from_fisher", "iota", "zeta", "varrho"},
-    ),
-    "classify": dict(
-        required={"command", "problem", "epsilon", "chi"},
-        allowed={"command", "seed", "problem", "epsilon", "chi", "mode", "n",
-                 "raw_hessian"},
-    ),
-    "train": dict(
-        required={"command", "problem", "theta0", "alpha", "max_iters",
-                  "epsilon", "chi", "seed"},
-        allowed={"command", "problem", "theta0", "alpha", "max_iters",
-                 "epsilon", "chi", "delta", "batch_size", "seed",
-                 "report_every", "kappa_hat_0"},
-    ),
-    "escape": dict(
-        required={"command", "seed"},
-        allowed={"command", "seed", "runs", "alpha", "contrast", "chi",
-                 "epsilon", "sigma_h0", "cap_factor", "eigenvalues",
-                 "noise", "iota_sq"},
-    ),
-    "trap": dict(
-        required={"command", "seed"},
-        allowed={"command", "seed", "runs", "alpha", "zeta", "varrho",
-                 "noise_sigma", "delta", "relaxation", "theta0"},
-    ),
-    "oracle-check": dict(
-        required={"command", "seed"},
-        allowed={"command", "seed", "n_mdps", "max_states", "max_actions",
-                 "max_horizon"},
-    ),
-    "cnc": dict(
-        required={"command", "problem", "theta", "n", "seed"},
-        allowed={"command", "problem", "theta", "u", "n", "seed", "method"},
-    ),
-}
-
-# Keys each problem kind accepts besides "kind".
-_KIND_KEYS = {
-    "example1": {"gamma", "horizon"},
-    "mdp": {"mdp", "mdp_path", "policy"},
-    "quadratic_saddle": {"eigenvalues", "noise", "cubic"},
-    "strongly_concave": {"zeta", "theta_star", "noise_sigma"},
+    "constants": Block(dict(
+        command="text", seed="integer",
+        regularity=Block(dict(G="number", L="number", U="number", W="number"),
+                         required=("G", "L", "U")),
+        estimate=Block(dict(family="text", n_states="integer", n_actions="integer",
+                            box="box", grid="integer"),
+                       required=("family", "box", "grid")),
+        r_min="number", r_max="number", gamma="number", h="integer", p="integer",
+        epsilon="number", chi="number", delta="number", omega="number",
+        omega_from_fisher=Block(dict(problem=_PROBLEM, theta="vector"),
+                                required=("problem", "theta")),
+        iota="number", zeta="number", varrho="number"),
+        required=("command", "r_min", "r_max", "gamma", "h", "p", "epsilon", "delta")),
+    "classify": Block(dict(
+        command="text", seed="integer", problem=_PROBLEM, epsilon="number",
+        chi="number", mode="text", n="integer", raw_hessian="flag"),
+        required=("command", "problem", "epsilon", "chi")),
+    "train": Block(dict(
+        command="text", problem=_PROBLEM, theta0="vector", alpha="number",
+        max_iters="integer", epsilon="number", chi="number", delta="number",
+        batch_size="integer", seed="integer", report_every="integer",
+        kappa_hat_0="integer"),
+        required=("command", "problem", "theta0", "alpha", "max_iters", "epsilon",
+                  "chi", "seed")),
+    "escape": Block(dict(
+        command="text", seed="integer", runs="integer", alpha="number",
+        contrast="flag", chi="number", epsilon="number", sigma_h0="number",
+        cap_factor="integer", eigenvalues="vector", noise=_NOISE, iota_sq="number"),
+        required=("command", "seed")),
+    "trap": Block(dict(
+        command="text", seed="integer", runs="integer", alpha="number", zeta="number",
+        varrho="number", noise_sigma="number", delta="number", relaxation="number",
+        theta0="vector"),
+        required=("command", "seed")),
+    "oracle-check": Block(dict(
+        command="text", seed="integer", n_mdps="integer", max_states="integer",
+        max_actions="integer", max_horizon="integer"),
+        required=("command", "seed")),
+    "cnc": Block(dict(
+        command="text", problem=_PROBLEM, theta="vector", u="vector", n="integer",
+        seed="integer", method="text"),
+        required=("command", "problem", "theta", "n", "seed")),
 }
 
 
 def load_config(path: str, command: str) -> dict:
+    """The config at path, read against the command's schema."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             cfg = json.load(fh)
@@ -121,99 +121,63 @@ def load_config(path: str, command: str) -> dict:
         raise ConfigError("config: expected a JSON object")
     got = cfg.get("command")
     if got != command:
-        raise ConfigError(
-            f"command: config says {got!r} but subcommand is {command!r}"
-        )
-    schema = _SCHEMAS[command]
-    _check_keys(cfg, schema["allowed"], schema["required"], "config")
-    return cfg
+        raise ConfigError(f"command: config says {got!r} but subcommand is {command!r}")
+    return _read(cfg, _SCHEMAS[command])
 
 
-def _positive(cfg: dict, key: str, strict: bool = True):
-    value = cfg[key]
-    if not isinstance(value, (int, float)) or (value <= 0 if strict else value < 0):
-        raise ConfigError(f"{key}: must be a positive number, got {value!r}")
-    return value
-
-
-def _problem_kind(spec: dict) -> str:
-    """The kind of a problem block, after checking the block's keys for it."""
-    _check_keys(spec, {"kind"}.union(*_KIND_KEYS.values()), {"kind"}, "problem")
-    kind = spec["kind"]
-    if not isinstance(kind, str) or kind not in _KIND_KEYS:
-        raise ConfigError(f"problem.kind: unknown kind {kind!r}")
-    _check_keys(spec, {"kind"} | _KIND_KEYS[kind], set(), "problem")
-    return kind
+def _builder_keys(cfg: dict, *drop: str) -> dict:
+    """The keys of a read config block as builder keywords, noise built."""
+    keys = {key: value for key, value in cfg.items() if key not in drop}
+    if "noise" in keys:
+        keys["noise"] = trainer.NoiseSpec(**keys["noise"])
+    return keys
 
 
 def build_problem(spec: dict):
-    """(mdp, family) from a problem block; MDP-backed kinds only."""
-    kind = _problem_kind(spec)
+    """(mdp, family) from a read problem block; MDP-backed kinds only."""
+    kind = spec["kind"]
     if kind == "example1":
-        mdp = mdp_mod.example_one_mdp(
-            gamma=trainer._number("gamma", spec.get("gamma", 0.5)),
-            horizon=trainer._number("horizon", spec.get("horizon", 1), int),
-        )
-        return mdp, ExampleOnePiecewise()
+        return mdp_mod.example_one_mdp(**_builder_keys(spec, "kind")), \
+            ExampleOnePiecewise()
     if kind == "mdp":
         if "mdp" in spec:
-            mdp = mdp_mod.mdp_from_dict(spec["mdp"])
+            mdp = mdp_mod.TabularMdp(**spec["mdp"])
         elif "mdp_path" in spec:
             mdp = mdp_mod.load_mdp(spec["mdp_path"])
         else:
             raise ConfigError("problem: mdp kind needs 'mdp' or 'mdp_path'")
-        tag = spec.get("policy", "tabular_softmax")
-        family = make_family(tag, mdp.n_states, mdp.n_actions)
-        return mdp, family
-    raise ConfigError(
-        f"problem.kind: {kind!r} is not an MDP-backed problem"
-    )
-
-
-def _builder_keys(cfg: dict, *drop: str) -> dict:
-    """The keys of a config block as builder keywords, noise parsed."""
-    keys = {key: value for key, value in cfg.items() if key not in drop}
-    if "noise" in keys:
-        noise = keys["noise"]
-        _check_keys(noise, {"kind", "scale", "direction", "frozen"}, {"kind"}, "noise")
-        direction, frozen = noise.get("direction"), noise.get("frozen", False)
-        if not isinstance(frozen, bool):
-            raise ConfigError(f"noise.frozen: must be true or false, got {frozen!r}")
-        keys["noise"] = trainer.NoiseSpec(
-            kind=noise["kind"],
-            scale=trainer._number("noise.scale", noise.get("scale", 1.0)),
-            direction=None if direction is None
-            else trainer._finite_list("noise.direction", direction),
-            frozen=frozen)
-    return keys
+        return mdp, make_family(spec.get("policy", "tabular_softmax"),
+                                mdp.n_states, mdp.n_actions)
+    raise ConfigError(f"problem.kind: {kind!r} is not an MDP-backed problem")
 
 
 def build_source(spec: dict):
     """Gradient source for training runs: MDP-backed or synthetic."""
-    kind = _problem_kind(spec)
+    kind = spec["kind"]
     if kind in ("example1", "mdp"):
         mdp, family = build_problem(spec)
         return trainer.MdpPolicySource(mdp, family)
+    keys = _builder_keys(spec, "kind")
     if kind == "quadratic_saddle":
-        keys = _builder_keys(spec, "kind")
         if "noise" in keys and keys["noise"].frozen:
             raise ConfigError("noise.frozen: train draws fresh noise at every "
                               "update; frozen noise is for escape only")
         return trainer.quadratic_saddle_source(**keys)
-    if kind == "strongly_concave":
-        return trainer.StronglyConcaveSource(**_builder_keys(spec, "kind"))
+    return trainer.StronglyConcaveSource(**keys)
 
 
 def _resolve_seed(cfg: dict, args) -> int:
+    """SOSP_PG_SEED, else --seed, else the config's seed, else 0."""
+    seed = cfg.get("seed", 0) if args.seed is None else args.seed
     env = os.environ.get("SOSP_PG_SEED")
     if env is not None:
         try:
-            return int(env)
+            seed = int(env)
         except ValueError as exc:
             raise ConfigError(f"SOSP_PG_SEED: not an integer: {env!r}") from exc
-    if getattr(args, "seed", None) is not None:
-        return int(args.seed)
-    return int(cfg.get("seed", 0))
+    if seed < 0:
+        raise ConfigError(f"seed: must be at least 0, got {seed}")
+    return seed
 
 
 # ---------------------------------------------------------------------------
@@ -267,23 +231,14 @@ class _IoFailure(Exception):
 # ---------------------------------------------------------------------------
 
 def cmd_constants(cfg: dict, args) -> int:
-    if not (0.0 < cfg["gamma"] < 1.0):
-        raise ConfigError(f"gamma: must be in (0, 1), got {cfg['gamma']!r}")
     if "regularity" in cfg:
-        block = cfg["regularity"]
-        _check_keys(block, {"G", "L", "U", "W"}, {"G", "L", "U"}, "regularity")
-        reg = RegularityConstants(
-            G=float(block["G"]), L=float(block["L"]), U=float(block["U"]),
-            W=float(block["W"]) if "W" in block else None,
-            domain_box=(), grid_spacing=float("nan"),
-        )
+        reg = RegularityConstants(**{"W": None, **cfg["regularity"]},
+                                  domain_box=(), grid_spacing=math.nan)
     elif "estimate" in cfg:
         block = cfg["estimate"]
-        _check_keys(block, {"family", "n_states", "n_actions", "box", "grid"},
-                    {"family", "box", "grid"}, "estimate")
         family = make_family(block["family"], block.get("n_states"),
                              block.get("n_actions"))
-        reg = estimate_regularity(family, block["box"], int(block["grid"]))
+        reg = estimate_regularity(family, block["box"], block["grid"])
     else:
         raise ConfigError("config: need either 'regularity' or 'estimate'")
 
@@ -291,10 +246,9 @@ def cmd_constants(cfg: dict, args) -> int:
     fisher_lambda_min = None
     if "omega_from_fisher" in cfg:
         block = cfg["omega_from_fisher"]
-        _check_keys(block, {"problem", "theta"}, {"problem", "theta"},
-                    "omega_from_fisher")
         mdp, family = build_problem(block["problem"])
-        report = fisher_matrix(mdp, family, np.array(block["theta"], float))
+        _check_length("omega_from_fisher.theta", block["theta"], family.param_dim)
+        report = fisher_matrix(mdp, family, block["theta"])
         fisher_lambda_min = report.lambda_min
         if omega is None:
             if report.lambda_min > 0.0:
@@ -308,11 +262,9 @@ def cmd_constants(cfg: dict, args) -> int:
                 )
 
     constants = sosp.paper_constants(
-        reg, r_min=_positive(cfg, "r_min", strict=False),
-        r_max=_positive(cfg, "r_max"), gamma=cfg["gamma"],
-        h=int(cfg["h"]), p=int(cfg["p"]), chi=cfg.get("chi"),
-        omega=omega, zeta=cfg.get("zeta"),
-        varrho=cfg.get("varrho"), iota=cfg.get("iota"),
+        reg, r_min=cfg["r_min"], r_max=cfg["r_max"], gamma=cfg["gamma"],
+        h=cfg["h"], p=cfg["p"], chi=cfg.get("chi"), omega=omega,
+        zeta=cfg.get("zeta"), varrho=cfg.get("varrho"), iota=cfg.get("iota"),
     )
     payload = constants.to_json()
     payload["epsilon"] = cfg["epsilon"]
@@ -341,46 +293,45 @@ def cmd_constants(cfg: dict, args) -> int:
     return EXIT_OK
 
 
-def _vector(value, key: str, dim: int) -> np.ndarray:
-    if not (isinstance(value, (list, np.ndarray)) and len(value) == dim
-            and all(isinstance(x, (int, float)) for x in value)):
-        raise ConfigError(f"{key}: expected {dim} numbers, got {value!r}")
-    return np.array(value, dtype=float)
+def _check_length(key: str, vector: np.ndarray, dim: int) -> None:
+    if len(vector) != dim:
+        raise ConfigError(f"{key}: must be {dim} numbers, got {vector.tolist()}")
 
 
 def _parse_theta(args) -> np.ndarray:
-    if args.theta is not None:
-        try:
-            return np.array([float(x) for x in args.theta.split(",")])
-        except ValueError as exc:
-            raise ConfigError(f"--theta: malformed vector {args.theta!r}") from exc
-    if args.theta_csv is not None:
+    """The classify point from --theta or the first row of --theta-csv."""
+    flag, row = "--theta", args.theta
+    if row is None and args.theta_csv is not None:
+        flag = "--theta-csv"
         try:
             with open(args.theta_csv, "r", encoding="utf-8") as fh:
                 row = fh.readline().strip()
         except OSError as exc:
             raise _IoFailure(str(exc)) from exc
-        try:
-            return np.array([float(x) for x in row.split(",")])
-        except ValueError as exc:
-            raise ConfigError(f"--theta-csv: malformed row {row!r}") from exc
-    raise ConfigError("classify needs --theta or --theta-csv")
+    if row is None:
+        raise ConfigError("classify needs --theta or --theta-csv")
+    try:
+        theta = np.array([float(x) for x in row.split(",")])
+    except ValueError:
+        theta = np.array([math.nan])
+    if not np.isfinite(theta).all():
+        raise ConfigError(f"{flag}: must be finite numbers separated by commas, "
+                          f"got {row!r}")
+    return theta
 
 
 def cmd_classify(cfg: dict, args) -> int:
     mdp, family = build_problem(cfg["problem"])
-    epsilon = trainer._number("epsilon", cfg["epsilon"])
-    chi = trainer._number("chi", cfg["chi"])
-    mode, n = cfg.get("mode", "oracle"), cfg.get("n")
-    if mode == "estimated" and n is not None:
-        n = trainer._number("n", n, int)
-    theta = _vector(_parse_theta(args), "theta", family.param_dim)
+    theta = _parse_theta(args)
+    _check_length("theta", theta, family.param_dim)
+    estimated = cfg.get("mode") == "estimated"
     report = sosp.second_order_report(
-        mdp, family, theta, epsilon, chi, mode=mode, n=n,
-        seed=_resolve_seed(cfg, args) if mode == "estimated" else None,
+        mdp, family, theta, **_builder_keys(cfg, "command", "seed", "problem",
+                                            "raw_hessian"),
+        seed=_resolve_seed(cfg, args) if estimated else None,
     )
     payload = report.to_json()
-    if cfg.get("raw_hessian") and mode == "estimated":
+    if cfg.get("raw_hessian") and estimated:
         payload["raw_hessian_mean"] = report.raw_hessian.tolist()
     _emit(payload, args, "classify.json")
     return EXIT_OK
@@ -388,20 +339,10 @@ def cmd_classify(cfg: dict, args) -> int:
 
 def cmd_train(cfg: dict, args) -> int:
     source = build_source(cfg["problem"])
-    number = trainer._number
     config = trainer.TrainerConfig(
-        alpha=number("alpha", cfg["alpha"]),
-        max_iters=number("max_iters", cfg["max_iters"], int),
-        epsilon=number("epsilon", cfg["epsilon"]),
-        chi=number("chi", cfg["chi"]),
-        delta=number("delta", cfg.get("delta", 0.1)),
-        batch_size=number("batch_size", cfg.get("batch_size", 1), int),
         seed=_resolve_seed(cfg, args),
-        report_every=number("report_every", cfg.get("report_every", 1), int),
-        kappa_hat_0=number("kappa_hat_0", cfg.get("kappa_hat_0", 1), int),
-    )
-    theta0 = _vector(cfg["theta0"], "theta0", source.dim)
-    record = trainer.run(source, config, theta0)
+        **_builder_keys(cfg, "command", "problem", "theta0", "seed"))
+    record = trainer.run(source, config, cfg["theta0"])
     payload = record.summary()
     _emit(payload, args, "summary.json")
     if args.out:
@@ -429,19 +370,15 @@ def cmd_trap(cfg: dict, args) -> int:
     return EXIT_OK
 
 
-def _at_least(cfg: dict, key: str, default: int, low: int) -> int:
-    value = cfg.get(key, default)
-    if not isinstance(value, (int, float)) or not low <= value < math.inf:
-        raise ConfigError(f"{key}: must be at least {low}, got {value!r}")
-    return int(value)
-
-
 def cmd_oracle_check(cfg: dict, args) -> int:
     seed = _resolve_seed(cfg, args)
-    n_mdps = _at_least(cfg, "n_mdps", 20, 1)
-    max_states = _at_least(cfg, "max_states", 4, 2)
-    max_actions = _at_least(cfg, "max_actions", 3, 2)
-    max_horizon = _at_least(cfg, "max_horizon", 6, 2)
+    sizes = {}
+    for key, default, low in (("n_mdps", 20, 1), ("max_states", 4, 2),
+                              ("max_actions", 3, 2), ("max_horizon", 6, 2)):
+        sizes[key] = cfg.get(key, default)
+        if sizes[key] < low:
+            raise ConfigError(f"{key}: must be at least {low}, got {sizes[key]!r}")
+    n_mdps, max_states, max_actions, max_horizon = sizes.values()
     checks = dict.fromkeys(
         ("gradient_two_way", "gradient_fd", "perf_diff", "occupancy_mass",
          "advantage_centering", "fisher_psd"), 0)
@@ -498,24 +435,25 @@ def cmd_oracle_check(cfg: dict, args) -> int:
 
 def cmd_cnc(cfg: dict, args) -> int:
     mdp, family = build_problem(cfg["problem"])
-    theta = _vector(cfg["theta"], "theta", family.param_dim)
+    theta = cfg["theta"]
+    _check_length("theta", theta, family.param_dim)
     method = cfg.get("method", "auto")
     if method not in ("auto", "enumerate", "mc"):
         raise ConfigError(f"method: expected auto, enumerate or mc, got {method!r}")
     seed = _resolve_seed(cfg, args)
     if "u" in cfg:
-        u = _vector(cfg["u"], "u", family.param_dim)
+        u = cfg["u"]
+        _check_length("u", u, family.param_dim)
     else:
         hess = exact_hessian(mdp, family, theta)
         _, u = sosp.sym_eig_max(hess)
-    payload = {"theta": theta.tolist(), "u": u.tolist(), "n": int(cfg["n"])}
+    payload = {"theta": theta.tolist(), "u": u.tolist(), "n": cfg["n"]}
     if method in ("auto", "enumerate") and is_enumerable(mdp):
         payload["enumeration"] = sosp.cnc_enumerate(mdp, family, theta, u)
     elif method == "enumerate":
         raise ConfigError("method 'enumerate' but the MDP exceeds the cap")
     if method in ("auto", "mc"):
-        mean, stderr = sosp.cnc_estimate(mdp, family, theta, u, int(cfg["n"]),
-                                         seed)
+        mean, stderr = sosp.cnc_estimate(mdp, family, theta, u, cfg["n"], seed)
         payload["mean_sq_projection"] = mean
         payload["std_error"] = stderr
         payload["iota_sq_floor"] = sosp.iota_sq_floor(mean, stderr)
@@ -540,7 +478,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Policy gradient with second-order stationarity diagnostics",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in _COMMANDS:
+    for name in _SCHEMAS:
         cmd = sub.add_parser(name)
         cmd.add_argument("--config", required=True, help="JSON config path")
         cmd.add_argument("--out", default=None, help="output directory")

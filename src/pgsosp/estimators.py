@@ -25,10 +25,12 @@ enumeration identities.
 """
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import mdp as mdp_mod
 from .errors import ConfigError
 from .mdp import TabularMdp, Trajectory, discounted_return, occupancy, policy_matrix
 from .policy import _require_on_policy
@@ -147,9 +149,7 @@ def pg_sample_block(mdp: TabularMdp, family, theta: np.ndarray, n: int,
 
     Row i is bit-identical to pg_estimate on row i of rollout_batch.
     """
-    from .mdp import rollout_batch
-
-    states, actions, rewards = rollout_batch(mdp, family, theta, n, seed)
+    states, actions, rewards = mdp_mod.rollout_batch(mdp, family, theta, n, seed)
     return _pg_rows(mdp, score_table(mdp, family, theta), states, actions,
                     rewards)
 
@@ -171,8 +171,6 @@ def batch_gradient(mdp: TabularMdp, family, theta: np.ndarray, n: int,
     ref = mean if center is None else np.asarray(center, dtype=float)
     norm_max = float(np.linalg.norm(samples - ref, axis=1).max())
     if sigma_bound is not None and norm_max > sigma_bound + 1e-9:
-        import warnings
-
         warnings.warn(
             f"per-sample deviation {norm_max:.6g} exceeds the configured "
             f"bound {sigma_bound:.6g}", stacklevel=2,
@@ -192,9 +190,7 @@ def batch_hessian(mdp: TabularMdp, family, theta: np.ndarray, n: int,
     The sum over the rollout_batch rows is _hessian_sum with unit weights,
     the reduction exact_hessian applies with enumeration probabilities.
     """
-    from .mdp import rollout_batch
-
-    states, actions, rewards = rollout_batch(mdp, family, theta, n, seed)
+    states, actions, rewards = mdp_mod.rollout_batch(mdp, family, theta, n, seed)
     total = _hessian_sum(mdp, score_table(mdp, family, theta), family.hess(theta),
                          states, actions, rewards, np.ones(n))
     raw = total / n

@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .policy import EXAMPLE_ONE_REWARD, EXAMPLE_ONE_TRANSITION
-from .util import derive_rng, frozen_array
+from .util import Block, _read, derive_rng, frozen_array
 
 _ROW_SUM_TOL = 1e-12
 
@@ -117,26 +117,16 @@ class TabularMdp:
         }
 
 
-_MDP_KEYS = {
-    "n_states", "n_actions", "transition", "reward", "rho0",
-    "gamma", "horizon", "r_min", "r_max",
-}
+_MDP_KINDS = dict(n_states="integer", n_actions="integer", transition="tensor",
+                  reward="matrix", rho0="vector", gamma="number", horizon="integer",
+                  r_min="number", r_max="number")
+# The JSON object layout of an MDP; TabularMdp checks the shapes and ranges.
+_MDP_BLOCK = Block(_MDP_KINDS, required=tuple(_MDP_KINDS))
 
 
-def mdp_from_dict(obj: dict) -> TabularMdp:
+def mdp_from_dict(obj: dict, path: str = "mdp") -> TabularMdp:
     """Build a TabularMdp from the JSON object layout, naming bad keys."""
-    if not isinstance(obj, dict):
-        raise ConfigError("mdp: expected a JSON object")
-    missing = _MDP_KEYS - obj.keys()
-    if missing:
-        raise ConfigError(f"mdp: missing key {sorted(missing)[0]!r}")
-    unknown = obj.keys() - _MDP_KEYS
-    if unknown:
-        raise ConfigError(f"mdp: unknown key {sorted(unknown)[0]!r}")
-    try:
-        return TabularMdp(**obj)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"mdp: {exc}") from exc
+    return TabularMdp(**_read(obj, _MDP_BLOCK, path))
 
 
 def load_mdp(path: str) -> TabularMdp:

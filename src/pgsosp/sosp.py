@@ -31,7 +31,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import ConfigError, PreconditionError
-from .estimators import _pg_rows, batch_gradient, batch_hessian, score_table
+from .estimators import (_pg_rows, batch_gradient, batch_hessian, pg_sample_block,
+                         score_table)
 from .mdp import TabularMdp
 from .oracle import _enumeration_chunks, exact_gradient, exact_hessian
 from .util import frozen_array
@@ -146,11 +147,15 @@ class SecondOrderReport:
 def report_from_grad_hessian(grad: np.ndarray, hessian: np.ndarray,
                              epsilon: float, chi: float, mode: str = "oracle",
                              grad_std_error=None, n_samples=None) -> SecondOrderReport:
+    grad = np.asarray(grad, dtype=float)
+    if not np.isfinite(grad).all():
+        raise ConfigError("report_from_grad_hessian: non-finite gradient")
+    grad_norm = float(np.linalg.norm(grad))
     lam, u = sym_eig_max(hessian)
-    region = classify_values(float(np.linalg.norm(grad)), lam, epsilon, chi)
+    region = classify_values(grad_norm, lam, epsilon, chi)
     return SecondOrderReport(
-        grad=np.asarray(grad, dtype=float),
-        grad_norm=float(np.linalg.norm(grad)),
+        grad=grad,
+        grad_norm=grad_norm,
         hessian=(np.asarray(hessian) + np.asarray(hessian).T) / 2.0,
         lambda_max=lam,
         u_p=u,
@@ -426,8 +431,6 @@ def cnc_estimate(mdp: TabularMdp, family, theta: np.ndarray, u: np.ndarray,
                  n: int, seed: int) -> tuple[float, float]:
     """Monte-Carlo mean of <g(tau), u>^2 over n trajectories."""
     u = _unit_check(u)
-    from .estimators import pg_sample_block
-
     samples = pg_sample_block(mdp, family, theta, n, seed)
     vals = (samples @ u) ** 2
     mean = float(vals.sum() / n)

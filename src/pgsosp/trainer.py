@@ -26,7 +26,6 @@ noise_sigma^2).
 from __future__ import annotations
 
 import math
-import numbers
 import time
 import warnings
 from dataclasses import asdict, dataclass, field
@@ -151,8 +150,6 @@ class QuadraticSaddleSource:
         h = np.asarray(hessian, dtype=float)
         if h.ndim != 2 or h.shape[0] != h.shape[1]:
             raise ConfigError("QuadraticSaddleSource needs a square matrix")
-        if h.size == 0:
-            raise ConfigError("eigenvalues: need at least one, got an empty Hessian")
         if np.abs(h - h.T).max() > 1e-10:
             raise ConfigError("QuadraticSaddleSource needs a symmetric matrix")
         self.h = frozen_array(h)
@@ -214,16 +211,15 @@ class StronglyConcaveSource(QuadraticSaddleSource):
 
     def __init__(self, zeta: float = 1.0, theta_star=(0.0, 0.0),
                  noise_sigma: float = 0.0):
-        zeta, noise_sigma = _number("zeta", zeta), _number("noise_sigma", noise_sigma)
         if zeta <= 0:
             raise ConfigError(f"zeta: must be positive, got {zeta!r}")
         if noise_sigma < 0:
             raise ConfigError(f"noise_sigma: must be >= 0, got {noise_sigma!r}")
-        theta_star = _finite_list("theta_star", theta_star)
+        theta_star = np.asarray(theta_star, dtype=float)
         super().__init__(
-            hessian=-float(zeta) * np.eye(theta_star.size),
+            hessian=-zeta * np.eye(theta_star.size),
             noise=NoiseSpec(kind="sphere" if noise_sigma > 0 else "zero",
-                            scale=float(noise_sigma)),
+                            scale=noise_sigma),
             center=theta_star,
         )
 
@@ -581,25 +577,6 @@ class EscapeResult:
         return asdict(self)
 
 
-def _number(key: str, value, kind=float):
-    """A config value as kind (float or int), or a ConfigError naming its key."""
-    try:
-        return kind(value)
-    except (TypeError, ValueError, OverflowError):
-        raise ConfigError(f"{key}: must be a number, got {value!r}") from None
-
-
-def _finite_list(key: str, values) -> np.ndarray:
-    """A non-empty list of finite numbers as a float vector, or a
-    ConfigError naming its key."""
-    if not (isinstance(values, (list, tuple, np.ndarray)) and len(values)
-            and all(isinstance(x, numbers.Real) and math.isfinite(x)
-                    for x in values)):
-        raise ConfigError(f"{key}: need a non-empty list of finite "
-                          f"numbers, got {values!r}")
-    return np.asarray(values, dtype=float)
-
-
 def _check_runs(runs: int) -> None:
     if runs < 1:
         raise ConfigError(f"runs: must be at least 1, got {runs!r}")
@@ -675,9 +652,8 @@ def verify_escape(source: QuadraticSaddleSource, alpha: float, runs: int,
 def quadratic_saddle_source(eigenvalues=(1.0, -1.0), noise: NoiseSpec | None = None,
                             cubic: float = 0.0) -> QuadraticSaddleSource:
     """The ``quadratic_saddle`` source: H = diag(eigenvalues), Rademacher noise."""
-    return QuadraticSaddleSource(np.diag(_finite_list("eigenvalues", eigenvalues)),
-                                 noise or NoiseSpec("rademacher"),
-                                 cubic=_number("cubic", cubic))
+    return QuadraticSaddleSource(np.diag(eigenvalues), noise or NoiseSpec("rademacher"),
+                                 cubic=cubic)
 
 
 def default_escape_benchmark(runs: int = 200, seed: int = 0, alpha: float = 1e-3,
@@ -702,13 +678,9 @@ def default_escape_benchmark(runs: int = 200, seed: int = 0, alpha: float = 1e-3
             source.h, NoiseSpec(kind="orthogonal", scale=1.0, direction=source.u_p))
         if iota_sq is None:
             iota_sq = 1.0
-    return verify_escape(source, alpha=_number("alpha", alpha),
-                         runs=_number("runs", runs, int),
-                         seed=seed, chi=_number("chi", chi),
-                         epsilon=_number("epsilon", epsilon),
-                         sigma_h0=_number("sigma_h0", sigma_h0),
-                         cap_factor=_number("cap_factor", cap_factor, int),
-                         iota_sq=iota_sq)
+    return verify_escape(source, alpha=alpha, runs=runs, seed=seed, chi=chi,
+                         epsilon=epsilon, sigma_h0=sigma_h0,
+                         cap_factor=cap_factor, iota_sq=iota_sq)
 
 
 # ---------------------------------------------------------------------------
@@ -813,14 +785,11 @@ def default_trap_benchmark(runs: int = 500, seed: int = 0,
     """
     source = StronglyConcaveSource(zeta=zeta, theta_star=np.zeros(2),
                                    noise_sigma=noise_sigma)
-    varrho, delta = _number("varrho", varrho), _number("delta", delta)
-    relaxation = _number("relaxation", relaxation)
     if alpha is None:
         alpha = trap_benchmark_alpha(zeta, varrho, noise_sigma, delta, relaxation)
     if theta0 is None:
         theta0 = [varrho / math.sqrt(3.0), 0.0]
-    return verify_trap(source, alpha=_number("alpha", alpha),
-                       runs=_number("runs", runs, int), seed=seed,
+    return verify_trap(source, alpha=alpha, runs=runs, seed=seed,
                        delta=delta, varrho=varrho, theta0=theta0,
                        log_cap_relaxation=relaxation)
 

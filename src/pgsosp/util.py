@@ -1,15 +1,22 @@
-"""Shared numerics and reproducibility helpers.
+"""Shared numerics, reproducibility helpers and the config reader.
 
 Randomness policy: every stochastic operation derives its stream from a
 counter-based Philox generator keyed by (seed, *indices).  Streams for
 different indices are statistically independent and order-independent.
+
+Config values are read once, by ``_read``, against a schema of kinds; the
+code after it takes typed values as they come.
 """
 from __future__ import annotations
 
 import json
+import sys
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
+
+from .errors import ConfigError
 
 
 def derive_rng(seed: int, *key: int) -> np.random.Generator:
@@ -58,3 +65,97 @@ def write_csv(path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
                 for c in row
             ]
             fh.write(",".join(cells) + "\n")
+
+
+# ---------------------------------------------------------------------------
+# Config schemas
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class Block:
+    """A JSON object: the kind of each key it may have, and the keys it must."""
+
+    kinds: dict
+    required: tuple = ()
+
+
+@dataclass(frozen=True)
+class OneOf:
+    """A JSON object whose "kind" key picks its Block."""
+
+    blocks: dict
+
+
+def _number(value):
+    # Compared as exact values: nan, infinities and ints past the float range fail.
+    if isinstance(value, (int, float)) and not isinstance(value, bool) \
+            and abs(value) <= sys.float_info.max:
+        return float(value)
+
+
+def _integer(value):
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    return value if isinstance(value, int) and not isinstance(value, bool) else None
+
+
+def _array(value, depth: int):
+    """Nested lists of numbers, depth deep and none empty, as a float array."""
+    try:
+        cells = np.array(value, dtype=object)  # a ragged list stops short of depth
+    except ValueError:
+        return None
+    if isinstance(value, list) and cells.ndim == depth and cells.size \
+            and all(_number(x) is not None for x in cells.flat):
+        return cells.astype(float)
+
+
+def _box(value):
+    box = _array(value, 2)
+    return box if box is not None and box.shape[1] == 2 else None
+
+
+# kind: (what a value must be, reader returning the typed value or None)
+_KINDS = {
+    "number": ("a finite number", _number),
+    "integer": ("an integer", _integer),
+    "flag": ("true or false", lambda v: v if isinstance(v, bool) else None),
+    "text": ("text", lambda v: v if isinstance(v, str) else None),
+    "vector": ("a non-empty list of numbers", lambda v: _array(v, 1)),
+    "box": ("a list of [lo, hi] number pairs", _box),
+    "matrix": ("a list of lists of numbers", lambda v: _array(v, 2)),
+    "tensor": ("a list of lists of lists of numbers", lambda v: _array(v, 3)),
+}
+
+
+def _read(value, kind, path: str = ""):
+    """value read as kind (a _KINDS name, Block or OneOf) at dotted path.
+
+    A Block reads to a dict of its given keys, each read as its kind;
+    every error is a ConfigError naming the path.
+    """
+    where = path or "config"
+    if isinstance(kind, (Block, OneOf)) and not isinstance(value, dict):
+        raise ConfigError(f"{where}: must be an object, got {value!r}")
+    if isinstance(kind, OneOf):
+        if "kind" not in value:
+            raise ConfigError(f"{path}: missing key 'kind'")
+        tag = value["kind"]
+        if not (isinstance(tag, str) and tag in kind.blocks):
+            raise ConfigError(f"{path}.kind: must be one of "
+                              f"{', '.join(kind.blocks)}, got {tag!r}")
+        kind = kind.blocks[tag]
+    if isinstance(kind, Block):
+        for key in value:
+            if key not in kind.kinds:
+                raise ConfigError(f"{where}: unknown key {key!r}")
+        for key in kind.required:
+            if key not in value:
+                raise ConfigError(f"{where}: missing key {key!r}")
+        return {key: _read(item, kind.kinds[key], f"{path}.{key}" if path else key)
+                for key, item in value.items()}
+    what, read = _KINDS[kind]
+    typed = read(value)
+    if typed is None:
+        raise ConfigError(f"{path}: must be {what}, got {value!r}")
+    return typed

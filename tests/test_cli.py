@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import pgsosp
-from pgsosp import cli, trainer
+from pgsosp import cli, trainer, util
 from pgsosp.cli import main
 from pgsosp.util import canonical_json
 
@@ -134,6 +134,17 @@ class TestClassifyCommand:
                                         "--theta", "0.5,oops"])
         assert code == 2
         assert "theta" in err
+
+    @pytest.mark.parametrize("theta", ["inf,0", "0,nan", "1e400,0", "-inf,-inf"])
+    def test_non_finite_theta_rejected(self, tmp_path, capsys, theta):
+        cfg = write_config(tmp_path, "c.json", dict(
+            CLASSIFY_CFG, problem=_BANDIT_CNC["problem"]))
+        row = tmp_path / "theta.csv"
+        row.write_text(theta + "\n")
+        for flag in ([f"--theta={theta}"], ["--theta-csv", str(row)]):
+            code, out, err = run_cli(capsys, ["classify", "--config", cfg, *flag])
+            assert (code, out) == (2, "")
+            assert err.startswith(f"error: {flag[0].split('=')[0]}: ")
 
     def test_theta_csv_row(self, tmp_path, capsys):
         cfg = write_config(tmp_path, "c.json", CLASSIFY_CFG)
@@ -435,7 +446,7 @@ class TestBenchmarkBuilders:
         ("trap", trainer.default_trap_benchmark),
     ])
     def test_schema_keys_are_the_builder_keywords(self, command, builder):
-        keys = cli._SCHEMAS[command]["allowed"] - {"command", "seed"}
+        keys = cli._SCHEMAS[command].kinds.keys() - {"command", "seed"}
         params = set(inspect.signature(builder).parameters) - {"seed"}
         assert keys == params
 
@@ -547,6 +558,23 @@ _BANDIT_CNC = {
     ({**_SADDLE_TRAIN, "problem": {
         "kind": "quadratic_saddle",
         "noise": {"kind": "rademacher", "frozen": True}}}, "noise.frozen"),
+    ({"command": "trap", "seed": 1, "runs": 2.7}, "runs: must be"),
+    ({**_BANDIT_CNC, "problem": {**_BANDIT_CNC["problem"], "mdp": {
+        **_BANDIT_CNC["problem"]["mdp"], "horizon": 2.7}}},
+     "problem.mdp.horizon: must be"),
+    ({"command": "classify", "problem": {"kind": "example1", "horizon": 1.9},
+      "epsilon": 0.1, "chi": 1.0}, "problem.horizon: must be"),
+    ({"command": "classify", "problem": {"kind": "example1"},
+      "epsilon": True, "chi": 1.0}, "epsilon: must be"),
+    ({"command": "escape", "seed": 1, "eigenvalues": [True, -1.0]},
+     "eigenvalues: must be"),
+    ({"command": "escape", "seed": 1, "runs": 5, "contrast": "no"},
+     "contrast: must be"),
+    ({**_SADDLE_TRAIN, "problem": {"kind": "quadratic_saddle"},
+      "alpha": float("nan")}, "alpha: must be"),
+    ({**CONSTANTS_CFG, "gamma": "x"}, "gamma: must be"),
+    ({**CONSTANTS_CFG, "h": "x"}, "h: must be"),
+    ({"command": "escape", "seed": -1, "runs": 5}, "seed: must be"),
 ], ids=["trap-theta0-3d", "trap-runs-negative", "trap-runs-zero",
         "trap-delta-zero", "trap-zeta-negative", "trap-varrho-zero",
         "escape-runs-zero", "escape-no-eigenvalues", "escape-noise-3d",
@@ -564,13 +592,98 @@ _BANDIT_CNC = {
         "escape-noise-direction-text", "train-noise-direction-text",
         "classify-estimated-n-text", "classify-example1-horizon-text",
         "classify-example1-gamma-text",
-        "escape-noise-frozen-text", "train-noise-frozen"])
+        "escape-noise-frozen-text", "train-noise-frozen",
+        "trap-runs-fraction", "cnc-mdp-horizon-fraction",
+        "classify-example1-horizon-fraction", "classify-epsilon-bool",
+        "escape-eigenvalues-bool", "escape-contrast-text", "train-alpha-nan",
+        "constants-gamma-text", "constants-h-text", "escape-seed-negative"])
 def test_malformed_synthetic_config_exits_2(tmp_path, capsys, cfg, key):
     path = write_config(tmp_path, "bad.json", cfg)
     code, out, err = run_cli(capsys, [cfg["command"], "--config", path])
     assert code == 2
     assert out == ""
     assert key in err
+
+
+# A value of each kind that the reader accepts, and values it must reject.
+_GOOD = {"number": 1.0, "integer": 1, "flag": False, "text": "x",
+         "vector": [1.0], "box": [[0.0, 1.0]], "matrix": [[1.0]],
+         "tensor": [[[1.0]]]}
+_WRONG = {"number": ["x", True, float("nan"), float("inf"), [1.0]],
+          "integer": [2.5, True, "x"],
+          "flag": ["no", 1, None],
+          "text": [1.0, True, ["x"]],
+          "vector": [[], [True, 1], ["a", 1.0], 1.0]}
+for _kind in ("box", "matrix", "tensor"):
+    _WRONG[_kind] = _WRONG["vector"] + [[1.0, 2.0]]
+
+
+def _good(kind):
+    """A value of kind: a block holds its required keys only."""
+    if isinstance(kind, util.OneOf):
+        tag, block = next(iter(kind.blocks.items()))
+        return {**_good(block), "kind": tag}
+    if isinstance(kind, util.Block):
+        return {key: _good(kind.kinds[key]) for key in kind.required}
+    return _GOOD[kind]
+
+
+def _wrong(kind):
+    """(dotted key path, value) pairs: each value is of kind but for the one
+    key at that path, whose value is of the wrong kind."""
+    if isinstance(kind, util.OneOf):
+        yield "", "x"
+        for tag, block in kind.blocks.items():
+            for dotted, value in _wrong(block):
+                if dotted:
+                    yield dotted, value if dotted == "kind" else {**value, "kind": tag}
+        return
+    if isinstance(kind, util.Block):
+        yield "", "x"
+        base = _good(kind)
+        for key, sub in kind.kinds.items():
+            for dotted, value in _wrong(sub):
+                yield ".".join(filter(None, (key, dotted))), {**base, key: value}
+        return
+    for value in _WRONG[kind]:
+        yield "", value
+
+
+def _schema_cases():
+    cases = {}
+    for command, schema in cli._SCHEMAS.items():
+        for dotted, cfg in _wrong(schema):
+            if dotted:
+                if dotted != "command":
+                    cfg["command"] = command
+                cases.setdefault(f"{command}:{dotted}", []).append(cfg)
+    return [pytest.param(case, configs, id=case)
+            for case, configs in sorted(cases.items())]
+
+
+@pytest.mark.parametrize("case, configs", _schema_cases())
+def test_every_schema_key_rejects_a_wrong_kind(tmp_path, capsys, case, configs):
+    """Every key of every schema, nested blocks included, exits 2 naming its
+    dotted path when given a value of the wrong kind."""
+    command, dotted = case.split(":")
+    for cfg in configs:
+        path = write_config(tmp_path, "bad.json", cfg)
+        code, out, err = run_cli(capsys, [command, "--config", path])
+        assert (code, out) == (2, ""), (cfg, err)
+        assert err.startswith(f"error: {dotted}: "), (cfg, err)
+
+
+@pytest.mark.parametrize("how", ["config", "flag", "env"])
+def test_negative_seed_exits_2(tmp_path, capsys, monkeypatch, how):
+    cfg = {"command": "escape", "seed": -1 if how == "config" else 1, "runs": 5}
+    argv = ["escape", "--config", write_config(tmp_path, "e.json", cfg)]
+    if how == "flag":
+        argv += ["--seed", "-2"]
+    if how == "env":
+        monkeypatch.setenv("SOSP_PG_SEED", "-1")
+    code, out, err = run_cli(capsys, argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: seed: must be at least 0")
 
 
 class TestSyntheticTrainSources:

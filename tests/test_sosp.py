@@ -132,6 +132,13 @@ class TestSecondOrderReport:
         assert rep.is_sosp is True
         assert rep.region is Region.L3
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_gradient_gets_no_verdict(self, bad):
+        from pgsosp.sosp import report_from_grad_hessian
+
+        with pytest.raises(ConfigError, match="non-finite gradient"):
+            report_from_grad_hessian(np.array([bad, 0.0]), -np.eye(2), 0.1, 1.0)
+
     def test_estimated_mode_matches_oracle_region(self, bandit, bandit_family):
         oracle = second_order_report(bandit, bandit_family, np.zeros(2),
                                      0.1, 1.0, mode="oracle")
