@@ -141,7 +141,7 @@ def build_problem(spec: dict):
             ExampleOnePiecewise()
     if kind == "mdp":
         if "mdp" in spec:
-            mdp = mdp_mod.TabularMdp(**spec["mdp"])
+            mdp = mdp_mod._mdp_at(spec["mdp"], "problem.mdp")
         elif "mdp_path" in spec:
             mdp = mdp_mod.load_mdp(spec["mdp_path"])
         else:
@@ -186,10 +186,8 @@ def _resolve_seed(cfg: dict, args) -> int:
 
 def _emit(payload: dict, args, filename: str = "summary.json") -> None:
     if args.format == "csv":
-        lines = ["key,value"]
-        for key, value in sorted(_flatten(payload).items()):
-            lines.append(f"{key},{value}")
-        text = "\n".join(lines) + "\n"
+        text = "".join(f"{key},{value}\n" for key, value
+                       in [("key", "value"), *sorted(_flatten(payload).items())])
     else:
         text = canonical_json(payload)
     sys.stdout.write(text)
@@ -198,14 +196,10 @@ def _emit(payload: dict, args, filename: str = "summary.json") -> None:
 
 
 def _flatten(obj, prefix: str = ""):
-    flat = {}
-    if isinstance(obj, dict):
-        for key, value in obj.items():
+    if isinstance(obj, (dict, list)):
+        flat = {}
+        for key, value in obj.items() if isinstance(obj, dict) else enumerate(obj):
             flat.update(_flatten(value, f"{prefix}{key}."))
-        return flat
-    if isinstance(obj, list):
-        for i, value in enumerate(obj):
-            flat.update(_flatten(value, f"{prefix}{i}."))
         return flat
     key = prefix[:-1] if prefix else "value"
     if isinstance(obj, float):

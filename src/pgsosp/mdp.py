@@ -124,9 +124,17 @@ _MDP_KINDS = dict(n_states="integer", n_actions="integer", transition="tensor",
 _MDP_BLOCK = Block(_MDP_KINDS, required=tuple(_MDP_KINDS))
 
 
-def mdp_from_dict(obj: dict, path: str = "mdp") -> TabularMdp:
+def mdp_from_dict(obj: dict) -> TabularMdp:
     """Build a TabularMdp from the JSON object layout, naming bad keys."""
-    return TabularMdp(**_read(obj, _MDP_BLOCK, path))
+    return _mdp_at(_read(obj, _MDP_BLOCK, "mdp"), "mdp")
+
+
+def _mdp_at(values: dict, path: str) -> TabularMdp:
+    """TabularMdp(**values) from a read block; its errors name the block."""
+    try:
+        return TabularMdp(**values)
+    except ConfigError as exc:
+        raise ConfigError(f"{path}: {exc}") from None
 
 
 def load_mdp(path: str) -> TabularMdp:

@@ -109,13 +109,12 @@ class NoiseSpec:
     def iota_sq(self, u: np.ndarray) -> float:
         """E[<noise, u>^2] for a unit direction u, by construction."""
         u = np.asarray(u, dtype=float)
-        dim = u.size
         if self.kind == "zero":
             return 0.0
         if self.kind == "rademacher":
             return self.scale ** 2
         if self.kind == "sphere":
-            return self.scale ** 2 / dim
+            return self.scale ** 2 / u.size
         if self.kind == "signed_direction":
             return self.scale ** 2 * float(self.direction @ u) ** 2
         # orthogonal: independent coordinates minus the projected component
@@ -150,6 +149,8 @@ class QuadraticSaddleSource:
         h = np.asarray(hessian, dtype=float)
         if h.ndim != 2 or h.shape[0] != h.shape[1]:
             raise ConfigError("QuadraticSaddleSource needs a square matrix")
+        if h.size == 0:
+            raise ConfigError("eigenvalues: need at least one, got an empty Hessian")
         if np.abs(h - h.T).max() > 1e-10:
             raise ConfigError("QuadraticSaddleSource needs a symmetric matrix")
         self.h = frozen_array(h)
@@ -353,7 +354,7 @@ def run(source, config: TrainerConfig, theta0: np.ndarray) -> RunRecord:
     reads 2h+1 uniforms, so its draw j is uniform (k*b + i)*(2h+1) + j of
     the stream (b the batch size); synthetic sources draw their noise from
     the same stream.  Aborts (recording the offending k) when an iterate
-    goes non-finite or leaves the norm guard.
+    goes non-finite or leaves the norm guard, or its gradient is not finite.
     """
     start = time.perf_counter()
     theta = np.array(theta0, dtype=float)
@@ -364,12 +365,14 @@ def run(source, config: TrainerConfig, theta0: np.ndarray) -> RunRecord:
     final_report = None
     diverged_at = None
 
-    def record(k: int):
+    def record(k: int) -> bool:
+        # False, and no row, when the gradient at theta is not finite.
         nonlocal varsigma, final_report
-        report = report_from_grad_hessian(
-            source.gradient(theta), source.hessian(theta),
-            config.epsilon, config.chi,
-        )
+        grad = source.gradient(theta)
+        if not np.isfinite(grad).all():
+            return False
+        report = report_from_grad_hessian(grad, source.hessian(theta),
+                                          config.epsilon, config.chi)
         rows.append(RunRow(
             k=k, theta=theta.copy(), objective=source.objective(theta),
             grad_norm=report.grad_norm, lambda_max=report.lambda_max,
@@ -377,33 +380,28 @@ def run(source, config: TrainerConfig, theta0: np.ndarray) -> RunRecord:
         ))
         varsigma += _varsigma_increment(report.region, config.kappa_hat_0)
         final_report = report
+        return True
 
     rng = derive_rng(config.seed)
     for k in range(config.max_iters):
-        if k % config.report_every == 0:
-            record(k)
+        if k % config.report_every == 0 and not record(k):
+            diverged_at = k
+            break
         samples = [source.sample_gradient(theta, rng)
                    for _ in range(config.batch_size)]
         theta = theta + config.alpha * (sum(samples) / config.batch_size)
         if not np.linalg.norm(theta) <= _DIVERGENCE_NORM:  # also nan and inf
             diverged_at = k + 1
             break
-    if diverged_at is None and config.max_iters > 0:
-        record(config.max_iters)
+    if diverged_at is None and config.max_iters > 0 and not record(config.max_iters):
+        diverged_at = config.max_iters
 
     return RunRecord(
         rows=rows,
         final_report=final_report,
         wall_time=time.perf_counter() - start,
         diverged_at=diverged_at,
-        metadata={
-            "alpha": config.alpha, "max_iters": config.max_iters,
-            "epsilon": config.epsilon, "chi": config.chi,
-            "delta": config.delta, "batch_size": config.batch_size,
-            "seed": config.seed, "report_every": config.report_every,
-            "kappa_hat_0": config.kappa_hat_0,
-            "batch_extension": config.batch_size > 1,
-        },
+        metadata={**asdict(config), "batch_extension": config.batch_size > 1},
     )
 
 

@@ -575,6 +575,9 @@ _BANDIT_CNC = {
     ({**CONSTANTS_CFG, "gamma": "x"}, "gamma: must be"),
     ({**CONSTANTS_CFG, "h": "x"}, "h: must be"),
     ({"command": "escape", "seed": -1, "runs": 5}, "seed: must be"),
+    ({**_BANDIT_CNC, "problem": {**_BANDIT_CNC["problem"], "mdp": {
+        **_BANDIT_CNC["problem"]["mdp"], "reward": [[1.0]]}}},
+     "problem.mdp: reward: expected shape"),
 ], ids=["trap-theta0-3d", "trap-runs-negative", "trap-runs-zero",
         "trap-delta-zero", "trap-zeta-negative", "trap-varrho-zero",
         "escape-runs-zero", "escape-no-eigenvalues", "escape-noise-3d",
@@ -596,7 +599,8 @@ _BANDIT_CNC = {
         "trap-runs-fraction", "cnc-mdp-horizon-fraction",
         "classify-example1-horizon-fraction", "classify-epsilon-bool",
         "escape-eigenvalues-bool", "escape-contrast-text", "train-alpha-nan",
-        "constants-gamma-text", "constants-h-text", "escape-seed-negative"])
+        "constants-gamma-text", "constants-h-text", "escape-seed-negative",
+        "cnc-mdp-reward-shape"])
 def test_malformed_synthetic_config_exits_2(tmp_path, capsys, cfg, key):
     path = write_config(tmp_path, "bad.json", cfg)
     code, out, err = run_cli(capsys, [cfg["command"], "--config", path])
@@ -712,6 +716,19 @@ class TestSyntheticTrainSources:
         assert code == 0
         final = json.loads(out)["final"]
         assert final["region"] == "L3"
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    def test_overflowing_gradient_ends_the_run(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, "t.json", {
+            "command": "train",
+            "problem": {"kind": "quadratic_saddle", "eigenvalues": [1e308, -1.0]},
+            "theta0": [10.0, 0.0], "alpha": 0.1, "max_iters": 5,
+            "epsilon": 0.1, "chi": 1.0, "seed": 3,
+        })
+        code, out, _ = run_cli(capsys, ["train", "--config", cfg])
+        assert code == 0
+        summary = json.loads(out)
+        assert (summary["n_rows"], summary["diverged_at"]) == (0, 0)
 
     def test_synthetic_rejected_for_classify(self, tmp_path, capsys):
         cfg = write_config(tmp_path, "c.json", {

@@ -84,6 +84,12 @@ class TestValidation:
         with pytest.raises(ConfigError, match="extra"):
             mdp_from_dict(obj)
 
+    def test_json_shape_error_names_the_block(self):
+        obj = single_state_mdp().to_json()
+        obj["reward"] = [[1.0, 0.0]]
+        with pytest.raises(ConfigError, match=r"^mdp: reward: expected shape"):
+            mdp_from_dict(obj)
+
     def test_json_missing_key(self):
         obj = single_state_mdp().to_json()
         del obj["rho0"]

@@ -113,6 +113,12 @@ class TestSyntheticSources:
         with pytest.raises(ConfigError, match="noise_sigma"):
             StronglyConcaveSource(1.0, np.zeros(2), noise_sigma=-0.1)
 
+    def test_empty_hessian_rejected(self):
+        with pytest.raises(ConfigError, match="empty Hessian"):
+            QuadraticSaddleSource(np.zeros((0, 0)), NoiseSpec("zero"))
+        with pytest.raises(ConfigError, match="empty Hessian"):
+            StronglyConcaveSource(theta_star=[])
+
 
 class TestRun:
     def test_zero_step_size_is_fixed_point(self):
@@ -186,6 +192,20 @@ class TestRun:
         record = run(source, config, np.array([1.0, 1.0]))
         assert record.diverged_at is not None
         assert record.diverged_at <= 1000
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    def test_overflowing_gradient_is_divergence(self):
+        # No row is classified at an iterate whose gradient overflows.
+        source = QuadraticSaddleSource(np.diag([1e308, -1.0]), NoiseSpec("zero"))
+        config = TrainerConfig(alpha=0.1, max_iters=5, epsilon=0.1, chi=1.0)
+        record = run(source, config, np.array([10.0, 0.0]))
+        assert (record.rows, record.final_report, record.diverged_at) == ([], None, 0)
+        # theta_1 is about 1e4, inside the norm guard, but H theta_1 overflows.
+        source = QuadraticSaddleSource(np.diag([1e305, -1.0]), NoiseSpec("zero"))
+        config = TrainerConfig(alpha=1e-301, max_iters=1, epsilon=0.1, chi=1.0)
+        record = run(source, config, np.array([1.0, 0.0]))
+        assert [row.k for row in record.rows] == [0]
+        assert record.diverged_at == 1
 
     def test_empty_run(self):
         source = StronglyConcaveSource(1.0, np.zeros(2), noise_sigma=0.0)
