@@ -32,7 +32,7 @@ import numpy as np
 
 from . import mdp as mdp_mod
 from .errors import ConfigError
-from .mdp import TabularMdp, Trajectory, discounted_return, occupancy, policy_matrix
+from .mdp import TabularMdp, Trajectory, discounted_return, occupancy
 from .policy import _require_on_policy
 from .util import frozen_array
 
@@ -106,17 +106,9 @@ class HessianEstimate:
         object.__setattr__(self, "symmetrized", frozen_array(self.symmetrized))
 
 
-def score_table(mdp: TabularMdp, family, theta: np.ndarray) -> np.ndarray:
-    """(S, A, p) table of d log pi; zero rows for zero-probability actions.
-
-    Only read at on-policy (sampled or enumerated) pairs, or weighted by pi.
-    """
-    return family.score(theta)
-
-
 def _pg_rows(mdp: TabularMdp, scores: np.ndarray, states: np.ndarray,
              actions: np.ndarray, rewards: np.ndarray) -> np.ndarray:
-    """(m, p) pg_estimate rows of an (m, h) block, given its score_table."""
+    """(m, p) pg_estimate rows of an on-policy (m, h) block, given family.score."""
     gammas = mdp.gamma ** np.arange(mdp.horizon)
     returns = (gammas * rewards).sum(axis=1)
     return scores[states, actions].sum(axis=1) * returns[:, None]
@@ -150,8 +142,7 @@ def pg_sample_block(mdp: TabularMdp, family, theta: np.ndarray, n: int,
     Row i is bit-identical to pg_estimate on row i of rollout_batch.
     """
     states, actions, rewards = mdp_mod.rollout_batch(mdp, family, theta, n, seed)
-    return _pg_rows(mdp, score_table(mdp, family, theta), states, actions,
-                    rewards)
+    return _pg_rows(mdp, family.score(theta), states, actions, rewards)
 
 
 def batch_gradient(mdp: TabularMdp, family, theta: np.ndarray, n: int,
@@ -191,7 +182,7 @@ def batch_hessian(mdp: TabularMdp, family, theta: np.ndarray, n: int,
     the reduction exact_hessian applies with enumeration probabilities.
     """
     states, actions, rewards = mdp_mod.rollout_batch(mdp, family, theta, n, seed)
-    total = _hessian_sum(mdp, score_table(mdp, family, theta), family.hess(theta),
+    total = _hessian_sum(mdp, family.score(theta), family.hess(theta),
                          states, actions, rewards, np.ones(n))
     raw = total / n
     return HessianEstimate(raw_mean=raw, symmetrized=(raw + raw.T) / 2.0, n=n)
@@ -212,9 +203,9 @@ def fisher_matrix(mdp: TabularMdp, family, theta: np.ndarray) -> FisherReport:
     (tabular softmax families are singular along logit shifts, so zero is
     common).
     """
-    scores = score_table(mdp, family, theta)
+    scores = family.score(theta)
     f = np.einsum("s,sa,sap,saq->pq", occupancy(mdp, family, theta),
-                  policy_matrix(mdp, family, theta), scores, scores)
+                  family.probs(theta), scores, scores)
     f = (f + f.T) / 2.0
     lam_min = float(np.linalg.eigvalsh(f)[0])
     return FisherReport(matrix=f, lambda_min=lam_min)

@@ -188,11 +188,6 @@ class Trajectory:
                         self.rewards.tolist()))
 
 
-def policy_matrix(mdp: TabularMdp, family, theta: np.ndarray) -> np.ndarray:
-    """pi(a|s) as an (n_states, n_actions) matrix."""
-    return family.probs(theta)
-
-
 def _shape_check(mdp: TabularMdp, family) -> None:
     if getattr(family, "n_states", mdp.n_states) != mdp.n_states or \
             getattr(family, "n_actions", mdp.n_actions) != mdp.n_actions:
@@ -268,8 +263,7 @@ def rollout_batch(mdp: TabularMdp, family, theta: np.ndarray, n: int,
     for i in range(n):
         sub_seed = int(derive_rng(seed, i).integers(0, 2 ** 63 - 1))
         draws[i] = derive_rng(sub_seed).random(width)
-    states, actions = _walk(mdp, draws,
-                            policy_matrix(mdp, family, theta).cumsum(axis=1))
+    states, actions = _walk(mdp, draws, family.probs(theta).cumsum(axis=1))
     return states, actions, mdp.reward[states, actions]
 
 
@@ -287,14 +281,18 @@ def occupancy(mdp: TabularMdp, family, theta: np.ndarray) -> np.ndarray:
     Total mass is (1 - gamma^h) / (1 - gamma).
     """
     _shape_check(mdp, family)
-    pi = policy_matrix(mdp, family, theta)
+    # Python's sum adds the rows in order; ndarray.sum may pair them up.
+    return sum(_visitation(mdp, family.probs(theta)))
+
+
+def _visitation(mdp: TabularMdp, pi: np.ndarray) -> np.ndarray:
+    """(h, S) rows gamma^t P_t of the state distribution under pi (S, A)."""
     kernel = np.einsum("sa,sat->st", pi, mdp.transition)
-    w = mdp.rho0.copy()
-    d = np.zeros(mdp.n_states)
-    for _ in range(mdp.horizon):
-        d += w
-        w = mdp.gamma * (w @ kernel)
-    return d
+    rows = np.empty((mdp.horizon, mdp.n_states))
+    rows[0] = mdp.rho0
+    for t in range(1, mdp.horizon):
+        rows[t] = mdp.gamma * (rows[t - 1] @ kernel)
+    return rows
 
 
 def occupancy_mass(mdp: TabularMdp) -> float:
@@ -318,7 +316,7 @@ def value_stack(mdp: TabularMdp, family, theta: np.ndarray):
 
     V[h] = 0.  Used by the exact gradient, which needs time-indexed values.
     """
-    pi = policy_matrix(mdp, family, theta)
+    pi = family.probs(theta)
     h = mdp.horizon
     v = np.zeros((h + 1, mdp.n_states))
     q = np.zeros((h, mdp.n_states, mdp.n_actions))
@@ -339,7 +337,7 @@ def performance_difference_check(mdp: TabularMdp, family, theta_a: np.ndarray,
     v_b, _, adv_b = value_functions(mdp, family, theta_b)
     lhs = float(mdp.rho0 @ (v_a - v_b))
     d_a = occupancy(mdp, family, theta_a)
-    pi_a = policy_matrix(mdp, family, theta_a)
+    pi_a = family.probs(theta_a)
     rhs = float((d_a[:, None] * pi_a * adv_b).sum())
     return lhs, rhs
 

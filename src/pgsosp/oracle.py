@@ -4,11 +4,12 @@ Three independent routes are maintained deliberately:
 
 * dynamic programming (always available): objective and gradient from
   finite-horizon backward induction, with the gradient in the exact
-  time-indexed visitation form;
+  time-indexed visitation form over mdp._visitation's rows;
 * trajectory enumeration (small problems only): probability-weighted sums
   over every length-h trajectory, which realize the score-function forms
-  of the gradient and Hessian as literal finite sums, reduced in array
-  chunks by the Monte-Carlo batch routines with p(tau) in place of 1/n;
+  of the gradient and Hessian as literal finite sums; _enumeration_sum
+  walks it once per call, reducing array chunks with the Monte-Carlo batch
+  routines and p(tau) in place of 1/n;
 * central finite differences, used as the cross-check on both.
 
 The enumeration cap keeps every oracle call interactive; beyond it only
@@ -24,8 +25,8 @@ from typing import Iterator
 import numpy as np
 
 from .errors import EnumerationCapError, OracleConsistencyError
-from .estimators import _hessian_sum, _pg_rows, score_table
-from .mdp import TabularMdp, policy_matrix, value_stack, value_functions
+from .estimators import _hessian_sum, _pg_rows
+from .mdp import TabularMdp, _visitation, value_stack, value_functions
 from .policy import _INV_SQRT_2PI
 from .util import frozen_array
 
@@ -67,7 +68,7 @@ def enumerate_trajectories(
             f"enumeration bound {enumeration_size_bound(mdp):.3g} exceeds cap {ENUM_CAP}"
         )
     theta = np.asarray(theta, dtype=float)
-    pi = policy_matrix(mdp, family, theta)
+    pi = family.probs(theta)
     h = mdp.horizon
     states = np.empty(h, dtype=np.int64)
     actions = np.empty(h, dtype=np.int64)
@@ -94,13 +95,19 @@ def enumerate_trajectories(
             yield from walk(0, s0, float(mdp.rho0[s0]))
 
 
-def _enumeration_chunks(mdp: TabularMdp, family, theta: np.ndarray):
-    """The whole enumeration as (states, actions, rewards, probs) arrays of
-    at most _ENUM_CHUNK rows."""
+def _enumeration_sum(mdp: TabularMdp, family, theta: np.ndarray, term):
+    """Sum over the enumeration of term(scores, states, actions, rewards,
+    probs): scores is family.score(theta), the rest one chunk's (m, h) arrays
+    and (m,) probabilities, m <= _ENUM_CHUNK; from 0.0, chunk after chunk."""
+    theta = np.asarray(theta, dtype=float)
+    scores = family.score(theta)
     items = enumerate_trajectories(mdp, family, theta)
+    total = 0.0
     while chunk := list(itertools.islice(items, _ENUM_CHUNK)):
         probs, states, actions, rewards = zip(*chunk)
-        yield np.stack(states), np.stack(actions), np.stack(rewards), np.array(probs)
+        total = total + term(scores, np.stack(states), np.stack(actions),
+                             np.stack(rewards), np.array(probs))
+    return total
 
 
 # ---------------------------------------------------------------------------
@@ -146,26 +153,20 @@ def _gradient_visitation(mdp: TabularMdp, family, theta: np.ndarray) -> np.ndarr
     exact at truncation h, not merely up to tail terms.
     """
     theta = np.asarray(theta, dtype=float)
-    pi = policy_matrix(mdp, family, theta)
     _, q = value_stack(mdp, family, theta)
-    kernel = np.einsum("sa,sat->st", pi, mdp.transition)
     grad_pi = family.dprobs(theta)
-    w = mdp.rho0.copy()
     grad = np.zeros(family.param_dim)
-    for t in range(mdp.horizon):
+    for t, w in enumerate(_visitation(mdp, family.probs(theta))):
         grad += np.einsum("s,sa,sap->p", w, q[t], grad_pi)
-        w = mdp.gamma * (w @ kernel)
     return grad
 
 
 def _gradient_enumeration(mdp: TabularMdp, family, theta: np.ndarray) -> np.ndarray:
     """Score-function route: sum_tau p(tau) (sum_t dlog pi) R(tau)."""
-    theta = np.asarray(theta, dtype=float)
-    scores = score_table(mdp, family, theta)
-    grad = np.zeros(family.param_dim)
-    for *block, probs in _enumeration_chunks(mdp, family, theta):
-        grad += probs @ _pg_rows(mdp, scores, *block)
-    return grad
+    return _enumeration_sum(
+        mdp, family, theta,
+        lambda scores, states, actions, rewards, probs:
+            probs @ _pg_rows(mdp, scores, states, actions, rewards))
 
 
 def exact_gradient(mdp: TabularMdp, family, theta: np.ndarray) -> GradientOracle:
@@ -201,11 +202,10 @@ def exact_hessian(mdp: TabularMdp, family, theta: np.ndarray) -> np.ndarray:
     """
     theta = np.asarray(theta, dtype=float)
     if is_enumerable(mdp):
-        scores = score_table(mdp, family, theta)
         hessians = family.hess(theta)
-        total = np.zeros((family.param_dim, family.param_dim))
-        for chunk in _enumeration_chunks(mdp, family, theta):
-            total += _hessian_sum(mdp, scores, hessians, *chunk)
+        total = _enumeration_sum(
+            mdp, family, theta,
+            lambda scores, *chunk: _hessian_sum(mdp, scores, hessians, *chunk))
         return (total + total.T) / 2.0
     grad = lambda th: _gradient_visitation(mdp, family, th)
     return fd_hessian_from_gradient(grad, theta)

@@ -26,15 +26,14 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
 from .errors import ConfigError, PreconditionError
-from .estimators import (_pg_rows, batch_gradient, batch_hessian, pg_sample_block,
-                         score_table)
+from .estimators import _pg_rows, batch_gradient, batch_hessian, pg_sample_block
 from .mdp import TabularMdp
-from .oracle import _enumeration_chunks, exact_gradient, exact_hessian
+from .oracle import _enumeration_sum, exact_gradient, exact_hessian
 from .util import frozen_array
 
 
@@ -225,16 +224,7 @@ class PaperConstants:
     iota: float | None = None
 
     def to_json(self) -> dict:
-        return {
-            "G": self.G, "L": self.L, "U": self.U, "W": self.W,
-            "ell": self.ell, "sigma": self.sigma,
-            "chi": self.chi, "chi_derived": self.chi_derived,
-            "sigma_h0": self.sigma_h0,
-            "r_min": self.r_min, "r_max": self.r_max, "gamma": self.gamma,
-            "h": self.h, "p": self.p,
-            "omega": self.omega, "zeta": self.zeta,
-            "varrho": self.varrho, "iota": self.iota,
-        }
+        return asdict(self)
 
 
 def smoothness_ell(g: float, l: float, r_max: float, gamma: float, h: int) -> float:
@@ -457,12 +447,10 @@ def cnc_enumerate(mdp: TabularMdp, family, theta: np.ndarray,
                   u: np.ndarray) -> float:
     """Exact E[<g(tau), u>^2] by trajectory enumeration."""
     u = _unit_check(u)
-    theta = np.asarray(theta, dtype=float)
-    scores = score_table(mdp, family, theta)
-    total = 0.0
-    for *block, probs in _enumeration_chunks(mdp, family, theta):
-        total += float(probs @ (_pg_rows(mdp, scores, *block) @ u) ** 2)
-    return total
+    return _enumeration_sum(
+        mdp, family, theta,
+        lambda scores, states, actions, rewards, probs: float(
+            probs @ (_pg_rows(mdp, scores, states, actions, rewards) @ u) ** 2))
 
 
 @dataclass(frozen=True)
@@ -484,10 +472,7 @@ class CncLowerBound:
     omega: float
 
     def to_json(self) -> dict:
-        return {
-            "iota_sq": self.iota_sq, "c0": self.c0, "lambda_p": self.lambda_p,
-            "h0_op_norm": self.h0_op_norm, "omega": self.omega,
-        }
+        return asdict(self)
 
 
 def cnc_lower_bound(mdp: TabularMdp, family, theta: np.ndarray,
@@ -503,13 +488,7 @@ def cnc_lower_bound(mdp: TabularMdp, family, theta: np.ndarray,
     hess = exact_hessian(mdp, family, theta)
     lam_p, _ = sym_eig_max(hess)
     op_norm = float(np.abs(np.linalg.eigvalsh(hess)).max())
-    scores = score_table(mdp, family, theta)
-    c0 = 0.0
-    for states, actions, _, probs in _enumeration_chunks(mdp, family, theta):
-        rows = scores[states, actions]                      # (m, h, p)
-        sum_sq = (rows.sum(axis=1) ** 2).sum(axis=1)
-        sq_sum = (rows ** 2).sum(axis=(1, 2))
-        c0 += float(probs @ (sum_sq - sq_sum)) / 2.0
+    c0 = _enumeration_sum(mdp, family, theta, _cross_step_term)
     base = mdp.r_min ** 2 * mdp.horizon * omega / (1.0 - mdp.gamma) ** 2
     if op_norm > 0:
         corrected = base + (
@@ -520,6 +499,14 @@ def cnc_lower_bound(mdp: TabularMdp, family, theta: np.ndarray,
         corrected = base
     return CncLowerBound(iota_sq=min(base, corrected), c0=c0, lambda_p=lam_p,
                          h0_op_norm=op_norm, omega=omega)
+
+
+def _cross_step_term(scores, states, actions, rewards, probs) -> float:
+    """One chunk's share of c0: sum_tau p(tau) sum_{i<j} <s_i, s_j>."""
+    rows = scores[states, actions]                          # (m, h, p)
+    sum_sq = (rows.sum(axis=1) ** 2).sum(axis=1)
+    sq_sum = (rows ** 2).sum(axis=(1, 2))
+    return float(probs @ (sum_sq - sq_sum)) / 2.0
 
 
 def _unit_check(u: np.ndarray) -> np.ndarray:

@@ -26,7 +26,6 @@ noise_sigma^2).
 from __future__ import annotations
 
 import math
-import time
 import warnings
 from dataclasses import asdict, dataclass, field
 
@@ -312,7 +311,6 @@ class RunRow:
 class RunRecord:
     rows: list[RunRow]
     final_report: SecondOrderReport | None
-    wall_time: float
     diverged_at: int | None = None
     metadata: dict = field(default_factory=dict)
 
@@ -326,8 +324,6 @@ class RunRecord:
                 "lambda_max", "region", "varsigma"]
 
     def summary(self) -> dict:
-        # Wall time is intentionally excluded: output files must be
-        # byte-identical across repeated runs with the same seed.
         out = dict(self.metadata)
         out["n_rows"] = len(self.rows)
         out["diverged_at"] = self.diverged_at
@@ -356,7 +352,6 @@ def run(source, config: TrainerConfig, theta0: np.ndarray) -> RunRecord:
     the same stream.  Aborts (recording the offending k) when an iterate
     goes non-finite or leaves the norm guard, or its gradient is not finite.
     """
-    start = time.perf_counter()
     theta = np.array(theta0, dtype=float)
     if theta.shape != (source.dim,):
         raise ConfigError(f"theta0 must have shape ({source.dim},)")
@@ -399,7 +394,6 @@ def run(source, config: TrainerConfig, theta0: np.ndarray) -> RunRecord:
     return RunRecord(
         rows=rows,
         final_report=final_report,
-        wall_time=time.perf_counter() - start,
         diverged_at=diverged_at,
         metadata={**asdict(config), "batch_extension": config.batch_size > 1},
     )

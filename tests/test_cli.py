@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import pgsosp
-from pgsosp import cli, trainer, util
+from pgsosp import cli, oracle, trainer, util
 from pgsosp.cli import main
 from pgsosp.util import canonical_json
 
@@ -344,6 +344,22 @@ class TestOracleCheckCommand:
         assert (two_way["checked"], two_way["failed"]) == (3, 0)
         assert payload["identities"]["gradient_fd"]["checked"] == 4
 
+    def test_route_disagreement_is_reported(self, tmp_path, capsys, monkeypatch):
+        # A shifted enumeration route fails every two-way check; the report
+        # still reaches stdout and the command exits 4.
+        monkeypatch.setattr(cli, "_gradient_enumeration",
+                            lambda *a: oracle._gradient_enumeration(*a) + 1.0)
+        cfg = write_config(tmp_path, "o.json", {
+            "command": "oracle-check", "seed": 0, "n_mdps": 3,
+        })
+        code, out, _ = run_cli(capsys, ["oracle-check", "--config", cfg])
+        assert code == 4
+        payload = json.loads(out)
+        assert payload["all_pass"] is False
+        two_way = payload["identities"].pop("gradient_two_way")
+        assert two_way["failed"] == two_way["checked"] == 3
+        assert all(entry["pass"] for entry in payload["identities"].values())
+
 
 class TestCncCommand:
     def test_floor_matches_empirical_iota_sq(self, tmp_path, capsys, bandit,
@@ -578,6 +594,11 @@ _BANDIT_CNC = {
     ({**_BANDIT_CNC, "problem": {**_BANDIT_CNC["problem"], "mdp": {
         **_BANDIT_CNC["problem"]["mdp"], "reward": [[1.0]]}}},
      "problem.mdp: reward: expected shape"),
+    ({**_BANDIT_CNC, "problem": {"kind": "mdp", "mdp_path": os.path.join(
+        os.path.dirname(__file__), "no-such-mdp.json")}},
+     "problem.mdp_path: cannot read"),
+    ({**_BANDIT_CNC, "problem": {"kind": "mdp", "mdp_path": __file__}},
+     "problem.mdp_path: not valid JSON"),
 ], ids=["trap-theta0-3d", "trap-runs-negative", "trap-runs-zero",
         "trap-delta-zero", "trap-zeta-negative", "trap-varrho-zero",
         "escape-runs-zero", "escape-no-eigenvalues", "escape-noise-3d",
@@ -600,7 +621,7 @@ _BANDIT_CNC = {
         "classify-example1-horizon-fraction", "classify-epsilon-bool",
         "escape-eigenvalues-bool", "escape-contrast-text", "train-alpha-nan",
         "constants-gamma-text", "constants-h-text", "escape-seed-negative",
-        "cnc-mdp-reward-shape"])
+        "cnc-mdp-reward-shape", "cnc-mdp-path-missing", "cnc-mdp-path-not-json"])
 def test_malformed_synthetic_config_exits_2(tmp_path, capsys, cfg, key):
     path = write_config(tmp_path, "bad.json", cfg)
     code, out, err = run_cli(capsys, [cfg["command"], "--config", path])

@@ -15,7 +15,6 @@ from pgsosp.mdp import (
     occupancy_mass,
     perf_diff_tail_tolerance,
     performance_difference_check,
-    policy_matrix,
     rollout_batch,
     sample_trajectory,
     value_functions,
@@ -256,7 +255,7 @@ class TestValueFunctions:
         rng = derive_rng(seed, 98)
         theta = rng.uniform(-2, 2, family.param_dim)
         _, _, adv = value_functions(mdp, family, theta)
-        pi = policy_matrix(mdp, family, theta)
+        pi = family.probs(theta)
         assert np.abs((pi * adv).sum(axis=1)).max() <= 1e-12
 
 

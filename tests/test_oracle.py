@@ -209,6 +209,35 @@ class TestEnumerationReductions:
             tol = 1e-12 * max(1.0, float(np.abs(ref).max()))
             assert float(np.abs(np.asarray(got) - ref).max()) <= tol
 
+    def test_each_consumer_walks_the_whole_tree_once(self, monkeypatch):
+        # Trajectories yielded per enumerate_trajectories call: one full
+        # tree per enumeration sum, so a skipped or repeated chunk shows.
+        from pgsosp import oracle
+        from pgsosp.sosp import cnc_enumerate, cnc_lower_bound
+
+        mdp, family = make_random_problem(61, n_states=3, n_actions=2,
+                                          horizon=6)
+        theta = derive_rng(5, 50).uniform(-1, 1, family.param_dim)
+        u = np.eye(family.param_dim)[0]
+        full = sum(1 for _ in enumerate_trajectories(mdp, family, theta))
+        walks = []
+
+        def counted(*args):
+            walks.append(0)
+            for item in enumerate_trajectories(*args):
+                walks[-1] += 1
+                yield item
+
+        monkeypatch.setattr(oracle, "enumerate_trajectories", counted)
+        for call, n_walks in [
+                (lambda: exact_gradient(mdp, family, theta), 1),
+                (lambda: exact_hessian(mdp, family, theta), 1),
+                (lambda: cnc_enumerate(mdp, family, theta, u), 1),
+                (lambda: cnc_lower_bound(mdp, family, theta, omega=0.1), 2)]:
+            walks.clear()
+            call()
+            assert walks == [full] * n_walks
+
 
 class TestAnalyticExample1:
     def test_origin(self):
@@ -278,7 +307,7 @@ def test_objective_equals_occupancy_weighted_reward():
     # J computed from the value recursion equals the visitation-measure
     # form sum_s d(s) sum_a pi(a|s) R(s,a) exactly at truncation, so the
     # normalized and unnormalized conventions agree up to the fixed mass.
-    from pgsosp.mdp import occupancy, policy_matrix
+    from pgsosp.mdp import occupancy
 
     for seed in range(10):
         mdp, family = make_random_problem(seed + 800, horizon=5, gamma=0.7)
@@ -286,6 +315,6 @@ def test_objective_equals_occupancy_weighted_reward():
         theta = rng.uniform(-1, 1, family.param_dim)
         j_dp = exact_objective(mdp, family, theta)
         d = occupancy(mdp, family, theta)
-        pi = policy_matrix(mdp, family, theta)
+        pi = family.probs(theta)
         j_measure = float((d[:, None] * pi * mdp.reward).sum())
         assert abs(j_dp - j_measure) <= 1e-12

@@ -21,3 +21,14 @@ def test_traced_tiny_round_is_correct(workload):
     assert proc.returncode == 0, proc.stderr[-2000:]
     result = json.loads(proc.stdout.strip().splitlines()[-1])
     assert result["correct"] is True
+
+
+def test_harness_selftest_passes():
+    """perfbench/selftest.py: untraced and traced tiny rounds, every declared
+    metric emitted with its unit, a missed rebinding caught by the
+    self-check, and the README example the only failure."""
+    proc = subprocess.run(
+        [sys.executable, os.path.join("perfbench", "selftest.py")],
+        cwd=ROOT, capture_output=True, text=True, timeout=1200)
+    assert proc.returncode == 0, proc.stdout[-2000:] + proc.stderr[-2000:]
+    assert proc.stdout.strip().splitlines()[-1] == "selftest: ok"
