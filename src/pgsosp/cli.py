@@ -116,7 +116,7 @@ def load_config(path: str, command: str) -> dict:
             cfg = json.load(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read config: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
     if not isinstance(cfg, dict):
         raise ConfigError("config: expected a JSON object")
@@ -308,6 +308,8 @@ def _parse_theta(args) -> np.ndarray:
                 row = fh.readline().strip()
         except OSError as exc:
             raise _IoFailure(str(exc)) from exc
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"{flag}: not UTF-8 text: {exc}") from None
     if row is None:
         raise ConfigError("classify needs --theta or --theta-csv")
     try:

@@ -1,4 +1,4 @@
-"""Monte-Carlo estimators built from single trajectories.
+"""Monte-Carlo estimators, reduced over blocks of trajectories.
 
 The gradient estimator is the full-return score-function form
 
@@ -15,9 +15,12 @@ theta).  Its expectation is the exact Hessian of the truncated objective;
 single samples are asymmetric, so eigenanalysis always consumes the
 symmetrized mean while unbiasedness checks use the raw mean.
 
-Batch means and exact expectations (pgsosp.oracle) share the array
-reductions over (m, h) trajectory blocks, with row weights 1/n or p(tau);
-pg_estimate and hessian_estimate are the per-trajectory references.
+_pg_rows gives g(tau) for every row of an (m, h) trajectory block and
+_hessian_sum a weighted sum of H(tau) over one.  Batch means (weights 1/n
+over rollout_batch rows), exact expectations (p(tau) over enumeration
+chunks, pgsosp.oracle) and single-trajectory updates (pgsosp.trainer) all
+go through them.  The tests keep one-trajectory definitions of g(tau) and
+H(tau) in tests/trajectory_reference.py and compare the reducers with them.
 
 Tying every Phi term to the final step's log-probability instead gives a
 biased estimator; the tests build that form to show it fails the
@@ -32,46 +35,13 @@ import numpy as np
 
 from . import mdp as mdp_mod
 from .errors import ConfigError
-from .mdp import TabularMdp, Trajectory, discounted_return, occupancy
-from .policy import _require_on_policy
+from .mdp import TabularMdp, occupancy
 from .util import frozen_array
-
-
-def score_sum(traj: Trajectory, family, theta: np.ndarray) -> np.ndarray:
-    """sum_t d log pi(a_t|s_t); raises on zero-probability (off-policy) steps."""
-    _require_on_policy(family.probs(theta), traj.states, traj.actions)
-    return family.score(theta)[traj.states, traj.actions].sum(axis=0)
-
-
-def pg_estimate(traj: Trajectory, family, theta: np.ndarray) -> np.ndarray:
-    """Single-trajectory policy gradient estimate."""
-    return score_sum(traj, family, theta) * discounted_return(traj, traj.gamma)
-
-
-def reward_to_go(traj: Trajectory) -> np.ndarray:
-    """w_t = sum_{i >= t} gamma^i r_{i+1} with the absolute-index discount."""
-    weighted = traj.gamma ** np.arange(len(traj)) * traj.rewards
-    return weighted[::-1].cumsum()[::-1]
-
-
-def hessian_estimate(traj: Trajectory, family, theta: np.ndarray) -> np.ndarray:
-    """Single-trajectory Hessian estimate (raw, possibly asymmetric)."""
-    p = family.param_dim
-    w = reward_to_go(traj)
-    _require_on_policy(family.probs(theta), traj.states, traj.actions)
-    scores = family.score(theta)[traj.states, traj.actions]
-    hessians = family.hess(theta)[traj.states, traj.actions]
-    grad_phi = np.zeros(p)
-    hess_phi = np.zeros((p, p))
-    for t in range(len(traj)):
-        grad_phi += w[t] * scores[t]
-        hess_phi += w[t] * hessians[t]
-    return np.outer(grad_phi, scores.sum(axis=0)) + hess_phi
 
 
 @dataclass(frozen=True)
 class GradEstimate:
-    """Batch mean of pg_estimate with dispersion diagnostics."""
+    """Batch mean of g(tau) with dispersion diagnostics."""
 
     mean: np.ndarray
     per_sample_norm_max: float
@@ -84,22 +54,13 @@ class GradEstimate:
         if self.n < 1 or (self.std_error < 0).any():
             raise ConfigError("GradEstimate requires n >= 1, std_error >= 0")
 
-    def to_json(self) -> dict:
-        return {
-            "mean": self.mean.tolist(),
-            "per_sample_norm_max": self.per_sample_norm_max,
-            "n": self.n,
-            "std_error": self.std_error.tolist(),
-        }
-
 
 @dataclass(frozen=True)
 class HessianEstimate:
-    """Batch mean of hessian_estimate, raw and symmetrized."""
+    """Batch mean of H(tau), raw and symmetrized."""
 
     raw_mean: np.ndarray
     symmetrized: np.ndarray
-    n: int
 
     def __post_init__(self):
         object.__setattr__(self, "raw_mean", frozen_array(self.raw_mean))
@@ -108,7 +69,11 @@ class HessianEstimate:
 
 def _pg_rows(mdp: TabularMdp, scores: np.ndarray, states: np.ndarray,
              actions: np.ndarray, rewards: np.ndarray) -> np.ndarray:
-    """(m, p) pg_estimate rows of an on-policy (m, h) block, given family.score."""
+    """(m, p) rows g(tau_i) of an on-policy (m, h) block, given family.score.
+
+    Each row equals the one-trajectory g(tau) of the tests' reference bit
+    for bit.
+    """
     gammas = mdp.gamma ** np.arange(mdp.horizon)
     returns = (gammas * rewards).sum(axis=1)
     return scores[states, actions].sum(axis=1) * returns[:, None]
@@ -117,10 +82,11 @@ def _pg_rows(mdp: TabularMdp, scores: np.ndarray, states: np.ndarray,
 def _hessian_sum(mdp: TabularMdp, scores: np.ndarray, hessians: np.ndarray,
                  states: np.ndarray, actions: np.ndarray, rewards: np.ndarray,
                  weights: np.ndarray) -> np.ndarray:
-    """sum_i weights[i] * hessian_estimate(tau_i) (raw) over an (m, h) block.
+    """sum_i weights[i] * H(tau_i) (raw) over an on-policy (m, h) block.
 
     The d^2 Phi term goes through an (S, A) table of summed reward-to-go
-    weights, so no (m, h, p, p) gather is built.
+    weights, so no (m, h, p, p) gather is built; the sum therefore matches
+    the tests' one-trajectory H(tau) up to rounding, not bit for bit.
     """
     n_s, n_a, p = scores.shape
     gammas = mdp.gamma ** np.arange(mdp.horizon)
@@ -137,9 +103,10 @@ def _hessian_sum(mdp: TabularMdp, scores: np.ndarray, hessians: np.ndarray,
 
 def pg_sample_block(mdp: TabularMdp, family, theta: np.ndarray, n: int,
                     seed: int) -> np.ndarray:
-    """(n, p) array of pg_estimate samples via the batch rollout.
+    """(n, p) array of g(tau_i) over the rows of rollout_batch(..., n, seed).
 
-    Row i is bit-identical to pg_estimate on row i of rollout_batch.
+    Row i is the _pg_rows row of trajectory i; the tests pin it bit for bit
+    to the one-trajectory reference.
     """
     states, actions, rewards = mdp_mod.rollout_batch(mdp, family, theta, n, seed)
     return _pg_rows(mdp, family.score(theta), states, actions, rewards)
@@ -148,7 +115,7 @@ def pg_sample_block(mdp: TabularMdp, family, theta: np.ndarray, n: int,
 def batch_gradient(mdp: TabularMdp, family, theta: np.ndarray, n: int,
                    seed: int, center: np.ndarray | None = None,
                    sigma_bound: float | None = None) -> GradEstimate:
-    """Mean of pg_estimate over n trajectories with derived seeds.
+    """Mean of g(tau) over the n rows of rollout_batch(..., n, seed).
 
     per_sample_norm_max records max_i ||g_i - center||_2; the center
     defaults to the batch mean and callers with an exact gradient pass it
@@ -176,7 +143,7 @@ def batch_gradient(mdp: TabularMdp, family, theta: np.ndarray, n: int,
 
 def batch_hessian(mdp: TabularMdp, family, theta: np.ndarray, n: int,
                   seed: int) -> HessianEstimate:
-    """Mean of hessian_estimate over n trajectories with derived seeds.
+    """Mean of H(tau) over the n rows of rollout_batch(..., n, seed).
 
     The sum over the rollout_batch rows is _hessian_sum with unit weights,
     the reduction exact_hessian applies with enumeration probabilities.
@@ -185,7 +152,7 @@ def batch_hessian(mdp: TabularMdp, family, theta: np.ndarray, n: int,
     total = _hessian_sum(mdp, family.score(theta), family.hess(theta),
                          states, actions, rewards, np.ones(n))
     raw = total / n
-    return HessianEstimate(raw_mean=raw, symmetrized=(raw + raw.T) / 2.0, n=n)
+    return HessianEstimate(raw_mean=raw, symmetrized=(raw + raw.T) / 2.0)
 
 
 @dataclass(frozen=True)

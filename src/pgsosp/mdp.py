@@ -1,4 +1,4 @@
-"""Finite tabular MDPs: sampling, discounted returns, and exact quantities.
+"""Finite tabular MDPs: batch rollouts and exact quantities.
 
 An MDP is the tuple (states, actions, P, R, rho0, gamma) with a stored
 truncation horizon h and reward bounds [r_min, r_max].  All infinite sums
@@ -7,9 +7,9 @@ identities that are exact only for the infinite-horizon quantities are
 asserted elsewhere with the analytic tail bound gamma^h * r_max / (1 - gamma)
 folded into their tolerances.
 
-All types are immutable after construction.  Trajectory sampling is pure
-given its seed; the batch sampler derives the i-th trajectory's stream
-from (seed, i).
+All types are immutable after construction.  Rollouts are arrays of
+(n, h) trajectory blocks and are pure given their seed: rollout_batch
+derives the i-th row's stream from (seed, i).
 """
 from __future__ import annotations
 
@@ -164,30 +164,6 @@ def example_one_mdp(gamma: float = 0.5, horizon: int = 1) -> TabularMdp:
     )
 
 
-@dataclass(frozen=True)
-class Trajectory:
-    """Exactly-h-step rollout."""
-
-    states: np.ndarray
-    actions: np.ndarray
-    rewards: np.ndarray
-    gamma: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "states", frozen_array(self.states, dtype=np.int64))
-        object.__setattr__(self, "actions", frozen_array(self.actions, dtype=np.int64))
-        object.__setattr__(self, "rewards", frozen_array(self.rewards))
-
-    def __len__(self) -> int:
-        return len(self.states)
-
-    @property
-    def steps(self):
-        """Ordered (state, action, reward) triples."""
-        return list(zip(self.states.tolist(), self.actions.tolist(),
-                        self.rewards.tolist()))
-
-
 def _shape_check(mdp: TabularMdp, family) -> None:
     if getattr(family, "n_states", mdp.n_states) != mdp.n_states or \
             getattr(family, "n_actions", mdp.n_actions) != mdp.n_actions:
@@ -236,24 +212,13 @@ def _walk(mdp: TabularMdp, draws: np.ndarray, action_cdf: np.ndarray
     return states, actions
 
 
-def sample_trajectory(mdp: TabularMdp, family, theta: np.ndarray,
-                      seed: int) -> Trajectory:
-    """Roll out exactly `horizon` steps; deterministic given the seed."""
-    _shape_check(mdp, family)
-    draws = derive_rng(seed).random(2 * mdp.horizon + 1)
-    states, actions = _walk(mdp, draws[None, :],
-                            family.probs(theta).cumsum(axis=1))
-    return Trajectory(states=states[0], actions=actions[0],
-                      rewards=mdp.reward[states[0], actions[0]], gamma=mdp.gamma)
-
-
 def rollout_batch(mdp: TabularMdp, family, theta: np.ndarray, n: int,
                   seed: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """n trajectories as arrays (states, actions, rewards), each (n, h).
 
-    Row i uses the stream derived from (seed, i): its sub-seed seeds the
-    same draws as sample_trajectory, so row i equals
-    sample_trajectory(..., seed=sub_seed_i).
+    Row i reads 2h+1 uniforms of derive_rng(sub_seed_i), where sub_seed_i
+    is the first integer in [0, 2^63 - 1) drawn from derive_rng(seed, i);
+    _walk maps them to the row's states and actions.
     """
     if n < 1:
         raise ConfigError("batch size must be >= 1")
@@ -265,14 +230,6 @@ def rollout_batch(mdp: TabularMdp, family, theta: np.ndarray, n: int,
         draws[i] = derive_rng(sub_seed).random(width)
     states, actions = _walk(mdp, draws, family.probs(theta).cumsum(axis=1))
     return states, actions, mdp.reward[states, actions]
-
-
-def discounted_return(traj: Trajectory, gamma: float) -> float:
-    """sum_t gamma^t r_{t+1} over the recorded steps."""
-    if len(traj) == 0:
-        raise ConfigError("discounted_return of empty trajectory")
-    weights = gamma ** np.arange(len(traj))
-    return float((weights * traj.rewards).sum())
 
 
 def occupancy(mdp: TabularMdp, family, theta: np.ndarray) -> np.ndarray:

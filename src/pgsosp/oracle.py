@@ -120,14 +120,6 @@ def exact_objective(mdp: TabularMdp, family, theta: np.ndarray) -> float:
     return float(mdp.rho0 @ v)
 
 
-def objective_by_enumeration(mdp: TabularMdp, family, theta: np.ndarray) -> float:
-    gammas = mdp.gamma ** np.arange(mdp.horizon)
-    total = 0.0
-    for prob, _, _, rewards in enumerate_trajectories(mdp, family, theta):
-        total += prob * float(gammas @ rewards)
-    return total
-
-
 # ---------------------------------------------------------------------------
 # Gradient (two routes)
 # ---------------------------------------------------------------------------
@@ -196,9 +188,10 @@ def exact_gradient(mdp: TabularMdp, family, theta: np.ndarray) -> GradientOracle
 def exact_hessian(mdp: TabularMdp, family, theta: np.ndarray) -> np.ndarray:
     """Exact Hessian of the truncated objective, symmetrized.
 
-    When the MDP is enumerable this is E_tau[hessian_estimate(tau)], the
-    batch_hessian reduction weighted by the enumeration probabilities;
-    otherwise central finite differences of the DP gradient.
+    When the MDP is enumerable this is E_tau[H(tau)] of the single-trajectory
+    Hessian estimator: _hessian_sum, the batch_hessian reduction, weighted by
+    the enumeration probabilities; otherwise central finite differences of
+    the DP gradient.
     """
     theta = np.asarray(theta, dtype=float)
     if is_enumerable(mdp):

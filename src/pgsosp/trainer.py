@@ -258,12 +258,12 @@ class MdpPolicySource:
         return states, actions, self.mdp.reward[states, actions]
 
     def sample_gradient(self, theta, rng) -> np.ndarray:
-        """pg_estimate of one trajectory, bit for bit."""
+        """g(tau) of one trajectory: the _pg_rows row, bit for bit."""
         return _pg_rows(self.mdp, self.family.score(theta),
                         *self._draw(theta, rng))[0]
 
     def sample_pair(self, theta, rng):
-        """(pg_estimate, raw hessian_estimate up to rounding) of one trajectory."""
+        """(g(tau), raw H(tau)) of one trajectory through the batch reducers."""
         states, actions, rewards = self._draw(theta, rng)
         scores = self.family.score(theta)
         return (_pg_rows(self.mdp, scores, states, actions, rewards)[0],

@@ -10,10 +10,9 @@ import time
 import numpy as np
 
 from pgsosp.cli import main as cli_main
-from pgsosp.estimators import batch_gradient, hessian_estimate, pg_estimate
+from pgsosp.estimators import batch_gradient
 from pgsosp.mdp import (
     TabularMdp,
-    Trajectory,
     perf_diff_tail_tolerance,
     performance_difference_check,
     random_mdp,
@@ -52,6 +51,7 @@ from pgsosp.trainer import (
 from pgsosp.util import derive_rng
 
 from conftest import record_acceptance
+from trajectory_reference import Trajectory, hessian_estimate, pg_estimate
 
 INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 

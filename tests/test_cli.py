@@ -155,6 +155,15 @@ class TestClassifyCommand:
         assert code == 0
         assert json.loads(out)["region"] == "L2"
 
+    def test_theta_csv_not_utf8(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, "c.json", CLASSIFY_CFG)
+        row = tmp_path / "theta.csv"
+        row.write_bytes(b"\xff\xfe{}")
+        code, out, err = run_cli(capsys, ["classify", "--config", cfg,
+                                          "--theta-csv", str(row)])
+        assert (code, out) == (2, "")
+        assert err.startswith("error: --theta-csv: ")
+
     def test_estimated_mode_on_mdp(self, tmp_path, capsys):
         bandit = {
             "n_states": 1, "n_actions": 2,
@@ -628,6 +637,14 @@ def test_malformed_synthetic_config_exits_2(tmp_path, capsys, cfg, key):
     assert code == 2
     assert out == ""
     assert key in err
+
+
+def test_config_not_utf8_exits_2(tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_bytes(b"\xff\xfe{}")
+    code, out, err = run_cli(capsys, ["classify", "--config", str(path)])
+    assert (code, out) == (2, "")
+    assert "config is not valid JSON" in err
 
 
 # A value of each kind that the reader accepts, and values it must reject.

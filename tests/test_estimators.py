@@ -8,12 +8,9 @@ from pgsosp.estimators import (
     batch_gradient,
     batch_hessian,
     fisher_matrix,
-    hessian_estimate,
-    pg_estimate,
     pg_sample_block,
-    reward_to_go,
 )
-from pgsosp.mdp import TabularMdp, Trajectory, sample_trajectory
+from pgsosp.mdp import TabularMdp
 from pgsosp.oracle import (
     enumerate_trajectories,
     exact_gradient,
@@ -24,6 +21,13 @@ from pgsosp.policy import TabularSoftmax
 from pgsosp.util import derive_rng
 
 from conftest import make_random_problem, sub_seed
+from trajectory_reference import (
+    Trajectory,
+    hessian_estimate,
+    pg_estimate,
+    reward_to_go,
+    sample_trajectory,
+)
 
 
 def bandit_traj(action, gamma=0.5):
@@ -219,12 +223,6 @@ class TestBatchGradient:
                  for i in range(32)]
         slow = np.stack([pg_estimate(t, family, theta) for t in trajs])
         assert np.array_equal(block, slow)
-
-    def test_serialization(self, bandit, bandit_family):
-        est = batch_gradient(bandit, bandit_family, np.zeros(2), 10, seed=1)
-        payload = est.to_json()
-        assert payload["n"] == 10
-        assert len(payload["mean"]) == 2
 
 
 class TestSigmaBoundWarning:

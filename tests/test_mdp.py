@@ -6,9 +6,7 @@ import pytest
 from pgsosp.errors import ConfigError
 from pgsosp.mdp import (
     TabularMdp,
-    Trajectory,
     _walk,
-    discounted_return,
     example_one_mdp,
     mdp_from_dict,
     occupancy,
@@ -16,13 +14,13 @@ from pgsosp.mdp import (
     perf_diff_tail_tolerance,
     performance_difference_check,
     rollout_batch,
-    sample_trajectory,
     value_functions,
 )
 from pgsosp.policy import ExampleOnePiecewise, TabularSoftmax
 from pgsosp.util import derive_rng
 
 from conftest import make_random_problem, sub_seed
+from trajectory_reference import Trajectory, discounted_return, sample_trajectory
 
 
 def single_state_mdp(gamma=0.5, horizon=3, reward=1.0):

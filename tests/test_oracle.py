@@ -14,12 +14,12 @@ from pgsosp.oracle import (
     exact_objective,
     fd_gradient,
     is_enumerable,
-    objective_by_enumeration,
 )
 from pgsosp.policy import ExampleOnePiecewise, TabularSoftmax
 from pgsosp.util import derive_rng
 
 from conftest import make_random_problem
+from trajectory_reference import objective_by_enumeration
 
 INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
@@ -171,8 +171,7 @@ class TestEnumeration:
 class TestEnumerationReductions:
     def test_chunked_sums_match_per_trajectory_references(self):
         # 4096 trajectories: more than two chunks of the array reductions.
-        from pgsosp.estimators import hessian_estimate, pg_estimate
-        from pgsosp.mdp import Trajectory
+        from trajectory_reference import Trajectory, hessian_estimate, pg_estimate
         from pgsosp.oracle import _ENUM_CHUNK, _gradient_enumeration
         from pgsosp.sosp import cnc_enumerate, cnc_lower_bound
 

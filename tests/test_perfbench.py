@@ -1,4 +1,6 @@
 """The benchmark harness runs on this checkout and passes its own checks."""
+import importlib
+import importlib.util
 import json
 import os
 import subprocess
@@ -7,6 +9,24 @@ import sys
 import pytest
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+def test_traced_methods_are_defined_on_their_classes():
+    """perfbench/tracer.py wraps each method in METHODS through its class's
+    own __dict__; a method deleted or moved to a base class would fail only
+    inside a traced run, with a KeyError."""
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_tracer", os.path.join(ROOT, "perfbench", "tracer.py"))
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    missing = []
+    for path, methods in tracer.METHODS.items():
+        short, cls_name = path.split(".")
+        module = importlib.import_module(f"{tracer.PACKAGE}.{short}")
+        cls = getattr(module, cls_name, None)
+        own = vars(cls) if cls is not None else {}
+        missing += [f"{path}.{meth}" for meth in methods if meth not in own]
+    assert missing == []
 
 
 @pytest.mark.parametrize("workload", ["sample", "exact", "iterate"])

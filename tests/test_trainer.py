@@ -8,8 +8,7 @@ import pytest
 from conftest import make_random_problem
 from pgsosp import util
 from pgsosp.errors import ConfigError, PolicyDomainError, PreconditionError
-from pgsosp.estimators import hessian_estimate, pg_estimate
-from pgsosp.mdp import Trajectory, _walk, example_one_mdp
+from pgsosp.mdp import _walk, example_one_mdp
 from pgsosp.oracle import (
     analytic_example1,
     exact_gradient,
@@ -41,6 +40,7 @@ from pgsosp.trainer import (
     verify_trap,
 )
 from pgsosp.util import derive_rng
+from trajectory_reference import Trajectory, hessian_estimate, pg_estimate
 
 INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 

@@ -1,0 +1,109 @@
+"""One-trajectory definitions of the estimators, for the tests only.
+
+The library samples g(tau) and H(tau) through its block reducers
+(`estimators._pg_rows`, `estimators._hessian_sum`) over rollout_batch
+rows or enumeration chunks.  The functions here write the same quantities
+for one Trajectory at a time, the way the paper states them, so the tests
+can compare the block code against them row by row:
+
+    g(tau) = (sum_t d log pi(a_t|s_t)) * R(tau),
+    H(tau) = dPhi (dlog p)^T + d^2 Phi,  Phi = sum_t w_t log pi(a_t|s_t),
+
+with w_t = sum_{i>=t} gamma^i r_{i+1}.  sample_trajectory(seed) draws the
+2h+1 uniforms of derive_rng(seed), as row i of rollout_batch does at its
+sub-seed (conftest.sub_seed).
+"""
+from __future__ import annotations
+
+from dataclasses import dataclass
+
+import numpy as np
+
+from pgsosp.errors import ConfigError
+from pgsosp.mdp import TabularMdp, _shape_check, _walk
+from pgsosp.oracle import enumerate_trajectories
+from pgsosp.policy import _require_on_policy
+from pgsosp.util import derive_rng, frozen_array
+
+
+@dataclass(frozen=True)
+class Trajectory:
+    """Exactly-h-step rollout."""
+
+    states: np.ndarray
+    actions: np.ndarray
+    rewards: np.ndarray
+    gamma: float
+
+    def __post_init__(self):
+        object.__setattr__(self, "states", frozen_array(self.states, dtype=np.int64))
+        object.__setattr__(self, "actions", frozen_array(self.actions, dtype=np.int64))
+        object.__setattr__(self, "rewards", frozen_array(self.rewards))
+
+    def __len__(self) -> int:
+        return len(self.states)
+
+    @property
+    def steps(self):
+        """Ordered (state, action, reward) triples."""
+        return list(zip(self.states.tolist(), self.actions.tolist(),
+                        self.rewards.tolist()))
+
+
+def sample_trajectory(mdp: TabularMdp, family, theta: np.ndarray,
+                      seed: int) -> Trajectory:
+    """Roll out exactly `horizon` steps; deterministic given the seed."""
+    _shape_check(mdp, family)
+    draws = derive_rng(seed).random(2 * mdp.horizon + 1)
+    states, actions = _walk(mdp, draws[None, :],
+                            family.probs(theta).cumsum(axis=1))
+    return Trajectory(states=states[0], actions=actions[0],
+                      rewards=mdp.reward[states[0], actions[0]], gamma=mdp.gamma)
+
+
+def discounted_return(traj: Trajectory, gamma: float) -> float:
+    """sum_t gamma^t r_{t+1} over the recorded steps."""
+    if len(traj) == 0:
+        raise ConfigError("discounted_return of empty trajectory")
+    weights = gamma ** np.arange(len(traj))
+    return float((weights * traj.rewards).sum())
+
+
+def score_sum(traj: Trajectory, family, theta: np.ndarray) -> np.ndarray:
+    """sum_t d log pi(a_t|s_t); raises on zero-probability (off-policy) steps."""
+    _require_on_policy(family.probs(theta), traj.states, traj.actions)
+    return family.score(theta)[traj.states, traj.actions].sum(axis=0)
+
+
+def pg_estimate(traj: Trajectory, family, theta: np.ndarray) -> np.ndarray:
+    """Single-trajectory policy gradient estimate."""
+    return score_sum(traj, family, theta) * discounted_return(traj, traj.gamma)
+
+
+def reward_to_go(traj: Trajectory) -> np.ndarray:
+    """w_t = sum_{i >= t} gamma^i r_{i+1} with the absolute-index discount."""
+    weighted = traj.gamma ** np.arange(len(traj)) * traj.rewards
+    return weighted[::-1].cumsum()[::-1]
+
+
+def hessian_estimate(traj: Trajectory, family, theta: np.ndarray) -> np.ndarray:
+    """Single-trajectory Hessian estimate (raw, possibly asymmetric)."""
+    p = family.param_dim
+    w = reward_to_go(traj)
+    _require_on_policy(family.probs(theta), traj.states, traj.actions)
+    scores = family.score(theta)[traj.states, traj.actions]
+    hessians = family.hess(theta)[traj.states, traj.actions]
+    grad_phi = np.zeros(p)
+    hess_phi = np.zeros((p, p))
+    for t in range(len(traj)):
+        grad_phi += w[t] * scores[t]
+        hess_phi += w[t] * hessians[t]
+    return np.outer(grad_phi, scores.sum(axis=0)) + hess_phi
+
+
+def objective_by_enumeration(mdp: TabularMdp, family, theta: np.ndarray) -> float:
+    gammas = mdp.gamma ** np.arange(mdp.horizon)
+    total = 0.0
+    for prob, _, _, rewards in enumerate_trajectories(mdp, family, theta):
+        total += prob * float(gammas @ rewards)
+    return total
