@@ -7,9 +7,11 @@ Three independent routes are maintained deliberately:
   time-indexed visitation form over mdp._visitation's rows;
 * trajectory enumeration (small problems only): probability-weighted sums
   over every length-h trajectory, which realize the score-function forms
-  of the gradient and Hessian as literal finite sums; _enumeration_sum
-  walks it once per call, reducing array chunks with the Monte-Carlo batch
-  routines and p(tau) in place of 1/n;
+  of the gradient and Hessian as literal finite sums.  The tree is grown
+  level by level in array blocks of at most _ENUM_CHUNK nodes, depth
+  first, and yielded one trajectory at a time; _enumeration_sum walks it
+  once per call, reducing chunks of _ENUM_CHUNK trajectories with the
+  Monte-Carlo batch routines and p(tau) in place of 1/n;
 * central finite differences, used as the cross-check on both.
 
 The enumeration cap keeps every oracle call interactive; beyond it only
@@ -31,7 +33,7 @@ from .policy import _INV_SQRT_2PI
 from .util import frozen_array
 
 ENUM_CAP = 1_000_000
-_ENUM_CHUNK = 1024  # trajectories per array chunk; bounds reduction memory
+_ENUM_CHUNK = 1024  # nodes per tree block and trajectories per reduced chunk
 
 
 # ---------------------------------------------------------------------------
@@ -58,10 +60,17 @@ def enumerate_trajectories(
 ) -> Iterator[tuple[float, np.ndarray, np.ndarray, np.ndarray]]:
     """Yield (probability, states, actions, rewards) over all trajectories.
 
-    Probabilities are rho0(s0) * prod pi(a_t|s_t) * prod P(s_{t+1}|s_t,a_t)
-    with the final transition marginalized out; they sum to 1 exactly.
-    Zero-probability branches are pruned, so every yielded trajectory is
-    on-policy.
+    Probabilities are rho0(s0) * prod pi(a_t|s_t) * prod P(s_{t+1}|s_t,a_t),
+    multiplied left to right, with the final transition marginalized out;
+    they sum to 1 up to rounding.  Zero-probability branches are pruned, so
+    every yielded trajectory is on-policy.  Trajectories come in depth-first
+    order, lexicographic in (s_0, a_0, s_1, a_1, ...).
+
+    The tree grows a level at a time in array blocks of at most _ENUM_CHUNK
+    nodes, and each block's subtree is finished before the next block
+    starts, so memory is bounded by the horizon, A * branching and
+    _ENUM_CHUNK, not by the size of the tree.  The yielded arrays are rows
+    of the leaf blocks.
     """
     if not is_enumerable(mdp):
         raise EnumerationCapError(
@@ -69,30 +78,38 @@ def enumerate_trajectories(
         )
     theta = np.asarray(theta, dtype=float)
     pi = family.probs(theta)
-    h = mdp.horizon
-    states = np.empty(h, dtype=np.int64)
-    actions = np.empty(h, dtype=np.int64)
-    rewards = np.empty(h)
+    last = mdp.horizon - 1
 
-    def walk(t: int, s: int, prob: float):
-        states[t] = s
-        for a in range(mdp.n_actions):
-            p_a = prob * pi[s, a]
-            if p_a <= 0.0:
-                continue
-            actions[t] = a
-            rewards[t] = mdp.reward[s, a]
-            if t == h - 1:
-                yield p_a, states.copy(), actions.copy(), rewards.copy()
-                continue
-            for s_next in range(mdp.n_states):
-                p_next = p_a * mdp.transition[s, a, s_next]
-                if p_next > 0.0:
-                    yield from walk(t + 1, s_next, p_next)
+    def leaf_blocks(prob, states, actions):
+        """Leaf blocks (probabilities, states, actions), depth first, below
+        m <= _ENUM_CHUNK nodes at depth t given as probabilities (m,),
+        states (m, t + 1) and actions (m, t)."""
+        branch = prob[:, None] * pi[states[:, -1]]                 # (m, A)
+        if actions.shape[1] == last:
+            node, a = np.nonzero(branch > 0.0)
+            yield (branch[node, a], states[node],
+                   np.concatenate((actions[node], a[:, None]), axis=1))
+            return
+        branch = branch[:, :, None] * mdp.transition[states[:, -1]]  # (m, A, S)
+        node, a, s_next = np.nonzero(branch > 0.0)
+        prob = branch[node, a, s_next]
+        del branch  # not held while the subtrees are walked
+        for k in _blocks(node.size):
+            yield from leaf_blocks(
+                prob[k], np.concatenate((states[node[k]], s_next[k, None]), axis=1),
+                np.concatenate((actions[node[k]], a[k, None]), axis=1))
 
-    for s0 in range(mdp.n_states):
-        if mdp.rho0[s0] > 0.0:
-            yield from walk(0, s0, float(mdp.rho0[s0]))
+    first = np.flatnonzero(mdp.rho0 > 0.0)
+    for k in _blocks(first.size):
+        s0 = first[k]
+        for prob, states, actions in leaf_blocks(
+                mdp.rho0[s0], s0[:, None], np.empty((s0.size, 0), dtype=np.int64)):
+            yield from zip(prob, states, actions, mdp.reward[states, actions])
+
+
+def _blocks(n: int):
+    """Slices of range(n), _ENUM_CHUNK long."""
+    return (slice(lo, lo + _ENUM_CHUNK) for lo in range(0, n, _ENUM_CHUNK))
 
 
 def _enumeration_sum(mdp: TabularMdp, family, theta: np.ndarray, term):
@@ -105,8 +122,8 @@ def _enumeration_sum(mdp: TabularMdp, family, theta: np.ndarray, term):
     total = 0.0
     while chunk := list(itertools.islice(items, _ENUM_CHUNK)):
         probs, states, actions, rewards = zip(*chunk)
-        total = total + term(scores, np.stack(states), np.stack(actions),
-                             np.stack(rewards), np.array(probs))
+        total = total + term(scores, np.array(states), np.array(actions),
+                             np.array(rewards), np.array(probs))
     return total
 
 

@@ -1,15 +1,20 @@
 """Differentiable policy families over finite state/action spaces.
 
-A family answers whole tables at one parameter point theta (p = param_dim):
+A family answers whole tables at one parameter point theta (p,), with
+p = param_dim, or at every point of a block theta (..., p):
 
-``probs(theta)``   (S, A)        pi(a|s)
-``dprobs(theta)``  (S, A, p)     d pi(a|s) / d theta
-``score(theta)``   (S, A, p)     d log pi(a|s)
-``hess(theta)``    (S, A, p, p)  d^2 log pi(a|s)
+``probs(theta)``   (..., S, A)        pi(a|s)
+``dprobs(theta)``  (..., S, A, p)     d pi(a|s) / d theta
+``score(theta)``   (..., S, A, p)     d log pi(a|s)
+``hess(theta)``    (..., S, A, p, p)  d^2 log pi(a|s)
 
-``score`` and ``hess`` are zero wherever pi(a|s) = 0, so consumers read
-them at on-policy (sampled or enumerated) pairs or weighted by pi.  Each
-closed form is written once, in its table method.  The per-query methods
+A block's rows have the same bits as the tables at each point alone.
+``in_domain(theta)`` says, per point, whether the tables answer there;
+a block holding a point outside raises as that point does.  ``score``
+and ``hess`` are zero wherever pi(a|s) = 0, so consumers read them at
+on-policy (sampled or enumerated) pairs or weighted by pi.  Each closed
+form is written once, in its table method (for ExampleOnePiecewise,
+its one-point form).  The per-query methods
 ``action_probs(theta, s)``, ``grad_prob(theta, s)``,
 ``grad_log_prob(theta, s, a)`` and ``hessian_log_prob(theta, s, a)`` are
 shared by both families: they slice the tables, and the two log-policy
@@ -47,6 +52,11 @@ _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
 # Action layout of the three-state benchmark.
 RIGHT, LEFT, UP = 0, 1, 2
+# Its policy table with the start state's row left zero: the absorbing
+# states play `right` and `left`.
+_ABSORBING_ROWS = frozen_array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
+# In the unit box, d pi(right|s0) / d theta_i = slope_i * theta_i / sqrt(2 pi).
+_BOX_SLOPES = frozen_array([-2.0, 2.0])
 
 
 def _require_on_policy(probs: np.ndarray, states, actions) -> None:
@@ -93,43 +103,47 @@ class TabularSoftmax:
     def param_dim(self) -> int:
         return self.n_states * self.n_actions
 
+    def in_domain(self, theta: np.ndarray) -> np.ndarray:
+        """Every logit vector is in the domain."""
+        return np.ones(np.shape(theta)[:-1], dtype=bool)
+
     def probs(self, theta: np.ndarray) -> np.ndarray:
-        logits = np.asarray(theta, dtype=float).reshape(self.n_states,
-                                                        self.n_actions)
-        e = np.exp(logits - logits.max(axis=1, keepdims=True))
-        return e / e.sum(axis=1, keepdims=True)
+        theta = np.asarray(theta, dtype=float)
+        logits = theta.reshape(theta.shape[:-1] + (self.n_states, self.n_actions))
+        # The ufunc reductions that ndarray.max/sum call, without their
+        # Python-level wrapper.
+        e = np.exp(logits - np.maximum.reduce(logits, axis=-1, keepdims=True))
+        return e / np.add.reduce(e, axis=-1, keepdims=True)
 
     def dprobs(self, theta: np.ndarray) -> np.ndarray:
         pi = self.probs(theta)
         return self._on_own_block(
-            pi[:, :, None] * (np.eye(self.n_actions) - pi[:, None, :]))
+            pi[..., :, None] * (np.eye(self.n_actions) - pi[..., None, :]))
 
     def score(self, theta: np.ndarray) -> np.ndarray:
         pi = self.probs(theta)
-        rows = pi[:, None, :]
+        rows = pi[..., None, :]
         blocks = np.where(np.eye(self.n_actions, dtype=bool), 1.0 - rows, -rows)
         blocks[pi <= 0.0] = 0.0
         return self._on_own_block(blocks)
 
     def hess(self, theta: np.ndarray) -> np.ndarray:
         pi = self.probs(theta)
-        n_s, n_a = self.n_states, self.n_actions
-        rows = pi[:, None, :]
-        block = pi[:, :, None] * rows - np.eye(n_a) * rows       # (S, A, A)
-        out = np.zeros((n_s, n_a, n_s, n_a, n_s, n_a))
-        s = np.arange(n_s)
-        out[s, :, s, :, s] = block[:, None]
+        n_s, n_a, lead = self.n_states, self.n_actions, pi.shape[:-2]
+        rows = pi[..., None, :]
+        block = pi[..., :, None] * rows - np.eye(n_a) * rows     # (..., S, A, A)
+        out = np.zeros(lead + (n_s, n_a) * 3)
+        np.einsum("...iaibic->...iabc", out)[...] = block[..., :, None, :, :]
         out[pi <= 0.0] = 0.0
-        return out.reshape(n_s, n_a, self.param_dim, self.param_dim)
+        return out.reshape(lead + (n_s, n_a, self.param_dim, self.param_dim))
 
     def _on_own_block(self, blocks: np.ndarray) -> np.ndarray:
-        """(S, A, A) blocks -> (S, A, p): row (s, a) is blocks[s, a] on
-        state s's logits and zero elsewhere."""
-        n_s, n_a = self.n_states, self.n_actions
-        out = np.zeros((n_s, n_a, n_s, n_a))
-        s = np.arange(n_s)
-        out[s, :, s] = blocks
-        return out.reshape(n_s, n_a, self.param_dim)
+        """(..., S, A, A) blocks -> (..., S, A, p): row (s, a) is
+        blocks[..., s, a] on state s's logits and zero elsewhere."""
+        n_s, n_a, lead = self.n_states, self.n_actions, blocks.shape[:-3]
+        out = np.zeros(lead + (n_s, n_a, n_s, n_a))
+        np.einsum("...iaib->...iab", out)[...] = blocks   # a writeable view
+        return out.reshape(lead + (n_s, n_a, self.param_dim))
 
     action_probs, grad_prob = _action_probs, _grad_prob
     grad_log_prob, hessian_log_prob = _grad_log_prob, _hessian_log_prob
@@ -144,6 +158,11 @@ class ExampleOnePiecewise:
     box use the in-box branch (closed-set convention).  ``probs``, ``score``
     and ``hess`` raise PolicyDomainError for every state when the start
     state's probabilities leave [0, 1].
+
+    The closed forms are scalar (``math.exp``, ``theta @ theta``) and a
+    (..., 2) block is answered point by point: their elementwise numpy
+    counterparts round differently, so a point has the same bits alone
+    or inside a block.
     """
 
     name = "example_one"
@@ -164,32 +183,51 @@ class ExampleOnePiecewise:
     def _p2(self, theta: np.ndarray) -> float:
         return _INV_SQRT_2PI * math.exp(-(2.0 - float(theta @ theta)) / 2.0)
 
+    def in_domain(self, theta: np.ndarray) -> bool | np.ndarray:
+        """Whether ``probs`` answers at theta: the start state's
+        probabilities stay in [0, 1]."""
+        theta = np.asarray(theta, dtype=float)
+        if theta.ndim > 1:
+            return self._each(self.in_domain, theta, (), bool)
+        try:
+            self.probs(theta)
+        except PolicyDomainError:
+            return False
+        return True
+
     def probs(self, theta: np.ndarray) -> np.ndarray:
         theta = np.asarray(theta, dtype=float)
+        if theta.ndim > 1:
+            return self._each(self.probs, theta, (3, 3))
+        out = _ABSORBING_ROWS.copy()
         if self.in_box(theta):
             p = self._p1(theta)
-            start = [p, 0.0, 1.0 - p]
+            out[0] = p, 0.0, 1.0 - p
         else:
             p = self._p2(theta)
-            start = [0.0, p, 1.0 - p]
+            out[0] = 0.0, p, 1.0 - p
         if p < 0.0 or p > 1.0:  # exactly when 1 - p leaves [0, 1]
             raise PolicyDomainError(
                 f"action probabilities leave [0, 1] at theta={theta.tolist()}"
             )
-        return np.array([start, [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
+        return out
 
     def dprobs(self, theta: np.ndarray) -> np.ndarray:
         theta = np.asarray(theta, dtype=float)
+        if theta.ndim > 1:
+            return self._each(self.dprobs, theta, (3, 3, 2))
         out = np.zeros((3, 3, 2))
         if self.in_box(theta):
-            out[0, RIGHT] = _INV_SQRT_2PI * np.array([-2.0 * theta[0], 2.0 * theta[1]])
-            out[0, UP] = -out[0, RIGHT]
+            grad = out[0, RIGHT] = _INV_SQRT_2PI * (_BOX_SLOPES * theta)
         else:
-            out[0, LEFT] = self._p2(theta) * theta
-            out[0, UP] = -out[0, LEFT]
+            grad = out[0, LEFT] = self._p2(theta) * theta
+        out[0, UP] = -grad
         return out
 
     def score(self, theta: np.ndarray) -> np.ndarray:
+        theta = np.asarray(theta, dtype=float)
+        if theta.ndim > 1:
+            return self._each(self.score, theta, (3, 3, 2))
         start = self.probs(theta)[0, :, None]
         out = np.zeros((3, 3, 2))
         np.divide(self.dprobs(theta)[0], start, out=out[0], where=start > 0.0)
@@ -198,6 +236,8 @@ class ExampleOnePiecewise:
     def hess(self, theta: np.ndarray) -> np.ndarray:
         # d^2 log p = (d^2 p)/p - (d log p)(d log p)^T
         theta = np.asarray(theta, dtype=float)
+        if theta.ndim > 1:
+            return self._each(self.hess, theta, (3, 3, 2, 2))
         start = self.probs(theta)[0]
         on = start > 0.0
         dlog = self.dprobs(theta)[0, on] / start[on, None]
@@ -211,6 +251,15 @@ class ExampleOnePiecewise:
         out = np.zeros((3, 3, 2, 2))
         out[0, on] = (d2p[on] / start[on, None, None]
                       - dlog[:, :, None] * dlog[:, None, :])
+        return out
+
+    @staticmethod
+    def _each(table, theta: np.ndarray, shape: tuple, dtype=float) -> np.ndarray:
+        """table at each point of a (..., 2) block, into a (...) + shape array."""
+        theta = np.ascontiguousarray(theta)
+        out = np.empty(theta.shape[:-1] + shape, dtype=dtype)
+        for idx in np.ndindex(theta.shape[:-1]):
+            out[idx] = table(theta[idx])
         return out
 
     def check_mdp(self, mdp) -> None:
@@ -280,6 +329,9 @@ class RegularityConstants:
     grid_spacing: float
 
 
+GRID_ENTRY_CAP = 10_000_000  # grid points x table entries: 80 MB of float64
+
+
 def estimate_regularity(
     family,
     domain_box: Sequence[Sequence[float]],
@@ -291,6 +343,13 @@ def estimate_regularity(
     Score/Hessian magnitudes are taken over actions with positive
     probability only; |d_i pi| is defined for every action.  W compares
     log-policy Hessians at axis-adjacent grid points.
+
+    The family answers each table once, for the block of grid points in
+    its domain (``family.in_domain``); a point outside keeps all-zero
+    tables, which add nothing to any maximum.  The grid holds
+    grid_density ** p points of S * A * (p + 1) ** 2 table entries each;
+    more than GRID_ENTRY_CAP entries in all are rejected before anything
+    is allocated.
     """
     box = tuple((float(lo), float(hi)) for lo, hi in domain_box)
     if len(box) != family.param_dim:
@@ -299,26 +358,29 @@ def estimate_regularity(
         )
     if grid_density < 2 or any(hi < lo for lo, hi in box):
         raise ConfigError("domain_box must be nonempty with grid_density >= 2")
+    n_s, n_a, p = family.n_states, family.n_actions, family.param_dim
+    n_points = grid_density ** p
+    if n_points * n_s * n_a * (p + 1) ** 2 > GRID_ENTRY_CAP:
+        raise ConfigError(
+            f"estimate.grid: {grid_density} points per axis give {n_points} "
+            f"grid points of {n_s * n_a * (p + 1) ** 2} table entries each, "
+            f"more than the cap of {GRID_ENTRY_CAP} entries"
+        )
     axes = [np.linspace(lo, hi, grid_density) for lo, hi in box]
     spacing = max((hi - lo) / (grid_density - 1) for lo, hi in box)
 
-    # One set of tables per grid point; a point where the family raises
-    # keeps all-zero tables, which add nothing to any maximum.
-    grid = (grid_density,) * family.param_dim
-    n_s, n_a, p = family.n_states, family.n_actions, family.param_dim
-    probs = np.zeros(grid + (n_s, n_a))
-    dprobs = np.zeros(grid + (n_s, n_a, p))
-    scores = np.zeros(grid + (n_s, n_a, p))
-    hessians = np.zeros(grid + (n_s, n_a, p, p))
-    for idx in np.ndindex(*grid):
-        theta = np.array([axes[d][i] for d, i in enumerate(idx)])
-        try:
-            probs[idx] = family.probs(theta)
-        except PolicyDomainError:
-            continue
-        dprobs[idx] = family.dprobs(theta)
-        scores[idx] = family.score(theta)
-        hessians[idx] = family.hess(theta)
+    points = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)   # grid + (p,)
+    inside = family.in_domain(points)
+    answered = points[inside]
+
+    def on_grid(table):
+        values = table(answered)
+        full = np.zeros(inside.shape + values.shape[1:])
+        full[inside] = values
+        return full
+
+    probs, dprobs, scores, hessians = map(
+        on_grid, (family.probs, family.dprobs, family.score, family.hess))
 
     w_max = None
     if estimate_w:

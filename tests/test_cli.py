@@ -85,6 +85,18 @@ class TestConstantsCommand:
         assert out.startswith("key,value")
         assert any(line.startswith("ell,") for line in out.splitlines())
 
+    def test_oversized_grid_named_before_allocation(self, tmp_path, capsys):
+        # 10^6 points per axis over p = 4 axes: 10^24 grid points, which
+        # numpy cannot allocate; the cap rejects it first, naming the key.
+        estimate = {"family": "tabular_softmax", "n_states": 2, "n_actions": 2,
+                    "box": [[-1.0, 1.0]] * 4, "grid": 1_000_000}
+        cfg = {k: v for k, v in CONSTANTS_CFG.items() if k != "regularity"}
+        path = write_config(tmp_path, "c.json", dict(cfg, estimate=estimate, p=4))
+        code, out, err = run_cli(capsys, ["constants", "--config", path])
+        assert (code, out) == (2, "")
+        assert "estimate.grid" in err and str(10 ** 24) in err
+        assert "Traceback" not in err
+
 
 CLASSIFY_CFG = {
     "command": "classify",

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from pgsosp.errors import EnumerationCapError
-from pgsosp.mdp import TabularMdp, example_one_mdp
+from pgsosp.mdp import TabularMdp, example_one_mdp, random_mdp
 from pgsosp.oracle import (
     analytic_example1,
     enumerate_trajectories,
@@ -19,7 +19,7 @@ from pgsosp.policy import ExampleOnePiecewise, TabularSoftmax
 from pgsosp.util import derive_rng
 
 from conftest import make_random_problem
-from trajectory_reference import objective_by_enumeration
+from trajectory_reference import objective_by_enumeration, recursive_enumeration
 
 INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
@@ -166,6 +166,90 @@ class TestEnumeration:
         with pytest.raises(EnumerationCapError):
             list(enumerate_trajectories(mdp, TabularSoftmax(n_s, n_a),
                                         np.zeros(n_s * n_a)))
+
+
+def assert_same_walk(mdp, family, theta):
+    """enumerate_trajectories yields the recursive walker's items: same
+    count and order, equal probabilities and equal arrays."""
+    got = list(enumerate_trajectories(mdp, family, theta))
+    ref = list(recursive_enumeration(mdp, family, theta))
+    assert len(got) == len(ref)
+    for (p, s, a, r), (p_ref, s_ref, a_ref, r_ref) in zip(got, ref):
+        assert p == p_ref
+        for x, y in ((s, s_ref), (a, a_ref), (r, r_ref)):
+            assert x.dtype == y.dtype and np.array_equal(x, y)
+    return len(got)
+
+
+class TestEnumerationOrder:
+    @pytest.mark.parametrize("seed", range(24))
+    def test_random_mdps_match_the_recursive_walk(self, seed):
+        rng = derive_rng(seed, 51)
+        n_s, n_a = int(rng.integers(2, 5)), int(rng.integers(2, 4))
+        mdp = random_mdp(seed, n_states=n_s, n_actions=n_a,
+                         horizon=int(rng.integers(1, 7)), gamma=0.9,
+                         branching=int(rng.integers(1, 4)))
+        family = TabularSoftmax(n_s, n_a)
+        assert_same_walk(mdp, family, rng.uniform(-2, 2, family.param_dim))
+
+    def test_start_distribution_with_zero_entries(self):
+        rng = derive_rng(3, 52)
+        n_s, n_a = 4, 2
+        mdp = TabularMdp(n_states=n_s, n_actions=n_a,
+                         transition=rng.dirichlet(np.ones(n_s), size=(n_s, n_a)),
+                         reward=rng.uniform(0, 1, (n_s, n_a)),
+                         rho0=np.array([0.0, 0.3, 0.0, 0.7]),
+                         gamma=0.9, horizon=3, r_min=0.0, r_max=1.0)
+        family = TabularSoftmax(n_s, n_a)
+        assert assert_same_walk(mdp, family, rng.uniform(-1, 1, 8)) == 2 * 8 * 8 * 2
+
+    @pytest.mark.parametrize("horizon", [1, 2, 3])
+    @pytest.mark.parametrize("theta", [[0.5, 0.5], [1.5, 0.2], [0.0, 0.0], [1.0, 1.0]])
+    def test_example1_zero_probability_actions(self, horizon, theta):
+        # In the box `left` has probability 0; outside it `right` has.
+        assert_same_walk(example_one_mdp(horizon=horizon), ExampleOnePiecewise(),
+                         np.array(theta))
+
+    def test_underflowing_softmax_logits(self):
+        mdp, family = make_random_problem(23, n_states=3, n_actions=3, horizon=4)
+        theta = derive_rng(4, 53).uniform(-1, 1, family.param_dim)
+        theta[[0, 4, 8]] = [800.0, -800.0, 800.0]
+        assert (family.probs(theta) == 0.0).any()
+        assert_same_walk(mdp, family, theta)
+
+    def test_frontier_above_the_chunk_size(self):
+        # 4 x (3 x 4)^3 = 6912 nodes at depth 3 > _ENUM_CHUNK: the frontier
+        # is split into blocks, each finished before the next.
+        from pgsosp.oracle import _ENUM_CHUNK
+        n_s, n_a = 4, 3
+        rng = derive_rng(6, 54)
+        mdp = TabularMdp(n_states=n_s, n_actions=n_a,
+                         transition=rng.dirichlet(np.ones(n_s), size=(n_s, n_a)),
+                         reward=rng.uniform(0, 1, (n_s, n_a)),
+                         rho0=np.full(n_s, 0.25), gamma=0.9, horizon=4,
+                         r_min=0.0, r_max=1.0)
+        assert n_s * (n_a * n_s) ** 3 > _ENUM_CHUNK
+        family = TabularSoftmax(n_s, n_a)
+        assert assert_same_walk(mdp, family, rng.uniform(-1, 1, 12)) == 4 * 12 ** 3 * 3
+
+    def test_memory_does_not_grow_with_the_tree(self):
+        # The h = 6 tree is six times the h = 5 tree; a walk holds only its
+        # pending blocks, so its peak stays within 2x.
+        import tracemalloc
+
+        peaks = []
+        for horizon in (5, 6):
+            mdp, family = make_random_problem(1, n_states=4, n_actions=3,
+                                              horizon=horizon, gamma=0.9)
+            theta = derive_rng(7, 55).uniform(-1, 1, family.param_dim)
+            tracemalloc.start()
+            try:
+                count = sum(1 for _ in enumerate_trajectories(mdp, family, theta))
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            assert count == 2 * 3 * 6 ** (horizon - 1)
+        assert peaks[1] <= 2 * peaks[0]
 
 
 class TestEnumerationReductions:

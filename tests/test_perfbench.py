@@ -1,12 +1,15 @@
 """The benchmark harness runs on this checkout and passes its own checks."""
 import importlib
 import importlib.util
+import inspect
 import json
 import os
 import subprocess
 import sys
 
 import pytest
+
+import pgsosp.oracle
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -27,6 +30,14 @@ def test_traced_methods_are_defined_on_their_classes():
         own = vars(cls) if cls is not None else {}
         missing += [f"{path}.{meth}" for meth in methods if meth not in own]
     assert missing == []
+
+
+def test_enumeration_is_a_generator_function():
+    """The tracer counts enumerated trajectories as the items a generator
+    yields, and the traced self-check expects one per trajectory; a
+    list-returning enumerate_trajectories would fail only inside the slow
+    traced subprocess, with a count mismatch."""
+    assert inspect.isgeneratorfunction(pgsosp.oracle.enumerate_trajectories)
 
 
 @pytest.mark.parametrize("workload", ["sample", "exact", "iterate"])

@@ -285,16 +285,93 @@ def _regularity_by_points(family, box, grid_density):
     return g, l, u, w
 
 
+# (family, box, grid density) cases of the regularity grid tests.
+REGULARITY_GRIDS = [
+    (TabularSoftmax(2, 2), [(-1.0, 1.0)] * 4, 6),
+    (TabularSoftmax(1, 2), [(-2.0, 2.0)] * 2, 9),
+    (ExampleOnePiecewise(), [(-2.0, 2.0)] * 2, 9),
+    (ExampleOnePiecewise(), [(-3.0, 3.0), (0.5, 0.5)], 11),
+]
+
+
 class TestRegularityGrid:
-    @pytest.mark.parametrize("family, box, grid", [
-        (TabularSoftmax(2, 2), [(-1.0, 1.0)] * 4, 6),
-        (TabularSoftmax(1, 2), [(-2.0, 2.0)] * 2, 9),
-        (ExampleOnePiecewise(), [(-2.0, 2.0)] * 2, 9),
-        (ExampleOnePiecewise(), [(-3.0, 3.0), (0.5, 0.5)], 11),
-    ])
+    @pytest.mark.parametrize("family, box, grid", REGULARITY_GRIDS)
     def test_equals_the_per_point_loop(self, family, box, grid):
         reg = estimate_regularity(family, box, grid)
         assert (reg.G, reg.L, reg.U, reg.W) == _regularity_by_points(family, box, grid)
+
+
+TABLES = ("probs", "dprobs", "score", "hess")
+
+
+def same_bits(x, y):
+    return x.shape == y.shape and x.dtype == y.dtype and x.tobytes() == y.tobytes()
+
+
+class TestBlockTables:
+    @pytest.mark.parametrize("n_s, n_a", [(1, 2), (3, 2), (2, 3), (2, 9)])
+    def test_softmax_blocks_equal_per_point_tables(self, n_s, n_a):
+        fam = TabularSoftmax(n_s, n_a)
+        rng = derive_rng(n_s * 10 + n_a, 60)
+        thetas = rng.uniform(-3, 3, (2, 3, fam.param_dim))
+        thetas[0, 1, 0] = 800.0   # the rest of state 0's block underflows
+        thetas[1, 2, -1] = -800.0  # the last action underflows
+        assert (fam.probs(thetas[0, 1]) == 0.0).any()
+        assert (fam.probs(thetas[1, 2]) == 0.0).any()
+        for table in TABLES:
+            method = getattr(fam, table)
+            for block in (thetas, thetas.reshape(6, fam.param_dim)):
+                got = method(block)
+                for idx in np.ndindex(block.shape[:-1]):
+                    assert same_bits(got[idx], method(block[idx])), (table, idx)
+
+    def test_example1_blocks_equal_per_point_tables(self):
+        fam = ExampleOnePiecewise()
+        thetas = derive_rng(1, 61).uniform(-1.2, 1.2, (4, 5, 2))
+        thetas[0, 0] = [0.5, 0.5]   # in the box: `left` has probability 0
+        thetas[0, 1] = [1.0, 1.0]   # the box corner
+        for table in TABLES:
+            method = getattr(fam, table)
+            for block in (thetas, thetas.reshape(20, 2)):
+                got = method(block)
+                for idx in np.ndindex(block.shape[:-1]):
+                    assert same_bits(got[idx], method(block[idx])), (table, idx)
+
+    def test_example1_block_with_one_point_outside_raises(self):
+        fam = ExampleOnePiecewise()
+        block = np.array([[0.5, 0.5], [0.2, 1.5], [2.0, 1.5], [1.5, 0.0]])
+        assert fam.in_domain(block).tolist() == [True, True, False, True]
+        for table in (fam.probs, fam.score, fam.hess):
+            with pytest.raises(PolicyDomainError, match="leave"):
+                table(block)
+            table(block[[0, 1, 3]])
+
+    @pytest.mark.parametrize("family, box, grid", REGULARITY_GRIDS)
+    def test_domain_mask_is_where_probs_answers(self, family, box, grid):
+        axes = [np.linspace(lo, hi, grid) for lo, hi in box]
+        points = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
+        mask = family.in_domain(points)
+        assert mask.shape == points.shape[:-1]
+        for idx in np.ndindex(mask.shape):
+            try:
+                family.probs(points[idx])
+                answers = True
+            except PolicyDomainError:
+                answers = False
+            assert bool(mask[idx]) is answers
+            assert bool(family.in_domain(points[idx])) is answers
+
+
+class TestRegularityGridCap:
+    def test_entries_above_the_cap_are_rejected(self, monkeypatch):
+        # Softmax S2 A2: p = 4 and 4 * (4 + 1)^2 = 100 table entries per
+        # point; 3^4 points fill a cap of 8100 exactly, 4^4 exceed it.
+        from pgsosp import policy
+        monkeypatch.setattr(policy, "GRID_ENTRY_CAP", 8100)
+        fam = TabularSoftmax(2, 2)
+        estimate_regularity(fam, [(-1.0, 1.0)] * 4, 3)
+        with pytest.raises(ConfigError, match=r"estimate\.grid: 4 .* 256 grid points"):
+            estimate_regularity(fam, [(-1.0, 1.0)] * 4, 4)
 
 
 class TestTracerHooks:

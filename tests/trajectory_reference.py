@@ -11,7 +11,9 @@ can compare the block code against them row by row:
 
 with w_t = sum_{i>=t} gamma^i r_{i+1}.  sample_trajectory(seed) draws the
 2h+1 uniforms of derive_rng(seed), as row i of rollout_batch does at its
-sub-seed (conftest.sub_seed).
+sub-seed (conftest.sub_seed).  recursive_enumeration walks the trajectory
+tree one node at a time, depth first; the library's level-wise
+enumerate_trajectories must yield the same items in the same order.
 """
 from __future__ import annotations
 
@@ -19,9 +21,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from pgsosp.errors import ConfigError
+from pgsosp.errors import ConfigError, EnumerationCapError
 from pgsosp.mdp import TabularMdp, _shape_check, _walk
-from pgsosp.oracle import enumerate_trajectories
+from pgsosp.oracle import (
+    ENUM_CAP,
+    enumerate_trajectories,
+    enumeration_size_bound,
+    is_enumerable,
+)
 from pgsosp.policy import _require_on_policy
 from pgsosp.util import derive_rng, frozen_array
 
@@ -107,3 +114,39 @@ def objective_by_enumeration(mdp: TabularMdp, family, theta: np.ndarray) -> floa
     for prob, _, _, rewards in enumerate_trajectories(mdp, family, theta):
         total += prob * float(gammas @ rewards)
     return total
+
+
+def recursive_enumeration(mdp: TabularMdp, family, theta: np.ndarray):
+    """Yield (probability, states, actions, rewards) over all trajectories,
+    one tree node at a time: actions in index order, then successor states
+    in index order, depth first."""
+    if not is_enumerable(mdp):
+        raise EnumerationCapError(
+            f"enumeration bound {enumeration_size_bound(mdp):.3g} exceeds cap {ENUM_CAP}"
+        )
+    theta = np.asarray(theta, dtype=float)
+    pi = family.probs(theta)
+    h = mdp.horizon
+    states = np.empty(h, dtype=np.int64)
+    actions = np.empty(h, dtype=np.int64)
+    rewards = np.empty(h)
+
+    def walk(t: int, s: int, prob: float):
+        states[t] = s
+        for a in range(mdp.n_actions):
+            p_a = prob * pi[s, a]
+            if p_a <= 0.0:
+                continue
+            actions[t] = a
+            rewards[t] = mdp.reward[s, a]
+            if t == h - 1:
+                yield p_a, states.copy(), actions.copy(), rewards.copy()
+                continue
+            for s_next in range(mdp.n_states):
+                p_next = p_a * mdp.transition[s, a, s_next]
+                if p_next > 0.0:
+                    yield from walk(t + 1, s_next, p_next)
+
+    for s0 in range(mdp.n_states):
+        if mdp.rho0[s0] > 0.0:
+            yield from walk(0, s0, float(mdp.rho0[s0]))
