@@ -18,6 +18,7 @@ import json
 import math
 import os
 import sys
+from dataclasses import asdict
 
 import numpy as np
 
@@ -28,6 +29,7 @@ from .estimators import fisher_matrix
 from .oracle import (
     _gradient_enumeration,
     _gradient_visitation,
+    _route_gap,
     exact_hessian,
     exact_objective,
     fd_gradient,
@@ -232,8 +234,7 @@ class _IoFailure(Exception):
 
 def cmd_constants(cfg: dict, args) -> int:
     if "regularity" in cfg:
-        reg = RegularityConstants(**{"W": None, **cfg["regularity"]},
-                                  domain_box=(), grid_spacing=math.nan)
+        reg = RegularityConstants(**{"W": None, **cfg["regularity"]})
     elif "estimate" in cfg:
         block = cfg["estimate"]
         family = make_family(block["family"], block.get("n_states"),
@@ -266,7 +267,7 @@ def cmd_constants(cfg: dict, args) -> int:
         h=cfg["h"], p=cfg["p"], chi=cfg.get("chi"), omega=omega,
         zeta=cfg.get("zeta"), varrho=cfg.get("varrho"), iota=cfg.get("iota"),
     )
-    payload = constants.to_json()
+    payload = asdict(constants)
     payload["epsilon"] = cfg["epsilon"]
     payload["delta"] = cfg["delta"]
     if fisher_lambda_min is not None:
@@ -359,14 +360,14 @@ def cmd_train(cfg: dict, args) -> int:
 def cmd_escape(cfg: dict, args) -> int:
     result = trainer.default_escape_benchmark(seed=_resolve_seed(cfg, args),
                                               **_builder_keys(cfg, "command", "seed"))
-    _emit(result.to_json(), args, "escape.json")
+    _emit(asdict(result), args, "escape.json")
     return EXIT_OK
 
 
 def cmd_trap(cfg: dict, args) -> int:
     result = trainer.default_trap_benchmark(seed=_resolve_seed(cfg, args),
                                             **_builder_keys(cfg, "command", "seed"))
-    payload = result.to_json()
+    payload = asdict(result)
     payload["bound"] = 1.0 - result.delta * math.log(1.0 / result.delta)
     _emit(payload, args, "trap.json")
     return EXIT_OK
@@ -403,12 +404,12 @@ def cmd_oracle_check(cfg: dict, args) -> int:
         # The two gradient routes are called here, not through exact_gradient,
         # which raises on a disagreement that this report must count.
         grad = _gradient_visitation(mdp, family, theta)
-        scale = max(1.0, float(np.linalg.norm(grad)))
         if is_enumerable(mdp):
-            tally("gradient_two_way", np.linalg.norm(
-                _gradient_enumeration(mdp, family, theta) - grad) <= 1e-8 * scale)
+            gap, tol = _route_gap(_gradient_enumeration(mdp, family, theta), grad)
+            tally("gradient_two_way", gap <= tol)
 
         fd = fd_gradient(lambda t: exact_objective(mdp, family, t), theta)
+        scale = max(1.0, float(np.linalg.norm(grad)))
         tally("gradient_fd", np.linalg.norm(fd - grad) <= 1e-4 * scale)
 
         theta_b = rng.uniform(-1.0, 1.0, family.param_dim)

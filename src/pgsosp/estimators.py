@@ -28,6 +28,7 @@ enumeration identities.
 """
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -133,12 +134,16 @@ def batch_gradient(mdp: TabularMdp, family, theta: np.ndarray, n: int,
             f"per-sample deviation {norm_max:.6g} exceeds the configured "
             f"bound {sigma_bound:.6g}", stacklevel=2,
         )
-    if n > 1:
-        std_error = samples.std(axis=0, ddof=1) / np.sqrt(n)
-    else:
-        std_error = np.zeros_like(mean)
     return GradEstimate(mean=mean, per_sample_norm_max=norm_max, n=n,
-                        std_error=std_error)
+                        std_error=_std_error(samples))
+
+
+def _std_error(samples: np.ndarray) -> np.ndarray:
+    """Standard error of the mean of the rows of samples; zero for one row."""
+    n = len(samples)
+    if n > 1:
+        return samples.std(axis=0, ddof=1) / math.sqrt(n)
+    return np.zeros(samples.shape[1:])
 
 
 def batch_hessian(mdp: TabularMdp, family, theta: np.ndarray, n: int,

@@ -141,18 +141,6 @@ def exact_objective(mdp: TabularMdp, family, theta: np.ndarray) -> float:
 # Gradient (two routes)
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class GradientOracle:
-    """Exact gradient from both routes; `value` is the DP route."""
-
-    visitation: np.ndarray
-    enumeration: np.ndarray | None
-
-    @property
-    def value(self) -> np.ndarray:
-        return self.visitation
-
-
 def _gradient_visitation(mdp: TabularMdp, family, theta: np.ndarray) -> np.ndarray:
     """Time-indexed policy-gradient-theorem form.
 
@@ -178,24 +166,24 @@ def _gradient_enumeration(mdp: TabularMdp, family, theta: np.ndarray) -> np.ndar
             probs @ _pg_rows(mdp, scores, states, actions, rewards))
 
 
-def exact_gradient(mdp: TabularMdp, family, theta: np.ndarray) -> GradientOracle:
-    """Exact gradient, cross-checked between the two routes when feasible.
-
-    Raises OracleConsistencyError if both routes exist and disagree beyond
-    1e-8 relative to the gradient scale.
-    """
-    visitation = _gradient_visitation(mdp, family, theta)
-    enumeration = None
+def exact_gradient(mdp: TabularMdp, family, theta: np.ndarray) -> np.ndarray:
+    """Exact gradient by the DP route; on an enumerable MDP it is checked
+    against enumeration, raising OracleConsistencyError beyond _route_gap's
+    tolerance."""
+    grad = _gradient_visitation(mdp, family, theta)
     if is_enumerable(mdp):
-        enumeration = _gradient_enumeration(mdp, family, theta)
-        tol = 1e-8 * max(1.0, float(np.linalg.norm(visitation)))
-        gap = float(np.linalg.norm(enumeration - visitation))
+        gap, tol = _route_gap(_gradient_enumeration(mdp, family, theta), grad)
         if gap > tol:
-            raise OracleConsistencyError(
-                f"gradient routes disagree: |enum - dp| = {gap:.3e} "
-                f"(tolerance {tol:.3e})"
-            )
-    return GradientOracle(visitation=visitation, enumeration=enumeration)
+            raise OracleConsistencyError(f"gradient routes disagree: |enum - dp| = "
+                                         f"{gap:.3e} (tolerance {tol:.3e})")
+    return grad
+
+
+def _route_gap(enumeration: np.ndarray, visitation: np.ndarray) -> tuple[float, float]:
+    """|enumeration - visitation| and its tolerance, 1e-8 relative to the
+    gradient scale max(1, |visitation|)."""
+    return (float(np.linalg.norm(enumeration - visitation)),
+            1e-8 * max(1.0, float(np.linalg.norm(visitation))))
 
 
 # ---------------------------------------------------------------------------

@@ -325,8 +325,6 @@ class RegularityConstants:
     L: float
     U: float
     W: float | None
-    domain_box: tuple
-    grid_spacing: float
 
 
 GRID_ENTRY_CAP = 10_000_000  # grid points x table entries: 80 MB of float64
@@ -367,7 +365,6 @@ def estimate_regularity(
             f"more than the cap of {GRID_ENTRY_CAP} entries"
         )
     axes = [np.linspace(lo, hi, grid_density) for lo, hi in box]
-    spacing = max((hi - lo) / (grid_density - 1) for lo, hi in box)
 
     points = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)   # grid + (p,)
     inside = family.in_domain(points)
@@ -401,6 +398,4 @@ def estimate_regularity(
 
     return RegularityConstants(
         G=float(np.abs(scores).max()), L=float(np.abs(hessians).max()),
-        U=float(np.abs(dprobs).max()), W=w_max, domain_box=box,
-        grid_spacing=spacing,
-    )
+        U=float(np.abs(dprobs).max()), W=w_max)

@@ -26,12 +26,13 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import asdict, dataclass, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import ConfigError, PreconditionError
-from .estimators import _pg_rows, batch_gradient, batch_hessian, pg_sample_block
+from .estimators import _pg_rows, _std_error, batch_gradient, batch_hessian, \
+    pg_sample_block
 from .mdp import TabularMdp
 from .oracle import _enumeration_sum, exact_gradient, exact_hessian
 from .util import frozen_array
@@ -86,12 +87,6 @@ def classify_values(grad_norm: float, lambda_max: float, epsilon: float,
     if lambda_max > math.sqrt(chi * epsilon):
         return Region.L2
     return Region.L3
-
-
-def classify_region(grad: np.ndarray, hessian: np.ndarray, epsilon: float,
-                    chi: float) -> Region:
-    lam, _ = sym_eig_max(hessian)
-    return classify_values(float(np.linalg.norm(grad)), lam, epsilon, chi)
 
 
 @dataclass(frozen=True)
@@ -180,7 +175,7 @@ def second_order_report(mdp: TabularMdp, family, theta: np.ndarray,
     """
     theta = np.asarray(theta, dtype=float)
     if mode == "oracle":
-        grad = exact_gradient(mdp, family, theta).value
+        grad = exact_gradient(mdp, family, theta)
         hess = exact_hessian(mdp, family, theta)
         return report_from_grad_hessian(grad, hess, epsilon, chi, mode="oracle")
     if mode == "estimated":
@@ -222,9 +217,6 @@ class PaperConstants:
     zeta: float | None = None
     varrho: float | None = None
     iota: float | None = None
-
-    def to_json(self) -> dict:
-        return asdict(self)
 
 
 def smoothness_ell(g: float, l: float, r_max: float, gamma: float, h: int) -> float:
@@ -421,19 +413,8 @@ def cnc_estimate(mdp: TabularMdp, family, theta: np.ndarray, u: np.ndarray,
                  n: int, seed: int) -> tuple[float, float]:
     """Monte-Carlo mean of <g(tau), u>^2 over n trajectories."""
     u = _unit_check(u)
-    samples = pg_sample_block(mdp, family, theta, n, seed)
-    vals = (samples @ u) ** 2
-    mean = float(vals.sum() / n)
-    se = float(vals.std(ddof=1) / math.sqrt(n)) if n > 1 else 0.0
-    return mean, se
-
-
-def empirical_iota_sq(mdp: TabularMdp, family, theta: np.ndarray,
-                      u: np.ndarray, n: int, seed: int,
-                      floor: float = 1e-6) -> float:
-    """Conservative curvature-correlation floor from samples: iota_sq_floor
-    of cnc_estimate's mean and standard error."""
-    return iota_sq_floor(*cnc_estimate(mdp, family, theta, u, n, seed), floor)
+    vals = (pg_sample_block(mdp, family, theta, n, seed) @ u) ** 2
+    return float(vals.sum() / n), float(_std_error(vals))
 
 
 def iota_sq_floor(mean: float, std_error: float, floor: float = 1e-6) -> float:
@@ -471,9 +452,6 @@ class CncLowerBound:
     h0_op_norm: float
     omega: float
 
-    def to_json(self) -> dict:
-        return asdict(self)
-
 
 def cnc_lower_bound(mdp: TabularMdp, family, theta: np.ndarray,
                     omega: float) -> CncLowerBound:
@@ -509,8 +487,9 @@ def _cross_step_term(scores, states, actions, rewards, probs) -> float:
     return float(probs @ (sum_sq - sq_sum)) / 2.0
 
 
-def _unit_check(u: np.ndarray) -> np.ndarray:
+def _unit_check(u: np.ndarray, what: str = "direction u") -> np.ndarray:
+    """u as a float array; a ConfigError naming `what` unless |u| = 1 within 1e-10."""
     u = np.asarray(u, dtype=float)
     if abs(float(np.linalg.norm(u)) - 1.0) > 1e-10:
-        raise ConfigError("direction u must be a unit vector")
+        raise ConfigError(f"{what} must be a unit vector")
     return u

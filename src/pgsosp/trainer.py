@@ -32,16 +32,16 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .errors import ConfigError, PreconditionError
-from .estimators import _hessian_sum, _pg_rows
+from .estimators import _hessian_sum, _pg_rows, _std_error
 from .mdp import TabularMdp, _shape_check, _walk
 from .oracle import (Example1Analysis, analytic_example1, exact_gradient,
                      exact_hessian, exact_objective)
 from .policy import _require_on_policy
 from .sosp import (
     Region,
-    SecondOrderReport,
     _check_delta,
     _log_cap_rhs,
+    _unit_check,
     escape_budget,
     report_from_grad_hessian,
     trap_budget,
@@ -83,10 +83,8 @@ class NoiseSpec:
         if self.kind in ("signed_direction", "orthogonal"):
             if self.direction is None:
                 raise ConfigError(f"noise kind {self.kind!r} needs a direction")
-            d = np.asarray(self.direction, dtype=float)
-            if abs(np.linalg.norm(d) - 1.0) > 1e-10:
-                raise ConfigError("noise direction must be a unit vector")
-            object.__setattr__(self, "direction", frozen_array(d))
+            object.__setattr__(self, "direction", frozen_array(
+                _unit_check(self.direction, "noise direction")))
 
     def draw(self, rng: np.random.Generator, n: int, dim: int) -> np.ndarray:
         """(n, dim) noise block."""
@@ -165,11 +163,24 @@ class QuadraticSaddleSource:
         eigvals, eigvecs = np.linalg.eigh(h)
         self.lambda_max = float(eigvals[-1])
         self.u_p = frozen_array(eigvecs[:, -1])
+        # BLAS rounds a row of d @ H alike alone and inside a block only for
+        # a diagonal H or dimension <= 3.
+        self._matmul_rowwise = self.dim <= 3 or not (h - np.diag(np.diag(h))).any()
+
+    def _times_h(self, d: np.ndarray) -> np.ndarray:
+        """d @ H row-wise over the last axis, with the same bits for a row
+        alone or inside a block: the sum over j runs in index order."""
+        if self._matmul_rowwise:
+            return d @ self.h
+        out = d[..., :1] * self.h[0]
+        for j in range(1, self.dim):
+            out = out + d[..., j:j + 1] * self.h[j]
+        return out
 
     def _value(self, d: np.ndarray):
         """J at offsets d = theta - center, row-wise over the last axis; a row
-        has the same bits in any block for diagonal H or dimension <= 3."""
-        value = 0.5 * (d * (d @ self.h)).sum(axis=-1)
+        has the same bits alone or inside a block."""
+        value = 0.5 * (d * self._times_h(d)).sum(axis=-1)
         if self.cubic:
             # Cube an array even for one row: numpy's scalar power rounds
             # differently, and a row must not depend on the block size.
@@ -179,7 +190,7 @@ class QuadraticSaddleSource:
 
     def _slope(self, d: np.ndarray) -> np.ndarray:
         """grad J at offsets d = theta - center, row-wise over the last axis."""
-        g = d @ self.h
+        g = self._times_h(d)
         if self.cubic:
             g = g - 0.5 * self.cubic * np.linalg.norm(d, axis=-1, keepdims=True) * d
         return g
@@ -244,7 +255,7 @@ class MdpPolicySource:
         return exact_objective(self.mdp, self.family, theta)
 
     def gradient(self, theta) -> np.ndarray:
-        return exact_gradient(self.mdp, self.family, theta).value
+        return exact_gradient(self.mdp, self.family, theta)
 
     def hessian(self, theta) -> np.ndarray:
         return exact_hessian(self.mdp, self.family, theta)
@@ -310,7 +321,6 @@ class RunRow:
 @dataclass
 class RunRecord:
     rows: list[RunRow]
-    final_report: SecondOrderReport | None
     diverged_at: int | None = None
     metadata: dict = field(default_factory=dict)
 
@@ -338,10 +348,6 @@ class RunRecord:
         return out
 
 
-def _varsigma_increment(region: Region, kappa_hat_0: int) -> int:
-    return 1 if region in (Region.L1, Region.L3) else kappa_hat_0
-
-
 def run(source, config: TrainerConfig, theta0: np.ndarray) -> RunRecord:
     """Execute max_iters updates with reports every report_every steps.
 
@@ -357,12 +363,11 @@ def run(source, config: TrainerConfig, theta0: np.ndarray) -> RunRecord:
         raise ConfigError(f"theta0 must have shape ({source.dim},)")
     rows: list[RunRow] = []
     varsigma = 0
-    final_report = None
     diverged_at = None
 
     def record(k: int) -> bool:
         # False, and no row, when the gradient at theta is not finite.
-        nonlocal varsigma, final_report
+        nonlocal varsigma
         grad = source.gradient(theta)
         if not np.isfinite(grad).all():
             return False
@@ -373,8 +378,7 @@ def run(source, config: TrainerConfig, theta0: np.ndarray) -> RunRecord:
             grad_norm=report.grad_norm, lambda_max=report.lambda_max,
             region=report.region, varsigma=varsigma,
         ))
-        varsigma += _varsigma_increment(report.region, config.kappa_hat_0)
-        final_report = report
+        varsigma += 1 if report.region in (Region.L1, Region.L3) else config.kappa_hat_0
         return True
 
     rng = derive_rng(config.seed)
@@ -391,12 +395,8 @@ def run(source, config: TrainerConfig, theta0: np.ndarray) -> RunRecord:
     if diverged_at is None and config.max_iters > 0 and not record(config.max_iters):
         diverged_at = config.max_iters
 
-    return RunRecord(
-        rows=rows,
-        final_report=final_report,
-        diverged_at=diverged_at,
-        metadata={**asdict(config), "batch_extension": config.batch_size > 1},
-    )
+    return RunRecord(rows=rows, diverged_at=diverged_at, metadata={
+        **asdict(config), "batch_extension": config.batch_size > 1})
 
 
 # ---------------------------------------------------------------------------
@@ -408,9 +408,7 @@ class Prop1Result:
     mean_gain: float
     std_error: float
     bound: float
-    sampled_sigma_sq: float
     grad_norm: float
-    trials: int
     passes: bool
 
 
@@ -448,14 +446,11 @@ def verify_prop1(source, theta: np.ndarray, alpha: float, trials: int,
         dev_sq += float(np.linalg.norm(g - grad) ** 2)
     dev_sq /= trials
     mean_gain = float(gains.sum() / trials)
-    std_error = float(gains.std(ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0
+    std_error = float(_std_error(gains))
     bound = (alpha - ell * alpha ** 2 / 2.0) * grad_norm ** 2 \
         - ell * alpha ** 2 * dev_sq / 2.0
-    return Prop1Result(
-        mean_gain=mean_gain, std_error=std_error, bound=bound,
-        sampled_sigma_sq=dev_sq, grad_norm=grad_norm, trials=trials,
-        passes=mean_gain >= bound - 3.0 * std_error,
-    )
+    return Prop1Result(mean_gain=mean_gain, std_error=std_error, bound=bound,
+                       grad_norm=grad_norm, passes=mean_gain >= bound - 3.0 * std_error)
 
 
 # ---------------------------------------------------------------------------
@@ -464,8 +459,6 @@ def verify_prop1(source, theta: np.ndarray, alpha: float, trials: int,
 
 @dataclass(frozen=True)
 class CoupledRunResult:
-    main_iterates: np.ndarray
-    model_iterates: np.ndarray
     max_gap: float
 
 
@@ -483,7 +476,8 @@ def coupled_quadratic_run(source, theta0: np.ndarray, alpha: float,
 
     so the gap comes only from J deviating from its quadratic model (plus
     Hessian-estimate error); on an exactly quadratic objective the two
-    recursions coincide and the gap is identically zero.
+    recursions coincide and the gap is identically zero.  Only the current
+    pair of iterates is kept; the result is the largest gap |t_k - t^_k|.
     """
     theta0 = np.asarray(theta0, dtype=float)
     if kappa_hat_0 is not None and steps > kappa_hat_0:
@@ -497,19 +491,14 @@ def coupled_quadratic_run(source, theta0: np.ndarray, alpha: float,
     h0 = source.hessian(theta0)
     g0 = source.gradient(theta0) + xi0
 
-    main = [theta0.copy()]
-    model = [theta0.copy()]
+    t_main = t_model = theta0
     max_gap = 0.0
     for _ in range(steps):
-        t_main, t_model = main[-1], model[-1]
         xi_hat = (h0_hat - h0) @ (t_model - theta0)
-        main.append(t_main + alpha * (source.gradient(t_main) + xi_hat + xi0))
-        model.append(t_model + alpha * (g0 + h0_hat @ (t_model - theta0)))
-        max_gap = max(max_gap, float(np.linalg.norm(main[-1] - model[-1])))
-    return CoupledRunResult(
-        main_iterates=np.array(main), model_iterates=np.array(model),
-        max_gap=max_gap,
-    )
+        t_main = t_main + alpha * (source.gradient(t_main) + xi_hat + xi0)
+        t_model = t_model + alpha * (g0 + h0_hat @ (t_model - theta0))
+        max_gap = max(max_gap, float(np.linalg.norm(t_main - t_model)))
+    return CoupledRunResult(max_gap=max_gap)
 
 
 # ---------------------------------------------------------------------------
@@ -556,7 +545,7 @@ def _chain_blocks(source: QuadraticSaddleSource, d: np.ndarray, alpha, steps: in
 @dataclass(frozen=True)
 class EscapeResult:
     escape_fraction: float
-    mean_escape_steps: float
+    mean_escape_steps: float | None
     kappa_hat_0: int
     mean_gain: float
     mean_gain_at_kappa: float
@@ -564,9 +553,6 @@ class EscapeResult:
     iota_sq: float
     step_cap: int
     runs: int
-
-    def to_json(self) -> dict:
-        return asdict(self)
 
 
 def _check_runs(runs: int) -> None:
@@ -584,9 +570,14 @@ def verify_escape(source: QuadraticSaddleSource, alpha: float, runs: int,
     iterates from the saddle center until the gain threshold or the step
     cap cap_factor * kappa_hat_0.  iota_sq defaults to the source noise's
     constructed floor along the top eigenvector; pass the benchmark floor
-    explicitly for violation (contrast) runs.
+    explicitly for violation (contrast) runs.  mean_escape_steps is None
+    when no run escapes.
     """
     _check_runs(runs)
+    if cap_factor < 1:
+        raise ConfigError(f"cap_factor: must be at least 1, got {cap_factor!r}")
+    if iota_sq is not None and iota_sq <= 0:
+        raise ConfigError(f"iota_sq: must be positive, got {iota_sq!r}")
     if source.lambda_max < math.sqrt(chi * epsilon) - 1e-12:
         raise PreconditionError(
             f"saddle source needs lambda_max >= sqrt(chi*eps) = "
@@ -630,7 +621,7 @@ def verify_escape(source: QuadraticSaddleSource, alpha: float, runs: int,
     escaped = escape_step >= 0
     return EscapeResult(
         escape_fraction=float(escaped.mean()),
-        mean_escape_steps=float(escape_step[escaped].mean()) if escaped.any() else float("nan"),
+        mean_escape_steps=float(escape_step[escaped].mean()) if escaped.any() else None,
         kappa_hat_0=kappa,
         mean_gain=float(gains.mean()),
         mean_gain_at_kappa=float(gain_at_kappa.mean()),
@@ -689,9 +680,6 @@ class TrapResult:
     runs: int
     log_cap_relaxation: float
 
-    def to_json(self) -> dict:
-        return asdict(self)
-
 
 def verify_trap(source: QuadraticSaddleSource, alpha: float, runs: int,
                 seed: int, delta: float, varrho: float,
@@ -735,7 +723,8 @@ def trap_benchmark_alpha(zeta: float, varrho: float, noise_sigma: float,
     with ell = zeta (the last term is +inf without noise), then shrinks
     until alpha*ln(1/alpha) clears the log cap (evaluated with the source's
     gradient bound zeta*rho + sigma in the role of the reward-weighted
-    score bound), scaled by `relaxation`.
+    score bound), scaled by `relaxation`.  Raises PreconditionError when
+    not even alpha = 1e-12 clears it (for instance relaxation <= 0).
     """
     _check_delta(delta)
     if varrho <= 0:
@@ -754,6 +743,10 @@ def trap_benchmark_alpha(zeta: float, varrho: float, noise_sigma: float,
     if log_ok(cap):
         return cap
     lo, hi = 1e-12, cap
+    if not log_ok(lo):
+        raise PreconditionError(
+            f"trap: no step size in [{lo:g}, {cap:.6g}] meets the log cap "
+            f"alpha ln(1/alpha) <= {rhs:.3g} (relaxation {relaxation!r})")
     for _ in range(200):
         mid = (lo + hi) / 2.0
         if log_ok(mid):
@@ -795,12 +788,6 @@ class Example1StudyResult:
     l3_fraction: float
     first_l3: np.ndarray
     aborted: int
-    n_seeds: int
-    max_updates: int
-    alpha: float
-    epsilon: float
-    chi: float
-    kappa_hat_0: int | None
 
 
 def _example1_samples(closed: Example1Analysis, uniforms: np.ndarray):
@@ -813,8 +800,7 @@ def _example1_samples(closed: Example1Analysis, uniforms: np.ndarray):
 
 def example1_sosp_study(n_seeds: int, theta0: np.ndarray, alpha: float,
                         epsilon: float, chi: float, max_updates: int,
-                        seed: int, report_every: int = 50,
-                        kappa_hat_0: int | None = None) -> Example1StudyResult:
+                        seed: int, report_every: int = 50) -> Example1StudyResult:
     """Run n_seeds REINFORCE chains on the benchmark MDP in lockstep.
 
     Each chain stops at its first L3 iterate (by the closed forms of
@@ -825,7 +811,8 @@ def example1_sosp_study(n_seeds: int, theta0: np.ndarray, alpha: float,
     outside it) has probability J(theta) and score grad J / J; ``up`` has
     reward 0.  So a chain's single-trajectory sample is grad J / J when its
     uniform is below J and 0 otherwise, and J > 1 means the family has
-    left its domain.
+    left its domain.  The result holds the fraction of chains that reached
+    L3, each chain's first L3 step (-1 if none) and the aborted count.
     """
     theta = np.tile(np.asarray(theta0, dtype=float), (n_seeds, 1))
     first_l3 = np.full(n_seeds, -1, dtype=np.int64)
@@ -853,15 +840,5 @@ def example1_sosp_study(n_seeds: int, theta0: np.ndarray, alpha: float,
         if step % report_every == 0 or step == max_updates:
             classify(step)
 
-    reached = first_l3 >= 0
-    return Example1StudyResult(
-        l3_fraction=float(reached.mean()),
-        first_l3=first_l3,
-        aborted=int(aborted.sum()),
-        n_seeds=n_seeds,
-        max_updates=max_updates,
-        alpha=alpha,
-        epsilon=epsilon,
-        chi=chi,
-        kappa_hat_0=kappa_hat_0,
-    )
+    return Example1StudyResult(l3_fraction=float((first_l3 >= 0).mean()),
+                               first_l3=first_l3, aborted=int(aborted.sum()))

@@ -18,6 +18,7 @@ from pgsosp.mdp import (
     random_mdp,
 )
 from pgsosp.oracle import (
+    _gradient_enumeration,
     analytic_example1,
     enumerate_trajectories,
     exact_gradient,
@@ -28,12 +29,14 @@ from pgsosp.oracle import (
 from pgsosp.policy import ExampleOnePiecewise, TabularSoftmax, estimate_regularity
 from pgsosp.sosp import (
     Region,
-    classify_region,
+    cnc_estimate,
     escape_budget,
     hessian_estimator_sigma,
     hessian_lipschitz_chi,
+    iota_sq_floor,
     iteration_budget,
     paper_constants,
+    report_from_grad_hessian,
     smoothness_ell,
     theorem_step_size,
     trap_budget,
@@ -84,15 +87,14 @@ def test_ac01_oracle_identity_suite():
         family = TabularSoftmax(n_s, n_a)
         theta = rng.uniform(-1.5, 1.5, family.param_dim)
 
-        oracle = exact_gradient(mdp, family, theta)
-        scale = max(1.0, float(np.linalg.norm(oracle.visitation)))
-        ok &= oracle.enumeration is not None
-        ok &= float(np.linalg.norm(oracle.enumeration - oracle.visitation)) \
+        grad = exact_gradient(mdp, family, theta)
+        scale = max(1.0, float(np.linalg.norm(grad)))
+        ok &= float(np.linalg.norm(_gradient_enumeration(mdp, family, theta) - grad)) \
             <= 1e-8 * scale
 
         fd = fd_gradient(lambda t: exact_objective(mdp, family, t), theta,
                          step=1e-5)
-        ok &= float(np.linalg.norm(fd - oracle.visitation)) <= 1e-4 * scale
+        ok &= float(np.linalg.norm(fd - grad)) <= 1e-4 * scale
 
         theta_b = rng.uniform(-1.5, 1.5, family.param_dim)
         lhs, rhs = performance_difference_check(mdp, family, theta, theta_b)
@@ -121,7 +123,7 @@ def test_ac02_estimator_unbiasedness_by_enumeration():
             grad_sum += prob * pg_estimate(traj, family, theta)
             hess_sum += prob * hessian_estimate(traj, family, theta)
 
-        grad_oracle = exact_gradient(mdp, family, theta).value
+        grad_oracle = exact_gradient(mdp, family, theta)
         scale = max(1.0, float(np.linalg.norm(grad_oracle)))
         ok &= float(np.linalg.norm(grad_sum - grad_oracle)) <= 1e-8 * scale
         hess_oracle = exact_hessian(mdp, family, theta)
@@ -149,7 +151,7 @@ def test_ac03_per_sample_deviation_bound():
         theta = np.zeros(family.param_dim)
         reg = estimate_regularity(family, [(-1, 1)] * family.param_dim, 3,
                                   estimate_w=False)
-        grad = exact_gradient(mdp, family, theta).value
+        grad = exact_gradient(mdp, family, theta)
         est = batch_gradient(mdp, family, theta, 100_000,
                              seed=4000 + spec["seed"], center=grad)
         bound = reg.G * mdp.r_max / (1.0 - mdp.gamma) ** 2
@@ -186,9 +188,11 @@ def test_ac04_benchmark_closed_forms():
               - 0.188447) <= 1e-6
 
     origin = analytic_example1(np.zeros(2))
-    ok &= classify_region(origin.grad, origin.hessian, 0.1, 1.0) is Region.L2
+    ok &= report_from_grad_hessian(origin.grad, origin.hessian, 0.1, 1.0).region \
+        is Region.L2
     half = analytic_example1(np.array([0.5, 0.5]))
-    ok &= classify_region(half.grad, half.hessian, 0.1, 1.0) is Region.L1
+    ok &= report_from_grad_hessian(half.grad, half.hessian, 0.1, 1.0).region \
+        is Region.L1
     announce(4, "benchmark closed forms and region labels", ok, started, 1)
 
 
@@ -260,7 +264,6 @@ def test_ac08_trapping_benchmark():
 def test_ac09_benchmark_run_reaches_sosp_region():
     started = time.perf_counter()
     from pgsosp.mdp import example_one_mdp
-    from pgsosp.sosp import empirical_iota_sq
 
     family = ExampleOnePiecewise()
     mdp = example_one_mdp()
@@ -275,7 +278,7 @@ def test_ac09_benchmark_run_reaches_sosp_region():
     alpha = theorem_step_size(epsilon, constants.chi, constants.r_min,
                               constants.omega, constants.sigma, constants.ell)
     u_p = np.array([0.0, 1.0])  # top-eigenvalue direction at the start point
-    iota_sq = empirical_iota_sq(mdp, family, theta0, u_p, n=20_000, seed=8100)
+    iota_sq = iota_sq_floor(*cnc_estimate(mdp, family, theta0, u_p, n=20_000, seed=8100))
     budget = iteration_budget(alpha, constants.r_max, constants.gamma,
                               math.sqrt(iota_sq), constants.chi, epsilon,
                               delta=0.1)

@@ -2,8 +2,10 @@ import inspect
 import json
 import math
 import os
+import re
 import subprocess
 import sys
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -315,7 +317,7 @@ class TestEscapeTrapCommands:
             outs.append(json.loads(out))
         assert outs[0] == outs[1]
         expected = default_escape_benchmark(runs=40, seed=3, contrast=True)
-        assert outs[1] == json.loads(json.dumps(expected.to_json()))
+        assert outs[1] == json.loads(json.dumps(asdict(expected)))
 
     def test_contrast_with_noise_rejected(self, tmp_path, capsys):
         cfg = write_config(tmp_path, "e.json", {
@@ -335,6 +337,52 @@ class TestEscapeTrapCommands:
         payload = json.loads(out)
         assert 0.0 <= payload["stay_fraction"] <= 1.0
         assert payload["bound"] == pytest.approx(1.0 - 0.2 * math.log(5.0))
+
+    def test_no_escape_prints_null_steps(self, tmp_path, capsys):
+        # With noise off the escape direction and this small a step no run
+        # escapes; the mean escape step is then null, and the output stays
+        # strict JSON (no NaN).
+        def reject(name):
+            raise ValueError(f"not JSON: {name}")
+
+        cfg = write_config(tmp_path, "e.json", {
+            "command": "escape", "seed": 1, "runs": 50, "alpha": 1e-4,
+            "contrast": True,
+        })
+        out_dir = tmp_path / "out"
+        code, out, _ = run_cli(capsys, ["escape", "--config", cfg,
+                                        "--out", str(out_dir)])
+        assert code == 0
+        for text in (out, (out_dir / "escape.json").read_text()):
+            payload = json.loads(text, parse_constant=reject)
+            assert payload["escape_fraction"] == 0.0
+            assert payload["mean_escape_steps"] is None
+
+    @pytest.mark.parametrize("key, value", [("cap_factor", 0), ("iota_sq", -1.0),
+                                            ("iota_sq", 0.0)])
+    def test_meaningless_escape_key_exits_2(self, tmp_path, capsys, key, value):
+        cfg = write_config(tmp_path, "e.json", {
+            "command": "escape", "seed": 1, "runs": 5, key: value,
+        })
+        code, out, err = run_cli(capsys, ["escape", "--config", cfg])
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: {key}: ")
+
+    @pytest.mark.parametrize("relaxation", [0.0, -1.0, 1e-30])
+    def test_trap_without_an_admissible_step_exits_2(self, tmp_path, capsys,
+                                                     monkeypatch, relaxation):
+        # No alpha in [1e-12, cap] meets the log cap; the command stops
+        # before the chain, which would need about 1e24 steps per run.
+        def no_chain(*args, **kwargs):
+            raise AssertionError("the trap chain ran")
+
+        monkeypatch.setattr(trainer, "verify_trap", no_chain)
+        cfg = write_config(tmp_path, "t.json", {
+            "command": "trap", "seed": 1, "runs": 5, "relaxation": relaxation,
+        })
+        code, out, err = run_cli(capsys, ["trap", "--config", cfg])
+        assert (code, out) == (2, "")
+        assert "log cap" in err
 
 
 class TestOracleCheckCommand:
@@ -383,9 +431,9 @@ class TestOracleCheckCommand:
 
 
 class TestCncCommand:
-    def test_floor_matches_empirical_iota_sq(self, tmp_path, capsys, bandit,
-                                             bandit_family):
-        from pgsosp.sosp import empirical_iota_sq
+    def test_floor_is_iota_sq_floor_of_estimate(self, tmp_path, capsys, bandit,
+                                                bandit_family):
+        from pgsosp.sosp import cnc_estimate, iota_sq_floor
 
         u = [0.6, -0.8]
         cfg = write_config(tmp_path, "c.json", {
@@ -396,8 +444,8 @@ class TestCncCommand:
         })
         code, out, _ = run_cli(capsys, ["cnc", "--config", cfg])
         assert code == 0
-        floor = empirical_iota_sq(bandit, bandit_family, np.array([0.3, -0.2]),
-                                  np.array(u), n=3000, seed=5)
+        floor = iota_sq_floor(*cnc_estimate(bandit, bandit_family, np.array([0.3, -0.2]),
+                                            np.array(u), n=3000, seed=5))
         assert json.loads(out)["iota_sq_floor"] == floor
 
     def test_bandit_enumeration(self, tmp_path, capsys):
@@ -420,6 +468,19 @@ class TestCncCommand:
         assert payload["enumeration"] == pytest.approx(0.25, abs=1e-12)
         assert abs(payload["mean_sq_projection"] - 0.25) \
             <= 3.0 * payload["std_error"]
+
+
+def test_readme_configs_read_against_their_schema(tmp_path):
+    # Every fenced JSON config in the README loads for its own command, so a
+    # renamed or retyped key fails here.
+    readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    with open(readme, encoding="utf-8") as fh:
+        blocks = re.findall(r"```json\n(.*?)```", fh.read(), re.S)
+    assert len(blocks) >= 3
+    for i, text in enumerate(blocks):
+        path = tmp_path / f"readme{i}.json"
+        path.write_text(text)
+        assert cli.load_config(str(path), json.loads(text)["command"])
 
 
 def test_console_entry_point(tmp_path):
@@ -494,14 +555,14 @@ class TestBenchmarkBuilders:
         kwargs = {k: v for k, v in ESCAPE_ALL_KEYS.items() if k != "command"}
         kwargs["noise"] = trainer.NoiseSpec("sphere", 0.8)
         expected = trainer.default_escape_benchmark(**kwargs)
-        assert out == canonical_json(expected.to_json())
+        assert out == canonical_json(asdict(expected))
 
     def test_trap_every_key_matches_builder(self, tmp_path, capsys):
         cfg = write_config(tmp_path, "t.json", TRAP_ALL_KEYS)
         code, out, _ = run_cli(capsys, ["trap", "--config", cfg])
         assert code == 0
         kwargs = {k: v for k, v in TRAP_ALL_KEYS.items() if k != "command"}
-        payload = trainer.default_trap_benchmark(**kwargs).to_json()
+        payload = asdict(trainer.default_trap_benchmark(**kwargs))
         payload["bound"] = 1.0 - 0.3 * math.log(1.0 / 0.3)
         assert out == canonical_json(payload)
 

@@ -4,8 +4,11 @@ import numpy as np
 import pytest
 
 from pgsosp.errors import EnumerationCapError
+from pgsosp import oracle
 from pgsosp.mdp import TabularMdp, example_one_mdp, random_mdp
 from pgsosp.oracle import (
+    _gradient_enumeration,
+    _gradient_visitation,
     analytic_example1,
     enumerate_trajectories,
     enumeration_size_bound,
@@ -55,23 +58,24 @@ class TestObjective:
 
 class TestGradient:
     def test_bandit_both_routes(self, bandit, bandit_family):
-        oracle = exact_gradient(bandit, bandit_family, np.zeros(2))
-        assert oracle.visitation == pytest.approx([0.25, -0.25], abs=1e-14)
-        assert oracle.enumeration == pytest.approx([0.25, -0.25], abs=1e-14)
+        grad = exact_gradient(bandit, bandit_family, np.zeros(2))
+        assert grad == pytest.approx([0.25, -0.25], abs=1e-14)
+        enumeration = _gradient_enumeration(bandit, bandit_family, np.zeros(2))
+        assert enumeration == pytest.approx([0.25, -0.25], abs=1e-14)
 
     def test_single_action_zero(self):
         mdp = TabularMdp(n_states=1, n_actions=1, transition=np.ones((1, 1, 1)),
                          reward=np.ones((1, 1)), rho0=np.array([1.0]),
                          gamma=0.5, horizon=3, r_min=1.0, r_max=1.0)
-        oracle = exact_gradient(mdp, TabularSoftmax(1, 1), np.zeros(1))
-        assert np.array_equal(oracle.value, np.zeros(1))
+        grad = exact_gradient(mdp, TabularSoftmax(1, 1), np.zeros(1))
+        assert np.array_equal(grad, np.zeros(1))
 
     def test_example1_at_half(self, example1):
         mdp, family = example1
-        oracle = exact_gradient(mdp, family, np.array([0.5, 0.5]))
+        grad = exact_gradient(mdp, family, np.array([0.5, 0.5]))
         expected = np.array([-INV_SQRT_2PI, INV_SQRT_2PI])
-        assert oracle.value == pytest.approx(expected, abs=1e-12)
-        assert np.linalg.norm(oracle.value) == pytest.approx(
+        assert grad == pytest.approx(expected, abs=1e-12)
+        assert np.linalg.norm(grad) == pytest.approx(
             math.sqrt(2.0) * INV_SQRT_2PI, abs=1e-12)
 
     @pytest.mark.parametrize("seed", range(50))
@@ -80,10 +84,11 @@ class TestGradient:
         mdp, family = make_random_problem(seed + 100, horizon=4)
         rng = derive_rng(seed, 42)
         theta = rng.uniform(-1.5, 1.5, family.param_dim)
-        oracle = exact_gradient(mdp, family, theta)
-        scale = max(1.0, np.linalg.norm(oracle.visitation))
-        assert oracle.enumeration is not None
-        assert np.linalg.norm(oracle.enumeration - oracle.visitation) \
+        visitation = exact_gradient(mdp, family, theta)
+        assert np.array_equal(visitation, _gradient_visitation(mdp, family, theta))
+        scale = max(1.0, np.linalg.norm(visitation))
+        assert is_enumerable(mdp)
+        assert np.linalg.norm(_gradient_enumeration(mdp, family, theta) - visitation) \
             <= 1e-8 * scale
 
     @pytest.mark.parametrize("seed", range(50))
@@ -91,7 +96,7 @@ class TestGradient:
         mdp, family = make_random_problem(seed + 200, horizon=4)
         rng = derive_rng(seed, 43)
         theta = rng.uniform(-1.5, 1.5, family.param_dim)
-        grad = exact_gradient(mdp, family, theta).value
+        grad = exact_gradient(mdp, family, theta)
         fd = fd_gradient(lambda t: exact_objective(mdp, family, t), theta,
                          step=1e-5)
         scale = max(1.0, np.linalg.norm(grad))
@@ -120,7 +125,7 @@ class TestHessian:
         theta = rng.uniform(-1, 1, family.param_dim)
         h = exact_hessian(mdp, family, theta)
         assert np.abs(h - h.T).max() <= 1e-10
-        grads = lambda t: exact_gradient(mdp, family, t).value
+        grads = lambda t: exact_gradient(mdp, family, t)
         fd = np.zeros_like(h)
         for j in range(family.param_dim):
             bump = np.zeros(family.param_dim)
@@ -128,7 +133,7 @@ class TestHessian:
             fd[:, j] = (grads(theta + bump) - grads(theta - bump)) / 2e-4
         assert np.abs(h - (fd + fd.T) / 2.0).max() <= 1e-5
 
-    def test_fd_fallback_beyond_cap(self):
+    def test_fd_fallback_beyond_cap(self, monkeypatch):
         # Dense transitions push the enumeration bound over the cap; the
         # Hessian then comes from finite differences of the DP gradient.
         rng = derive_rng(0, 45)
@@ -143,8 +148,13 @@ class TestHessian:
         theta = np.zeros(family.param_dim)
         hess = exact_hessian(mdp, family, theta)
         assert np.abs(hess - hess.T).max() <= 1e-12
-        grad = exact_gradient(mdp, family, theta)
-        assert grad.enumeration is None  # enumeration route not offered
+        def no_enumeration(*args):
+            raise AssertionError("enumeration ran above the cap")
+
+        monkeypatch.setattr(oracle, "_gradient_enumeration", no_enumeration)
+        monkeypatch.setattr(oracle, "enumerate_trajectories", no_enumeration)
+        grad = exact_gradient(mdp, family, theta)  # enumeration route not offered
+        assert np.array_equal(grad, _gradient_visitation(mdp, family, theta))
 
 
 class TestEnumeration:
@@ -256,7 +266,7 @@ class TestEnumerationReductions:
     def test_chunked_sums_match_per_trajectory_references(self):
         # 4096 trajectories: more than two chunks of the array reductions.
         from trajectory_reference import Trajectory, hessian_estimate, pg_estimate
-        from pgsosp.oracle import _ENUM_CHUNK, _gradient_enumeration
+        from pgsosp.oracle import _ENUM_CHUNK
         from pgsosp.sosp import cnc_enumerate, cnc_lower_bound
 
         mdp, family = make_random_problem(61, n_states=3, n_actions=2,
@@ -295,7 +305,6 @@ class TestEnumerationReductions:
     def test_each_consumer_walks_the_whole_tree_once(self, monkeypatch):
         # Trajectories yielded per enumerate_trajectories call: one full
         # tree per enumeration sum, so a skipped or repeated chunk shows.
-        from pgsosp import oracle
         from pgsosp.sosp import cnc_enumerate, cnc_lower_bound
 
         mdp, family = make_random_problem(61, n_states=3, n_actions=2,
@@ -353,7 +362,7 @@ class TestAnalyticExample1:
             res = analytic_example1(theta)
             assert exact_objective(mdp, family, theta) == \
                 pytest.approx(res.objective, abs=1e-12)
-            grad = exact_gradient(mdp, family, theta).value
+            grad = exact_gradient(mdp, family, theta)
             assert grad == pytest.approx(res.grad, abs=1e-12)
             hess = exact_hessian(mdp, family, theta)
             assert np.abs(hess - res.hessian).max() <= 1e-12

@@ -1,4 +1,5 @@
 import math
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -8,7 +9,6 @@ from pgsosp.oracle import analytic_example1
 from pgsosp.policy import RegularityConstants
 from pgsosp.sosp import (
     Region,
-    classify_region,
     classify_values,
     cnc_enumerate,
     cnc_estimate,
@@ -17,9 +17,11 @@ from pgsosp.sosp import (
     escape_budget,
     hessian_estimator_sigma,
     hessian_lipschitz_chi,
+    iota_sq_floor,
     iteration_budget,
     paper_constants,
     prop3_step_size,
+    report_from_grad_hessian,
     second_order_report,
     smoothness_ell,
     sym_eig_max,
@@ -81,16 +83,16 @@ class TestEigMax:
 class TestClassification:
     def test_example1_origin_is_saddle_region(self):
         res = analytic_example1(np.zeros(2))
-        region = classify_region(res.grad, res.hessian, 0.1, 1.0)
+        region = report_from_grad_hessian(res.grad, res.hessian, 0.1, 1.0).region
         assert region is Region.L2
 
     def test_example1_half_is_large_gradient(self):
         res = analytic_example1(np.array([0.5, 0.5]))
-        region = classify_region(res.grad, res.hessian, 0.1, 1.0)
+        region = report_from_grad_hessian(res.grad, res.hessian, 0.1, 1.0).region
         assert region is Region.L1
 
     def test_negative_definite_zero_gradient(self):
-        region = classify_region(np.zeros(3), -np.eye(3), 0.5, 2.0)
+        region = report_from_grad_hessian(np.zeros(3), -np.eye(3), 0.5, 2.0).region
         assert region is Region.L3
 
     def test_boundaries_resolve_downward(self):
@@ -156,8 +158,7 @@ class TestSecondOrderReport:
 
 
 def _reg(g, l, u=0.0, w=None):
-    return RegularityConstants(G=g, L=l, U=u, W=w, domain_box=(),
-                               grid_spacing=float("nan"))
+    return RegularityConstants(G=g, L=l, U=u, W=w)
 
 
 class TestConstants:
@@ -190,7 +191,7 @@ class TestConstants:
     def test_serialization_keys(self):
         pc = paper_constants(_reg(1.0, 1.0, w=1.0), r_min=1.0, r_max=1.0,
                              gamma=0.5, h=2, p=2, omega=0.5)
-        payload = pc.to_json()
+        payload = asdict(pc)
         for key in ("ell", "sigma", "chi", "sigma_h0", "omega", "iota"):
             assert key in payload
 
@@ -325,7 +326,7 @@ class TestCnc:
         base = mdp.r_min ** 2 * mdp.horizon * 0.05 / (1.0 - mdp.gamma) ** 2
         assert rep.iota_sq <= base + 1e-15
         assert np.isfinite(rep.c0)
-        payload = rep.to_json()
+        payload = asdict(rep)
         assert set(payload) == {"iota_sq", "c0", "lambda_p", "h0_op_norm",
                                 "omega"}
 
@@ -334,19 +335,16 @@ class TestEmpiricalIota:
     def test_floor_applies(self):
         from pgsosp.mdp import TabularMdp
         from pgsosp.policy import TabularSoftmax
-        from pgsosp.sosp import empirical_iota_sq
 
         mdp = TabularMdp(n_states=1, n_actions=1, transition=np.ones((1, 1, 1)),
                          reward=np.ones((1, 1)), rho0=np.array([1.0]),
                          gamma=0.5, horizon=2, r_min=1.0, r_max=1.0)
-        val = empirical_iota_sq(mdp, TabularSoftmax(1, 1), np.zeros(1),
-                                np.array([1.0]), n=100, seed=0)
+        val = iota_sq_floor(*cnc_estimate(mdp, TabularSoftmax(1, 1), np.zeros(1),
+                                          np.array([1.0]), n=100, seed=0))
         assert val == 1e-6  # all projections are zero; the floor holds
 
     def test_positive_case_exceeds_floor(self, bandit, bandit_family):
-        from pgsosp.sosp import empirical_iota_sq
-
         u = np.array([1.0, -1.0]) / math.sqrt(2.0)
-        val = empirical_iota_sq(bandit, bandit_family, np.zeros(2), u,
-                                n=20_000, seed=1)
+        val = iota_sq_floor(*cnc_estimate(bandit, bandit_family, np.zeros(2), u,
+                                          n=20_000, seed=1))
         assert 0.2 < val < 0.3  # around the exact 0.25

@@ -81,6 +81,9 @@ class TestSyntheticSources:
     @pytest.mark.parametrize("eigenvalues, center", [
         ([1.5, -0.7], [0.3, -0.2]),
         ([2.0, -1.0, 0.4], [-0.1, 0.25, 0.6]),
+        ([1.0, -0.5, 0.3, -1.2], [0.2, -0.1, 0.0, 0.4]),
+        ([0.9, -1.1, 0.2, 0.6, -0.3], [0.1, 0.0, -0.3, 0.2, 0.5]),
+        (np.linspace(-1.0, 1.4, 8), np.linspace(0.3, -0.4, 8)),
     ])
     def test_block_rows_equal_per_row_calls(self, eigenvalues, center, cubic):
         dim = len(eigenvalues)
@@ -181,7 +184,7 @@ class TestRun:
         assert source.objective(theta) == exact_objective(mdp, family, theta)
         assert source.objective(theta) == pytest.approx(0.6625, abs=1e-4)
         assert np.array_equal(source.gradient(theta),
-                              exact_gradient(mdp, family, theta).value)
+                              exact_gradient(mdp, family, theta))
         assert np.array_equal(source.hessian(theta),
                               exact_hessian(mdp, family, theta))
 
@@ -199,7 +202,7 @@ class TestRun:
         source = QuadraticSaddleSource(np.diag([1e308, -1.0]), NoiseSpec("zero"))
         config = TrainerConfig(alpha=0.1, max_iters=5, epsilon=0.1, chi=1.0)
         record = run(source, config, np.array([10.0, 0.0]))
-        assert (record.rows, record.final_report, record.diverged_at) == ([], None, 0)
+        assert (record.rows, record.diverged_at) == ([], 0)
         # theta_1 is about 1e4, inside the norm guard, but H theta_1 overflows.
         source = QuadraticSaddleSource(np.diag([1e305, -1.0]), NoiseSpec("zero"))
         config = TrainerConfig(alpha=1e-301, max_iters=1, epsilon=0.1, chi=1.0)
@@ -213,7 +216,6 @@ class TestRun:
                                seed=0)
         record = run(source, config, np.zeros(2))
         assert record.rows == []
-        assert record.final_report is None
 
     def test_batch_extension_flag(self):
         source = StronglyConcaveSource(1.0, np.zeros(2), noise_sigma=0.1)
@@ -477,6 +479,12 @@ class TestTrap:
         rhs = 2.0 / (27.0 * (grad_bound ** 2 + 1.0 + 0.09) ** 2)
         assert alpha * math.log(1.0 / alpha) <= rhs + 1e-12
 
+    @pytest.mark.parametrize("relaxation", [0.0, -1.0, 1e-30])
+    def test_benchmark_alpha_without_admissible_step_raises(self, relaxation):
+        # Not even alpha = 1e-12 meets the log cap: no step size is returned.
+        with pytest.raises(PreconditionError, match="log cap"):
+            trap_benchmark_alpha(1.0, 1.0, 0.3, 0.2, relaxation)
+
 
 class TestExample1Vectorized:
     @pytest.mark.parametrize("theta", [
@@ -566,7 +574,7 @@ def _reference_escape(source, alpha, runs, seed, chi, epsilon, sigma_h0,
     escaped = escape_step >= 0
     return EscapeResult(
         escape_fraction=float(escaped.mean()),
-        mean_escape_steps=float(escape_step[escaped].mean()) if escaped.any() else float("nan"),
+        mean_escape_steps=float(escape_step[escaped].mean()) if escaped.any() else None,
         kappa_hat_0=kappa,
         mean_gain=float(gains.mean()),
         mean_gain_at_kappa=float(gain_at_kappa.mean()),
