@@ -431,8 +431,8 @@ class TestOracleCheckCommand:
 
 
 class TestCncCommand:
-    def test_floor_is_iota_sq_floor_of_estimate(self, tmp_path, capsys, bandit,
-                                                bandit_family):
+    def test_floor_matches_empirical_iota_sq(self, tmp_path, capsys, bandit,
+                                             bandit_family):
         from pgsosp.sosp import cnc_estimate, iota_sq_floor
 
         u = [0.6, -0.8]
