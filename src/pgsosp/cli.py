@@ -212,7 +212,7 @@ def _flatten(obj, prefix: str = ""):
     key = prefix[:-1] if prefix else "value"
     if isinstance(obj, float):
         return {key: format_float(obj)}
-    return {key: obj}
+    return {key: "" if obj is None else obj}
 
 
 def _write_out(out_dir: str, name: str, text: str) -> None:

@@ -19,8 +19,11 @@ _pg_rows gives g(tau) for every row of an (m, h) trajectory block and
 _hessian_sum a weighted sum of H(tau) over one.  Batch means (weights 1/n
 over rollout_batch rows), exact expectations (p(tau) over enumeration
 chunks, pgsosp.oracle) and single-trajectory updates (pgsosp.trainer) all
-go through them.  The tests keep one-trajectory definitions of g(tau) and
-H(tau) in tests/trajectory_reference.py and compare the reducers with them.
+go through them.  Both gather score rows ceil(m / h) trajectories at a
+time into (m, p) buffers, so their memory is O(m p), not O(m h p).  The
+tests keep one-trajectory definitions of g(tau) and H(tau), and the
+whole-gather forms of both reducers, in tests/trajectory_reference.py and
+compare the reducers with them.
 
 Tying every Phi term to the final step's log-probability instead gives a
 biased estimator; the tests build that form to show it fails the
@@ -75,9 +78,24 @@ def _pg_rows(mdp: TabularMdp, scores: np.ndarray, states: np.ndarray,
     Each row equals the one-trajectory g(tau) of the tests' reference bit
     for bit.
     """
-    gammas = mdp.gamma ** np.arange(mdp.horizon)
-    returns = (gammas * rewards).sum(axis=1)
-    return scores[states, actions].sum(axis=1) * returns[:, None]
+    returns = (mdp._discounts * rewards).sum(axis=1)
+    log_p = np.empty((len(states), scores.shape[-1]))
+    for rows in _row_blocks(states):
+        scores[states[rows], actions[rows]].sum(axis=1, out=log_p[rows])
+    return log_p * returns[:, None]
+
+
+def _row_blocks(states: np.ndarray) -> list[slice]:
+    """Slices of ceil(m / h) rows each over the m rows of an (m, h) block.
+
+    The (rows, h, p) score gather of one slice has about as many entries
+    as an (m, p) result, so the reducers never build the whole (m, h, p)
+    gather.  Each row is reduced by the same numpy call as in the whole
+    gather, so every row keeps its bits.
+    """
+    m, h = states.shape
+    size = max(1, -(-m // h))
+    return [slice(start, start + size) for start in range(0, m, size)]
 
 
 def _hessian_sum(mdp: TabularMdp, scores: np.ndarray, hessians: np.ndarray,
@@ -85,16 +103,21 @@ def _hessian_sum(mdp: TabularMdp, scores: np.ndarray, hessians: np.ndarray,
                  weights: np.ndarray) -> np.ndarray:
     """sum_i weights[i] * H(tau_i) (raw) over an on-policy (m, h) block.
 
-    The d^2 Phi term goes through an (S, A) table of summed reward-to-go
-    weights, so no (m, h, p, p) gather is built; the sum therefore matches
-    the tests' one-trajectory H(tau) up to rounding, not bit for bit.
+    dPhi and d log p fill (m, p) buffers one _row_blocks slice at a time,
+    and the d^2 Phi term goes through an (S, A) table of summed
+    reward-to-go weights, so neither an (m, h, p) nor an (m, h, p, p)
+    gather is built.  The sum matches the tests' one-trajectory H(tau) up
+    to rounding, not bit for bit.
     """
     n_s, n_a, p = scores.shape
-    gammas = mdp.gamma ** np.arange(mdp.horizon)
-    w = (gammas * rewards)[:, ::-1].cumsum(axis=1)[:, ::-1]
-    rows = scores[states, actions]                          # (m, h, p)
-    grad_phi = np.einsum("mh,mhp->mp", w, rows)
-    total = (weights[:, None] * grad_phi).T @ rows.sum(axis=1)
+    w = (mdp._discounts * rewards)[:, ::-1].cumsum(axis=1)[:, ::-1]
+    grad_phi = np.empty((len(states), p))
+    log_p = np.empty_like(grad_phi)
+    for rows in _row_blocks(states):
+        gathered = scores[states[rows], actions[rows]]
+        np.einsum("mh,mhp->mp", w[rows], gathered, out=grad_phi[rows])
+        gathered.sum(axis=1, out=log_p[rows])
+    total = (weights[:, None] * grad_phi).T @ log_p
     pair_weights = np.bincount((states * n_a + actions).ravel(),
                                weights=(weights[:, None] * w).ravel(),
                                minlength=n_s * n_a)

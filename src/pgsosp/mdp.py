@@ -9,11 +9,17 @@ folded into their tolerances.
 
 All types are immutable after construction.  Rollouts are arrays of
 (n, h) trajectory blocks and are pure given their seed: rollout_batch
-derives the i-th row's stream from (seed, i).
+derives the i-th row's stream from (seed, i).  _walk maps a row's uniforms
+to states and actions by bisecting pick tables: the rows of the rho0,
+transition and policy CDFs as lists, with +inf from the first entry at
+each row's total on, so a draw above a rounded total never lands on a
+zero-probability tail entry.
 """
 from __future__ import annotations
 
 import json
+import math
+from bisect import bisect_right
 from dataclasses import dataclass
 import numpy as np
 
@@ -99,9 +105,13 @@ class TabularMdp:
         object.__setattr__(self, "horizon", int(self.horizon))
         object.__setattr__(self, "r_min", r_min)
         object.__setattr__(self, "r_max", r_max)
-        # Cumulative tables for inverse-CDF sampling.
-        object.__setattr__(self, "_trans_cdf", frozen_array(transition.cumsum(axis=2)))
-        object.__setattr__(self, "_rho0_cdf", frozen_array(rho0.cumsum()))
+        # gamma^t for t < h, the per-step discounts of a trajectory block.
+        object.__setattr__(self, "_discounts",
+                           frozen_array(self.gamma ** np.arange(self.horizon)))
+        # Pick tables for inverse-CDF sampling (see _pick_rows); the row of
+        # P(.|s, a) is _trans_rows[s * n_actions + a].
+        object.__setattr__(self, "_trans_rows", _pick_rows(transition.cumsum(axis=2)))
+        object.__setattr__(self, "_rho0_row", _pick_rows(rho0.cumsum())[0])
 
     def to_json(self) -> dict:
         return {
@@ -176,17 +186,21 @@ def _shape_check(mdp: TabularMdp, family) -> None:
         family.check_mdp(mdp)
 
 
-def _pick(cdf: np.ndarray, u: float) -> int:
-    """Inverse-CDF pick: the first index whose cumulative mass exceeds u.
+def _pick_rows(cdf: np.ndarray) -> list[list[float]]:
+    """Pick tables: the rows of cdf along its last axis (leading axes
+    flattened) as lists, each with +inf from its first entry at the row's
+    total on.
 
-    A draw at or above the CDF's rounded total (a cumsum can end just
-    below 1) takes the last entry that adds mass, never a zero-probability
-    tail entry.
+    bisect_right on a row is the inverse-CDF pick: the first index whose
+    cumulative mass exceeds u.  A draw at or above the row's rounded total
+    (a cumsum can end just below 1) takes the last entry that adds mass,
+    never a zero-probability tail entry.
     """
-    i = int(cdf.searchsorted(u, side="right"))
-    if i == len(cdf):
-        i = int(cdf.searchsorted(cdf[-1], side="left"))
-    return i
+    rows = cdf.reshape(-1, cdf.shape[-1]).tolist()
+    for row in rows:
+        first = row.index(row[-1])
+        row[first:] = [math.inf] * (len(row) - first)
+    return rows
 
 
 def _walk(mdp: TabularMdp, draws: np.ndarray, action_cdf: np.ndarray
@@ -195,20 +209,24 @@ def _walk(mdp: TabularMdp, draws: np.ndarray, action_cdf: np.ndarray
 
     In row i, draws[i, 0] picks s_0 from rho0, draws[i, 2t+1] picks a_t
     from the (S, A) policy CDF row action_cdf[s_t], and draws[i, 2t+2]
-    picks s_{t+1} from P(.|s_t, a_t).
+    picks s_{t+1} from P(.|s_t, a_t), each through a pick table.
     """
     n, h = draws.shape[0], mdp.horizon
     states = np.empty((n, h), dtype=np.int64)
     actions = np.empty((n, h), dtype=np.int64)
-    rho0_cdf, trans_cdf = mdp._rho0_cdf, mdp._trans_cdf
+    rho0, trans, policy = mdp._rho0_row, mdp._trans_rows, _pick_rows(action_cdf)
+    n_a = mdp.n_actions
     for i in range(n):
-        row = draws[i]
-        s = _pick(rho0_cdf, row[0])
+        row = draws[i].tolist()
+        s = bisect_right(rho0, row[0])
+        row_states, row_actions = [], []
         for t in range(h):
-            a = _pick(action_cdf[s], row[2 * t + 1])
-            states[i, t] = s
-            actions[i, t] = a
-            s = _pick(trans_cdf[s, a], row[2 * t + 2])
+            a = bisect_right(policy[s], row[2 * t + 1])
+            row_states.append(s)
+            row_actions.append(a)
+            s = bisect_right(trans[s * n_a + a], row[2 * t + 2])
+        states[i] = row_states
+        actions[i] = row_actions
     return states, actions
 
 

@@ -569,7 +569,8 @@ def verify_escape(source: QuadraticSaddleSource, alpha: float, runs: int,
     Success is a value gain, not leaving a geometric region.  Each run
     iterates from the saddle center until the gain threshold or the step
     cap cap_factor * kappa_hat_0.  iota_sq defaults to the source noise's
-    constructed floor along the top eigenvector; pass the benchmark floor
+    constructed floor along the top eigenvector, and a derived floor that
+    is not positive raises PreconditionError; pass the benchmark floor
     explicitly for violation (contrast) runs.  mean_escape_steps is None
     when no run escapes.
     """
@@ -587,6 +588,12 @@ def verify_escape(source: QuadraticSaddleSource, alpha: float, runs: int,
     cap = cap_factor * kappa
     if iota_sq is None:
         iota_sq = source.noise.iota_sq(source.u_p)
+        if not iota_sq > 0:
+            raise PreconditionError(
+                f"the {source.noise.kind!r} noise gives no curvature floor along "
+                f"the escape direction (iota_sq = {iota_sq:.6g}), so every run "
+                f"would meet a zero gain threshold; pass iota_sq explicitly"
+            )
     threshold = alpha ** 2 * iota_sq * math.sqrt(chi * epsilon)
 
     escape_step = np.full(runs, -1, dtype=np.int64)

@@ -87,6 +87,15 @@ class TestConstantsCommand:
         assert out.startswith("key,value")
         assert any(line.startswith("ell,") for line in out.splitlines())
 
+    def test_csv_without_iota_leaves_k_empty(self, tmp_path, capsys):
+        cfg = {k: v for k, v in CONSTANTS_CFG.items() if k != "iota"}
+        path = write_config(tmp_path, "c.json", cfg)
+        code, out, _ = run_cli(capsys, ["constants", "--config", path,
+                                        "--format", "csv"])
+        assert code == 0
+        assert "K," in out.splitlines()
+        assert "None" not in out
+
     def test_oversized_grid_named_before_allocation(self, tmp_path, capsys):
         # 10^6 points per axis over p = 4 axes: 10^24 grid points, which
         # numpy cannot allocate; the cap rejects it first, naming the key.
@@ -357,6 +366,32 @@ class TestEscapeTrapCommands:
             payload = json.loads(text, parse_constant=reject)
             assert payload["escape_fraction"] == 0.0
             assert payload["mean_escape_steps"] is None
+
+    @pytest.mark.parametrize("noise", [
+        {"kind": "zero"},
+        {"kind": "rademacher", "scale": 0.0},
+        {"kind": "signed_direction", "direction": [0.0, 1.0]},
+    ], ids=["zero", "rademacher-scale-0", "signed-off-direction"])
+    def test_derived_floor_of_zero_exits_2(self, tmp_path, capsys, noise):
+        # Without a floor the gain threshold is 0 and every run would
+        # "escape" at its first step.
+        cfg = write_config(tmp_path, "e.json", {
+            "command": "escape", "seed": 1, "runs": 20, "noise": noise,
+        })
+        code, out, err = run_cli(capsys, ["escape", "--config", cfg])
+        assert (code, out) == (2, "")
+        assert "iota_sq" in err and "Traceback" not in err
+
+    def test_csv_null_is_an_empty_cell(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, "e.json", {
+            "command": "escape", "seed": 1, "runs": 20, "alpha": 1e-4,
+            "contrast": True,
+        })
+        code, out, _ = run_cli(capsys, ["escape", "--config", cfg,
+                                        "--format", "csv"])
+        assert code == 0
+        assert "mean_escape_steps,\n" in out
+        assert "None" not in out
 
     @pytest.mark.parametrize("key, value", [("cap_factor", 0), ("iota_sq", -1.0),
                                             ("iota_sq", 0.0)])

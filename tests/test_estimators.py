@@ -1,16 +1,19 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from pgsosp.errors import PolicyDomainError
 from pgsosp.estimators import (
+    _hessian_sum,
+    _pg_rows,
     batch_gradient,
     batch_hessian,
     fisher_matrix,
     pg_sample_block,
 )
-from pgsosp.mdp import TabularMdp
+from pgsosp.mdp import TabularMdp, random_mdp
 from pgsosp.oracle import (
     enumerate_trajectories,
     exact_gradient,
@@ -23,6 +26,8 @@ from pgsosp.util import derive_rng
 from conftest import make_random_problem, sub_seed
 from trajectory_reference import (
     Trajectory,
+    gather_hessian_sum,
+    gather_pg_rows,
     hessian_estimate,
     pg_estimate,
     reward_to_go,
@@ -240,3 +245,80 @@ class TestSigmaBoundWarning:
             w.simplefilter("error")
             batch_gradient(bandit, bandit_family, np.zeros(2), 100, seed=1,
                            sigma_bound=100.0)
+
+
+# (n_states, n_actions, p, h, m, score magnitude, seed)
+BLOCK_SHAPES = [
+    (1, 2, 2, 1, 1, 1.0, 0),
+    (3, 2, 6, 4, 1, 1.0, 1),
+    (4, 3, 12, 6, 4000, 1.0, 2),
+    (2, 2, 2, 50, 1024, 1e8, 3),
+    (5, 4, 20, 50, 1024, 1e-8, 4),
+    (3, 3, 9, 7, 3, 1e8, 5),
+    (6, 5, 100, 13, 257, 1e-8, 6),
+    (2, 3, 37, 49, 1000, 1.0, 7),
+    (7, 2, 14, 1, 1024, 1e8, 8),
+    (1, 1, 1, 20, 64, 1.0, 9),
+    (4, 4, 3, 8, 9, 1e-8, 10),
+    (3, 2, 64, 2, 511, 1.0, 11),
+]
+
+
+def random_block(n_s, n_a, p, h, m, scale, seed):
+    """Scores (S, A, p), Hessians (S, A, p, p) and an (m, h) block with
+    signed zeros among the score entries and rewards."""
+    rng = np.random.default_rng(seed)
+    scores = rng.standard_normal((n_s, n_a, p)) * scale
+    scores[rng.random(scores.shape) < 0.2] = -0.0
+    hessians = rng.standard_normal((n_s, n_a, p, p)) * scale
+    states = rng.integers(0, n_s, (m, h))
+    actions = rng.integers(0, n_a, (m, h))
+    rewards = rng.uniform(0.0, 1.0, (m, h)) * (rng.random((m, h)) < 0.8)
+    weights = rng.uniform(0.0, 1.0, m)
+    return scores, hessians, states, actions, rewards, weights
+
+
+class TestBlockReducers:
+    """The reducers gather score rows a row block at a time; every output
+    keeps the bits of the whole (m, h, p) gather."""
+
+    @pytest.mark.parametrize("shape", BLOCK_SHAPES,
+                             ids=[f"p{s[2]}-h{s[3]}-m{s[4]}-{s[5]:g}" for s in BLOCK_SHAPES])
+    def test_same_bits_as_the_whole_gather(self, shape):
+        n_s, n_a, p, h, m, scale, seed = shape
+        mdp = random_mdp(seed, n_states=n_s, n_actions=n_a, horizon=h, gamma=0.9)
+        scores, hessians, states, actions, rewards, weights = random_block(*shape)
+        assert np.array_equal(
+            _pg_rows(mdp, scores, states, actions, rewards),
+            gather_pg_rows(mdp, scores, states, actions, rewards))
+        for w in (weights, np.ones(m)):
+            assert np.array_equal(
+                _hessian_sum(mdp, scores, hessians, states, actions, rewards, w),
+                gather_hessian_sum(mdp, scores, hessians, states, actions,
+                                   rewards, w))
+
+    def test_peak_memory_is_per_row_not_per_step(self):
+        # S20 A5 h50 with 2000 trajectories: the whole (m, h, p) gather is
+        # 76 MiB, which the reducers never hold.
+        n = 2000
+        mdp = random_mdp(1, n_states=20, n_actions=5, horizon=50, gamma=0.9)
+        family = TabularSoftmax(20, 5)
+        theta = np.random.default_rng(1).standard_normal(family.param_dim)
+        scores, hessians = family.score(theta), family.hess(theta)
+        rng = np.random.default_rng(2)
+        states = rng.integers(0, 20, (n, 50))
+        actions = rng.integers(0, 5, (n, 50))
+        rewards = mdp.reward[states, actions]
+        calls = {
+            "_pg_rows": lambda: _pg_rows(mdp, scores, states, actions, rewards),
+            "_hessian_sum": lambda: _hessian_sum(mdp, scores, hessians, states,
+                                                 actions, rewards, np.ones(n)),
+        }
+        for name, call in calls.items():
+            tracemalloc.start()
+            try:
+                call()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 16 * 2 ** 20, f"{name} peaked at {peak / 2 ** 20:.1f} MiB"

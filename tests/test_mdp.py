@@ -13,6 +13,7 @@ from pgsosp.mdp import (
     occupancy_mass,
     perf_diff_tail_tolerance,
     performance_difference_check,
+    random_mdp,
     rollout_batch,
     value_functions,
 )
@@ -20,7 +21,12 @@ from pgsosp.policy import ExampleOnePiecewise, TabularSoftmax
 from pgsosp.util import derive_rng
 
 from conftest import make_random_problem, sub_seed
-from trajectory_reference import Trajectory, discounted_return, sample_trajectory
+from trajectory_reference import (
+    Trajectory,
+    discounted_return,
+    pick_walk,
+    sample_trajectory,
+)
 
 
 def single_state_mdp(gamma=0.5, horizon=3, reward=1.0):
@@ -159,6 +165,60 @@ class TestSampling:
         assert (row[states] > 0).all()
         assert (row[actions] > 0).all()
 
+
+
+def sparse_rows(rng, shape):
+    """Rows of probabilities along the last axis with some exact zeros,
+    leading and trailing ones included, each row keeping some mass."""
+    rows = rng.dirichlet(np.ones(shape[-1]), size=shape[:-1])
+    rows[rng.random(rows.shape) < 0.4] = 0.0
+    rows[..., -1][rng.random(shape[:-1]) < 0.5] = 0.0
+    empty = rows.sum(axis=-1) == 0.0
+    rows[empty, rng.integers(0, shape[-1], int(empty.sum()))] = 1.0
+    return rows / rows.sum(axis=-1, keepdims=True)
+
+
+class TestWalkPickTables:
+    """_walk picks through pick tables; every row must be the row the
+    searchsorted picks of tests/trajectory_reference.pick_walk give."""
+
+    @pytest.mark.parametrize("seed", range(30))
+    def test_rows_match_the_searchsorted_walk(self, seed):
+        rng = np.random.default_rng(seed)
+        n_s, n_a, h = (int(rng.integers(1, 7)), int(rng.integers(1, 6)),
+                       int(rng.integers(1, 9)))
+        mdp = TabularMdp(
+            n_states=n_s, n_actions=n_a,
+            transition=sparse_rows(rng, (n_s, n_a, n_s)),
+            reward=np.ones((n_s, n_a)), rho0=sparse_rows(rng, (n_s,)),
+            gamma=0.9, horizon=h, r_min=1.0, r_max=1.0,
+        )
+        family = TabularSoftmax(n_s, n_a)
+        # Logits up to +-800 make some action probabilities exact zeros.
+        theta = rng.uniform(-800.0, 800.0, family.param_dim) \
+            * (rng.random(family.param_dim) < 0.5)
+        action_cdf = family.probs(theta).cumsum(axis=1)
+        draws = rng.random((40, 2 * h + 1))
+        draws[:10] = np.nextafter(1.0, 0.0)
+        draws[10:20] = 0.0
+        draws[20:30][rng.random((10, 2 * h + 1)) < 0.5] = np.nextafter(1.0, 0.0)
+        states, actions = _walk(mdp, draws, action_cdf)
+        ref_states, ref_actions = pick_walk(mdp, draws, action_cdf)
+        assert np.array_equal(states, ref_states)
+        assert np.array_equal(actions, ref_actions)
+
+    def test_rounded_totals_and_leading_zeros_on_a_draw_grid(self):
+        # Policy rows whose cumsum ends below 1, with equal masses, and with
+        # zero-probability leading entries, walked on an even grid of draws.
+        mdp = random_mdp(3, n_states=3, n_actions=3, horizon=6)
+        action_cdf = np.stack([np.array([0.7, 0.2, 0.1]).cumsum(),
+                               np.full(3, 1 / 3).cumsum(),
+                               np.array([0.0, 0.0, 1.0])])
+        grid = np.linspace(0.0, np.nextafter(1.0, 0.0), 13 * 64).reshape(64, 13)
+        states, actions = _walk(mdp, grid, action_cdf)
+        ref_states, ref_actions = pick_walk(mdp, grid, action_cdf)
+        assert np.array_equal(states, ref_states)
+        assert np.array_equal(actions, ref_actions)
 
 class TestDiscountedReturn:
     def test_geometric(self):

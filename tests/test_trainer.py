@@ -662,6 +662,11 @@ class TestBlockSteppedChains:
             source = QuadraticSaddleSource(hessian, noise, cubic=cubic)
             args = dict(alpha=2e-3, runs=45, seed=i, chi=1.0, epsilon=1.0,
                         sigma_h0=10.0, cap_factor=2)
+            if not noise.iota_sq(source.u_p) > 0:
+                # No floor to derive a threshold from: the run needs one.
+                with pytest.raises(PreconditionError, match="iota_sq"):
+                    verify_escape(source, **args)
+                args["iota_sq"] = 1.0
             want, _ = _reference_escape(source, **args)
             _assert_same(verify_escape(source, **args), want)
 

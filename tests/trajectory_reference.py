@@ -14,6 +14,11 @@ with w_t = sum_{i>=t} gamma^i r_{i+1}.  sample_trajectory(seed) draws the
 sub-seed (conftest.sub_seed).  recursive_enumeration walks the trajectory
 tree one node at a time, depth first; the library's level-wise
 enumerate_trajectories must yield the same items in the same order.
+
+Two block forms are kept as they were before the library changed them, so
+the tests can pin the new code to them bit for bit: pick_walk maps draws
+to trajectories with one searchsorted call per pick, and gather_pg_rows /
+gather_hessian_sum reduce the whole (m, h, p) gather of score rows.
 """
 from __future__ import annotations
 
@@ -150,3 +155,60 @@ def recursive_enumeration(mdp: TabularMdp, family, theta: np.ndarray):
     for s0 in range(mdp.n_states):
         if mdp.rho0[s0] > 0.0:
             yield from walk(0, s0, float(mdp.rho0[s0]))
+
+
+def pick(cdf: np.ndarray, u: float) -> int:
+    """Inverse-CDF pick: the first index whose cumulative mass exceeds u.
+
+    A draw at or above the CDF's rounded total (a cumsum can end just
+    below 1) takes the last entry that adds mass, never a zero-probability
+    tail entry.
+    """
+    i = int(cdf.searchsorted(u, side="right"))
+    if i == len(cdf):
+        i = int(cdf.searchsorted(cdf[-1], side="left"))
+    return i
+
+
+def pick_walk(mdp: TabularMdp, draws: np.ndarray, action_cdf: np.ndarray
+              ) -> tuple[np.ndarray, np.ndarray]:
+    """The (states, actions) that mdp._walk builds from an (n, 2h+1) block
+    of uniforms, one pick call per draw."""
+    n, h = draws.shape[0], mdp.horizon
+    states = np.empty((n, h), dtype=np.int64)
+    actions = np.empty((n, h), dtype=np.int64)
+    rho0_cdf, trans_cdf = mdp.rho0.cumsum(), mdp.transition.cumsum(axis=2)
+    for i in range(n):
+        row = draws[i]
+        s = pick(rho0_cdf, row[0])
+        for t in range(h):
+            a = pick(action_cdf[s], row[2 * t + 1])
+            states[i, t] = s
+            actions[i, t] = a
+            s = pick(trans_cdf[s, a], row[2 * t + 2])
+    return states, actions
+
+
+def gather_pg_rows(mdp: TabularMdp, scores: np.ndarray, states: np.ndarray,
+                   actions: np.ndarray, rewards: np.ndarray) -> np.ndarray:
+    """estimators._pg_rows through the whole (m, h, p) score gather."""
+    gammas = mdp.gamma ** np.arange(mdp.horizon)
+    returns = (gammas * rewards).sum(axis=1)
+    return scores[states, actions].sum(axis=1) * returns[:, None]
+
+
+def gather_hessian_sum(mdp: TabularMdp, scores: np.ndarray, hessians: np.ndarray,
+                       states: np.ndarray, actions: np.ndarray,
+                       rewards: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """estimators._hessian_sum through the whole (m, h, p) score gather."""
+    n_s, n_a, p = scores.shape
+    gammas = mdp.gamma ** np.arange(mdp.horizon)
+    w = (gammas * rewards)[:, ::-1].cumsum(axis=1)[:, ::-1]
+    rows = scores[states, actions]
+    grad_phi = np.einsum("mh,mhp->mp", w, rows)
+    total = (weights[:, None] * grad_phi).T @ rows.sum(axis=1)
+    pair_weights = np.bincount((states * n_a + actions).ravel(),
+                               weights=(weights[:, None] * w).ravel(),
+                               minlength=n_s * n_a)
+    return total + np.tensordot(pair_weights, hessians.reshape(n_s * n_a, p, p),
+                                axes=1)
