@@ -38,7 +38,7 @@ from .oracle import (
 from .policy import ExampleOnePiecewise, RegularityConstants, TabularSoftmax, \
     estimate_regularity, make_family
 from .util import Block, OneOf, _read, canonical_json, derive_rng, format_float, \
-    write_csv
+    json_ready, write_csv
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -195,7 +195,8 @@ def _resolve_seed(cfg: dict, args) -> int:
 def _emit(payload: dict, args, filename: str = "summary.json") -> None:
     if args.format == "csv":
         text = "".join(f"{key},{value}\n" for key, value
-                       in [("key", "value"), *sorted(_flatten(payload).items())])
+                       in [("key", "value"),
+                           *sorted(_flatten(json_ready(payload)).items())])
     else:
         text = canonical_json(payload)
     sys.stdout.write(text)

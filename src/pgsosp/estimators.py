@@ -32,7 +32,6 @@ enumeration identities.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -137,26 +136,17 @@ def pg_sample_block(mdp: TabularMdp, family, theta: np.ndarray, n: int,
 
 
 def batch_gradient(mdp: TabularMdp, family, theta: np.ndarray, n: int,
-                   seed: int, center: np.ndarray | None = None,
-                   sigma_bound: float | None = None) -> GradEstimate:
+                   seed: int, center: np.ndarray | None = None) -> GradEstimate:
     """Mean of g(tau) over the n rows of rollout_batch(..., n, seed).
 
     per_sample_norm_max records max_i ||g_i - center||_2; the center
     defaults to the batch mean and callers with an exact gradient pass it
-    to check the deviation bound directly.  When sigma_bound is given, an
-    exceedance is a warning rather than an error: grid-estimated score
-    bounds are lower bounds on the true suprema, so the derived deviation
-    bound can undershoot.
+    to check the deviation bound directly.
     """
     samples = pg_sample_block(mdp, family, theta, n, seed)
     mean = samples.sum(axis=0) / n
     ref = mean if center is None else np.asarray(center, dtype=float)
     norm_max = float(np.linalg.norm(samples - ref, axis=1).max())
-    if sigma_bound is not None and norm_max > sigma_bound + 1e-9:
-        warnings.warn(
-            f"per-sample deviation {norm_max:.6g} exceeds the configured "
-            f"bound {sigma_bound:.6g}", stacklevel=2,
-        )
     return GradEstimate(mean=mean, per_sample_norm_max=norm_max, n=n,
                         std_error=_std_error(samples))
 

@@ -215,26 +215,26 @@ def exact_hessian(mdp: TabularMdp, family, theta: np.ndarray) -> np.ndarray:
 
 def fd_gradient(func, theta: np.ndarray, step: float = 1e-5) -> np.ndarray:
     """Central-difference gradient of a scalar function."""
-    theta = np.asarray(theta, dtype=float)
-    grad = np.zeros_like(theta)
-    for j in range(theta.size):
-        bump = np.zeros_like(theta)
-        bump[j] = step
-        grad[j] = (func(theta + bump) - func(theta - bump)) / (2.0 * step)
-    return grad
+    return _central_differences(func, theta, step)
 
 
 def fd_hessian_from_gradient(grad_func, theta: np.ndarray,
                              step: float = 1e-4) -> np.ndarray:
     """Central-difference Jacobian of a gradient function, symmetrized."""
-    theta = np.asarray(theta, dtype=float)
-    p = theta.size
-    hess = np.zeros((p, p))
-    for j in range(p):
-        bump = np.zeros(p)
-        bump[j] = step
-        hess[:, j] = (grad_func(theta + bump) - grad_func(theta - bump)) / (2.0 * step)
+    hess = _central_differences(grad_func, theta, step)
     return (hess + hess.T) / 2.0
+
+
+def _central_differences(func, theta: np.ndarray, step: float) -> np.ndarray:
+    """(func(theta + step e_j) - func(theta - step e_j)) / (2 step) for each
+    coordinate j, stacked along a new last axis."""
+    theta = np.asarray(theta, dtype=float)
+    columns = []
+    for j in range(theta.size):
+        bump = np.zeros_like(theta)
+        bump[j] = step
+        columns.append((func(theta + bump) - func(theta - bump)) / (2.0 * step))
+    return np.stack(columns, axis=-1)
 
 
 # ---------------------------------------------------------------------------

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -94,7 +94,7 @@ class SecondOrderReport:
     """Gradient/Hessian snapshot with eigenanalysis and region verdict.
 
     In estimated mode raw_hessian keeps the unsymmetrized Hessian mean; it
-    is not part of to_json.
+    is not part of to_json, which leaves out the fields that are None.
     """
 
     grad: np.ndarray
@@ -119,22 +119,9 @@ class SecondOrderReport:
             object.__setattr__(self, "raw_hessian", frozen_array(self.raw_hessian))
 
     def to_json(self) -> dict:
-        out = {
-            "grad": self.grad.tolist(),
-            "grad_norm": self.grad_norm,
-            "hessian": self.hessian.tolist(),
-            "lambda_max": self.lambda_max,
-            "u_p": self.u_p.tolist(),
-            "region": self.region.value,
-            "is_sosp": self.is_sosp,
-            "epsilon": self.epsilon,
-            "chi": self.chi,
-            "mode": self.mode,
-        }
-        if self.grad_std_error is not None:
-            out["grad_std_error"] = self.grad_std_error.tolist()
-        if self.n_samples is not None:
-            out["n_samples"] = self.n_samples
+        out = {key: value for key, value in asdict(self).items()
+               if value is not None and key != "raw_hessian"}
+        out["region"] = self.region.value
         return out
 
 
@@ -367,37 +354,44 @@ def trap_budget(alpha: float, delta: float) -> int:
 
 
 def prop3_step_size(delta: float, zeta: float, ell: float, varrho: float,
-                    sigma: float, g: float, r_max: float, gamma: float):
-    """Near-local-maximum step-size caps.
+                    sigma: float, grad_bound_sq: float,
+                    relaxation: float = 1.0) -> float:
+    """Largest alpha <= min{delta, 1/zeta, zeta/ell^2, zeta varrho^2/(3 sigma^2), 1/e}
+    with alpha ln(1/alpha) <= relaxation * 2 zeta varrho^4 / (27 (grad_bound_sq
+    + zeta varrho^2 + sigma^2)^2), by bisection below the cap (Prop. 3).
 
-    Returns (alpha_cap, predicate) where alpha_cap = min{delta, 1/zeta,
-    zeta/ell^2, zeta varrho^2 / (3 sigma^2)} and predicate(alpha) checks
-    alpha ln(1/alpha) <= 2 zeta varrho^4 / (27 (G^2 r_max^2/(1-gamma)^2 +
-    zeta varrho^2 + sigma^2)^2).
+    The sigma term is +inf at sigma = 0; the paper's grad_bound_sq is
+    G^2 r_max^2 / (1-gamma)^2.  Raises PreconditionError when not even
+    alpha = 1e-12 meets the log cap (for instance relaxation <= 0).
     """
-    if min(delta, zeta, ell, varrho, sigma, g, r_max) <= 0:
-        raise ConfigError("prop3_step_size: inputs must be positive")
-    _check_gamma(gamma)
-    cap = min(delta, 1.0 / zeta, zeta / ell ** 2,
-              zeta * varrho ** 2 / (3.0 * sigma ** 2))
-    rhs = _log_cap_rhs(zeta, varrho, sigma, g ** 2 * r_max ** 2 / (1.0 - gamma) ** 2)
+    _check_delta(delta)
+    if varrho <= 0:
+        raise ConfigError(f"varrho: must be positive, got {varrho!r}")
+    if min(zeta, ell) <= 0 or sigma < 0 or grad_bound_sq < 0:
+        raise ConfigError("prop3_step_size: inputs must be positive "
+                          "(sigma and grad_bound_sq may be zero)")
+    noise_cap = zeta * varrho ** 2 / (3.0 * sigma ** 2) if sigma else math.inf
+    cap = min(delta, 1.0 / zeta, zeta / ell ** 2, noise_cap, 1.0 / math.e)
+    rhs = relaxation * 2.0 * zeta * varrho ** 4 / (
+        27.0 * (grad_bound_sq + zeta * varrho ** 2 + sigma ** 2) ** 2)
 
-    def log_cap_satisfied(alpha: float, relaxation: float = 1.0) -> bool:
-        if alpha <= 0:
-            raise ConfigError("alpha must be positive")
-        if alpha >= 1.0:
-            return False
-        return alpha * math.log(1.0 / alpha) <= relaxation * rhs
+    def log_ok(a: float) -> bool:
+        return a * math.log(1.0 / a) <= rhs
 
-    return cap, log_cap_satisfied
-
-
-def _log_cap_rhs(zeta: float, varrho: float, sigma: float, grad_bound_sq: float,
-                 scale: float = 1.0) -> float:
-    """scale * 2 zeta varrho^4 / (27 (grad_bound_sq + zeta varrho^2 + sigma^2)^2)."""
-    return scale * 2.0 * zeta * varrho ** 4 / (
-        27.0 * (grad_bound_sq + zeta * varrho ** 2 + sigma ** 2) ** 2
-    )
+    if log_ok(cap):
+        return cap
+    lo, hi = 1e-12, cap
+    if not log_ok(lo):
+        raise PreconditionError(
+            f"trap: no step size in [{lo:g}, {cap:.6g}] meets the log cap "
+            f"alpha ln(1/alpha) <= {rhs:.3g} (relaxation {relaxation!r})")
+    for _ in range(200):
+        mid = (lo + hi) / 2.0
+        if log_ok(mid):
+            lo = mid
+        else:
+            hi = mid
+    return lo
 
 
 def _check_delta(delta: float) -> None:

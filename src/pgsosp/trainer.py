@@ -36,13 +36,11 @@ from .estimators import _hessian_sum, _pg_rows, _std_error
 from .mdp import TabularMdp, _shape_check, _walk
 from .oracle import (Example1Analysis, analytic_example1, exact_gradient,
                      exact_hessian, exact_objective)
-from .policy import _require_on_policy
 from .sosp import (
     Region,
-    _check_delta,
-    _log_cap_rhs,
     _unit_check,
     escape_budget,
+    prop3_step_size,
     report_from_grad_hessian,
     trap_budget,
 )
@@ -262,10 +260,9 @@ class MdpPolicySource:
 
     def _draw(self, theta, rng):
         """(states, actions, rewards), each (1, h), from 2h+1 uniforms of rng."""
-        probs = self.family.probs(theta)
         draws = rng.random(2 * self.mdp.horizon + 1)
-        states, actions = _walk(self.mdp, draws[None, :], probs.cumsum(axis=1))
-        _require_on_policy(probs, states, actions)
+        states, actions = _walk(self.mdp, draws[None, :],
+                                self.family.probs(theta).cumsum(axis=1))
         return states, actions, self.mdp.reward[states, actions]
 
     def sample_gradient(self, theta, rng) -> np.ndarray:
@@ -338,13 +335,8 @@ class RunRecord:
         out["n_rows"] = len(self.rows)
         out["diverged_at"] = self.diverged_at
         if self.rows:
-            last = self.rows[-1]
-            out["final"] = {
-                "k": last.k, "theta": last.theta.tolist(),
-                "objective": last.objective, "grad_norm": last.grad_norm,
-                "lambda_max": last.lambda_max, "region": last.region.value,
-                "varsigma": last.varsigma,
-            }
+            out["final"] = {**asdict(self.rows[-1]),
+                            "region": self.rows[-1].region.value}
         return out
 
 
@@ -487,9 +479,10 @@ def coupled_quadratic_run(source, theta0: np.ndarray, alpha: float,
         )
     rng = derive_rng(seed)
     g_sample, h0_hat = source.sample_pair(theta0, rng)
-    xi0 = g_sample - source.gradient(theta0)
+    grad0 = source.gradient(theta0)
+    xi0 = g_sample - grad0
     h0 = source.hessian(theta0)
-    g0 = source.gradient(theta0) + xi0
+    g0 = grad0 + xi0
 
     t_main = t_model = theta0
     max_gap = 0.0
@@ -570,7 +563,7 @@ def verify_escape(source: QuadraticSaddleSource, alpha: float, runs: int,
     iterates from the saddle center until the gain threshold or the step
     cap cap_factor * kappa_hat_0.  iota_sq defaults to the source noise's
     constructed floor along the top eigenvector, and a derived floor that
-    is not positive raises PreconditionError; pass the benchmark floor
+    _no_floor rejects raises PreconditionError; pass the benchmark floor
     explicitly for violation (contrast) runs.  mean_escape_steps is None
     when no run escapes.
     """
@@ -588,7 +581,7 @@ def verify_escape(source: QuadraticSaddleSource, alpha: float, runs: int,
     cap = cap_factor * kappa
     if iota_sq is None:
         iota_sq = source.noise.iota_sq(source.u_p)
-        if not iota_sq > 0:
+        if _no_floor(source.noise, iota_sq):
             raise PreconditionError(
                 f"the {source.noise.kind!r} noise gives no curvature floor along "
                 f"the escape direction (iota_sq = {iota_sq:.6g}), so every run "
@@ -637,6 +630,13 @@ def verify_escape(source: QuadraticSaddleSource, alpha: float, runs: int,
         step_cap=cap,
         runs=runs,
     )
+
+
+def _no_floor(noise: NoiseSpec, iota_sq: float) -> bool:
+    """Whether a derived floor iota_sq of noise is at most 1e-12 scale^2: the
+    rounding residue (about 1e-15) that noise with no energy along an
+    eigensolver's top eigenvector gives instead of 0."""
+    return not iota_sq > 1e-12 * noise.scale ** 2
 
 
 def quadratic_saddle_source(eigenvalues=(1.0, -1.0), noise: NoiseSpec | None = None,
@@ -722,47 +722,6 @@ def verify_trap(source: QuadraticSaddleSource, alpha: float, runs: int,
     )
 
 
-def trap_benchmark_alpha(zeta: float, varrho: float, noise_sigma: float,
-                         delta: float, relaxation: float = 1.0) -> float:
-    """Largest admissible step size for the trap benchmark.
-
-    Takes the four-way cap min{delta, 1/zeta, zeta/ell^2, zeta rho^2/(3 s^2)}
-    with ell = zeta (the last term is +inf without noise), then shrinks
-    until alpha*ln(1/alpha) clears the log cap (evaluated with the source's
-    gradient bound zeta*rho + sigma in the role of the reward-weighted
-    score bound), scaled by `relaxation`.  Raises PreconditionError when
-    not even alpha = 1e-12 clears it (for instance relaxation <= 0).
-    """
-    _check_delta(delta)
-    if varrho <= 0:
-        raise ConfigError(f"varrho: must be positive, got {varrho!r}")
-    ell = zeta
-    noise_cap = zeta * varrho ** 2 / (3.0 * noise_sigma ** 2) if noise_sigma \
-        else math.inf
-    cap = min(delta, 1.0 / zeta, zeta / ell ** 2, noise_cap)
-    grad_bound = zeta * varrho + noise_sigma
-    rhs = _log_cap_rhs(zeta, varrho, noise_sigma, grad_bound ** 2, relaxation)
-
-    def log_ok(a: float) -> bool:
-        return a * math.log(1.0 / a) <= rhs
-
-    cap = min(cap, 1.0 / math.e)
-    if log_ok(cap):
-        return cap
-    lo, hi = 1e-12, cap
-    if not log_ok(lo):
-        raise PreconditionError(
-            f"trap: no step size in [{lo:g}, {cap:.6g}] meets the log cap "
-            f"alpha ln(1/alpha) <= {rhs:.3g} (relaxation {relaxation!r})")
-    for _ in range(200):
-        mid = (lo + hi) / 2.0
-        if log_ok(mid):
-            lo = mid
-        else:
-            hi = mid
-    return lo
-
-
 def default_trap_benchmark(runs: int = 500, seed: int = 0,
                            alpha: float | None = None, zeta: float = 1.0,
                            varrho: float = 1.0, noise_sigma: float = 0.3,
@@ -772,13 +731,15 @@ def default_trap_benchmark(runs: int = 500, seed: int = 0,
 
     By default (unit bowl, noise radius 0.3, delta 0.2) it starts on the
     boundary of the inner ball (the hardest admissible start) and runs
-    the full trapping budget at the capped step size.  The keywords are
-    the ``trap`` command's config keys.
+    the full trapping budget at the step size of ``prop3_step_size`` with
+    ell = zeta and gradient bound zeta varrho + noise_sigma.  The keywords
+    are the ``trap`` command's config keys.
     """
     source = StronglyConcaveSource(zeta=zeta, theta_star=np.zeros(2),
                                    noise_sigma=noise_sigma)
     if alpha is None:
-        alpha = trap_benchmark_alpha(zeta, varrho, noise_sigma, delta, relaxation)
+        alpha = prop3_step_size(delta, zeta, zeta, varrho, noise_sigma,
+                                (zeta * varrho + noise_sigma) ** 2, relaxation)
     if theta0 is None:
         theta0 = [varrho / math.sqrt(3.0), 0.0]
     return verify_trap(source, alpha=alpha, runs=runs, seed=seed,

@@ -16,6 +16,16 @@ from pgsosp.cli import main
 from pgsosp.util import canonical_json
 
 
+def _json_leaves(obj, prefix=""):
+    """(dotted key, CSV cell) of every leaf of a parsed JSON payload."""
+    if isinstance(obj, (dict, list)):
+        items = obj.items() if isinstance(obj, dict) else enumerate(obj)
+        return [leaf for key, value in items
+                for leaf in _json_leaves(value, f"{prefix}{key}.")]
+    cell = repr(obj) if isinstance(obj, float) else "" if obj is None else obj
+    return [(prefix[:-1], cell)]
+
+
 def write_config(tmp_path, name, payload):
     path = tmp_path / name
     path.write_text(json.dumps(payload))
@@ -232,6 +242,33 @@ class TestClassifyCommand:
         expected = original(example_one_mdp(), ExampleOnePiecewise(),
                             [0.3, 0.4], 500, 5).raw_mean
         assert json.loads(out)["raw_hessian_mean"] == expected.tolist()
+
+    @pytest.mark.parametrize("command, extra, flags, region", [
+        ("classify", {}, ["--theta", "0.0,0.0"], "region,L2"),
+        ("classify", dict(mode="estimated", n=200, seed=4, raw_hessian=True),
+         ["--theta", "0.3,0.4"], "region,L1"),
+        ("train", {}, [], "final.region,L2"),
+    ])
+    def test_csv_rows_are_the_json_leaves(self, tmp_path, capsys, command,
+                                          extra, flags, region):
+        # Arrays come out one row per index and the region as its value,
+        # not as numpy array text or Region.L2.
+        base = CLASSIFY_CFG if command == "classify" else TRAIN_CFG
+        cfg = write_config(tmp_path, "c.json", dict(base, **extra))
+        code, out, _ = run_cli(capsys, [command, "--config", cfg, *flags])
+        assert code == 0
+        code, csv, _ = run_cli(capsys, [command, "--config", cfg, *flags,
+                                        "--format", "csv"])
+        assert code == 0
+        rows = csv.splitlines()
+        assert rows[0] == "key,value" and region in rows
+        leaves = _json_leaves(json.loads(out))
+        assert rows[1:] == sorted(f"{key},{value}" for key, value in leaves)
+        arrays = ("final.theta.1",) if command == "train" else \
+            ("grad.1", "hessian.1.0", "u_p.1")
+        if extra:
+            arrays += ("grad_std_error.1", "raw_hessian_mean.0.1")
+        assert set(arrays) <= {key for key, _ in leaves}
 
     def test_threads_flag_rejected(self, tmp_path):
         cfg = write_config(tmp_path, "c.json", CLASSIFY_CFG)

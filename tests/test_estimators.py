@@ -230,23 +230,6 @@ class TestBatchGradient:
         assert np.array_equal(block, slow)
 
 
-class TestSigmaBoundWarning:
-    def test_exceedance_warns_not_raises(self, bandit, bandit_family):
-        import warnings as w
-
-        with pytest.warns(UserWarning, match="deviation"):
-            batch_gradient(bandit, bandit_family, np.zeros(2), 100, seed=1,
-                           sigma_bound=1e-6)
-
-    def test_satisfied_bound_is_silent(self, bandit, bandit_family):
-        import warnings as w
-
-        with w.catch_warnings():
-            w.simplefilter("error")
-            batch_gradient(bandit, bandit_family, np.zeros(2), 100, seed=1,
-                           sigma_bound=100.0)
-
-
 # (n_states, n_actions, p, h, m, score magnitude, seed)
 BLOCK_SHAPES = [
     (1, 2, 2, 1, 1, 1.0, 0),

@@ -16,12 +16,14 @@ from pgsosp.oracle import (
     exact_hessian,
     exact_objective,
     fd_gradient,
+    fd_hessian_from_gradient,
     is_enumerable,
 )
 from pgsosp.policy import ExampleOnePiecewise, TabularSoftmax
 from pgsosp.util import derive_rng
 
 from conftest import make_random_problem
+import formula_reference
 from trajectory_reference import objective_by_enumeration, recursive_enumeration
 
 INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
@@ -155,6 +157,33 @@ class TestHessian:
         monkeypatch.setattr(oracle, "enumerate_trajectories", no_enumeration)
         grad = exact_gradient(mdp, family, theta)  # enumeration route not offered
         assert np.array_equal(grad, _gradient_visitation(mdp, family, theta))
+
+
+class TestFiniteDifferences:
+    """Both finite-difference functions share one central-difference loop;
+    each keeps the bits of its own earlier loop (tests/formula_reference.py)."""
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_objective_gradient_matches_earlier_loop(self, seed):
+        mdp, family = make_random_problem(seed + 600, n_states=2 + seed % 3,
+                                          n_actions=2 + seed % 2, horizon=3)
+        theta = derive_rng(seed, 46).uniform(-1.5, 1.5, family.param_dim)
+        objective = lambda t: exact_objective(mdp, family, t)
+        for step in (1e-5, 1e-3):
+            assert np.array_equal(
+                fd_gradient(objective, theta, step),
+                formula_reference.fd_gradient(objective, theta, step))
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_gradient_jacobian_matches_earlier_loop(self, seed):
+        mdp, family = make_random_problem(seed + 700, n_states=2 + seed % 3,
+                                          n_actions=2 + seed % 2, horizon=3)
+        theta = derive_rng(seed, 47).uniform(-1.5, 1.5, family.param_dim)
+        grad = lambda t: _gradient_visitation(mdp, family, t)
+        for step in (1e-4, 1e-2):
+            assert np.array_equal(
+                fd_hessian_from_gradient(grad, theta, step),
+                formula_reference.fd_hessian_from_gradient(grad, theta, step))
 
 
 class TestEnumeration:

@@ -14,14 +14,63 @@ import pgsosp.oracle
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
-def test_traced_methods_are_defined_on_their_classes():
-    """perfbench/tracer.py wraps each method in METHODS through its class's
-    own __dict__; a method deleted or moved to a base class would fail only
-    inside a traced run, with a KeyError."""
+# Metric names of perfbench/tracer.py whose functions left src/ earlier
+# (ROADMAP item 1); their metrics read 0 until the tracer drops them.
+_GONE_FROM_SRC = {"mdp.sample_trajectory", "mdp.policy_matrix",
+                  "estimators.score_table", "estimators.pg_estimate",
+                  "estimators.hessian_estimate"}
+
+
+def _load_tracer():
     spec = importlib.util.spec_from_file_location(
         "perfbench_tracer", os.path.join(ROOT, "perfbench", "tracer.py"))
     tracer = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracer)
+    return tracer
+
+
+class _NameRecorder:
+    """Stands in for a Tracer and records every function name queried."""
+
+    def __init__(self):
+        self.names = set()
+
+    def total(self, field, name=None, caller=None, root=None, match=None):
+        self.names.update(n for n in (name, caller) if n is not None)
+        return 0
+
+    def span_time_excluding(self, name, excluded):
+        self.names.update((name, excluded))
+        return 0.0, 0
+
+    def layer_self(self, layer):
+        return 0.0
+
+
+def _resolves(name):
+    module, *attrs = name.split(".")
+    obj = importlib.import_module(f"pgsosp.{module}")
+    for attr in attrs:
+        obj = getattr(obj, attr, None)
+    return obj is not None
+
+
+def test_layer_metric_names_resolve_in_src():
+    """Every name layer_metrics reads is a function or method of src/; a
+    renamed one (say oracle.fd_hessian_from_gradient) would zero its metric
+    without any error."""
+    recorder = _NameRecorder()
+    _load_tracer().layer_metrics(recorder, rounds=1, active_chain_steps=0)
+    assert "oracle.fd_hessian_from_gradient" in recorder.names
+    unresolved = {name for name in recorder.names if not _resolves(name)}
+    assert unresolved <= _GONE_FROM_SRC, sorted(unresolved - _GONE_FROM_SRC)
+
+
+def test_traced_methods_are_defined_on_their_classes():
+    """perfbench/tracer.py wraps each method in METHODS through its class's
+    own __dict__; a method deleted or moved to a base class would fail only
+    inside a traced run, with a KeyError."""
+    tracer = _load_tracer()
     missing = []
     for path, methods in tracer.METHODS.items():
         short, cls_name = path.split(".")

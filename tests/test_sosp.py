@@ -29,6 +29,7 @@ from pgsosp.sosp import (
     trap_budget,
 )
 from pgsosp.util import derive_rng
+from formula_reference import trap_benchmark_alpha
 
 INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
@@ -276,13 +277,64 @@ class TestStepSizesAndBudgets:
         assert trap_budget(0.1, 1 - 1e-12) == 0
 
     def test_prop3_step_size_example(self):
-        cap, pred = prop3_step_size(0.1, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 0.5)
-        assert cap == pytest.approx(0.1)
-        assert pred(1e-12) is True
+        # G = r_max = 1, gamma = 0.5: the gradient bound is 2, squared 4.
+        # The log cap binds below delta = 0.1, and alpha is its largest root.
+        alpha = prop3_step_size(0.1, 1.0, 1.0, 1.0, 1.0, 4.0)
+        rhs = 2.0 / (27.0 * (4.0 + 1.0 + 1.0) ** 2)
+        assert 0.0 < alpha < 0.1
+        assert alpha * math.log(1.0 / alpha) <= rhs
+        above = alpha * (1.0 + 1e-9)
+        assert above * math.log(1.0 / above) > rhs
 
     def test_prop3_zeta_over_ell_sq_binding(self):
-        cap, _ = prop3_step_size(0.2, 2.0, 4.0, 1.0, 1.0, 1.0, 1.0, 0.5)
-        assert cap == pytest.approx(0.125)
+        # A relaxation that lifts the log cap leaves min{..., zeta/ell^2}.
+        assert prop3_step_size(0.2, 2.0, 4.0, 1.0, 1.0, 4.0, relaxation=1e3) == 0.125
+
+    def test_prop3_noise_term_vanishes_without_noise(self):
+        # At sigma = 0 the zeta varrho^2 / (3 sigma^2) term is +inf.
+        assert prop3_step_size(0.3, 1.0, 1.0, 1.0, 0.0, 0.0, relaxation=1e3) == 0.3
+        assert prop3_step_size(0.3, 1.0, 1.0, 0.1, 1.0, 0.0, relaxation=1e6) \
+            == pytest.approx(1.0 / 300.0)
+
+    @pytest.mark.parametrize("kwargs, match", [
+        (dict(delta=1.0), "delta must be in"),
+        (dict(varrho=0.0), "varrho: must be positive, got 0.0"),
+        (dict(zeta=0.0), "prop3_step_size: inputs"),
+        (dict(ell=-1.0), "prop3_step_size: inputs"),
+        (dict(sigma=-0.1), "prop3_step_size: inputs"),
+        (dict(grad_bound_sq=-1.0), "prop3_step_size: inputs"),
+    ])
+    def test_prop3_rejects_inputs(self, kwargs, match):
+        args = dict(delta=0.2, zeta=1.0, ell=1.0, varrho=1.0, sigma=0.3,
+                    grad_bound_sq=1.69)
+        with pytest.raises(ConfigError, match=match):
+            prop3_step_size(**{**args, **kwargs})
+
+    def test_trap_rule_matches_the_earlier_trap_copy_bit_for_bit(self):
+        # The trap benchmark's own copy of the rule, kept as it was, over a
+        # grid with sigma = 0 and relaxations != 1; the three relaxations
+        # that raise raise the same error text from both.
+        grid = [(zeta, varrho, sigma, delta, relaxation)
+                for zeta in (0.05, 0.5, 1.0, 3.0, 40.0)
+                for varrho in (0.01, 0.3, 1.0, 5.0)
+                for sigma in (0.0, 0.01, 0.3, 2.0)
+                for delta in (1e-6, 0.05, 0.2, 0.9)
+                for relaxation in (1.0, 1e-3, 0.5, 2.0, 1e4, 0.0, -1.0, 1e-30)]
+        raised = 0
+        for zeta, varrho, sigma, delta, relaxation in grid:
+            try:
+                want = trap_benchmark_alpha(zeta, varrho, sigma, delta, relaxation)
+            except PreconditionError as exc:
+                with pytest.raises(PreconditionError) as got:
+                    prop3_step_size(delta, zeta, zeta, varrho, sigma,
+                                    (zeta * varrho + sigma) ** 2, relaxation)
+                assert str(got.value) == str(exc)
+                raised += 1
+                continue
+            got = prop3_step_size(delta, zeta, zeta, varrho, sigma,
+                                  (zeta * varrho + sigma) ** 2, relaxation)
+            assert got == want, (zeta, varrho, sigma, delta, relaxation)
+        assert 3 * 320 <= raised < len(grid)
 
 
 class TestCnc:

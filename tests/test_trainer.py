@@ -17,7 +17,7 @@ from pgsosp.oracle import (
 )
 from pgsosp.policy import LEFT, RIGHT, ExampleOnePiecewise
 from pgsosp.sosp import Region
-from pgsosp.sosp import escape_budget, trap_budget
+from pgsosp.sosp import escape_budget, prop3_step_size, trap_budget
 from pgsosp.trainer import (
     CoupledRunResult,
     EscapeResult,
@@ -31,10 +31,11 @@ from pgsosp.trainer import (
     _row_norm,
     coupled_quadratic_run,
     default_escape_benchmark,
+    default_trap_benchmark,
     _example1_samples,
+    _no_floor,
     example1_sosp_study,
     run,
-    trap_benchmark_alpha,
     verify_escape,
     verify_prop1,
     verify_trap,
@@ -445,6 +446,18 @@ class TestEscape:
         res = default_escape_benchmark(runs=100, seed=2, contrast=True)
         assert res.escape_fraction <= 0.1
 
+    def test_rounding_residue_is_no_floor(self):
+        # Orthogonal noise along an eigensolver's top eigenvector leaves a
+        # floor of rounding residue, not 0; it must not set the threshold.
+        hessian = _rotated([1.0, -1.0, 0.5])
+        u_p = np.linalg.eigh(hessian)[1][:, -1]
+        source = QuadraticSaddleSource(
+            hessian, NoiseSpec("orthogonal", 1.0, direction=u_p))
+        assert 0.0 < source.noise.iota_sq(source.u_p) <= 1e-12
+        with pytest.raises(PreconditionError, match="iota_sq"):
+            verify_escape(source, alpha=1e-3, runs=20, seed=1, chi=1.0,
+                          epsilon=1.0, sigma_h0=10.0)
+
     def test_curvature_precondition(self):
         source = QuadraticSaddleSource(np.diag([0.1, -1.0]),
                                        NoiseSpec("rademacher", 1.0))
@@ -473,8 +486,11 @@ class TestTrap:
                         varrho=1.0, theta0=np.array([0.9, 0.0]))
 
     def test_benchmark_alpha_respects_caps(self):
-        alpha = trap_benchmark_alpha(1.0, 1.0, 0.3, 0.2)
+        # The trap benchmark's step size: ell = zeta, gradient bound
+        # zeta varrho + noise_sigma.
+        alpha = prop3_step_size(0.2, 1.0, 1.0, 1.0, 0.3, (1.0 + 0.3) ** 2)
         assert 0.0 < alpha <= 0.2
+        assert default_trap_benchmark(runs=2, seed=0).alpha == alpha
         grad_bound = 1.0 * 1.0 + 0.3
         rhs = 2.0 / (27.0 * (grad_bound ** 2 + 1.0 + 0.09) ** 2)
         assert alpha * math.log(1.0 / alpha) <= rhs + 1e-12
@@ -483,7 +499,7 @@ class TestTrap:
     def test_benchmark_alpha_without_admissible_step_raises(self, relaxation):
         # Not even alpha = 1e-12 meets the log cap: no step size is returned.
         with pytest.raises(PreconditionError, match="log cap"):
-            trap_benchmark_alpha(1.0, 1.0, 0.3, 0.2, relaxation)
+            prop3_step_size(0.2, 1.0, 1.0, 1.0, 0.3, (1.0 + 0.3) ** 2, relaxation)
 
 
 class TestExample1Vectorized:
@@ -662,7 +678,7 @@ class TestBlockSteppedChains:
             source = QuadraticSaddleSource(hessian, noise, cubic=cubic)
             args = dict(alpha=2e-3, runs=45, seed=i, chi=1.0, epsilon=1.0,
                         sigma_h0=10.0, cap_factor=2)
-            if not noise.iota_sq(source.u_p) > 0:
+            if _no_floor(noise, noise.iota_sq(source.u_p)):
                 # No floor to derive a threshold from: the run needs one.
                 with pytest.raises(PreconditionError, match="iota_sq"):
                     verify_escape(source, **args)
