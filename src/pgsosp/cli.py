@@ -67,7 +67,7 @@ _PROBLEM = OneOf({
 
 _SCHEMAS = {
     "constants": Block(dict(
-        command="text", seed="integer",
+        command="text",
         regularity=Block(dict(G="number", L="number", U="number", W="number"),
                          required=("G", "L", "U")),
         estimate=Block(dict(family="text", n_states="integer", n_actions="integer",
@@ -77,7 +77,7 @@ _SCHEMAS = {
         epsilon="number", chi="number", delta="number", omega="number",
         omega_from_fisher=Block(dict(problem=_PROBLEM, theta="vector"),
                                 required=("problem", "theta")),
-        iota="number", zeta="number", varrho="number"),
+        iota="number"),
         required=("command", "r_min", "r_max", "gamma", "h", "p", "epsilon", "delta")),
     "classify": Block(dict(
         command="text", seed="integer", problem=_PROBLEM, epsilon="number",
@@ -85,7 +85,7 @@ _SCHEMAS = {
         required=("command", "problem", "epsilon", "chi")),
     "train": Block(dict(
         command="text", problem=_PROBLEM, theta0="vector", alpha="number",
-        max_iters="integer", epsilon="number", chi="number", delta="number",
+        max_iters="integer", epsilon="number", chi="number",
         batch_size="integer", seed="integer", report_every="integer",
         kappa_hat_0="integer"),
         required=("command", "problem", "theta0", "alpha", "max_iters", "epsilon",
@@ -265,8 +265,7 @@ def cmd_constants(cfg: dict, args) -> int:
 
     constants = sosp.paper_constants(
         reg, r_min=cfg["r_min"], r_max=cfg["r_max"], gamma=cfg["gamma"],
-        h=cfg["h"], p=cfg["p"], chi=cfg.get("chi"), omega=omega,
-        zeta=cfg.get("zeta"), varrho=cfg.get("varrho"), iota=cfg.get("iota"),
+        h=cfg["h"], p=cfg["p"], chi=cfg.get("chi"), omega=omega, iota=cfg.get("iota"),
     )
     payload = asdict(constants)
     payload["epsilon"] = cfg["epsilon"]
@@ -488,8 +487,9 @@ def build_parser() -> argparse.ArgumentParser:
         cmd = sub.add_parser(name)
         cmd.add_argument("--config", required=True, help="JSON config path")
         cmd.add_argument("--out", default=None, help="output directory")
-        cmd.add_argument("--seed", type=int, default=None,
-                         help="override config seed")
+        if "seed" in _SCHEMAS[name].kinds:
+            cmd.add_argument("--seed", type=int, default=None,
+                             help="override config seed")
         cmd.add_argument("--format", choices=("json", "csv"), default="json")
         if name == "classify":
             cmd.add_argument("--theta", default=None,

@@ -37,25 +37,20 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import mdp as mdp_mod
-from .errors import ConfigError
 from .mdp import TabularMdp, occupancy
 from .util import frozen_array
 
 
 @dataclass(frozen=True)
 class GradEstimate:
-    """Batch mean of g(tau) with dispersion diagnostics."""
+    """Batch mean of g(tau) and its per-coordinate standard error."""
 
     mean: np.ndarray
-    per_sample_norm_max: float
-    n: int
     std_error: np.ndarray
 
     def __post_init__(self):
         object.__setattr__(self, "mean", frozen_array(self.mean))
         object.__setattr__(self, "std_error", frozen_array(self.std_error))
-        if self.n < 1 or (self.std_error < 0).any():
-            raise ConfigError("GradEstimate requires n >= 1, std_error >= 0")
 
 
 @dataclass(frozen=True)
@@ -136,19 +131,10 @@ def pg_sample_block(mdp: TabularMdp, family, theta: np.ndarray, n: int,
 
 
 def batch_gradient(mdp: TabularMdp, family, theta: np.ndarray, n: int,
-                   seed: int, center: np.ndarray | None = None) -> GradEstimate:
-    """Mean of g(tau) over the n rows of rollout_batch(..., n, seed).
-
-    per_sample_norm_max records max_i ||g_i - center||_2; the center
-    defaults to the batch mean and callers with an exact gradient pass it
-    to check the deviation bound directly.
-    """
+                   seed: int) -> GradEstimate:
+    """Mean of g(tau) over the n rows of rollout_batch(..., n, seed)."""
     samples = pg_sample_block(mdp, family, theta, n, seed)
-    mean = samples.sum(axis=0) / n
-    ref = mean if center is None else np.asarray(center, dtype=float)
-    norm_max = float(np.linalg.norm(samples - ref, axis=1).max())
-    return GradEstimate(mean=mean, per_sample_norm_max=norm_max, n=n,
-                        std_error=_std_error(samples))
+    return GradEstimate(mean=samples.sum(axis=0) / n, std_error=_std_error(samples))
 
 
 def _std_error(samples: np.ndarray) -> np.ndarray:

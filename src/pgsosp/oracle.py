@@ -29,7 +29,7 @@ import numpy as np
 from .errors import EnumerationCapError, OracleConsistencyError
 from .estimators import _hessian_sum, _pg_rows
 from .mdp import TabularMdp, _visitation, value_stack, value_functions
-from .policy import _INV_SQRT_2PI
+from .policy import _BOX_HESSIAN, _INV_SQRT_2PI
 from .util import frozen_array
 
 ENUM_CAP = 1_000_000
@@ -240,9 +240,6 @@ def _central_differences(func, theta: np.ndarray, step: float) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # Closed forms for the three-state benchmark
 # ---------------------------------------------------------------------------
-
-_BOX_HESSIAN = frozen_array(_INV_SQRT_2PI * np.diag([-2.0, 2.0]))
-
 
 @dataclass(frozen=True)
 class Example1Analysis:

@@ -55,8 +55,8 @@ RIGHT, LEFT, UP = 0, 1, 2
 # Its policy table with the start state's row left zero: the absorbing
 # states play `right` and `left`.
 _ABSORBING_ROWS = frozen_array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
-# In the unit box, d pi(right|s0) / d theta_i = slope_i * theta_i / sqrt(2 pi).
-_BOX_SLOPES = frozen_array([-2.0, 2.0])
+# The constant Hessian of pi(right|s0) in the unit box; its gradient there is H theta.
+_BOX_HESSIAN = frozen_array(_INV_SQRT_2PI * np.diag([-2.0, 2.0]))
 
 
 def _require_on_policy(probs: np.ndarray, states, actions) -> None:
@@ -218,7 +218,7 @@ class ExampleOnePiecewise:
             return self._each(self.dprobs, theta, (3, 3, 2))
         out = np.zeros((3, 3, 2))
         if self.in_box(theta):
-            grad = out[0, RIGHT] = _INV_SQRT_2PI * (_BOX_SLOPES * theta)
+            grad = out[0, RIGHT] = theta * _BOX_HESSIAN.diagonal()
         else:
             grad = out[0, LEFT] = self._p2(theta) * theta
         out[0, UP] = -grad
@@ -243,7 +243,7 @@ class ExampleOnePiecewise:
         dlog = self.dprobs(theta)[0, on] / start[on, None]
         d2p = np.zeros((3, 2, 2))
         if self.in_box(theta):
-            d2p[RIGHT] = _INV_SQRT_2PI * np.diag([-2.0, 2.0])
+            d2p[RIGHT] = _BOX_HESSIAN
             d2p[UP] = -d2p[RIGHT]
         else:
             d2p[LEFT] = self._p2(theta) * (np.outer(theta, theta) + np.eye(2))
@@ -317,7 +317,7 @@ class RegularityConstants:
 
     G bounds |d_i log pi|, L bounds |d2_ij log pi|, U bounds |d_i pi|;
     W is a difference-quotient estimate of the Lipschitz constant of the
-    log-policy Hessian (None when not estimated).  All values are maxima
+    log-policy Hessian (None when supplied without W).  All values are maxima
     over a finite grid, i.e. lower bounds on the true suprema.
     """
 
@@ -334,7 +334,6 @@ def estimate_regularity(
     family,
     domain_box: Sequence[Sequence[float]],
     grid_density: int,
-    estimate_w: bool = True,
 ) -> RegularityConstants:
     """Component-wise derivative maxima over a grid x all (state, action).
 
@@ -379,22 +378,20 @@ def estimate_regularity(
     probs, dprobs, scores, hessians = map(
         on_grid, (family.probs, family.dprobs, family.score, family.hess))
 
-    w_max = None
-    if estimate_w:
-        # Spectral norms of the Hessian change between axis neighbours, at
-        # (state, action) pairs with positive probability at both points.
-        w_max = 0.0
-        on = probs > 0.0
-        for axis in range(p):
-            lo = (slice(None),) * axis + (slice(None, -1),)
-            hi = (slice(None),) * axis + (slice(1, None),)
-            diff = hessians[hi] - hessians[lo]
-            diff[~(on[lo] & on[hi])] = 0.0
-            norms = np.linalg.norm(diff, 2, axis=(-2, -1))
-            steps = np.diff(axes[axis]).reshape((-1,) + (1,) * (norms.ndim - axis - 1))
-            ratios = np.divide(norms, steps, out=np.zeros_like(norms),
-                               where=steps > 0.0)
-            w_max = max(w_max, float(ratios.max()))
+    # Spectral norms of the Hessian change between axis neighbours, at
+    # (state, action) pairs with positive probability at both points.
+    w_max = 0.0
+    on = probs > 0.0
+    for axis in range(p):
+        lo = (slice(None),) * axis + (slice(None, -1),)
+        hi = (slice(None),) * axis + (slice(1, None),)
+        diff = hessians[hi] - hessians[lo]
+        diff[~(on[lo] & on[hi])] = 0.0
+        norms = np.linalg.norm(diff, 2, axis=(-2, -1))
+        steps = np.diff(axes[axis]).reshape((-1,) + (1,) * (norms.ndim - axis - 1))
+        ratios = np.divide(norms, steps, out=np.zeros_like(norms),
+                           where=steps > 0.0)
+        w_max = max(w_max, float(ratios.max()))
 
     return RegularityConstants(
         G=float(np.abs(scores).max()), L=float(np.abs(hessians).max()),

@@ -201,8 +201,6 @@ class PaperConstants:
     h: int
     p: int
     omega: float | None = None
-    zeta: float | None = None
-    varrho: float | None = None
     iota: float | None = None
 
 
@@ -252,9 +250,7 @@ def hessian_lipschitz_chi(g: float, l: float, w: float, r_max: float,
 
 
 def paper_constants(regularity, r_min: float, r_max: float, gamma: float,
-                    h: int, p: int, chi: float | None = None,
-                    omega: float | None = None, zeta: float | None = None,
-                    varrho: float | None = None,
+                    h: int, p: int, chi: float | None = None, omega: float | None = None,
                     iota: float | None = None) -> PaperConstants:
     """Assemble all closed-form constants from the regularity estimates.
 
@@ -279,7 +275,7 @@ def paper_constants(regularity, r_min: float, r_max: float, gamma: float,
         sigma_h0=hessian_estimator_sigma(g, l, r_max, gamma, h, p),
         r_min=float(r_min), r_max=float(r_max), gamma=float(gamma),
         h=int(h), p=int(p),
-        omega=omega, zeta=zeta, varrho=varrho, iota=iota,
+        omega=omega, iota=iota,
     )
 
 
@@ -411,11 +407,11 @@ def cnc_estimate(mdp: TabularMdp, family, theta: np.ndarray, u: np.ndarray,
     return float(vals.sum() / n), float(_std_error(vals))
 
 
-def iota_sq_floor(mean: float, std_error: float, floor: float = 1e-6) -> float:
-    """max(floor, mean - 3 * std_error) of a sampled squared projection;
+def iota_sq_floor(mean: float, std_error: float) -> float:
+    """max(1e-6, mean - 3 * std_error) of a sampled squared projection;
     the three-sigma margin keeps the estimate on the safe side of the
     population value."""
-    return max(floor, mean - 3.0 * std_error)
+    return max(1e-6, mean - 3.0 * std_error)
 
 
 def cnc_enumerate(mdp: TabularMdp, family, theta: np.ndarray,

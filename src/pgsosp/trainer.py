@@ -26,7 +26,6 @@ noise_sigma^2).
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -289,7 +288,6 @@ class TrainerConfig:
     max_iters: int
     epsilon: float
     chi: float
-    delta: float = 0.1
     batch_size: int = 1
     seed: int = 0
     report_every: int = 1
@@ -449,14 +447,8 @@ def verify_prop1(source, theta: np.ndarray, alpha: float, trials: int,
 # Coupled quadratic-model iteration
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class CoupledRunResult:
-    max_gap: float
-
-
 def coupled_quadratic_run(source, theta0: np.ndarray, alpha: float,
-                          steps: int, seed: int,
-                          kappa_hat_0: int | None = None) -> CoupledRunResult:
+                          steps: int, seed: int) -> float:
     """Main iteration vs its frozen quadratic model on a shared draw.
 
     The stochastic pieces (the step-0 gradient noise xi0 and the one-shot
@@ -472,11 +464,6 @@ def coupled_quadratic_run(source, theta0: np.ndarray, alpha: float,
     pair of iterates is kept; the result is the largest gap |t_k - t^_k|.
     """
     theta0 = np.asarray(theta0, dtype=float)
-    if kappa_hat_0 is not None and steps > kappa_hat_0:
-        warnings.warn(
-            f"steps = {steps} exceeds the escape budget {kappa_hat_0}",
-            stacklevel=2,
-        )
     rng = derive_rng(seed)
     g_sample, h0_hat = source.sample_pair(theta0, rng)
     grad0 = source.gradient(theta0)
@@ -491,7 +478,7 @@ def coupled_quadratic_run(source, theta0: np.ndarray, alpha: float,
         t_main = t_main + alpha * (source.gradient(t_main) + xi_hat + xi0)
         t_model = t_model + alpha * (g0 + h0_hat @ (t_model - theta0))
         max_gap = max(max_gap, float(np.linalg.norm(t_main - t_model)))
-    return CoupledRunResult(max_gap=max_gap)
+    return max_gap
 
 
 # ---------------------------------------------------------------------------
@@ -502,6 +489,9 @@ def coupled_quadratic_run(source, theta0: np.ndarray, alpha: float,
 # _MAX_BLOCK steps, so a chain steps less than one block past its escape.
 _BLOCK_BYTES = 1 << 16
 _MAX_BLOCK = 32
+# More chain-steps (runs x steps) than this are refused before any noise is
+# drawn: at about 75 ns each they would take over a minute.
+_CHAIN_STEP_LIMIT = 10 ** 9
 
 
 def _block_steps(runs: int, dim: int) -> int:
@@ -519,8 +509,12 @@ def _chain_blocks(source: QuadraticSaddleSource, d: np.ndarray, alpha, steps: in
     of the stream as a per-step loop.  Frozen noise is one (runs, dim) draw
     reused at every step.  alpha is a scalar or a (runs, 1) column read at
     every step, so a caller may change the column between blocks.
+    More than _CHAIN_STEP_LIMIT chain-steps in all raise ConfigError.
     """
     runs, dim = d.shape
+    if runs * steps > _CHAIN_STEP_LIMIT:
+        raise ConfigError(f"alpha: {float(np.max(alpha)):.3g} needs {runs} runs x "
+                          f"{steps:.3g} steps, over {_CHAIN_STEP_LIMIT:.0e} chain-steps")
     noise = source.noise
     block = _block_steps(runs, dim)
     frozen = noise.draw(rng, runs, dim) if noise.frozen else None

@@ -456,6 +456,25 @@ class TestEscapeTrapCommands:
         assert (code, out) == (2, "")
         assert "log cap" in err
 
+    @pytest.mark.parametrize("cfg", [
+        # alpha = 1.1e-7 from the Prop. 3 rule: kappa_0 = 1.3e14 steps per run.
+        {"command": "trap", "seed": 2, "runs": 20, "relaxation": 0.001,
+         "zeta": 2.0, "varrho": 0.5},
+        {"command": "trap", "seed": 1, "runs": 5, "alpha": 1e-5},
+        # The step cap cap_factor * kappa_hat_0 grows as alpha^(-1/2).
+        {"command": "escape", "seed": 1, "runs": 200, "alpha": 1e-12},
+    ], ids=["trap-derived-alpha", "trap-explicit-alpha", "escape-small-alpha"])
+    def test_chain_beyond_the_step_limit_exits_2(self, tmp_path, capsys,
+                                                 monkeypatch, cfg):
+        def no_noise(*args, **kwargs):
+            raise AssertionError("the chain drew noise")
+
+        monkeypatch.setattr(trainer.NoiseSpec, "draw", no_noise)
+        path = write_config(tmp_path, "c.json", cfg)
+        code, out, err = run_cli(capsys, [cfg["command"], "--config", path])
+        assert (code, out) == (2, "")
+        assert err.startswith("error: alpha: ") and "chain-steps" in err
+
 
 class TestOracleCheckCommand:
     def test_all_identities_pass(self, tmp_path, capsys):
@@ -836,6 +855,12 @@ def _wrong(kind):
         yield "", value
 
 
+# Keys that once had a kind and that no command reads any more, with a value
+# of that kind: each is now an unknown key.
+_DELETED = {"constants": {"seed": 1, "zeta": 1.0, "varrho": 1.0},
+            "train": {"delta": 0.1}}
+
+
 def _schema_cases():
     cases = {}
     for command, schema in cli._SCHEMAS.items():
@@ -844,6 +869,10 @@ def _schema_cases():
                 if dotted != "command":
                     cfg["command"] = command
                 cases.setdefault(f"{command}:{dotted}", []).append(cfg)
+        for key, value in _DELETED.get(command, {}).items():
+            assert key not in schema.kinds
+            cases[f"{command}:{key}"] = [{**_good(schema), "command": command,
+                                          key: value}]
     return [pytest.param(case, configs, id=case)
             for case, configs in sorted(cases.items())]
 
@@ -851,13 +880,37 @@ def _schema_cases():
 @pytest.mark.parametrize("case, configs", _schema_cases())
 def test_every_schema_key_rejects_a_wrong_kind(tmp_path, capsys, case, configs):
     """Every key of every schema, nested blocks included, exits 2 naming its
-    dotted path when given a value of the wrong kind."""
+    dotted path when given a value of the wrong kind; a deleted key exits 2
+    as unknown whatever its value."""
     command, dotted = case.split(":")
+    want = (f"error: config: unknown key {dotted!r}"
+            if dotted in _DELETED.get(command, {}) else f"error: {dotted}: ")
     for cfg in configs:
         path = write_config(tmp_path, "bad.json", cfg)
         code, out, err = run_cli(capsys, [command, "--config", path])
         assert (code, out) == (2, ""), (cfg, err)
-        assert err.startswith(f"error: {dotted}: "), (cfg, err)
+        assert err.startswith(want), (cfg, err)
+
+
+def test_seed_flag_only_on_commands_that_draw(tmp_path, capsys):
+    """--seed exists where the schema has a seed: constants draws nothing."""
+    path = write_config(tmp_path, "c.json", CONSTANTS_CFG)
+    with pytest.raises(SystemExit) as exc:
+        main(["constants", "--config", path, "--seed", "1"])
+    assert exc.value.code == 2
+    assert "--seed" in capsys.readouterr().err
+    assert [name for name, schema in cli._SCHEMAS.items()
+            if "seed" not in schema.kinds] == ["constants"]
+
+    cfg = dict(CLASSIFY_CFG, mode="estimated", n=50)
+    outs = []
+    for seed_cfg, flag in ((5, ["--seed", "9"]), (9, [])):
+        path = write_config(tmp_path, "e.json", dict(cfg, seed=seed_cfg))
+        code, out, _ = run_cli(capsys, ["classify", "--config", path,
+                                        "--theta", "0.2,0.3", *flag])
+        assert code == 0
+        outs.append(out)
+    assert outs[0] == outs[1]
 
 
 @pytest.mark.parametrize("how", ["config", "flag", "env"])

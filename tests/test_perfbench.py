@@ -10,6 +10,7 @@ import sys
 import pytest
 
 import pgsosp.oracle
+from pgsosp import cli, util
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -21,12 +22,14 @@ _GONE_FROM_SRC = {"mdp.sample_trajectory", "mdp.policy_matrix",
                   "estimators.hessian_estimate"}
 
 
-def _load_tracer():
+def _load_perfbench(name):
+    """perfbench/<name>.py as the module perfbench_<name>."""
     spec = importlib.util.spec_from_file_location(
-        "perfbench_tracer", os.path.join(ROOT, "perfbench", "tracer.py"))
-    tracer = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracer)
-    return tracer
+        f"perfbench_{name}", os.path.join(ROOT, "perfbench", f"{name}.py"))
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up there
+    spec.loader.exec_module(module)
+    return module
 
 
 class _NameRecorder:
@@ -60,7 +63,7 @@ def test_layer_metric_names_resolve_in_src():
     renamed one (say oracle.fd_hessian_from_gradient) would zero its metric
     without any error."""
     recorder = _NameRecorder()
-    _load_tracer().layer_metrics(recorder, rounds=1, active_chain_steps=0)
+    _load_perfbench("tracer").layer_metrics(recorder, rounds=1, active_chain_steps=0)
     assert "oracle.fd_hessian_from_gradient" in recorder.names
     unresolved = {name for name in recorder.names if not _resolves(name)}
     assert unresolved <= _GONE_FROM_SRC, sorted(unresolved - _GONE_FROM_SRC)
@@ -70,7 +73,7 @@ def test_traced_methods_are_defined_on_their_classes():
     """perfbench/tracer.py wraps each method in METHODS through its class's
     own __dict__; a method deleted or moved to a base class would fail only
     inside a traced run, with a KeyError."""
-    tracer = _load_tracer()
+    tracer = _load_perfbench("tracer")
     missing = []
     for path, methods in tracer.METHODS.items():
         short, cls_name = path.split(".")
@@ -87,6 +90,20 @@ def test_enumeration_is_a_generator_function():
     list-returning enumerate_trajectories would fail only inside the slow
     traced subprocess, with a count mismatch."""
     assert inspect.isgeneratorfunction(pgsosp.oracle.enumerate_trajectories)
+
+
+@pytest.mark.parametrize("size", ["full", "tiny"])
+def test_workload_configs_read_against_their_schema(size):
+    """Every config the benchmark builds loads for its own command, so a
+    deleted or retyped key that the benchmark still uses fails here in
+    well under a second instead of inside the traced tiny round."""
+    workloads = _load_perfbench("workloads")
+    for workload in workloads.WORKLOADS:
+        for seed in (1, 2, 3):
+            commands, _ = workloads.build(workload, seed, size)
+            for command in commands:
+                assert util._read(command.config,
+                                  cli._SCHEMAS[command.subcommand]), command.label
 
 
 @pytest.mark.parametrize("workload", ["sample", "exact", "iterate"])

@@ -180,15 +180,13 @@ class TestRegularity:
     def test_example1_prob_derivative_max(self):
         # max |d_i pi| on the unit box is 2/sqrt(2*pi), attained at the edge.
         fam = ExampleOnePiecewise()
-        reg = estimate_regularity(fam, [(0, 1), (0, 1)], 21, estimate_w=False)
+        reg = estimate_regularity(fam, [(0, 1), (0, 1)], 21)
         assert reg.U == pytest.approx(2.0 * INV_SQRT_2PI, abs=1e-12)
 
     def test_w_estimated_when_requested(self):
         fam = TabularSoftmax(1, 2)
         reg = estimate_regularity(fam, [(-1, 1), (-1, 1)], 7)
         assert reg.W is not None and reg.W >= 0.0
-        reg2 = estimate_regularity(fam, [(-1, 1), (-1, 1)], 7, estimate_w=False)
-        assert reg2.W is None
 
     def test_empty_box_rejected(self):
         with pytest.raises(ConfigError):
