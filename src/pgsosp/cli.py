@@ -78,7 +78,7 @@ _SCHEMAS = {
         omega_from_fisher=Block(dict(problem=_PROBLEM, theta="vector"),
                                 required=("problem", "theta")),
         iota="number"),
-        required=("command", "r_min", "r_max", "gamma", "h", "p", "epsilon", "delta")),
+        required=("command", "r_min", "r_max", "gamma", "h", "p")),
     "classify": Block(dict(
         command="text", seed="integer", problem=_PROBLEM, epsilon="number",
         chi="number", mode="text", n="integer", raw_hessian="flag"),
@@ -175,14 +175,8 @@ def build_source(spec: dict):
 
 
 def _resolve_seed(cfg: dict, args) -> int:
-    """SOSP_PG_SEED, else --seed, else the config's seed, else 0."""
+    """--seed, else the config's seed, else 0."""
     seed = cfg.get("seed", 0) if args.seed is None else args.seed
-    env = os.environ.get("SOSP_PG_SEED")
-    if env is not None:
-        try:
-            seed = int(env)
-        except ValueError as exc:
-            raise ConfigError(f"SOSP_PG_SEED: not an integer: {env!r}") from exc
     if seed < 0:
         raise ConfigError(f"seed: must be at least 0, got {seed}")
     return seed
@@ -201,7 +195,8 @@ def _emit(payload: dict, args, filename: str = "summary.json") -> None:
         text = canonical_json(payload)
     sys.stdout.write(text)
     if args.out:
-        _write_out(args.out, filename, canonical_json(payload))
+        _write_out(args.out, filename,
+                   text if args.format == "json" else canonical_json(payload))
 
 
 def _flatten(obj, prefix: str = ""):
@@ -234,6 +229,11 @@ class _IoFailure(Exception):
 # ---------------------------------------------------------------------------
 
 def cmd_constants(cfg: dict, args) -> int:
+    if "omega" in cfg or "omega_from_fisher" in cfg:
+        for key in ("epsilon", "delta"):
+            if key not in cfg:
+                raise ConfigError(f"{key}: required with omega or omega_from_fisher, "
+                                  "since alpha, K, kappa_hat_0 and kappa_0 read it")
     if "regularity" in cfg:
         reg = RegularityConstants(**{"W": None, **cfg["regularity"]})
     elif "estimate" in cfg:
@@ -268,8 +268,7 @@ def cmd_constants(cfg: dict, args) -> int:
         h=cfg["h"], p=cfg["p"], chi=cfg.get("chi"), omega=omega, iota=cfg.get("iota"),
     )
     payload = asdict(constants)
-    payload["epsilon"] = cfg["epsilon"]
-    payload["delta"] = cfg["delta"]
+    payload.update((key, cfg[key]) for key in ("epsilon", "delta") if key in cfg)
     if fisher_lambda_min is not None:
         payload["fisher_lambda_min"] = fisher_lambda_min
 
@@ -300,41 +299,36 @@ def _check_length(key: str, vector: np.ndarray, dim: int) -> None:
 
 
 def _parse_theta(args) -> np.ndarray:
-    """The classify point from --theta or the first row of --theta-csv."""
-    flag, row = "--theta", args.theta
-    if row is None and args.theta_csv is not None:
-        flag = "--theta-csv"
-        try:
-            with open(args.theta_csv, "r", encoding="utf-8") as fh:
-                row = fh.readline().strip()
-        except OSError as exc:
-            raise _IoFailure(str(exc)) from exc
-        except UnicodeDecodeError as exc:
-            raise ConfigError(f"{flag}: not UTF-8 text: {exc}") from None
-    if row is None:
-        raise ConfigError("classify needs --theta or --theta-csv")
+    """The classify point from --theta."""
+    if args.theta is None:
+        raise ConfigError("classify needs --theta")
     try:
-        theta = np.array([float(x) for x in row.split(",")])
+        theta = np.array([float(x) for x in args.theta.split(",")])
     except ValueError:
         theta = np.array([math.nan])
     if not np.isfinite(theta).all():
-        raise ConfigError(f"{flag}: must be finite numbers separated by commas, "
-                          f"got {row!r}")
+        raise ConfigError(f"--theta: must be finite numbers separated by commas, "
+                          f"got {args.theta!r}")
     return theta
 
 
 def cmd_classify(cfg: dict, args) -> int:
+    if cfg.get("mode") != "estimated":
+        for key in ("n", "seed", "raw_hessian"):
+            if key in cfg:
+                raise ConfigError(f"{key}: only the estimated mode reads it")
+        if args.seed is not None:
+            raise ConfigError("--seed: only the estimated mode draws")
     mdp, family = build_problem(cfg["problem"])
     theta = _parse_theta(args)
     _check_length("theta", theta, family.param_dim)
-    estimated = cfg.get("mode") == "estimated"
     report = sosp.second_order_report(
         mdp, family, theta, **_builder_keys(cfg, "command", "seed", "problem",
                                             "raw_hessian"),
-        seed=_resolve_seed(cfg, args) if estimated else None,
+        seed=_resolve_seed(cfg, args),
     )
     payload = report.to_json()
-    if cfg.get("raw_hessian") and estimated:
+    if cfg.get("raw_hessian"):
         payload["raw_hessian_mean"] = report.raw_hessian.tolist()
     _emit(payload, args, "classify.json")
     return EXIT_OK
@@ -494,8 +488,6 @@ def build_parser() -> argparse.ArgumentParser:
         if name == "classify":
             cmd.add_argument("--theta", default=None,
                              help="inline comma-separated parameter vector")
-            cmd.add_argument("--theta-csv", default=None,
-                             help="file whose first line is the parameter vector")
     return parser
 
 

@@ -679,13 +679,11 @@ class TrapResult:
     varrho: float
     delta: float
     runs: int
-    log_cap_relaxation: float
 
 
 def verify_trap(source: QuadraticSaddleSource, alpha: float, runs: int,
                 seed: int, delta: float, varrho: float,
-                theta0: np.ndarray,
-                log_cap_relaxation: float = 1.0) -> TrapResult:
+                theta0: np.ndarray) -> TrapResult:
     """Fraction of runs staying inside the radius-varrho ball for kappa_0 steps.
 
     The ball is centered on the source's center; theta0 must lie inside
@@ -712,14 +710,13 @@ def verify_trap(source: QuadraticSaddleSource, alpha: float, runs: int,
     return TrapResult(
         stay_fraction=float(stayed.mean()), kappa_0=kappa, alpha=alpha,
         varrho=varrho, delta=delta, runs=runs,
-        log_cap_relaxation=log_cap_relaxation,
     )
 
 
 def default_trap_benchmark(runs: int = 500, seed: int = 0,
                            alpha: float | None = None, zeta: float = 1.0,
                            varrho: float = 1.0, noise_sigma: float = 0.3,
-                           delta: float = 0.2, relaxation: float = 1.0,
+                           delta: float = 0.2, relaxation: float | None = None,
                            theta0=None) -> TrapResult:
     """Two-dimensional strongly-concave bowl centered at the origin.
 
@@ -727,18 +724,22 @@ def default_trap_benchmark(runs: int = 500, seed: int = 0,
     boundary of the inner ball (the hardest admissible start) and runs
     the full trapping budget at the step size of ``prop3_step_size`` with
     ell = zeta and gradient bound zeta varrho + noise_sigma.  The keywords
-    are the ``trap`` command's config keys.
+    are the ``trap`` command's config keys; ``relaxation`` scales the log
+    cap of that rule, so it cannot be combined with ``alpha``.
     """
+    if alpha is not None and relaxation is not None:
+        raise ConfigError("relaxation: scales the log cap of the derived step "
+                          "size; drop it or 'alpha'")
     source = StronglyConcaveSource(zeta=zeta, theta_star=np.zeros(2),
                                    noise_sigma=noise_sigma)
     if alpha is None:
         alpha = prop3_step_size(delta, zeta, zeta, varrho, noise_sigma,
-                                (zeta * varrho + noise_sigma) ** 2, relaxation)
+                                (zeta * varrho + noise_sigma) ** 2,
+                                1.0 if relaxation is None else relaxation)
     if theta0 is None:
         theta0 = [varrho / math.sqrt(3.0), 0.0]
     return verify_trap(source, alpha=alpha, runs=runs, seed=seed,
-                       delta=delta, varrho=varrho, theta0=theta0,
-                       log_cap_relaxation=relaxation)
+                       delta=delta, varrho=varrho, theta0=theta0)
 
 
 # ---------------------------------------------------------------------------

@@ -47,6 +47,28 @@ CONSTANTS_CFG = {
 
 
 class TestConstantsCommand:
+    def test_epsilon_and_delta_only_with_omega(self, tmp_path, capsys, monkeypatch):
+        base = {key: value for key, value in CONSTANTS_CFG.items()
+                if key not in ("omega", "epsilon", "delta")}
+        code, out, _ = run_cli(capsys, ["constants", "--config",
+                                        write_config(tmp_path, "c.json", base)])
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["alpha"] is None and "delta" not in payload
+
+        def no_work(*args, **kwargs):
+            raise AssertionError("the constants were computed")
+
+        monkeypatch.setattr(cli.sosp, "paper_constants", no_work)
+        fisher = {"problem": {"kind": "example1"}, "theta": [0.2, 0.2]}
+        for omega in ({"omega": 1.0}, {"omega_from_fisher": fisher}):
+            for missing, kept in (("epsilon", {"delta": 0.1}),
+                                  ("delta", {"epsilon": 0.1})):
+                path = write_config(tmp_path, "c.json", {**base, **omega, **kept})
+                code, out, err = run_cli(capsys, ["constants", "--config", path])
+                assert (code, out) == (2, "")
+                assert err.startswith(f"error: {missing}: ")
+
     def test_sample_config_emits_ell(self, tmp_path, capsys):
         cfg = write_config(tmp_path, "c.json", CONSTANTS_CFG)
         code, out, _ = run_cli(capsys, ["constants", "--config", cfg])
@@ -172,30 +194,36 @@ class TestClassifyCommand:
     def test_non_finite_theta_rejected(self, tmp_path, capsys, theta):
         cfg = write_config(tmp_path, "c.json", dict(
             CLASSIFY_CFG, problem=_BANDIT_CNC["problem"]))
-        row = tmp_path / "theta.csv"
-        row.write_text(theta + "\n")
-        for flag in ([f"--theta={theta}"], ["--theta-csv", str(row)]):
-            code, out, err = run_cli(capsys, ["classify", "--config", cfg, *flag])
-            assert (code, out) == (2, "")
-            assert err.startswith(f"error: {flag[0].split('=')[0]}: ")
+        code, out, err = run_cli(capsys, ["classify", "--config", cfg,
+                                          f"--theta={theta}"])
+        assert (code, out) == (2, "")
+        assert err.startswith("error: --theta: ")
 
-    def test_theta_csv_row(self, tmp_path, capsys):
+    def test_theta_csv_is_not_a_flag(self, tmp_path, capsys):
         cfg = write_config(tmp_path, "c.json", CLASSIFY_CFG)
         row = tmp_path / "theta.csv"
         row.write_text("0.0,0.0\n")
-        code, out, _ = run_cli(capsys, ["classify", "--config", cfg,
-                                        "--theta-csv", str(row)])
-        assert code == 0
-        assert json.loads(out)["region"] == "L2"
+        with pytest.raises(SystemExit) as exc:
+            main(["classify", "--config", cfg, "--theta-csv", str(row)])
+        assert exc.value.code == 2
+        assert "--theta-csv" in capsys.readouterr().err
 
-    def test_theta_csv_not_utf8(self, tmp_path, capsys):
-        cfg = write_config(tmp_path, "c.json", CLASSIFY_CFG)
-        row = tmp_path / "theta.csv"
-        row.write_bytes(b"\xff\xfe{}")
+    @pytest.mark.parametrize("extra, flag", [
+        ({"n": 7}, []), ({"seed": 3}, []), ({"raw_hessian": True}, []),
+        ({"raw_hessian": False}, []), ({}, ["--seed", "9"]),
+    ], ids=["n", "seed", "raw_hessian", "raw_hessian-false", "seed-flag"])
+    def test_oracle_mode_rejects_sampling_settings(self, tmp_path, capsys,
+                                                   monkeypatch, extra, flag):
+        def no_problem(*args, **kwargs):
+            raise AssertionError("the problem was built")
+
+        monkeypatch.setattr(cli, "build_problem", no_problem)
+        cfg = write_config(tmp_path, "c.json", dict(CLASSIFY_CFG, **extra))
         code, out, err = run_cli(capsys, ["classify", "--config", cfg,
-                                          "--theta-csv", str(row)])
+                                          "--theta", "0.3,0.6", *flag])
         assert (code, out) == (2, "")
-        assert err.startswith("error: --theta-csv: ")
+        name = next(iter(extra), "--seed")
+        assert err.startswith(f"error: {name}: ")
 
     def test_estimated_mode_on_mdp(self, tmp_path, capsys):
         bandit = {
@@ -324,13 +352,6 @@ class TestTrainCommand:
             ))
         assert outs[0] == outs[1]
 
-    def test_env_seed_override(self, tmp_path, capsys, monkeypatch):
-        cfg = write_config(tmp_path, "t.json", TRAIN_CFG)
-        monkeypatch.setenv("SOSP_PG_SEED", "123")
-        code, out, _ = run_cli(capsys, ["train", "--config", cfg])
-        assert code == 0
-        assert json.loads(out)["seed"] == 123
-
     def test_unwritable_out_dir(self, tmp_path, capsys):
         cfg = write_config(tmp_path, "t.json", TRAIN_CFG)
         blocker = tmp_path / "blocker"
@@ -439,6 +460,21 @@ class TestEscapeTrapCommands:
         code, out, err = run_cli(capsys, ["escape", "--config", cfg])
         assert (code, out) == (2, "")
         assert err.startswith(f"error: {key}: ")
+
+    def test_trap_relaxation_with_alpha_exits_2(self, tmp_path, capsys,
+                                                monkeypatch):
+        # relaxation only scales the log cap of the derived step size.
+        def no_chain(*args, **kwargs):
+            raise AssertionError("the trap chain ran")
+
+        monkeypatch.setattr(trainer, "verify_trap", no_chain)
+        cfg = write_config(tmp_path, "t.json", {
+            "command": "trap", "seed": 1, "runs": 20, "alpha": 0.05,
+            "relaxation": 7.0,
+        })
+        code, out, err = run_cli(capsys, ["trap", "--config", cfg])
+        assert (code, out) == (2, "")
+        assert err.startswith("error: relaxation: ")
 
     @pytest.mark.parametrize("relaxation", [0.0, -1.0, 1e-30])
     def test_trap_without_an_admissible_step_exits_2(self, tmp_path, capsys,
@@ -620,10 +656,10 @@ ESCAPE_ALL_KEYS = {
     "noise": {"kind": "sphere", "scale": 0.8, "frozen": False},
     "iota_sq": 0.4,
 }
+# Every trap key but relaxation, which only the derived step size reads.
 TRAP_ALL_KEYS = {
     "command": "trap", "seed": 3, "runs": 40, "alpha": 0.05, "zeta": 1.5,
-    "varrho": 2.0, "noise_sigma": 0.4, "delta": 0.3, "relaxation": 2.0,
-    "theta0": [0.3, -0.2],
+    "varrho": 2.0, "noise_sigma": 0.4, "delta": 0.3, "theta0": [0.3, -0.2],
 }
 
 
@@ -649,13 +685,17 @@ class TestBenchmarkBuilders:
         assert out == canonical_json(asdict(expected))
 
     def test_trap_every_key_matches_builder(self, tmp_path, capsys):
-        cfg = write_config(tmp_path, "t.json", TRAP_ALL_KEYS)
-        code, out, _ = run_cli(capsys, ["trap", "--config", cfg])
-        assert code == 0
-        kwargs = {k: v for k, v in TRAP_ALL_KEYS.items() if k != "command"}
-        payload = asdict(trainer.default_trap_benchmark(**kwargs))
-        payload["bound"] = 1.0 - 0.3 * math.log(1.0 / 0.3)
-        assert out == canonical_json(payload)
+        # A relaxation of 1e4 lifts the log cap: alpha is the cap 0.3.
+        derived = {key: value for key, value in TRAP_ALL_KEYS.items()
+                   if key != "alpha"}
+        for keys in (TRAP_ALL_KEYS, dict(derived, relaxation=1e4)):
+            cfg = write_config(tmp_path, "t.json", keys)
+            code, out, _ = run_cli(capsys, ["trap", "--config", cfg])
+            assert code == 0
+            kwargs = {k: v for k, v in keys.items() if k != "command"}
+            payload = asdict(trainer.default_trap_benchmark(**kwargs))
+            payload["bound"] = 1.0 - 0.3 * math.log(1.0 / 0.3)
+            assert out == canonical_json(payload)
 
     def test_trap_without_noise_stays(self, tmp_path, capsys):
         # The noise term of the step-size cap is +inf; a start inside the
@@ -913,17 +953,27 @@ def test_seed_flag_only_on_commands_that_draw(tmp_path, capsys):
     assert outs[0] == outs[1]
 
 
-@pytest.mark.parametrize("how", ["config", "flag", "env"])
-def test_negative_seed_exits_2(tmp_path, capsys, monkeypatch, how):
+@pytest.mark.parametrize("how", ["config", "flag"])
+def test_negative_seed_exits_2(tmp_path, capsys, how):
     cfg = {"command": "escape", "seed": -1 if how == "config" else 1, "runs": 5}
     argv = ["escape", "--config", write_config(tmp_path, "e.json", cfg)]
     if how == "flag":
         argv += ["--seed", "-2"]
-    if how == "env":
-        monkeypatch.setenv("SOSP_PG_SEED", "-1")
     code, out, err = run_cli(capsys, argv)
     assert (code, out) == (2, "")
     assert err.startswith("error: seed: must be at least 0")
+
+
+def test_seed_comes_from_config_or_flag_only(tmp_path, capsys, monkeypatch):
+    """The environment does not reach the seed: SOSP_PG_SEED changes nothing."""
+    path = write_config(tmp_path, "e.json", {
+        "command": "escape", "seed": 1, "runs": 20, "alpha": 0.001})
+    monkeypatch.delenv("SOSP_PG_SEED", raising=False)
+    runs = [run_cli(capsys, ["escape", "--config", path])]
+    monkeypatch.setenv("SOSP_PG_SEED", "5")
+    runs.append(run_cli(capsys, ["escape", "--config", path]))
+    assert runs[0][0] == 0
+    assert runs[0] == runs[1]
 
 
 class TestSyntheticTrainSources:

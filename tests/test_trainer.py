@@ -611,7 +611,7 @@ def _reference_trap(source, alpha, runs, seed, delta, varrho, theta0):
         left_at[~stayed & (left_at < 0)] = step
     return TrapResult(
         stay_fraction=float(stayed.mean()), kappa_0=kappa, alpha=alpha,
-        varrho=varrho, delta=delta, runs=runs, log_cap_relaxation=1.0,
+        varrho=varrho, delta=delta, runs=runs,
     ), left_at
 
 
