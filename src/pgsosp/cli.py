@@ -143,6 +143,8 @@ def build_problem(spec: dict):
         return mdp_mod.example_one_mdp(**_builder_keys(spec, "kind")), \
             ExampleOnePiecewise()
     if kind == "mdp":
+        if "mdp" in spec and "mdp_path" in spec:
+            raise ConfigError("problem.mdp_path: give 'mdp' or 'mdp_path', not both")
         if "mdp" in spec:
             mdp = mdp_mod._mdp_at(spec["mdp"], "problem.mdp")
         elif "mdp_path" in spec:
@@ -174,10 +176,10 @@ def build_source(spec: dict):
     return trainer.StronglyConcaveSource(**keys)
 
 
-def _resolve_seed(cfg: dict, args) -> int:
-    """--seed, else the config's seed, else 0."""
-    seed = cfg.get("seed", 0) if args.seed is None else args.seed
-    if seed < 0:
+def _resolve_seed(cfg: dict, args) -> int | None:
+    """--seed, else the config's seed; None when neither is given."""
+    seed = cfg.get("seed") if args.seed is None else args.seed
+    if seed is not None and seed < 0:
         raise ConfigError(f"seed: must be at least 0, got {seed}")
     return seed
 
@@ -229,15 +231,25 @@ class _IoFailure(Exception):
 # ---------------------------------------------------------------------------
 
 def cmd_constants(cfg: dict, args) -> int:
-    if "omega" in cfg or "omega_from_fisher" in cfg:
+    fisher = cfg.get("omega_from_fisher")
+    if "omega" in cfg or fisher:
         for key in ("epsilon", "delta"):
             if key not in cfg:
                 raise ConfigError(f"{key}: required with omega or omega_from_fisher, "
                                   "since alpha, K, kappa_hat_0 and kappa_0 read it")
+    if fisher:
+        # The probe's problem is built, and so checked, before any work.
+        probe_mdp, probe_family = build_problem(fisher["problem"])
+        _check_length("omega_from_fisher.theta", fisher["theta"],
+                      probe_family.param_dim)
     if "regularity" in cfg:
         reg = RegularityConstants(**{"W": None, **cfg["regularity"]})
     elif "estimate" in cfg:
         block = cfg["estimate"]
+        for key in ("n_states", "n_actions"):
+            if block["family"] == "example_one" and key in block:
+                raise ConfigError(f"estimate.{key}: the example_one family has "
+                                  "a fixed three-state layout")
         family = make_family(block["family"], block.get("n_states"),
                              block.get("n_actions"))
         reg = estimate_regularity(family, block["box"], block["grid"])
@@ -246,14 +258,12 @@ def cmd_constants(cfg: dict, args) -> int:
 
     omega = cfg.get("omega")
     fisher_lambda_min = None
-    if "omega_from_fisher" in cfg:
-        block = cfg["omega_from_fisher"]
-        mdp, family = build_problem(block["problem"])
-        _check_length("omega_from_fisher.theta", block["theta"], family.param_dim)
-        report = fisher_matrix(mdp, family, block["theta"])
+    if fisher:
+        report = fisher_matrix(probe_mdp, probe_family, fisher["theta"])
         fisher_lambda_min = report.lambda_min
         if omega is None:
-            if report.lambda_min > 0.0:
+            # A floor of at most 1e-12 lambda_max is eigensolver rounding residue.
+            if report.lambda_min > 1e-12 * np.linalg.eigvalsh(report.matrix)[-1]:
                 omega = report.lambda_min
             else:
                 raise ConfigError(

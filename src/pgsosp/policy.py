@@ -13,8 +13,8 @@ A block's rows have the same bits as the tables at each point alone.
 a block holding a point outside raises as that point does.  ``score``
 and ``hess`` are zero wherever pi(a|s) = 0, so consumers read them at
 on-policy (sampled or enumerated) pairs or weighted by pi.  Each closed
-form is written once, in its table method (for ExampleOnePiecewise,
-its one-point form).  The per-query methods
+form is written once, in its table method (for ExampleOnePiecewise, in
+``_start``, which picks the branch at each point).  The per-query methods
 ``action_probs(theta, s)``, ``grad_prob(theta, s)``,
 ``grad_log_prob(theta, s, a)`` and ``hessian_log_prob(theta, s, a)`` are
 shared by both families: they slice the tables, and the two log-policy
@@ -39,6 +39,7 @@ All methods are pure functions of their arguments.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -149,6 +150,28 @@ class TabularSoftmax:
     grad_log_prob, hessian_log_prob = _grad_log_prob, _hessian_log_prob
 
 
+def _is_probability(p: float) -> bool:
+    """Whether p lies in [0, 1], exactly when 1 - p does; NaN passes."""
+    return not (p < 0.0 or p > 1.0)
+
+
+def _pointwise(shape: tuple, dtype=float):
+    """A one-point table method that answers a (..., p) block as (...) + shape."""
+    def wrap(table):
+        @functools.wraps(table)
+        def answer(self, theta):
+            theta = np.asarray(theta, dtype=float)
+            if theta.ndim <= 1:
+                return table(self, theta)
+            theta = np.ascontiguousarray(theta)
+            out = np.empty(theta.shape[:-1] + shape, dtype=dtype)
+            for idx in np.ndindex(theta.shape[:-1]):
+                out[idx] = table(self, theta[idx])
+            return out
+        return answer
+    return wrap
+
+
 class ExampleOnePiecewise:
     """Two-parameter piecewise family on the three-state benchmark MDP.
 
@@ -177,89 +200,64 @@ class ExampleOnePiecewise:
     def in_box(theta: np.ndarray) -> bool:
         return bool(0.0 <= theta[0] <= 1.0 and 0.0 <= theta[1] <= 1.0)
 
-    def _p1(self, theta: np.ndarray) -> float:
-        return _INV_SQRT_2PI * (1.0 - theta[0] ** 2 + theta[1] ** 2)
+    def _start(self, theta: np.ndarray, strict: bool = True, grad: bool = True):
+        """(action, p, dp) at one point: the start state's free action
+        (`right` in the closed unit box, `left` outside), its probability p
+        and its gradient dp (None without grad); `up` plays 1 - p and -dp.
+        Where p leaves [0, 1], strict raises PolicyDomainError before dp."""
+        if self.in_box(theta):
+            action, slope = RIGHT, _BOX_HESSIAN.diagonal()  # dp = H theta
+            p = _INV_SQRT_2PI * (1.0 - theta[0] ** 2 + theta[1] ** 2)
+        else:
+            action = LEFT
+            p = slope = _INV_SQRT_2PI * math.exp(-(2.0 - float(theta @ theta)) / 2.0)
+        if strict and not _is_probability(p):
+            raise PolicyDomainError(f"action probabilities leave [0, 1] at "
+                                    f"theta={theta.tolist()}")
+        return action, p, slope * theta if grad else None
 
-    def _p2(self, theta: np.ndarray) -> float:
-        return _INV_SQRT_2PI * math.exp(-(2.0 - float(theta @ theta)) / 2.0)
-
+    @_pointwise((), bool)
     def in_domain(self, theta: np.ndarray) -> bool | np.ndarray:
-        """Whether ``probs`` answers at theta: the start state's
+        """Whether the tables answer at theta: the start state's
         probabilities stay in [0, 1]."""
-        theta = np.asarray(theta, dtype=float)
-        if theta.ndim > 1:
-            return self._each(self.in_domain, theta, (), bool)
-        try:
-            self.probs(theta)
-        except PolicyDomainError:
-            return False
-        return True
+        return _is_probability(self._start(theta, strict=False, grad=False)[1])
 
+    @_pointwise((3, 3))
     def probs(self, theta: np.ndarray) -> np.ndarray:
-        theta = np.asarray(theta, dtype=float)
-        if theta.ndim > 1:
-            return self._each(self.probs, theta, (3, 3))
+        action, p, _ = self._start(theta, grad=False)
         out = _ABSORBING_ROWS.copy()
-        if self.in_box(theta):
-            p = self._p1(theta)
-            out[0] = p, 0.0, 1.0 - p
-        else:
-            p = self._p2(theta)
-            out[0] = 0.0, p, 1.0 - p
-        if p < 0.0 or p > 1.0:  # exactly when 1 - p leaves [0, 1]
-            raise PolicyDomainError(
-                f"action probabilities leave [0, 1] at theta={theta.tolist()}"
-            )
+        out[0, action] = p
+        out[0, UP] = 1.0 - p
         return out
 
+    @_pointwise((3, 3, 2))
     def dprobs(self, theta: np.ndarray) -> np.ndarray:
-        theta = np.asarray(theta, dtype=float)
-        if theta.ndim > 1:
-            return self._each(self.dprobs, theta, (3, 3, 2))
+        action, _, dp = self._start(theta, strict=False)
         out = np.zeros((3, 3, 2))
-        if self.in_box(theta):
-            grad = out[0, RIGHT] = theta * _BOX_HESSIAN.diagonal()
-        else:
-            grad = out[0, LEFT] = self._p2(theta) * theta
-        out[0, UP] = -grad
+        out[0, action] = dp
+        out[0, UP] = -dp
         return out
 
+    @_pointwise((3, 3, 2))
     def score(self, theta: np.ndarray) -> np.ndarray:
-        theta = np.asarray(theta, dtype=float)
-        if theta.ndim > 1:
-            return self._each(self.score, theta, (3, 3, 2))
-        start = self.probs(theta)[0, :, None]
+        action, p, dp = self._start(theta)
         out = np.zeros((3, 3, 2))
-        np.divide(self.dprobs(theta)[0], start, out=out[0], where=start > 0.0)
+        for a, q, dq in ((action, p, dp), (UP, 1.0 - p, -dp)):
+            if q > 0.0:
+                out[0, a] = dq / q
         return out
 
+    @_pointwise((3, 3, 2, 2))
     def hess(self, theta: np.ndarray) -> np.ndarray:
-        # d^2 log p = (d^2 p)/p - (d log p)(d log p)^T
-        theta = np.asarray(theta, dtype=float)
-        if theta.ndim > 1:
-            return self._each(self.hess, theta, (3, 3, 2, 2))
-        start = self.probs(theta)[0]
-        on = start > 0.0
-        dlog = self.dprobs(theta)[0, on] / start[on, None]
-        d2p = np.zeros((3, 2, 2))
-        if self.in_box(theta):
-            d2p[RIGHT] = _BOX_HESSIAN
-            d2p[UP] = -d2p[RIGHT]
-        else:
-            d2p[LEFT] = self._p2(theta) * (np.outer(theta, theta) + np.eye(2))
-            d2p[UP] = -d2p[LEFT]
+        # d^2 log q = (d^2 q)/q - (d log q)(d log q)^T
+        action, p, dp = self._start(theta)
+        d2p = _BOX_HESSIAN if action == RIGHT \
+            else p * (np.outer(theta, theta) + np.eye(2))
         out = np.zeros((3, 3, 2, 2))
-        out[0, on] = (d2p[on] / start[on, None, None]
-                      - dlog[:, :, None] * dlog[:, None, :])
-        return out
-
-    @staticmethod
-    def _each(table, theta: np.ndarray, shape: tuple, dtype=float) -> np.ndarray:
-        """table at each point of a (..., 2) block, into a (...) + shape array."""
-        theta = np.ascontiguousarray(theta)
-        out = np.empty(theta.shape[:-1] + shape, dtype=dtype)
-        for idx in np.ndindex(theta.shape[:-1]):
-            out[idx] = table(theta[idx])
+        for a, q, dq, d2q in ((action, p, dp, d2p), (UP, 1.0 - p, -dp, -d2p)):
+            if q > 0.0:
+                dlog = dq / q
+                out[0, a] = d2q / q - dlog[:, None] * dlog[None, :]
         return out
 
     def check_mdp(self, mdp) -> None:

@@ -499,11 +499,11 @@ def _block_steps(runs: int, dim: int) -> int:
 
 
 def _chain_blocks(source: QuadraticSaddleSource, d: np.ndarray, alpha, steps: int,
-                  rng: np.random.Generator, record=None):
+                  rng: np.random.Generator):
     """Step chains d (runs, dim) by d <- d + alpha (slope(d) + xi), `steps` times.
 
-    Yields (t0, path) per block of steps t0+1 .. t0+n, with path[i] =
-    record(d) after step t0+i+1 (d itself when record is None), stacked.
+    Yields (t0, path) per block of steps t0+1 .. t0+n, with path[i] the
+    (runs, dim) offsets d after step t0+i+1.
     A block draws its (n*runs, dim) noise in one call; numpy fills it in
     the order n draws of (runs, dim) would, so step t reads the same rows
     of the stream as a per-step loop.  Frozen noise is one (runs, dim) draw
@@ -525,7 +525,7 @@ def _chain_blocks(source: QuadraticSaddleSource, d: np.ndarray, alpha, steps: in
         path = []
         for x in xi:
             d = d + alpha * (source._slope(d) + x)
-            path.append(d if record is None else record(d))
+            path.append(d)
         yield t0, np.stack(path)
 
 
@@ -589,8 +589,9 @@ def verify_escape(source: QuadraticSaddleSource, alpha: float, runs: int,
     alphas = np.full((runs, 1), alpha)  # zeroed per chain once it escapes
     chains = np.arange(runs)
     # J(center) = 0, so the gain is J itself.
-    for t0, path in _chain_blocks(source, np.zeros((runs, source.dim)), alphas,
-                                  cap, derive_rng(seed), source._value):
+    for t0, offsets in _chain_blocks(source, np.zeros((runs, source.dim)), alphas,
+                                     cap, derive_rng(seed)):
+        path = source._value(offsets)
         active = escape_step < 0
         hit = path >= threshold
         first = hit.argmax(axis=0)

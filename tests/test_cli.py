@@ -128,6 +128,21 @@ class TestConstantsCommand:
         assert "K," in out.splitlines()
         assert "None" not in out
 
+    @pytest.mark.parametrize("key, value", [("n_states", 7), ("n_actions", 9)])
+    def test_example_one_estimate_rejects_a_layout(self, tmp_path, capsys,
+                                                   monkeypatch, key, value):
+        def no_work(*args, **kwargs):
+            raise AssertionError("the grid was estimated")
+
+        monkeypatch.setattr(cli, "estimate_regularity", no_work)
+        estimate = {"family": "example_one", "box": [[-1.0, 1.0]] * 2, "grid": 5,
+                    key: value}
+        cfg = {k: v for k, v in CONSTANTS_CFG.items() if k != "regularity"}
+        path = write_config(tmp_path, "c.json", dict(cfg, estimate=estimate))
+        code, out, err = run_cli(capsys, ["constants", "--config", path])
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: estimate.{key}: ")
+
     def test_oversized_grid_named_before_allocation(self, tmp_path, capsys):
         # 10^6 points per axis over p = 4 axes: 10^24 grid points, which
         # numpy cannot allocate; the cap rejects it first, naming the key.
@@ -224,6 +239,25 @@ class TestClassifyCommand:
         assert (code, out) == (2, "")
         name = next(iter(extra), "--seed")
         assert err.startswith(f"error: {name}: ")
+
+    def test_estimated_mode_needs_a_seed(self, tmp_path, capsys, monkeypatch):
+        cfg = dict(CLASSIFY_CFG, mode="estimated", n=20)
+        outs = []
+        for extra, flag in (({"seed": 0}, []), ({}, ["--seed", "0"])):
+            path = write_config(tmp_path, "c.json", dict(cfg, **extra))
+            outs.append(run_cli(capsys, ["classify", "--config", path,
+                                         "--theta", "0.2,0.3", *flag]))
+        assert outs[0][0] == 0 and outs[0] == outs[1]
+
+        def no_draw(*args, **kwargs):
+            raise AssertionError("the estimate was drawn")
+
+        monkeypatch.setattr(cli.sosp, "batch_gradient", no_draw)
+        path = write_config(tmp_path, "c.json", cfg)
+        code, out, err = run_cli(capsys, ["classify", "--config", path,
+                                          "--theta", "0.2,0.3"])
+        assert (code, out) == (2, "")
+        assert err == "error: estimated mode needs n >= 1 and a seed\n"
 
     def test_estimated_mode_on_mdp(self, tmp_path, capsys):
         bandit = {
@@ -597,6 +631,27 @@ class TestCncCommand:
             <= 3.0 * payload["std_error"]
 
 
+    def test_u_defaults_to_the_top_hessian_eigenvector(self, tmp_path, capsys):
+        from pgsosp.mdp import random_mdp
+        from pgsosp.policy import TabularSoftmax
+
+        mdp, family = random_mdp(4, n_states=2, n_actions=2, horizon=3), \
+            TabularSoftmax(2, 2)
+        theta = np.array([0.3, -0.5, 0.8, 0.1])
+        cfg = write_config(tmp_path, "c.json", {
+            "command": "cnc", "problem": {"kind": "mdp", "mdp": mdp.to_json()},
+            "theta": theta.tolist(), "n": 200, "seed": 3, "method": "enumerate"})
+        code, out, _ = run_cli(capsys, ["cnc", "--config", cfg])
+        assert code == 0
+        payload = json.loads(out)
+        hess = oracle.exact_hessian(mdp, family, theta)
+        u = np.array(payload["u"])
+        assert np.linalg.norm(u) == pytest.approx(1.0, abs=1e-12)
+        lam = np.linalg.eigvalsh(hess)[-1]
+        assert np.allclose(hess @ u, lam * u, atol=1e-10)
+        assert payload["enumeration"] == cli.sosp.cnc_enumerate(mdp, family, theta, u)
+
+
 def test_readme_configs_read_against_their_schema(tmp_path):
     # Every fenced JSON config in the README loads for its own command, so a
     # renamed or retyped key fails here.
@@ -635,6 +690,22 @@ class TestOmegaFromFisher:
         code, _, err = run_cli(capsys, ["constants", "--config", path])
         assert code == 2
         assert "omega" in err and "singular" in err
+
+    def test_rounding_residue_is_singular(self, tmp_path, capsys):
+        # Tabular softmax is singular along logit shifts; the eigensolver
+        # gives lambda_min = 2.8e-17 here, against lambda_max = 1.24.
+        from pgsosp.mdp import random_mdp
+
+        mdp = random_mdp(35, n_states=2, n_actions=2, horizon=5, gamma=0.9)
+        cfg = {k: v for k, v in CONSTANTS_CFG.items() if k != "omega"}
+        cfg["omega_from_fisher"] = {
+            "problem": {"kind": "mdp", "mdp": mdp.to_json()},
+            "theta": [0.7377, 0.2681, -0.0069, -0.6729],
+        }
+        path = write_config(tmp_path, "c.json", cfg)
+        code, out, err = run_cli(capsys, ["constants", "--config", path])
+        assert (code, out) == (2, "")
+        assert err.startswith("error: omega_from_fisher: the Fisher matrix is singular")
 
     def test_explicit_omega_with_probe_reports_lambda_min(self, tmp_path,
                                                           capsys):
@@ -812,6 +883,8 @@ _BANDIT_CNC = {
      "problem.mdp_path: cannot read"),
     ({**_BANDIT_CNC, "problem": {"kind": "mdp", "mdp_path": __file__}},
      "problem.mdp_path: not valid JSON"),
+    ({**_BANDIT_CNC, "problem": {"kind": "mdp", "policy": "tabular_softmax"}},
+     "problem: mdp kind needs 'mdp' or 'mdp_path'"),
 ], ids=["trap-theta0-3d", "trap-runs-negative", "trap-runs-zero",
         "trap-delta-zero", "trap-zeta-negative", "trap-varrho-zero",
         "escape-runs-zero", "escape-no-eigenvalues", "escape-noise-3d",
@@ -834,13 +907,51 @@ _BANDIT_CNC = {
         "classify-example1-horizon-fraction", "classify-epsilon-bool",
         "escape-eigenvalues-bool", "escape-contrast-text", "train-alpha-nan",
         "constants-gamma-text", "constants-h-text", "escape-seed-negative",
-        "cnc-mdp-reward-shape", "cnc-mdp-path-missing", "cnc-mdp-path-not-json"])
+        "cnc-mdp-reward-shape", "cnc-mdp-path-missing", "cnc-mdp-path-not-json",
+        "cnc-neither-mdp-nor-mdp-path"])
 def test_malformed_synthetic_config_exits_2(tmp_path, capsys, cfg, key):
     path = write_config(tmp_path, "bad.json", cfg)
     code, out, err = run_cli(capsys, [cfg["command"], "--config", path])
     assert code == 2
     assert out == ""
     assert key in err
+
+
+@pytest.mark.parametrize("command", ["cnc", "constants"])
+def test_mdp_and_mdp_path_together_exit_2(tmp_path, capsys, monkeypatch, command):
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started")
+
+    for name in ("exact_hessian", "estimate_regularity", "fisher_matrix"):
+        monkeypatch.setattr(cli, name, no_work)
+    for name in ("cnc_enumerate", "cnc_estimate"):
+        monkeypatch.setattr(cli.sosp, name, no_work)
+    problem = {**_BANDIT_CNC["problem"],
+               "mdp_path": os.path.join(str(tmp_path), "no-such-mdp.json")}
+    if command == "cnc":
+        cfg = {**_BANDIT_CNC, "problem": problem}
+    else:
+        cfg = {k: v for k, v in CONSTANTS_CFG.items() if k != "regularity"}
+        cfg.update(estimate={"family": "tabular_softmax", "n_states": 1,
+                             "n_actions": 2, "box": [[-1.0, 1.0]] * 2, "grid": 3},
+                   omega_from_fisher={"problem": problem, "theta": [0.0, 0.0]})
+    path = write_config(tmp_path, "c.json", cfg)
+    code, out, err = run_cli(capsys, [command, "--config", path])
+    assert (code, out) == (2, "")
+    assert err.startswith("error: problem.mdp_path: ")
+
+
+def test_integral_floats_read_as_integers(tmp_path, capsys):
+    assert util._read(1e5, "integer", "n") == 100000
+    assert type(util._read(3.0, "integer", "n")) is int
+    outs = []
+    for runs in ("20", "2e1", "20.0"):
+        path = tmp_path / "e.json"
+        path.write_text('{"command": "escape", "seed": 1, "alpha": 0.001, '
+                        f'"runs": {runs}}}')
+        outs.append(run_cli(capsys, ["escape", "--config", str(path)]))
+    assert outs[0][0] == 0 and outs[0] == outs[1] == outs[2]
+    assert json.loads(outs[0][1])["runs"] == 20
 
 
 def test_config_not_utf8_exits_2(tmp_path, capsys):

@@ -15,6 +15,8 @@ from pgsosp.policy import (
 )
 from pgsosp.util import derive_rng
 
+from formula_reference import ExampleOneTables
+
 INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
 
@@ -343,6 +345,35 @@ class TestBlockTables:
             with pytest.raises(PolicyDomainError, match="leave"):
                 table(block)
             table(block[[0, 1, 3]])
+
+    def test_example1_tables_equal_the_per_method_branches(self):
+        """Every table, the domain mask and every raised error are those of
+        the earlier form that picked the branch in each method."""
+        new, old = ExampleOnePiecewise(), ExampleOneTables()
+        up = np.nextafter(1.0, 2.0)
+        # The box edges and just past them, theta = (1, 0) where p(right) = 0,
+        # the outside branch inside and beyond the domain (|theta|^2 > 3.84).
+        axis = [-2.0, -1.0, -up, -0.0, 0.0, 0.25, 0.5, np.nextafter(1.0, 0.0), 1.0,
+                up, 1.3, 1.5, 1.9598, 2.0, 2.5]
+        points = np.array(list(itertools.product(axis, axis)))
+        assert new.probs(np.array([1.0, 0.0]))[0, RIGHT] == 0.0
+        assert not new.in_domain(points).all() and new.in_domain(points).any()
+
+        def answer(table, theta):
+            try:
+                got = table(theta)
+            except PolicyDomainError as exc:
+                return str(exc)
+            return type(got), np.asarray(got).dtype, np.shape(got), \
+                np.asarray(got).tobytes()
+
+        inside = points[old.in_domain(points)]
+        blocks = list(points) + [inside, inside[:24].reshape(2, 3, 4, 2),
+                                 points[:12].reshape(3, 4, 2)]
+        for table in TABLES + ("in_domain",):
+            for theta in blocks:
+                assert answer(getattr(new, table), theta) == \
+                    answer(getattr(old, table), theta), (table, theta.tolist())
 
     @pytest.mark.parametrize("family, box, grid", REGULARITY_GRIDS)
     def test_domain_mask_is_where_probs_answers(self, family, box, grid):

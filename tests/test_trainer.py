@@ -641,6 +641,8 @@ def _noises(u, other):
 _ESCAPE_HESSIANS = {
     "2d": np.diag([1.0, -1.0]),
     "3d-rotated": _rotated([1.0, -1.0, 0.5]),
+    # Above dimension 3 a non-diagonal H takes _times_h's index-order sum.
+    "5d-rotated": _rotated([1.0, -1.0, 0.5, -0.3, 0.2]),
 }
 
 
