@@ -156,8 +156,10 @@ def build_problem(spec: dict):
                 raise ConfigError(f"problem.mdp_path: not valid JSON: {exc}") from None
         else:
             raise ConfigError("problem: mdp kind needs 'mdp' or 'mdp_path'")
-        return mdp, make_family(spec.get("policy", "tabular_softmax"),
-                                mdp.n_states, mdp.n_actions)
+        family = make_family(spec.get("policy", "tabular_softmax"),
+                             mdp.n_states, mdp.n_actions)
+        mdp_mod._shape_check(mdp, family)
+        return mdp, family
     raise ConfigError(f"problem.kind: {kind!r} is not an MDP-backed problem")
 
 
@@ -172,7 +174,7 @@ def build_source(spec: dict):
         if "noise" in keys and keys["noise"].frozen:
             raise ConfigError("noise.frozen: train draws fresh noise at every "
                               "update; frozen noise is for escape only")
-        return trainer.quadratic_saddle_source(**keys)
+        return trainer.QuadraticSaddleSource(**keys)
     return trainer.StronglyConcaveSource(**keys)
 
 
@@ -243,6 +245,8 @@ def cmd_constants(cfg: dict, args) -> int:
         _check_length("omega_from_fisher.theta", fisher["theta"],
                       probe_family.param_dim)
     if "regularity" in cfg:
+        if "estimate" in cfg:
+            raise ConfigError("estimate: give 'regularity' or 'estimate', not both")
         reg = RegularityConstants(**{"W": None, **cfg["regularity"]})
     elif "estimate" in cfg:
         block = cfg["estimate"]

@@ -361,8 +361,7 @@ def prop3_step_size(delta: float, zeta: float, ell: float, varrho: float,
     alpha = 1e-12 meets the log cap (for instance relaxation <= 0).
     """
     _check_delta(delta)
-    if varrho <= 0:
-        raise ConfigError(f"varrho: must be positive, got {varrho!r}")
+    _check_varrho(varrho)
     if min(zeta, ell) <= 0 or sigma < 0 or grad_bound_sq < 0:
         raise ConfigError("prop3_step_size: inputs must be positive "
                           "(sigma and grad_bound_sq may be zero)")
@@ -393,6 +392,11 @@ def prop3_step_size(delta: float, zeta: float, ell: float, varrho: float,
 def _check_delta(delta: float) -> None:
     if not (0.0 < delta < 1.0):
         raise ConfigError(f"delta must be in (0, 1), got {delta!r}")
+
+
+def _check_varrho(varrho: float) -> None:
+    if varrho <= 0:
+        raise ConfigError(f"varrho: must be positive, got {varrho!r}")
 
 
 # ---------------------------------------------------------------------------

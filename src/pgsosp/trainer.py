@@ -19,8 +19,9 @@ is the same model with H = -zeta I, center t* and noise uniform on the
 sphere of radius noise_sigma (bounded, zero mean, second moment
 noise_sigma^2).
 
-``quadratic_saddle_source``, ``default_escape_benchmark`` and
-``default_trap_benchmark`` build from config keys and hold their defaults;
+``QuadraticSaddleSource`` (built from its spectrum), ``StronglyConcaveSource``,
+``default_escape_benchmark`` and ``default_trap_benchmark`` take config keys
+and hold their defaults;
 ``example1_sosp_study`` steps its chains through ``analytic_example1``.
 """
 from __future__ import annotations
@@ -37,6 +38,7 @@ from .oracle import (Example1Analysis, analytic_example1, exact_gradient,
                      exact_hessian, exact_objective)
 from .sosp import (
     Region,
+    _check_varrho,
     _unit_check,
     escape_budget,
     prop3_step_size,
@@ -80,8 +82,9 @@ class NoiseSpec:
         if self.kind in ("signed_direction", "orthogonal"):
             if self.direction is None:
                 raise ConfigError(f"noise kind {self.kind!r} needs a direction")
-            object.__setattr__(self, "direction", frozen_array(
-                _unit_check(self.direction, "noise direction")))
+            # iota_sq reads |direction| = 1 exactly, not within 1e-10.
+            u = _unit_check(self.direction, "noise direction")
+            object.__setattr__(self, "direction", frozen_array(u / np.linalg.norm(u)))
 
     def draw(self, rng: np.random.Generator, n: int, dim: int) -> np.ndarray:
         """(n, dim) noise block."""
@@ -134,21 +137,20 @@ def _row_norm(v: np.ndarray) -> np.ndarray:
 class QuadraticSaddleSource:
     """Quadratic (optionally cubic-perturbed) objective with CNC noise.
 
-    objective and gradient take one point or an (n, dim) block of points;
-    the escape and trap chains step with the same row formulas.
+    H = diag(eigenvalues), noise rademacher by default.  objective and gradient
+    take one point or an (n, dim) block of points, with the same bits per row.
     """
 
-    def __init__(self, hessian: np.ndarray, noise: NoiseSpec,
+    def __init__(self, eigenvalues=(1.0, -1.0), noise: NoiseSpec | None = None,
                  center: np.ndarray | None = None, cubic: float = 0.0):
-        h = np.asarray(hessian, dtype=float)
-        if h.ndim != 2 or h.shape[0] != h.shape[1]:
-            raise ConfigError("QuadraticSaddleSource needs a square matrix")
-        if h.size == 0:
-            raise ConfigError("eigenvalues: need at least one, got an empty Hessian")
-        if np.abs(h - h.T).max() > 1e-10:
-            raise ConfigError("QuadraticSaddleSource needs a symmetric matrix")
-        self.h = frozen_array(h)
-        self.dim = h.shape[0]
+        eigenvalues = np.asarray(eigenvalues, dtype=float)
+        if eigenvalues.ndim != 1 or eigenvalues.size == 0:
+            raise ConfigError(f"eigenvalues: need a non-empty vector (no empty "
+                              f"Hessian), got shape {eigenvalues.shape}")
+        self.eigenvalues = frozen_array(eigenvalues)
+        self.h = frozen_array(np.diag(eigenvalues))
+        self.dim = eigenvalues.size
+        noise = NoiseSpec("rademacher") if noise is None else noise
         if noise.direction is not None and noise.direction.shape != (self.dim,):
             raise ConfigError(
                 f"noise: direction has {noise.direction.size} components, "
@@ -157,27 +159,15 @@ class QuadraticSaddleSource:
         self.noise = noise
         self.center = frozen_array(np.zeros(self.dim) if center is None else center)
         self.cubic = float(cubic)
-        eigvals, eigvecs = np.linalg.eigh(h)
+        # eigh, not argmax: on a tied spectrum the two pick different vectors.
+        eigvals, eigvecs = np.linalg.eigh(self.h)
         self.lambda_max = float(eigvals[-1])
         self.u_p = frozen_array(eigvecs[:, -1])
-        # BLAS rounds a row of d @ H alike alone and inside a block only for
-        # a diagonal H or dimension <= 3.
-        self._matmul_rowwise = self.dim <= 3 or not (h - np.diag(np.diag(h))).any()
-
-    def _times_h(self, d: np.ndarray) -> np.ndarray:
-        """d @ H row-wise over the last axis, with the same bits for a row
-        alone or inside a block: the sum over j runs in index order."""
-        if self._matmul_rowwise:
-            return d @ self.h
-        out = d[..., :1] * self.h[0]
-        for j in range(1, self.dim):
-            out = out + d[..., j:j + 1] * self.h[j]
-        return out
 
     def _value(self, d: np.ndarray):
         """J at offsets d = theta - center, row-wise over the last axis; a row
         has the same bits alone or inside a block."""
-        value = 0.5 * (d * self._times_h(d)).sum(axis=-1)
+        value = 0.5 * (d * (d @ self.h)).sum(axis=-1)
         if self.cubic:
             # Cube an array even for one row: numpy's scalar power rounds
             # differently, and a row must not depend on the block size.
@@ -187,7 +177,7 @@ class QuadraticSaddleSource:
 
     def _slope(self, d: np.ndarray) -> np.ndarray:
         """grad J at offsets d = theta - center, row-wise over the last axis."""
-        g = self._times_h(d)
+        g = d @ self.h
         if self.cubic:
             g = g - 0.5 * self.cubic * np.linalg.norm(d, axis=-1, keepdims=True) * d
         return g
@@ -225,7 +215,7 @@ class StronglyConcaveSource(QuadraticSaddleSource):
             raise ConfigError(f"noise_sigma: must be >= 0, got {noise_sigma!r}")
         theta_star = np.asarray(theta_star, dtype=float)
         super().__init__(
-            hessian=-zeta * np.eye(theta_star.size),
+            eigenvalues=np.full(theta_star.size, -zeta),
             noise=NoiseSpec(kind="sphere" if noise_sigma > 0 else "zero",
                             scale=noise_sigma),
             center=theta_star,
@@ -634,13 +624,6 @@ def _no_floor(noise: NoiseSpec, iota_sq: float) -> bool:
     return not iota_sq > 1e-12 * noise.scale ** 2
 
 
-def quadratic_saddle_source(eigenvalues=(1.0, -1.0), noise: NoiseSpec | None = None,
-                            cubic: float = 0.0) -> QuadraticSaddleSource:
-    """The ``quadratic_saddle`` source: H = diag(eigenvalues), Rademacher noise."""
-    return QuadraticSaddleSource(np.diag(eigenvalues), noise or NoiseSpec("rademacher"),
-                                 cubic=cubic)
-
-
 def default_escape_benchmark(runs: int = 200, seed: int = 0, alpha: float = 1e-3,
                              contrast: bool = False, chi: float = 1.0,
                              epsilon: float = 1.0, sigma_h0: float = 10.0,
@@ -648,19 +631,20 @@ def default_escape_benchmark(runs: int = 200, seed: int = 0, alpha: float = 1e-3
                              eigenvalues=(1.0, -1.0),
                              noise: NoiseSpec | None = None,
                              iota_sq: float | None = None) -> EscapeResult:
-    """Escape benchmark on ``quadratic_saddle_source(eigenvalues, noise)``.
+    """Escape benchmark on ``QuadraticSaddleSource(eigenvalues, noise)``.
 
     The contrast variant restricts the noise to the orthogonal complement
     of the escape direction (floor violated) while keeping the benchmark
     gain threshold iota_sq = 1, documenting that the floor is what drives
     escape.  The keywords are the ``escape`` command's config keys.
     """
-    source = quadratic_saddle_source(eigenvalues, noise)
+    source = QuadraticSaddleSource(eigenvalues, noise)
     if contrast:
         if noise is not None:
             raise ConfigError("escape: 'contrast' sets the noise; drop 'noise'")
         source = QuadraticSaddleSource(
-            source.h, NoiseSpec(kind="orthogonal", scale=1.0, direction=source.u_p))
+            source.eigenvalues,
+            NoiseSpec(kind="orthogonal", scale=1.0, direction=source.u_p))
         if iota_sq is None:
             iota_sq = 1.0
     return verify_escape(source, alpha=alpha, runs=runs, seed=seed, chi=chi,
@@ -690,6 +674,7 @@ def verify_trap(source: QuadraticSaddleSource, alpha: float, runs: int,
     The ball is centered on the source's center; theta0 must lie inside
     the inner ball of radius varrho/sqrt(3).
     """
+    _check_varrho(varrho)
     _check_runs(runs)
     theta0 = np.asarray(theta0, dtype=float)
     if theta0.shape != (source.dim,):

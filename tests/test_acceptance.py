@@ -242,7 +242,7 @@ def test_ac07_saddle_escape_benchmark():
     ok &= bench.mean_escape_steps <= bench.step_cap
     contrast = default_escape_benchmark(runs=200, seed=6000, contrast=True)
     ok &= contrast.escape_fraction <= 0.1
-    source = QuadraticSaddleSource(np.diag([1.0, -1.0]),
+    source = QuadraticSaddleSource([1.0, -1.0],
                                    NoiseSpec("rademacher", 1.0))
     coupled = coupled_quadratic_run(source, np.array([0.2, 0.1]), 1e-3, 380,
                                     seed=6001)

@@ -143,6 +143,19 @@ class TestConstantsCommand:
         assert (code, out) == (2, "")
         assert err.startswith(f"error: estimate.{key}: ")
 
+    def test_regularity_and_estimate_together_exit_2(self, tmp_path, capsys,
+                                                     monkeypatch):
+        def no_work(*args, **kwargs):
+            raise AssertionError("the grid was estimated")
+
+        monkeypatch.setattr(cli, "estimate_regularity", no_work)
+        estimate = {"family": "tabular_softmax", "n_states": 1, "n_actions": 2,
+                    "box": [[-5.0, 5.0], [-5.0, 5.0]], "grid": 7}
+        path = write_config(tmp_path, "c.json", dict(CONSTANTS_CFG, estimate=estimate))
+        code, out, err = run_cli(capsys, ["constants", "--config", path])
+        assert (code, out) == (2, "")
+        assert err == "error: estimate: give 'regularity' or 'estimate', not both\n"
+
     def test_oversized_grid_named_before_allocation(self, tmp_path, capsys):
         # 10^6 points per axis over p = 4 axes: 10^24 grid points, which
         # numpy cannot allocate; the cap rejects it first, naming the key.
@@ -463,7 +476,10 @@ class TestEscapeTrapCommands:
         {"kind": "zero"},
         {"kind": "rademacher", "scale": 0.0},
         {"kind": "signed_direction", "direction": [0.0, 1.0]},
-    ], ids=["zero", "rademacher-scale-0", "signed-off-direction"])
+        # Within 1e-10 of a unit vector: normalized to e_0, the escape direction.
+        {"kind": "orthogonal", "direction": [0.99999999999, 0.0]},
+    ], ids=["zero", "rademacher-scale-0", "signed-off-direction",
+            "orthogonal-near-unit"])
     def test_derived_floor_of_zero_exits_2(self, tmp_path, capsys, noise):
         # Without a floor the gain threshold is 0 and every run would
         # "escape" at its first step.
@@ -665,6 +681,16 @@ def test_readme_configs_read_against_their_schema(tmp_path):
         assert cli.load_config(str(path), json.loads(text)["command"])
 
 
+def test_readme_library_example_prints_its_line(capsys):
+    readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    with open(readme, encoding="utf-8") as fh:
+        blocks = re.findall(r"```python\n(.*?)```", fh.read(), re.S)
+    assert len(blocks) == 1
+    exec(compile(blocks[0], "README.md", "exec"), {})
+    assert capsys.readouterr().out == "Region.L2 0.7978845608028654\n"
+    assert "# Region.L2 0.7978845608028654\n" in blocks[0]
+
+
 def test_console_entry_point(tmp_path):
     cfg = tmp_path / "c.json"
     cfg.write_text(json.dumps(CONSTANTS_CFG))
@@ -798,6 +824,12 @@ _BANDIT_CNC = {
     ({"command": "trap", "seed": 1, "delta": 0.0}, "delta"),
     ({"command": "trap", "seed": 1, "zeta": -1.0}, "zeta"),
     ({"command": "trap", "seed": 1, "varrho": 0.0}, "varrho"),
+    # With alpha given no step-size rule reads varrho; the trap checks it
+    # before the inner-ball check, which a negative radius would word oddly.
+    ({"command": "trap", "seed": 1, "runs": 20, "alpha": 0.05, "varrho": 0.0},
+     "error: varrho: must be positive"),
+    ({"command": "trap", "seed": 1, "runs": 20, "alpha": 0.05, "varrho": -1.0,
+      "theta0": [0.0, 0.0]}, "error: varrho: must be positive"),
     ({"command": "escape", "seed": 1, "runs": 0}, "runs"),
     ({"command": "escape", "seed": 1, "eigenvalues": []}, "eigenvalues"),
     ({"command": "escape", "seed": 1, "noise": _SADDLE_3D_NOISE}, "noise"),
@@ -887,6 +919,7 @@ _BANDIT_CNC = {
      "problem: mdp kind needs 'mdp' or 'mdp_path'"),
 ], ids=["trap-theta0-3d", "trap-runs-negative", "trap-runs-zero",
         "trap-delta-zero", "trap-zeta-negative", "trap-varrho-zero",
+        "trap-alpha-varrho-zero", "trap-alpha-varrho-negative",
         "escape-runs-zero", "escape-no-eigenvalues", "escape-noise-3d",
         "train-noise-3d", "escape-eigenvalues-scalar",
         "escape-eigenvalues-text", "train-eigenvalues-scalar",
@@ -939,6 +972,27 @@ def test_mdp_and_mdp_path_together_exit_2(tmp_path, capsys, monkeypatch, command
     code, out, err = run_cli(capsys, [command, "--config", path])
     assert (code, out) == (2, "")
     assert err.startswith("error: problem.mdp_path: ")
+
+
+@pytest.mark.parametrize("command", ["classify", "cnc"])
+def test_example_one_policy_on_another_mdp_exits_2(tmp_path, capsys, monkeypatch,
+                                                    command):
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started")
+
+    monkeypatch.setattr(cli, "exact_hessian", no_work)
+    for name in ("second_order_report", "cnc_enumerate", "cnc_estimate"):
+        monkeypatch.setattr(cli.sosp, name, no_work)
+    problem = {**_BANDIT_CNC["problem"], "policy": "example_one"}
+    if command == "cnc":  # without u, so the Hessian would be computed
+        argv = ["cnc", "--config", write_config(tmp_path, "c.json",
+                                                {**_BANDIT_CNC, "problem": problem})]
+    else:
+        argv = ["classify", "--theta", "0.3,0.6", "--config",
+                write_config(tmp_path, "c.json", {**CLASSIFY_CFG, "problem": problem})]
+    code, out, err = run_cli(capsys, argv)
+    assert (code, out) == (2, "")
+    assert err == "error: policy family 'example_one' has shape (3, 3), MDP has (1, 2)\n"
 
 
 def test_integral_floats_read_as_integers(tmp_path, capsys):

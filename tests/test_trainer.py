@@ -75,6 +75,18 @@ class TestNoiseSpec:
         with pytest.raises(ConfigError):
             NoiseSpec("orthogonal", 1.0)
 
+    def test_direction_is_normalized(self):
+        # |u| = 1 - 1e-11 passes the unit check; iota_sq needs |u| = 1, so
+        # orthogonal noise along it has no energy along e_0.
+        e0 = np.array([1.0, 0.0])
+        noise = NoiseSpec("orthogonal", 1.0, direction=[0.99999999999, 0.0])
+        assert np.array_equal(noise.direction, e0)
+        assert noise.iota_sq(e0) == 0.0
+        # A direction of norm exactly 1 keeps its bits.
+        u = np.array([0.6, 0.8])
+        assert np.linalg.norm(u) == 1.0
+        assert np.array_equal(NoiseSpec("signed_direction", direction=u).direction, u)
+
 
 class TestSyntheticSources:
     @pytest.mark.parametrize("cubic", [0.0, 0.5])
@@ -87,19 +99,31 @@ class TestSyntheticSources:
     ])
     def test_block_rows_equal_per_row_calls(self, eigenvalues, center, cubic):
         dim = len(eigenvalues)
-        # The same spectrum as a diagonal and as a rotated (full) Hessian.
-        rotation, _ = np.linalg.qr(derive_rng(0, 62).standard_normal((dim, dim)))
-        full = rotation @ np.diag(eigenvalues) @ rotation.T
         block = derive_rng(0, 63).standard_normal((64, dim))
-        for hessian in (np.diag(eigenvalues), (full + full.T) / 2.0):
-            source = QuadraticSaddleSource(hessian, NoiseSpec("zero"),
-                                           center=np.array(center), cubic=cubic)
-            values = source.objective(block)
-            grads = source.gradient(block)
-            assert values.shape == (64,) and grads.shape == block.shape
-            for theta, value, grad in zip(block, values, grads):
-                assert source.objective(theta) == value
-                assert np.array_equal(source.gradient(theta), grad)
+        source = QuadraticSaddleSource(eigenvalues, NoiseSpec("zero"),
+                                       center=np.array(center), cubic=cubic)
+        values = source.objective(block)
+        grads = source.gradient(block)
+        assert values.shape == (64,) and grads.shape == block.shape
+        for theta, value, grad in zip(block, values, grads):
+            assert source.objective(theta) == value
+            assert np.array_equal(source.gradient(theta), grad)
+        # A (runs, steps, dim) block, as the chains stack them.
+        stacked = block.reshape(8, 8, dim)
+        assert np.array_equal(source.objective(stacked), values.reshape(8, 8))
+        assert np.array_equal(source.gradient(stacked), grads.reshape(8, 8, dim))
+        if not cubic:
+            assert np.array_equal(grads, (block - center) * np.asarray(eigenvalues))
+
+    @pytest.mark.parametrize("eigenvalues", [[1.0, 1.0], [1.0, -1.0, 1.0],
+                                             [1.0, 1.0, -1.0]])
+    def test_tied_spectrum_takes_eighs_top_vector(self, eigenvalues):
+        # On a tie eigh's pick is not the argmax: (1, 1) gives e_1.
+        values, vectors = np.linalg.eigh(np.diag(eigenvalues))
+        source = QuadraticSaddleSource(eigenvalues)
+        assert source.lambda_max == values[-1] == 1.0
+        assert np.array_equal(source.u_p, vectors[:, -1])
+        assert np.array_equal(source.h, np.diag(eigenvalues))
 
     def test_strongly_concave_formulas(self):
         zeta = 1.7
@@ -118,7 +142,9 @@ class TestSyntheticSources:
 
     def test_empty_hessian_rejected(self):
         with pytest.raises(ConfigError, match="empty Hessian"):
-            QuadraticSaddleSource(np.zeros((0, 0)), NoiseSpec("zero"))
+            QuadraticSaddleSource([], NoiseSpec("zero"))
+        with pytest.raises(ConfigError, match="non-empty vector"):
+            QuadraticSaddleSource(np.diag([1.0, -1.0]), NoiseSpec("zero"))
         with pytest.raises(ConfigError, match="empty Hessian"):
             StronglyConcaveSource(theta_star=[])
 
@@ -133,7 +159,7 @@ class TestRun:
             assert np.array_equal(row.theta, np.array([0.4, -0.2]))
 
     def test_bitwise_determinism(self):
-        source = QuadraticSaddleSource(np.diag([1.0, -1.0]),
+        source = QuadraticSaddleSource([1.0, -1.0],
                                        NoiseSpec("rademacher", 0.5))
         config = TrainerConfig(alpha=1e-2, max_iters=50, epsilon=0.5, chi=1.0,
                                seed=11, report_every=10)
@@ -155,8 +181,7 @@ class TestRun:
 
     def test_ascent_sanity_zero_noise(self):
         # With no noise and alpha < 2/ell the objective never decreases.
-        h = np.diag([1.0, -2.0])
-        source = QuadraticSaddleSource(h, NoiseSpec("zero"))
+        source = QuadraticSaddleSource([1.0, -2.0], NoiseSpec("zero"))
         config = TrainerConfig(alpha=0.5, max_iters=40, epsilon=0.1, chi=1.0,
                                seed=0, report_every=1)
         record = run(source, config, np.array([0.3, 0.4]))
@@ -189,7 +214,7 @@ class TestRun:
                               exact_hessian(mdp, family, theta))
 
     def test_divergence_abort_records_iteration(self):
-        source = QuadraticSaddleSource(np.diag([5.0, 1.0]), NoiseSpec("zero"))
+        source = QuadraticSaddleSource([5.0, 1.0], NoiseSpec("zero"))
         config = TrainerConfig(alpha=10.0, max_iters=1000, epsilon=0.1,
                                chi=1.0, seed=0, report_every=100)
         record = run(source, config, np.array([1.0, 1.0]))
@@ -199,12 +224,12 @@ class TestRun:
     @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
     def test_overflowing_gradient_is_divergence(self):
         # No row is classified at an iterate whose gradient overflows.
-        source = QuadraticSaddleSource(np.diag([1e308, -1.0]), NoiseSpec("zero"))
+        source = QuadraticSaddleSource([1e308, -1.0], NoiseSpec("zero"))
         config = TrainerConfig(alpha=0.1, max_iters=5, epsilon=0.1, chi=1.0)
         record = run(source, config, np.array([10.0, 0.0]))
         assert (record.rows, record.diverged_at) == ([], 0)
         # theta_1 is about 1e4, inside the norm guard, but H theta_1 overflows.
-        source = QuadraticSaddleSource(np.diag([1e305, -1.0]), NoiseSpec("zero"))
+        source = QuadraticSaddleSource([1e305, -1.0], NoiseSpec("zero"))
         config = TrainerConfig(alpha=1e-301, max_iters=1, epsilon=0.1, chi=1.0)
         record = run(source, config, np.array([1.0, 0.0]))
         assert [row.k for row in record.rows] == [0]
@@ -303,7 +328,7 @@ class TestMdpSample:
             assert np.array_equal(record.rows[k + 1].theta, theta)
 
     def test_synthetic_noise_reads_the_run_stream(self):
-        source = QuadraticSaddleSource(np.diag([1.0, -1.0]),
+        source = QuadraticSaddleSource([1.0, -1.0],
                                        NoiseSpec("rademacher", 0.5))
         alpha, theta = 0.1, np.array([0.2, -0.1])
         record = run(source, TrainerConfig(alpha=alpha, max_iters=3,
@@ -387,20 +412,20 @@ class TestProp1:
 
 class TestCoupledRun:
     def test_exact_quadratic_zero_gap(self):
-        source = QuadraticSaddleSource(np.diag([1.0, -1.0]),
+        source = QuadraticSaddleSource([1.0, -1.0],
                                        NoiseSpec("rademacher", 1.0))
         gap = coupled_quadratic_run(source, np.array([0.2, 0.1]), 1e-3, 300,
                                     seed=4)
         assert gap <= 1e-12
 
     def test_zero_steps(self):
-        source = QuadraticSaddleSource(np.diag([1.0, -1.0]), NoiseSpec("zero"))
+        source = QuadraticSaddleSource([1.0, -1.0], NoiseSpec("zero"))
         assert coupled_quadratic_run(source, np.zeros(2), 1e-3, 0, seed=0) == 0.0
 
     def test_gap_shrinks_superlinearly_in_alpha(self):
         # A cubic term makes the objective leave its quadratic model; the
         # resulting gap decays faster than alpha (ratio >= 3 per halving).
-        source = QuadraticSaddleSource(np.diag([1.0, -1.0]),
+        source = QuadraticSaddleSource([1.0, -1.0],
                                        NoiseSpec("rademacher", 1.0), cubic=1.0)
         gaps = []
         for alpha in (1e-3, 5e-4):
@@ -424,7 +449,7 @@ class TestEscape:
     def test_noise_along_escape_direction_is_fast(self):
         u = np.array([1.0, 0.0])
         source = QuadraticSaddleSource(
-            np.diag([1.0, -1.0]),
+            [1.0, -1.0],
             NoiseSpec("signed_direction", 1.0, direction=u),
         )
         res = verify_escape(source, alpha=1e-3, runs=50, seed=3, chi=1.0,
@@ -437,19 +462,19 @@ class TestEscape:
         assert res.escape_fraction <= 0.1
 
     def test_rounding_residue_is_no_floor(self):
-        # Orthogonal noise along an eigensolver's top eigenvector leaves a
-        # floor of rounding residue, not 0; it must not set the threshold.
-        hessian = _rotated([1.0, -1.0, 0.5])
-        u_p = np.linalg.eigh(hessian)[1][:, -1]
+        # Orthogonal noise along a direction within rounding of the top
+        # eigenvector leaves a floor of rounding residue, not 0 (9.8e-15
+        # here); it must not set the threshold.
+        direction = np.array([1.0, 1e-7]) / np.linalg.norm([1.0, 1e-7])
         source = QuadraticSaddleSource(
-            hessian, NoiseSpec("orthogonal", 1.0, direction=u_p))
+            [1.0, -1.0], NoiseSpec("orthogonal", 1.0, direction=direction))
         assert 0.0 < source.noise.iota_sq(source.u_p) <= 1e-12
         with pytest.raises(PreconditionError, match="iota_sq"):
             verify_escape(source, alpha=1e-3, runs=20, seed=1, chi=1.0,
                           epsilon=1.0, sigma_h0=10.0)
 
     def test_curvature_precondition(self):
-        source = QuadraticSaddleSource(np.diag([0.1, -1.0]),
+        source = QuadraticSaddleSource([0.1, -1.0],
                                        NoiseSpec("rademacher", 1.0))
         with pytest.raises(PreconditionError):
             verify_escape(source, alpha=1e-3, runs=10, seed=0, chi=1.0,
@@ -621,13 +646,6 @@ def _assert_same(got, want):
         assert other == value or (math.isnan(other) and math.isnan(value)), name
 
 
-def _rotated(eigenvalues):
-    dim = len(eigenvalues)
-    rotation, _ = np.linalg.qr(derive_rng(0, 71).standard_normal((dim, dim)))
-    full = rotation @ np.diag(eigenvalues) @ rotation.T
-    return (full + full.T) / 2.0
-
-
 def _noises(u, other):
     """Every noise kind, unfrozen and frozen; u is the escape direction and
     other a unit vector orthogonal to it."""
@@ -638,11 +656,10 @@ def _noises(u, other):
     return specs + [replace(spec, frozen=True) for spec in specs]
 
 
-_ESCAPE_HESSIANS = {
-    "2d": np.diag([1.0, -1.0]),
-    "3d-rotated": _rotated([1.0, -1.0, 0.5]),
-    # Above dimension 3 a non-diagonal H takes _times_h's index-order sum.
-    "5d-rotated": _rotated([1.0, -1.0, 0.5, -0.3, 0.2]),
+_ESCAPE_SPECTRA = {
+    "2d": [1.0, -1.0],
+    "3d": [1.0, -1.0, 0.5],
+    "5d": [1.0, -1.0, 0.5, -0.3, 0.2],
 }
 
 
@@ -662,12 +679,12 @@ class TestBlockSteppedChains:
                               _reference_draw(noise, derive_rng(4), 3000, dim))
 
     @pytest.mark.parametrize("cubic", [0.0, 0.4])
-    @pytest.mark.parametrize("shape", sorted(_ESCAPE_HESSIANS))
+    @pytest.mark.parametrize("shape", sorted(_ESCAPE_SPECTRA))
     def test_escape_every_noise_kind(self, shape, cubic):
-        hessian = _ESCAPE_HESSIANS[shape]
-        eigvecs = np.linalg.eigh(hessian)[1]
+        eigenvalues = _ESCAPE_SPECTRA[shape]
+        eigvecs = np.linalg.eigh(np.diag(eigenvalues))[1]
         for i, noise in enumerate(_noises(eigvecs[:, -1], eigvecs[:, 0])):
-            source = QuadraticSaddleSource(hessian, noise, cubic=cubic)
+            source = QuadraticSaddleSource(eigenvalues, noise, cubic=cubic)
             args = dict(alpha=2e-3, runs=45, seed=i, chi=1.0, epsilon=1.0,
                         sigma_h0=10.0, cap_factor=2)
             if _no_floor(noise, noise.iota_sq(source.u_p)):
@@ -682,7 +699,7 @@ class TestBlockSteppedChains:
         got = default_escape_benchmark(runs=30, seed=5, contrast=True,
                                        cap_factor=2)
         source = QuadraticSaddleSource(
-            np.diag([1.0, -1.0]),
+            [1.0, -1.0],
             NoiseSpec("orthogonal", 1.0, direction=np.array([1.0, 0.0])))
         want, steps = _reference_escape(source, 1e-3, 30, 5, 1.0, 1.0, 10.0,
                                         cap_factor=2, iota_sq=1.0)
@@ -692,7 +709,7 @@ class TestBlockSteppedChains:
     def test_escape_all_runs_in_the_first_block(self):
         u = np.array([1.0, 0.0])
         source = QuadraticSaddleSource(
-            np.diag([1.0, -1.0]), NoiseSpec("signed_direction", 1.0, direction=u))
+            [1.0, -1.0], NoiseSpec("signed_direction", 1.0, direction=u))
         args = dict(alpha=1e-3, runs=50, seed=3, chi=1.0, epsilon=1.0,
                     sigma_h0=10.0)
         want, steps = _reference_escape(source, **args)
@@ -709,7 +726,7 @@ class TestBlockSteppedChains:
             kappa = escape_budget(4e-3, sigma_h0, 1.0, 1.0)
             if (kappa % block == 0) == (residue == "edge"):
                 break
-        source = QuadraticSaddleSource(np.diag([1.0, -1.0]), NoiseSpec("rademacher"))
+        source = QuadraticSaddleSource([1.0, -1.0], NoiseSpec("rademacher"))
         args = dict(alpha=4e-3, runs=runs, seed=11, chi=1.0, epsilon=1.0,
                     sigma_h0=float(sigma_h0), cap_factor=4)
         want, steps = _reference_escape(source, **args)
@@ -721,15 +738,16 @@ class TestBlockSteppedChains:
     @pytest.mark.parametrize("cubic", [0.0, 0.3])
     @pytest.mark.parametrize("dim", [2, 3])
     def test_trap_every_noise_kind(self, dim, cubic):
-        hessian = _rotated([-1.0, -0.6, -0.3][:dim])
-        eigvecs = np.linalg.eigh(hessian)[1]
+        eigenvalues = [-1.0, -0.6, -0.3][:dim]
+        eigvecs = np.linalg.eigh(np.diag(eigenvalues))[1]
         center = np.linspace(-0.2, 0.3, dim)
         # kappa_0 = floor(ln(1/0.3) / 0.04^2) = 752, not a multiple of a block.
         args = dict(alpha=0.04, runs=50, delta=0.3, varrho=0.25,
                     theta0=center + 0.1 / math.sqrt(dim))
         assert 752 % _block_steps(50, dim)
         for i, noise in enumerate(_noises(eigvecs[:, -1], eigvecs[:, 0])):
-            source = QuadraticSaddleSource(hessian, noise, center=center, cubic=cubic)
+            source = QuadraticSaddleSource(eigenvalues, noise, center=center,
+                                           cubic=cubic)
             want, _ = _reference_trap(source, seed=i, **args)
             assert want.kappa_0 == 752
             _assert_same(verify_trap(source, seed=i, **args), want)
@@ -773,7 +791,7 @@ class TestBlockSteppedChains:
             self, monkeypatch, kind, frozen):
         u = np.array([1.0, 0.0])
         source = QuadraticSaddleSource(
-            np.diag([1.0, -1.0]),
+            [1.0, -1.0],
             NoiseSpec(kind, 1.0, direction=u if kind != "rademacher" else None,
                       frozen=frozen))
         args = dict(alpha=1e-3, runs=40, seed=6, chi=1.0, epsilon=1.0,
