@@ -5,9 +5,9 @@ Modules by concern:
 * :mod:`pgsosp.mdp` - finite MDPs, trajectory sampling, exact DP quantities
 * :mod:`pgsosp.policy` - differentiable policy families and regularity bounds
 * :mod:`pgsosp.estimators` - Monte-Carlo gradient/Hessian/Fisher estimators
-* :mod:`pgsosp.oracle` - exact small-problem references and closed forms
+* :mod:`pgsosp.oracle` - exact small-problem references
 * :mod:`pgsosp.sosp` - eigenanalysis, region labels, constants, budgets
-* :mod:`pgsosp.trainer` - instrumented runs and local-improvement verifiers
+* :mod:`pgsosp.trainer` - instrumented runs and the escape and trap verifiers
 * :mod:`pgsosp.cli` - the `pgsosp` command
 """
 

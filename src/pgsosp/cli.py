@@ -256,6 +256,9 @@ def cmd_constants(cfg: dict, args) -> int:
                                   "a fixed three-state layout")
         family = make_family(block["family"], block.get("n_states"),
                              block.get("n_actions"))
+        if cfg["p"] != family.param_dim:
+            raise ConfigError(f"p: the estimated family has family.param_dim = "
+                              f"{family.param_dim}, got p = {cfg['p']}")
         reg = estimate_regularity(family, block["box"], block["grid"])
     else:
         raise ConfigError("config: need either 'regularity' or 'estimate'")

@@ -16,12 +16,12 @@ Three independent routes are maintained deliberately:
 
 The enumeration cap keeps every oracle call interactive; beyond it only
 the DP objective/gradient are offered and Hessians fall back to finite
-differences of the DP gradient.
+differences of the DP gradient.  example1's closed forms are written once,
+in policy.ExampleOnePiecewise; these routes reach them through its tables.
 """
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import Iterator
 
 import numpy as np
@@ -29,8 +29,6 @@ import numpy as np
 from .errors import EnumerationCapError, OracleConsistencyError
 from .estimators import _hessian_sum, _pg_rows
 from .mdp import TabularMdp, _visitation, value_stack, value_functions
-from .policy import _BOX_HESSIAN, _INV_SQRT_2PI
-from .util import frozen_array
 
 ENUM_CAP = 1_000_000
 _ENUM_CHUNK = 1024  # nodes per tree block and trajectories per reduced chunk
@@ -235,45 +233,3 @@ def _central_differences(func, theta: np.ndarray, step: float) -> np.ndarray:
         bump[j] = step
         columns.append((func(theta + bump) - func(theta - bump)) / (2.0 * step))
     return np.stack(columns, axis=-1)
-
-
-# ---------------------------------------------------------------------------
-# Closed forms for the three-state benchmark
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class Example1Analysis:
-    """The Hessian is built when read; the lockstep study needs it only at reports."""
-
-    theta: np.ndarray
-    in_box: np.ndarray | bool
-    objective: float | np.ndarray
-    grad: np.ndarray
-
-    @property
-    def hessian(self) -> np.ndarray:
-        hess = self.theta[..., :, None] * self.theta[..., None, :] + np.eye(2)
-        hess *= self.objective[..., None, None]
-        hess[self.in_box] = _BOX_HESSIAN
-        return hess
-
-
-def analytic_example1(theta: np.ndarray) -> Example1Analysis:
-    """Closed-form objective, gradient, and Hessian of the benchmark family.
-
-    In the closed unit box: J = (1 - t1^2 + t2^2)/sqrt(2 pi) with constant
-    Hessian diag(-2, 2)/sqrt(2 pi).  Outside: J = exp((|t|^2 - 2)/2)/sqrt(2 pi)
-    with gradient J * theta and Hessian J * (theta theta^T + I).  theta
-    (..., 2) gives objective (...), a float for one point, gradient (..., 2)
-    and Hessian (..., 2, 2), with the same bits alone or inside a block.
-    """
-    theta = frozen_array(theta)
-    if theta.ndim == 0 or theta.shape[-1] != 2 or not np.isfinite(theta).all():
-        raise ValueError("theta must be finite with a last axis of length 2")
-    in_box = ((theta >= 0.0) & (theta <= 1.0)).all(axis=-1)
-    sq = theta ** 2
-    j_out = _INV_SQRT_2PI * np.exp((sq[..., 0] + sq[..., 1] - 2.0) / 2.0)
-    j = np.where(in_box, _INV_SQRT_2PI * (1.0 - sq[..., 0] + sq[..., 1]), j_out)
-    grad = np.where(in_box[..., None], theta * _BOX_HESSIAN.diagonal(),  # H theta
-                    j_out[..., None] * theta)
-    return Example1Analysis(theta=theta, in_box=in_box, objective=j[()], grad=grad)

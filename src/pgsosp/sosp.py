@@ -428,59 +428,6 @@ def cnc_enumerate(mdp: TabularMdp, family, theta: np.ndarray,
             probs @ (_pg_rows(mdp, scores, states, actions, rewards) @ u) ** 2))
 
 
-@dataclass(frozen=True)
-class CncLowerBound:
-    """Closed-form curvature-correlation floor and its ingredients.
-
-    iota^2 = min{r_min^2 h omega/(1-gamma)^2,
-                 r_min^2 h omega/(1-gamma)^2
-                 + 2 r_min^2 lambda_p^2 c0 / ((1-gamma)^2 ||H||_op^2)}
-
-    c0 is the expected sum of cross-step score inner products; its sign is
-    not determined in general, so it is reported alongside the bound.
-    """
-
-    iota_sq: float
-    c0: float
-    lambda_p: float
-    h0_op_norm: float
-    omega: float
-
-
-def cnc_lower_bound(mdp: TabularMdp, family, theta: np.ndarray,
-                    omega: float) -> CncLowerBound:
-    """Evaluate the closed-form floor with c0 obtained by enumeration.
-
-    c0 = E[sum_{i<j} <s_i, s_j>] over the step scores s_t, computed as
-    E[(|sum_t s_t|^2 - sum_t |s_t|^2) / 2].
-    """
-    if omega <= 0:
-        raise ConfigError("cnc_lower_bound: omega must be positive")
-    theta = np.asarray(theta, dtype=float)
-    hess = exact_hessian(mdp, family, theta)
-    lam_p, _ = sym_eig_max(hess)
-    op_norm = float(np.abs(np.linalg.eigvalsh(hess)).max())
-    c0 = _enumeration_sum(mdp, family, theta, _cross_step_term)
-    base = mdp.r_min ** 2 * mdp.horizon * omega / (1.0 - mdp.gamma) ** 2
-    if op_norm > 0:
-        corrected = base + (
-            2.0 * mdp.r_min ** 2 * lam_p ** 2 * c0
-            / ((1.0 - mdp.gamma) ** 2 * op_norm ** 2)
-        )
-    else:
-        corrected = base
-    return CncLowerBound(iota_sq=min(base, corrected), c0=c0, lambda_p=lam_p,
-                         h0_op_norm=op_norm, omega=omega)
-
-
-def _cross_step_term(scores, states, actions, rewards, probs) -> float:
-    """One chunk's share of c0: sum_tau p(tau) sum_{i<j} <s_i, s_j>."""
-    rows = scores[states, actions]                          # (m, h, p)
-    sum_sq = (rows.sum(axis=1) ** 2).sum(axis=1)
-    sq_sum = (rows ** 2).sum(axis=(1, 2))
-    return float(probs @ (sum_sq - sq_sum)) / 2.0
-
-
 def _unit_check(u: np.ndarray, what: str = "direction u") -> np.ndarray:
     """u as a float array; a ConfigError naming `what` unless |u| = 1 within 1e-10."""
     u = np.asarray(u, dtype=float)

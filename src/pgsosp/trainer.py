@@ -1,4 +1,4 @@
-"""Instrumented REINFORCE iteration and the local-improvement verifiers.
+"""Instrumented REINFORCE iteration and the saddle-escape and trapping verifiers.
 
 The update is theta_{k+1} = theta_k + alpha * g_k with g_k a single-sample
 (batch_size 1) stochastic gradient; larger batches average samples and are
@@ -13,16 +13,17 @@ model: J(t) = 1/2 (t-c)^T H (t-c) - cubic/6 |t-c|^3 with bounded i.i.d.
 gradient noise whose energy along the top eigenvector is controlled by
 construction (the curvature-correlation floor).  The cubic term is zero
 by default; a nonzero value makes the objective deviate from its own
-quadratic model, which the coupled-run gap test needs (an exactly
-quadratic objective has identically zero gap).  ``StronglyConcaveSource``
-is the same model with H = -zeta I, center t* and noise uniform on the
-sphere of radius noise_sigma (bounded, zero mean, second moment
-noise_sigma^2).
+quadratic model, which the coupled-run gap test in tests/paper_checks.py
+needs (an exactly quadratic objective has identically zero gap).
+``StronglyConcaveSource`` is the same model with H = -zeta I, center t*
+and noise uniform on the sphere of radius noise_sigma (bounded, zero
+mean, second moment noise_sigma^2).
 
 ``QuadraticSaddleSource`` (built from its spectrum), ``StronglyConcaveSource``,
 ``default_escape_benchmark`` and ``default_trap_benchmark`` take config keys
-and hold their defaults;
-``example1_sosp_study`` steps its chains through ``analytic_example1``.
+and hold their defaults.  No command runs the Prop. 1 one-step gain, the
+coupled quadratic-model run or the example1 SOSP study, so they live in
+tests/paper_checks.py.
 """
 from __future__ import annotations
 
@@ -32,10 +33,9 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .errors import ConfigError, PreconditionError
-from .estimators import _hessian_sum, _pg_rows, _std_error
+from .estimators import _pg_rows
 from .mdp import TabularMdp, _shape_check, _walk
-from .oracle import (Example1Analysis, analytic_example1, exact_gradient,
-                     exact_hessian, exact_objective)
+from .oracle import exact_gradient, exact_hessian, exact_objective
 from .sosp import (
     Region,
     _check_varrho,
@@ -199,10 +199,6 @@ class QuadraticSaddleSource:
     def sample_gradient(self, theta, rng) -> np.ndarray:
         return self.gradient(theta) + self.noise.draw(rng, 1, self.dim)[0]
 
-    def sample_pair(self, theta, rng):
-        """One-draw (gradient sample, Hessian sample); Hessian is exact."""
-        return self.sample_gradient(theta, rng), np.array(self.h)
-
 
 class StronglyConcaveSource(QuadraticSaddleSource):
     """J = -zeta/2 |theta - theta_star|^2 with spherical bounded noise."""
@@ -258,14 +254,6 @@ class MdpPolicySource:
         """g(tau) of one trajectory: the _pg_rows row, bit for bit."""
         return _pg_rows(self.mdp, self.family.score(theta),
                         *self._draw(theta, rng))[0]
-
-    def sample_pair(self, theta, rng):
-        """(g(tau), raw H(tau)) of one trajectory through the batch reducers."""
-        states, actions, rewards = self._draw(theta, rng)
-        scores = self.family.score(theta)
-        return (_pg_rows(self.mdp, scores, states, actions, rewards)[0],
-                _hessian_sum(self.mdp, scores, self.family.hess(theta),
-                             states, actions, rewards, np.ones(1)))
 
 
 # ---------------------------------------------------------------------------
@@ -377,98 +365,6 @@ def run(source, config: TrainerConfig, theta0: np.ndarray) -> RunRecord:
 
     return RunRecord(rows=rows, diverged_at=diverged_at, metadata={
         **asdict(config), "batch_extension": config.batch_size > 1})
-
-
-# ---------------------------------------------------------------------------
-# One-step improvement on the large-gradient region
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class Prop1Result:
-    mean_gain: float
-    std_error: float
-    bound: float
-    grad_norm: float
-    passes: bool
-
-
-def verify_prop1(source, theta: np.ndarray, alpha: float, trials: int,
-                 seed: int, epsilon: float, ell: float,
-                 sigma: float) -> Prop1Result:
-    """Empirical one-step gain vs (alpha - ell a^2/2)|grad|^2 - ell a^2 s^2/2.
-
-    Requires the point to be in the large-gradient region (|grad| > eps by
-    the oracle) and alpha < min{2 eps^2 / ((eps^2 + sigma^2) ell), 2/ell}.
-    The bound is evaluated with the oracle gradient norm and the sampled
-    deviation second moment; passes when the empirical mean gain clears
-    the bound minus three standard errors.
-    """
-    theta = np.asarray(theta, dtype=float)
-    grad = source.gradient(theta)
-    grad_norm = float(np.linalg.norm(grad))
-    if grad_norm <= epsilon:
-        raise PreconditionError(
-            f"point is not in the large-gradient region: |grad| = "
-            f"{grad_norm:.6g} <= epsilon = {epsilon:.6g}"
-        )
-    alpha_cap = min(2.0 * epsilon ** 2 / ((epsilon ** 2 + sigma ** 2) * ell),
-                    2.0 / ell)
-    if not (0.0 < alpha < alpha_cap):
-        raise PreconditionError(
-            f"alpha must lie in (0, {alpha_cap:.6g}), got {alpha:.6g}"
-        )
-    j0 = source.objective(theta)
-    gains = np.empty(trials)
-    dev_sq = 0.0
-    for i in range(trials):
-        g = source.sample_gradient(theta, derive_rng(seed, i))
-        gains[i] = source.objective(theta + alpha * g) - j0
-        dev_sq += float(np.linalg.norm(g - grad) ** 2)
-    dev_sq /= trials
-    mean_gain = float(gains.sum() / trials)
-    std_error = float(_std_error(gains))
-    bound = (alpha - ell * alpha ** 2 / 2.0) * grad_norm ** 2 \
-        - ell * alpha ** 2 * dev_sq / 2.0
-    return Prop1Result(mean_gain=mean_gain, std_error=std_error, bound=bound,
-                       grad_norm=grad_norm, passes=mean_gain >= bound - 3.0 * std_error)
-
-
-# ---------------------------------------------------------------------------
-# Coupled quadratic-model iteration
-# ---------------------------------------------------------------------------
-
-def coupled_quadratic_run(source, theta0: np.ndarray, alpha: float,
-                          steps: int, seed: int) -> float:
-    """Main iteration vs its frozen quadratic model on a shared draw.
-
-    The stochastic pieces (the step-0 gradient noise xi0 and the one-shot
-    Hessian estimate H0_hat) are drawn once and drive both sequences:
-
-        model:  t^_{k+1} = t^_k + alpha (g0 + H0_hat (t^_k - t0))
-        main:   t_{k+1}  = t_k + alpha (grad J(t_k)
-                                        + (H0_hat - H0)(t^_k - t0) + xi0)
-
-    so the gap comes only from J deviating from its quadratic model (plus
-    Hessian-estimate error); on an exactly quadratic objective the two
-    recursions coincide and the gap is identically zero.  Only the current
-    pair of iterates is kept; the result is the largest gap |t_k - t^_k|.
-    """
-    theta0 = np.asarray(theta0, dtype=float)
-    rng = derive_rng(seed)
-    g_sample, h0_hat = source.sample_pair(theta0, rng)
-    grad0 = source.gradient(theta0)
-    xi0 = g_sample - grad0
-    h0 = source.hessian(theta0)
-    g0 = grad0 + xi0
-
-    t_main = t_model = theta0
-    max_gap = 0.0
-    for _ in range(steps):
-        xi_hat = (h0_hat - h0) @ (t_model - theta0)
-        t_main = t_main + alpha * (source.gradient(t_main) + xi_hat + xi0)
-        t_model = t_model + alpha * (g0 + h0_hat @ (t_model - theta0))
-        max_gap = max(max_gap, float(np.linalg.norm(t_main - t_model)))
-    return max_gap
 
 
 # ---------------------------------------------------------------------------
@@ -636,12 +532,20 @@ def default_escape_benchmark(runs: int = 200, seed: int = 0, alpha: float = 1e-3
     The contrast variant restricts the noise to the orthogonal complement
     of the escape direction (floor violated) while keeping the benchmark
     gain threshold iota_sq = 1, documenting that the floor is what drives
-    escape.  The keywords are the ``escape`` command's config keys.
+    escape.  It removes the noise along one direction only, so it needs
+    exactly one positive eigenvalue: with a second one the noise along it
+    escapes, and with none ``verify_escape`` finds no saddle.  The keywords
+    are the ``escape`` command's config keys.
     """
     source = QuadraticSaddleSource(eigenvalues, noise)
     if contrast:
         if noise is not None:
             raise ConfigError("escape: 'contrast' sets the noise; drop 'noise'")
+        if (source.eigenvalues > 0).sum() > 1:
+            raise ConfigError(
+                f"contrast: removes the noise along the top eigenvector only, so "
+                f"it needs exactly one positive eigenvalue; got eigenvalues "
+                f"{source.eigenvalues.tolist()}")
         source = QuadraticSaddleSource(
             source.eigenvalues,
             NoiseSpec(kind="orthogonal", scale=1.0, direction=source.u_p))
@@ -726,68 +630,3 @@ def default_trap_benchmark(runs: int = 500, seed: int = 0,
         theta0 = [varrho / math.sqrt(3.0), 0.0]
     return verify_trap(source, alpha=alpha, runs=runs, seed=seed,
                        delta=delta, varrho=varrho, theta0=theta0)
-
-
-# ---------------------------------------------------------------------------
-# Multi-seed benchmark study (vectorized across seeds)
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class Example1StudyResult:
-    l3_fraction: float
-    first_l3: np.ndarray
-    aborted: int
-
-
-def _example1_samples(closed: Example1Analysis, uniforms: np.ndarray):
-    """(g, valid) for a chain block from its closed forms and action uniforms."""
-    j = closed.objective[:, None]
-    g = np.divide(closed.grad, j, out=np.zeros_like(closed.grad),
-                  where=uniforms[:, None] < j)
-    return g, j[:, 0] <= 1.0
-
-
-def example1_sosp_study(n_seeds: int, theta0: np.ndarray, alpha: float,
-                        epsilon: float, chi: float, max_updates: int,
-                        seed: int, report_every: int = 50) -> Example1StudyResult:
-    """Run n_seeds REINFORCE chains on the benchmark MDP in lockstep.
-
-    Each chain stops at its first L3 iterate (by the closed forms of
-    ``analytic_example1``), at max_updates, or, aborted, on leaving the
-    family's domain.  One stream draws one uniform per (chain, step).
-
-    At horizon 1 the rewarded action (``right`` in the unit box, ``left``
-    outside it) has probability J(theta) and score grad J / J; ``up`` has
-    reward 0.  So a chain's single-trajectory sample is grad J / J when its
-    uniform is below J and 0 otherwise, and J > 1 means the family has
-    left its domain.  The result holds the fraction of chains that reached
-    L3, each chain's first L3 step (-1 if none) and the aborted count.
-    """
-    theta = np.tile(np.asarray(theta0, dtype=float), (n_seeds, 1))
-    first_l3 = np.full(n_seeds, -1, dtype=np.int64)
-    aborted = np.zeros(n_seeds, dtype=bool)
-    rng = derive_rng(seed)
-    closed = analytic_example1(theta)
-
-    def classify(step: int):
-        active = (first_l3 < 0) & ~aborted
-        grad_norm = np.linalg.norm(closed.grad[active], axis=1)
-        lam = np.linalg.eigvalsh(closed.hessian[active])[:, -1]
-        l3 = (grad_norm <= epsilon) & (lam <= math.sqrt(chi * epsilon))
-        first_l3[active] = np.where(l3, step, -1)
-
-    classify(0)
-    for step in range(1, max_updates + 1):
-        active = (first_l3 < 0) & ~aborted
-        if not active.any():
-            break
-        g, valid = _example1_samples(closed, rng.random(n_seeds))
-        aborted |= active & ~valid
-        move = active & valid
-        theta = np.where(move[:, None], theta + alpha * g, theta)
-        closed = analytic_example1(theta)
-        if step % report_every == 0 or step == max_updates:
-            classify(step)
-
-    return Example1StudyResult(l3_fraction=float((first_l3 >= 0).mean()),
-                               first_l3=first_l3, aborted=int(aborted.sum()))

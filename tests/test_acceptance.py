@@ -19,7 +19,6 @@ from pgsosp.mdp import (
 )
 from pgsosp.oracle import (
     _gradient_enumeration,
-    analytic_example1,
     enumerate_trajectories,
     exact_gradient,
     exact_hessian,
@@ -45,15 +44,14 @@ from pgsosp.trainer import (
     MdpPolicySource,
     NoiseSpec,
     QuadraticSaddleSource,
-    coupled_quadratic_run,
     default_escape_benchmark,
     default_trap_benchmark,
-    example1_sosp_study,
-    verify_prop1,
 )
 from pgsosp.util import derive_rng
 
 from conftest import record_acceptance
+from paper_checks import (analytic_example1, coupled_quadratic_run,
+                          example1_sosp_study, verify_prop1)
 from trajectory_reference import Trajectory, hessian_estimate, pg_estimate
 
 INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)

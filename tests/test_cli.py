@@ -156,6 +156,23 @@ class TestConstantsCommand:
         assert (code, out) == (2, "")
         assert err == "error: estimate: give 'regularity' or 'estimate', not both\n"
 
+    @pytest.mark.parametrize("p", [2, 5])
+    def test_p_other_than_the_estimated_dimension_exits_2(self, tmp_path, capsys,
+                                                         monkeypatch, p):
+        # S2 A2 tabular softmax has 4 parameters; p scales sigma_h0.
+        def no_work(*args, **kwargs):
+            raise AssertionError("the grid was estimated")
+
+        monkeypatch.setattr(cli, "estimate_regularity", no_work)
+        estimate = {"family": "tabular_softmax", "n_states": 2, "n_actions": 2,
+                    "box": [[-1.0, 1.0]] * 4, "grid": 3}
+        cfg = {k: v for k, v in CONSTANTS_CFG.items() if k != "regularity"}
+        path = write_config(tmp_path, "c.json", dict(cfg, estimate=estimate, p=p))
+        code, out, err = run_cli(capsys, ["constants", "--config", path])
+        assert (code, out) == (2, "")
+        assert err == (f"error: p: the estimated family has family.param_dim = 4, "
+                       f"got p = {p}\n")
+
     def test_oversized_grid_named_before_allocation(self, tmp_path, capsys):
         # 10^6 points per axis over p = 4 axes: 10^24 grid points, which
         # numpy cannot allocate; the cap rejects it first, naming the key.
@@ -442,6 +459,36 @@ class TestEscapeTrapCommands:
         assert code == 2
         assert "contrast" in err
 
+    @pytest.mark.parametrize("eigenvalues", [[1.0, 1.0], [1.0, 0.999],
+                                             [1.0, 0.5, -1.0], [1.0, 0.1, -1.0]])
+    def test_contrast_with_a_second_positive_eigenvalue_exits_2(
+            self, tmp_path, capsys, monkeypatch, eigenvalues):
+        # The contrast noise has energy along every positive direction but
+        # the top one, so these runs escape (escape_fraction 1.0 at seed 1).
+        def no_chain(*args, **kwargs):
+            raise AssertionError("the escape chain ran")
+
+        monkeypatch.setattr(trainer, "verify_escape", no_chain)
+        cfg = write_config(tmp_path, "e.json", {
+            "command": "escape", "seed": 1, "runs": 100, "contrast": True,
+            "eigenvalues": eigenvalues,
+        })
+        code, out, err = run_cli(capsys, ["escape", "--config", cfg])
+        assert (code, out) == (2, "")
+        assert err.startswith("error: contrast: ")
+        assert str(eigenvalues) in err
+
+    @pytest.mark.parametrize("eigenvalues", [[1.0, -1.0], [1.0, 0.0, -1.0]])
+    def test_contrast_with_one_positive_eigenvalue_runs(self, tmp_path, capsys,
+                                                        eigenvalues):
+        cfg = write_config(tmp_path, "e.json", {
+            "command": "escape", "seed": 1, "runs": 5, "contrast": True,
+            "eigenvalues": eigenvalues,
+        })
+        code, out, _ = run_cli(capsys, ["escape", "--config", cfg])
+        assert code == 0
+        assert json.loads(out)["escape_fraction"] == 0.0
+
     def test_trap_quick_run(self, tmp_path, capsys):
         cfg = write_config(tmp_path, "t.json", {
             "command": "trap", "seed": 1, "runs": 20, "alpha": 0.05,
@@ -668,12 +715,17 @@ class TestCncCommand:
         assert payload["enumeration"] == cli.sosp.cnc_enumerate(mdp, family, theta, u)
 
 
+def _readme_blocks(language):
+    """The README's fenced code blocks in the given language, as text."""
+    readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    with open(readme, encoding="utf-8") as fh:
+        return re.findall(rf"```{language}\n(.*?)```", fh.read(), re.S)
+
+
 def test_readme_configs_read_against_their_schema(tmp_path):
     # Every fenced JSON config in the README loads for its own command, so a
     # renamed or retyped key fails here.
-    readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
-    with open(readme, encoding="utf-8") as fh:
-        blocks = re.findall(r"```json\n(.*?)```", fh.read(), re.S)
+    blocks = _readme_blocks("json")
     assert len(blocks) >= 3
     for i, text in enumerate(blocks):
         path = tmp_path / f"readme{i}.json"
@@ -681,10 +733,28 @@ def test_readme_configs_read_against_their_schema(tmp_path):
         assert cli.load_config(str(path), json.loads(text)["command"])
 
 
+def test_readme_strict_saddle_is_labelled_l2(tmp_path, capsys):
+    # The README's witness MDP at the uniform policy: the gradient vanishes
+    # exactly and the Hessian has eigenvalues of both signs.
+    [cfg] = [cfg for cfg in map(json.loads, _readme_blocks("json"))
+             if cfg["command"] == "classify" and cfg["problem"]["kind"] == "mdp"]
+    path = write_config(tmp_path, "saddle.json", cfg)
+    code, out, _ = run_cli(capsys, ["classify", "--config", path,
+                                    "--theta=0,0,0,0,0,0"])
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["grad"] == [0.0] * 6
+    assert payload["region"] == "L2"
+    assert payload["lambda_max"] == pytest.approx(1 / 32, abs=1e-12)
+    np.testing.assert_allclose(np.linalg.eigvalsh(payload["hessian"]),
+                               [-1 / 16, 0, 0, 0, 0, 1 / 32], rtol=0, atol=1e-12)
+    mdp, family = cli.build_problem(cli.load_config(path, "classify")["problem"])
+    assert oracle.exact_objective(mdp, family, np.zeros(6)) == \
+        pytest.approx(3.78125, abs=1e-12)
+
+
 def test_readme_library_example_prints_its_line(capsys):
-    readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
-    with open(readme, encoding="utf-8") as fh:
-        blocks = re.findall(r"```python\n(.*?)```", fh.read(), re.S)
+    blocks = _readme_blocks("python")
     assert len(blocks) == 1
     exec(compile(blocks[0], "README.md", "exec"), {})
     assert capsys.readouterr().out == "Region.L2 0.7978845608028654\n"

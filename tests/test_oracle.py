@@ -9,7 +9,6 @@ from pgsosp.mdp import TabularMdp, example_one_mdp, random_mdp
 from pgsosp.oracle import (
     _gradient_enumeration,
     _gradient_visitation,
-    analytic_example1,
     enumerate_trajectories,
     enumeration_size_bound,
     exact_gradient,
@@ -24,6 +23,7 @@ from pgsosp.util import derive_rng
 
 from conftest import make_random_problem
 import formula_reference
+from paper_checks import analytic_example1, cnc_lower_bound
 from trajectory_reference import objective_by_enumeration, recursive_enumeration
 
 INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
@@ -296,7 +296,7 @@ class TestEnumerationReductions:
         # 4096 trajectories: more than two chunks of the array reductions.
         from trajectory_reference import Trajectory, hessian_estimate, pg_estimate
         from pgsosp.oracle import _ENUM_CHUNK
-        from pgsosp.sosp import cnc_enumerate, cnc_lower_bound
+        from pgsosp.sosp import cnc_enumerate
 
         mdp, family = make_random_problem(61, n_states=3, n_actions=2,
                                           horizon=6)
@@ -334,7 +334,7 @@ class TestEnumerationReductions:
     def test_each_consumer_walks_the_whole_tree_once(self, monkeypatch):
         # Trajectories yielded per enumerate_trajectories call: one full
         # tree per enumeration sum, so a skipped or repeated chunk shows.
-        from pgsosp.sosp import cnc_enumerate, cnc_lower_bound
+        from pgsosp.sosp import cnc_enumerate
 
         mdp, family = make_random_problem(61, n_states=3, n_actions=2,
                                           horizon=6)

@@ -5,14 +5,12 @@ import numpy as np
 import pytest
 
 from pgsosp.errors import ConfigError, PreconditionError
-from pgsosp.oracle import analytic_example1
 from pgsosp.policy import RegularityConstants
 from pgsosp.sosp import (
     Region,
     classify_values,
     cnc_enumerate,
     cnc_estimate,
-    cnc_lower_bound,
     deviation_sigma,
     escape_budget,
     hessian_estimator_sigma,
@@ -30,6 +28,7 @@ from pgsosp.sosp import (
 )
 from pgsosp.util import derive_rng
 from formula_reference import trap_benchmark_alpha
+from paper_checks import analytic_example1, cnc_lower_bound
 
 INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 

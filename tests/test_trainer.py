@@ -10,7 +10,6 @@ from pgsosp import util
 from pgsosp.errors import ConfigError, PolicyDomainError, PreconditionError
 from pgsosp.mdp import _walk, example_one_mdp
 from pgsosp.oracle import (
-    analytic_example1,
     exact_gradient,
     exact_hessian,
     exact_objective,
@@ -28,18 +27,17 @@ from pgsosp.trainer import (
     TrapResult,
     _block_steps,
     _row_norm,
-    coupled_quadratic_run,
     default_escape_benchmark,
     default_trap_benchmark,
-    _example1_samples,
     _no_floor,
-    example1_sosp_study,
     run,
     verify_escape,
-    verify_prop1,
     verify_trap,
 )
 from pgsosp.util import derive_rng
+from paper_checks import (_example1_samples, analytic_example1,
+                          coupled_quadratic_run, example1_sosp_study,
+                          sample_pair, verify_prop1)
 from trajectory_reference import Trajectory, hessian_estimate, pg_estimate
 
 INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
@@ -296,7 +294,7 @@ class TestMdpSample:
         source = MdpPolicySource(mdp, family)
         width = 2 * mdp.horizon + 1
         for seed in range(20):
-            g, h = source.sample_pair(theta, derive_rng(seed))
+            g, h = sample_pair(source, theta, derive_rng(seed))
             assert np.array_equal(
                 g, source.sample_gradient(theta, derive_rng(seed)))
             traj = _walk_one(mdp, family, theta, derive_rng(seed).random(width))
