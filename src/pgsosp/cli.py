@@ -50,7 +50,7 @@ EXIT_CHECK = 4
 # Config schemas
 # ---------------------------------------------------------------------------
 
-_NOISE = Block(dict(kind="text", scale="number", direction="vector", frozen="flag"),
+_NOISE = Block(dict(kind="text", scale="number", direction="vector"),
                required=("kind",))
 
 # The keys of each problem kind; example1 passes its keys to example_one_mdp,
@@ -81,13 +81,12 @@ _SCHEMAS = {
         required=("command", "r_min", "r_max", "gamma", "h", "p")),
     "classify": Block(dict(
         command="text", seed="integer", problem=_PROBLEM, epsilon="number",
-        chi="number", mode="text", n="integer", raw_hessian="flag"),
+        chi="number", mode="text", n="integer"),
         required=("command", "problem", "epsilon", "chi")),
     "train": Block(dict(
         command="text", problem=_PROBLEM, theta0="vector", alpha="number",
-        max_iters="integer", epsilon="number", chi="number",
-        batch_size="integer", seed="integer", report_every="integer",
-        kappa_hat_0="integer"),
+        max_iters="integer", epsilon="number", chi="number", seed="integer",
+        report_every="integer", kappa_hat_0="integer"),
         required=("command", "problem", "theta0", "alpha", "max_iters", "epsilon",
                   "chi", "seed")),
     "escape": Block(dict(
@@ -97,8 +96,7 @@ _SCHEMAS = {
         required=("command", "seed")),
     "trap": Block(dict(
         command="text", seed="integer", runs="integer", alpha="number", zeta="number",
-        varrho="number", noise_sigma="number", delta="number", relaxation="number",
-        theta0="vector"),
+        varrho="number", noise_sigma="number", delta="number", theta0="vector"),
         required=("command", "seed")),
     "oracle-check": Block(dict(
         command="text", seed="integer", n_mdps="integer", max_states="integer",
@@ -171,9 +169,6 @@ def build_source(spec: dict):
         return trainer.MdpPolicySource(mdp, family)
     keys = _builder_keys(spec, "kind")
     if kind == "quadratic_saddle":
-        if "noise" in keys and keys["noise"].frozen:
-            raise ConfigError("noise.frozen: train draws fresh noise at every "
-                              "update; frozen noise is for escape only")
         return trainer.QuadraticSaddleSource(**keys)
     return trainer.StronglyConcaveSource(**keys)
 
@@ -244,6 +239,9 @@ def cmd_constants(cfg: dict, args) -> int:
         probe_mdp, probe_family = build_problem(fisher["problem"])
         _check_length("omega_from_fisher.theta", fisher["theta"],
                       probe_family.param_dim)
+        if cfg["p"] != probe_family.param_dim:
+            raise ConfigError(f"p: the omega_from_fisher probe has family.param_dim "
+                              f"= {probe_family.param_dim}, got p = {cfg['p']}")
     if "regularity" in cfg:
         if "estimate" in cfg:
             raise ConfigError("estimate: give 'regularity' or 'estimate', not both")
@@ -331,7 +329,7 @@ def _parse_theta(args) -> np.ndarray:
 
 def cmd_classify(cfg: dict, args) -> int:
     if cfg.get("mode") != "estimated":
-        for key in ("n", "seed", "raw_hessian"):
+        for key in ("n", "seed"):
             if key in cfg:
                 raise ConfigError(f"{key}: only the estimated mode reads it")
         if args.seed is not None:
@@ -340,14 +338,10 @@ def cmd_classify(cfg: dict, args) -> int:
     theta = _parse_theta(args)
     _check_length("theta", theta, family.param_dim)
     report = sosp.second_order_report(
-        mdp, family, theta, **_builder_keys(cfg, "command", "seed", "problem",
-                                            "raw_hessian"),
+        mdp, family, theta, **_builder_keys(cfg, "command", "seed", "problem"),
         seed=_resolve_seed(cfg, args),
     )
-    payload = report.to_json()
-    if cfg.get("raw_hessian"):
-        payload["raw_hessian_mean"] = report.raw_hessian.tolist()
-    _emit(payload, args, "classify.json")
+    _emit(report.to_json(), args, "classify.json")
     return EXIT_OK
 
 
@@ -457,6 +451,10 @@ def cmd_cnc(cfg: dict, args) -> int:
     if method not in ("auto", "enumerate", "mc"):
         raise ConfigError(f"method: expected auto, enumerate or mc, got {method!r}")
     seed = _resolve_seed(cfg, args)
+    by_enumeration = method in ("auto", "enumerate") and is_enumerable(mdp)
+    if method == "enumerate" and not by_enumeration:
+        # Checked before u is derived: above the cap that is 2p DP gradients.
+        raise ConfigError("method 'enumerate' but the MDP exceeds the cap")
     if "u" in cfg:
         u = cfg["u"]
         _check_length("u", u, family.param_dim)
@@ -464,10 +462,8 @@ def cmd_cnc(cfg: dict, args) -> int:
         hess = exact_hessian(mdp, family, theta)
         _, u = sosp.sym_eig_max(hess)
     payload = {"theta": theta.tolist(), "u": u.tolist(), "n": cfg["n"]}
-    if method in ("auto", "enumerate") and is_enumerable(mdp):
+    if by_enumeration:
         payload["enumeration"] = sosp.cnc_enumerate(mdp, family, theta, u)
-    elif method == "enumerate":
-        raise ConfigError("method 'enumerate' but the MDP exceeds the cap")
     if method in ("auto", "mc"):
         mean, stderr = sosp.cnc_estimate(mdp, family, theta, u, cfg["n"], seed)
         payload["mean_sq_projection"] = mean

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -91,11 +91,8 @@ def classify_values(grad_norm: float, lambda_max: float, epsilon: float,
 
 @dataclass(frozen=True)
 class SecondOrderReport:
-    """Gradient/Hessian snapshot with eigenanalysis and region verdict.
-
-    In estimated mode raw_hessian keeps the unsymmetrized Hessian mean; it
-    is not part of to_json, which leaves out the fields that are None.
-    """
+    """Gradient/Hessian snapshot with eigenanalysis and region verdict;
+    to_json leaves out the fields that are None."""
 
     grad: np.ndarray
     grad_norm: float
@@ -109,18 +106,15 @@ class SecondOrderReport:
     mode: str = "oracle"
     grad_std_error: np.ndarray | None = None
     n_samples: int | None = None
-    raw_hessian: np.ndarray | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "grad", frozen_array(self.grad))
         object.__setattr__(self, "hessian", frozen_array(self.hessian))
         object.__setattr__(self, "u_p", frozen_array(self.u_p))
-        if self.raw_hessian is not None:
-            object.__setattr__(self, "raw_hessian", frozen_array(self.raw_hessian))
 
     def to_json(self) -> dict:
         out = {key: value for key, value in asdict(self).items()
-               if value is not None and key != "raw_hessian"}
+               if value is not None}
         out["region"] = self.region.value
         return out
 
@@ -170,11 +164,10 @@ def second_order_report(mdp: TabularMdp, family, theta: np.ndarray,
             raise ConfigError("estimated mode needs n >= 1 and a seed")
         g = batch_gradient(mdp, family, theta, n, seed)
         h = batch_hessian(mdp, family, theta, n, seed + 1)
-        report = report_from_grad_hessian(
+        return report_from_grad_hessian(
             g.mean, h.symmetrized, epsilon, chi, mode="estimated",
             grad_std_error=g.std_error, n_samples=n,
         )
-        return replace(report, raw_hessian=h.raw_mean)
     raise ConfigError(f"unknown report mode {mode!r}")
 
 
@@ -350,15 +343,14 @@ def trap_budget(alpha: float, delta: float) -> int:
 
 
 def prop3_step_size(delta: float, zeta: float, ell: float, varrho: float,
-                    sigma: float, grad_bound_sq: float,
-                    relaxation: float = 1.0) -> float:
+                    sigma: float, grad_bound_sq: float) -> float:
     """Largest alpha <= min{delta, 1/zeta, zeta/ell^2, zeta varrho^2/(3 sigma^2), 1/e}
-    with alpha ln(1/alpha) <= relaxation * 2 zeta varrho^4 / (27 (grad_bound_sq
+    with alpha ln(1/alpha) <= 2 zeta varrho^4 / (27 (grad_bound_sq
     + zeta varrho^2 + sigma^2)^2), by bisection below the cap (Prop. 3).
 
     The sigma term is +inf at sigma = 0; the paper's grad_bound_sq is
     G^2 r_max^2 / (1-gamma)^2.  Raises PreconditionError when not even
-    alpha = 1e-12 meets the log cap (for instance relaxation <= 0).
+    alpha = 1e-12 meets the log cap (for instance a small varrho).
     """
     _check_delta(delta)
     _check_varrho(varrho)
@@ -367,7 +359,7 @@ def prop3_step_size(delta: float, zeta: float, ell: float, varrho: float,
                           "(sigma and grad_bound_sq may be zero)")
     noise_cap = zeta * varrho ** 2 / (3.0 * sigma ** 2) if sigma else math.inf
     cap = min(delta, 1.0 / zeta, zeta / ell ** 2, noise_cap, 1.0 / math.e)
-    rhs = relaxation * 2.0 * zeta * varrho ** 4 / (
+    rhs = 2.0 * zeta * varrho ** 4 / (
         27.0 * (grad_bound_sq + zeta * varrho ** 2 + sigma ** 2) ** 2)
 
     def log_ok(a: float) -> bool:
@@ -379,7 +371,7 @@ def prop3_step_size(delta: float, zeta: float, ell: float, varrho: float,
     if not log_ok(lo):
         raise PreconditionError(
             f"trap: no step size in [{lo:g}, {cap:.6g}] meets the log cap "
-            f"alpha ln(1/alpha) <= {rhs:.3g} (relaxation {relaxation!r})")
+            f"alpha ln(1/alpha) <= {rhs:.3g}")
     for _ in range(200):
         mid = (lo + hi) / 2.0
         if log_ok(mid):

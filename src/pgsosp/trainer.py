@@ -1,11 +1,11 @@
 """Instrumented REINFORCE iteration and the saddle-escape and trapping verifiers.
 
-The update is theta_{k+1} = theta_k + alpha * g_k with g_k a single-sample
-(batch_size 1) stochastic gradient; larger batches average samples and are
-labeled an extension in run metadata.  Runs record, at report intervals,
-the objective, gradient norm, top Hessian eigenvalue, L1/L2/L3 region
-label, and the bookkeeping process varsigma that advances by 1 on L1/L3
-iterates and by the escape budget kappa_hat_0 on L2 iterates.
+The update is theta_{k+1} = theta_k + alpha * g_k with g_k the stochastic
+gradient of one fresh sample.  Runs record, at report intervals, the
+objective, gradient norm, top Hessian eigenvalue, L1/L2/L3 region label,
+and the bookkeeping process varsigma.  varsigma advances once per reported
+row, not per update: by 1 on an L1/L3 row and by the escape budget
+kappa_hat_0 on an L2 row.
 
 Synthetic sources isolate the saddle-escape and trapping mechanics from
 MDP sampling noise.  ``QuadraticSaddleSource`` is the one synthetic
@@ -66,14 +66,11 @@ class NoiseSpec:
       orthogonal       rademacher projected off a fixed unit direction
                        (zero energy along it - the floor-violating case)
       zero             no noise
-
-    frozen=True reuses the step-0 draw at every step.
     """
 
     kind: str = "rademacher"
     scale: float = 1.0
     direction: np.ndarray | None = None
-    frozen: bool = False
 
     def __post_init__(self):
         if self.kind not in ("rademacher", "sphere", "signed_direction",
@@ -266,14 +263,13 @@ class TrainerConfig:
     max_iters: int
     epsilon: float
     chi: float
-    batch_size: int = 1
     seed: int = 0
     report_every: int = 1
     kappa_hat_0: int = 1
 
     def __post_init__(self):
-        if self.alpha < 0 or self.max_iters < 0 or self.batch_size < 1:
-            raise ConfigError("need alpha >= 0, max_iters >= 0, batch_size >= 1")
+        if self.alpha < 0 or self.max_iters < 0:
+            raise ConfigError("need alpha >= 0 and max_iters >= 0")
         if self.epsilon <= 0 or self.chi <= 0:
             raise ConfigError("need epsilon > 0 and chi > 0")
         if self.report_every < 1 or self.kappa_hat_0 < 1:
@@ -320,10 +316,10 @@ def run(source, config: TrainerConfig, theta0: np.ndarray) -> RunRecord:
     """Execute max_iters updates with reports every report_every steps.
 
     Fully deterministic given (config, theta0): one stream,
-    derive_rng(seed), feeds every sample in (k, i) order.  An MDP sample
-    reads 2h+1 uniforms, so its draw j is uniform (k*b + i)*(2h+1) + j of
-    the stream (b the batch size); synthetic sources draw their noise from
-    the same stream.  Aborts (recording the offending k) when an iterate
+    derive_rng(seed), feeds one sample per update in update order.  An MDP
+    sample reads 2h+1 uniforms, so draw j of update k is uniform
+    k*(2h+1) + j of the stream; synthetic sources draw their noise from the
+    same stream.  Aborts (recording the offending k) when an iterate
     goes non-finite or leaves the norm guard, or its gradient is not finite.
     """
     theta = np.array(theta0, dtype=float)
@@ -354,17 +350,14 @@ def run(source, config: TrainerConfig, theta0: np.ndarray) -> RunRecord:
         if k % config.report_every == 0 and not record(k):
             diverged_at = k
             break
-        samples = [source.sample_gradient(theta, rng)
-                   for _ in range(config.batch_size)]
-        theta = theta + config.alpha * (sum(samples) / config.batch_size)
+        theta = theta + config.alpha * source.sample_gradient(theta, rng)
         if not np.linalg.norm(theta) <= _DIVERGENCE_NORM:  # also nan and inf
             diverged_at = k + 1
             break
     if diverged_at is None and config.max_iters > 0 and not record(config.max_iters):
         diverged_at = config.max_iters
 
-    return RunRecord(rows=rows, diverged_at=diverged_at, metadata={
-        **asdict(config), "batch_extension": config.batch_size > 1})
+    return RunRecord(rows=rows, diverged_at=diverged_at, metadata=asdict(config))
 
 
 # ---------------------------------------------------------------------------
@@ -392,22 +385,19 @@ def _chain_blocks(source: QuadraticSaddleSource, d: np.ndarray, alpha, steps: in
     (runs, dim) offsets d after step t0+i+1.
     A block draws its (n*runs, dim) noise in one call; numpy fills it in
     the order n draws of (runs, dim) would, so step t reads the same rows
-    of the stream as a per-step loop.  Frozen noise is one (runs, dim) draw
-    reused at every step.  alpha is a scalar or a (runs, 1) column read at
-    every step, so a caller may change the column between blocks.
+    of the stream as a per-step loop.  alpha is a scalar or a (runs, 1)
+    column read at every step, so a caller may change the column between
+    blocks.
     More than _CHAIN_STEP_LIMIT chain-steps in all raise ConfigError.
     """
     runs, dim = d.shape
     if runs * steps > _CHAIN_STEP_LIMIT:
         raise ConfigError(f"alpha: {float(np.max(alpha)):.3g} needs {runs} runs x "
                           f"{steps:.3g} steps, over {_CHAIN_STEP_LIMIT:.0e} chain-steps")
-    noise = source.noise
     block = _block_steps(runs, dim)
-    frozen = noise.draw(rng, runs, dim) if noise.frozen else None
     for t0 in range(0, steps, block):
         n = min(block, steps - t0)
-        xi = (n * (frozen,) if frozen is not None
-              else noise.draw(rng, n * runs, dim).reshape(n, runs, dim))
+        xi = source.noise.draw(rng, n * runs, dim).reshape(n, runs, dim)
         path = []
         for x in xi:
             d = d + alpha * (source._slope(d) + x)
@@ -606,26 +596,20 @@ def verify_trap(source: QuadraticSaddleSource, alpha: float, runs: int,
 def default_trap_benchmark(runs: int = 500, seed: int = 0,
                            alpha: float | None = None, zeta: float = 1.0,
                            varrho: float = 1.0, noise_sigma: float = 0.3,
-                           delta: float = 0.2, relaxation: float | None = None,
-                           theta0=None) -> TrapResult:
+                           delta: float = 0.2, theta0=None) -> TrapResult:
     """Two-dimensional strongly-concave bowl centered at the origin.
 
     By default (unit bowl, noise radius 0.3, delta 0.2) it starts on the
     boundary of the inner ball (the hardest admissible start) and runs
     the full trapping budget at the step size of ``prop3_step_size`` with
     ell = zeta and gradient bound zeta varrho + noise_sigma.  The keywords
-    are the ``trap`` command's config keys; ``relaxation`` scales the log
-    cap of that rule, so it cannot be combined with ``alpha``.
+    are the ``trap`` command's config keys.
     """
-    if alpha is not None and relaxation is not None:
-        raise ConfigError("relaxation: scales the log cap of the derived step "
-                          "size; drop it or 'alpha'")
     source = StronglyConcaveSource(zeta=zeta, theta_star=np.zeros(2),
                                    noise_sigma=noise_sigma)
     if alpha is None:
         alpha = prop3_step_size(delta, zeta, zeta, varrho, noise_sigma,
-                                (zeta * varrho + noise_sigma) ** 2,
-                                1.0 if relaxation is None else relaxation)
+                                (zeta * varrho + noise_sigma) ** 2)
     if theta0 is None:
         theta0 = [varrho / math.sqrt(3.0), 0.0]
     return verify_trap(source, alpha=alpha, runs=runs, seed=seed,

@@ -173,6 +173,27 @@ class TestConstantsCommand:
         assert err == (f"error: p: the estimated family has family.param_dim = 4, "
                        f"got p = {p}\n")
 
+    @pytest.mark.parametrize("p", [2, 5])
+    def test_p_other_than_the_probe_dimension_exits_2(self, tmp_path, capsys,
+                                                      monkeypatch, p):
+        # The omega_from_fisher probe on S2 A2 tabular softmax has 4
+        # parameters; p scales sigma_h0.
+        from pgsosp.mdp import random_mdp
+
+        def no_work(*args, **kwargs):
+            raise AssertionError("the Fisher matrix was computed")
+
+        monkeypatch.setattr(cli, "fisher_matrix", no_work)
+        mdp = random_mdp(35, n_states=2, n_actions=2, horizon=5, gamma=0.9)
+        cfg = dict(CONSTANTS_CFG, p=p, omega_from_fisher={
+            "problem": {"kind": "mdp", "mdp": mdp.to_json()},
+            "theta": [0.1, 0.2, 0.3, 0.4]})
+        path = write_config(tmp_path, "c.json", cfg)
+        code, out, err = run_cli(capsys, ["constants", "--config", path])
+        assert (code, out) == (2, "")
+        assert err == (f"error: p: the omega_from_fisher probe has "
+                       f"family.param_dim = 4, got p = {p}\n")
+
     def test_oversized_grid_named_before_allocation(self, tmp_path, capsys):
         # 10^6 points per axis over p = 4 axes: 10^24 grid points, which
         # numpy cannot allocate; the cap rejects it first, naming the key.
@@ -254,9 +275,8 @@ class TestClassifyCommand:
         assert "--theta-csv" in capsys.readouterr().err
 
     @pytest.mark.parametrize("extra, flag", [
-        ({"n": 7}, []), ({"seed": 3}, []), ({"raw_hessian": True}, []),
-        ({"raw_hessian": False}, []), ({}, ["--seed", "9"]),
-    ], ids=["n", "seed", "raw_hessian", "raw_hessian-false", "seed-flag"])
+        ({"n": 7}, []), ({"seed": 3}, []), ({}, ["--seed", "9"]),
+    ], ids=["n", "seed", "seed-flag"])
     def test_oracle_mode_rejects_sampling_settings(self, tmp_path, capsys,
                                                    monkeypatch, extra, flag):
         def no_problem(*args, **kwargs):
@@ -310,34 +330,9 @@ class TestClassifyCommand:
         assert payload["region"] == "L1"
         assert payload["mode"] == "estimated"
 
-    def test_raw_hessian_reuses_the_report_batch(self, tmp_path, capsys,
-                                                 monkeypatch):
-        from pgsosp import estimators, sosp
-        from pgsosp.mdp import example_one_mdp
-        from pgsosp.policy import ExampleOnePiecewise
-
-        calls = []
-        original = estimators.batch_hessian
-
-        def counted(*args, **kwargs):
-            calls.append(args)
-            return original(*args, **kwargs)
-
-        monkeypatch.setattr(sosp, "batch_hessian", counted)
-        monkeypatch.setattr(estimators, "batch_hessian", counted)
-        cfg = write_config(tmp_path, "c.json", dict(
-            CLASSIFY_CFG, mode="estimated", n=500, seed=4, raw_hessian=True))
-        code, out, _ = run_cli(capsys, ["classify", "--config", cfg,
-                                        "--theta", "0.3,0.4"])
-        assert code == 0
-        assert len(calls) == 1
-        expected = original(example_one_mdp(), ExampleOnePiecewise(),
-                            [0.3, 0.4], 500, 5).raw_mean
-        assert json.loads(out)["raw_hessian_mean"] == expected.tolist()
-
     @pytest.mark.parametrize("command, extra, flags, region", [
         ("classify", {}, ["--theta", "0.0,0.0"], "region,L2"),
-        ("classify", dict(mode="estimated", n=200, seed=4, raw_hessian=True),
+        ("classify", dict(mode="estimated", n=200, seed=4),
          ["--theta", "0.3,0.4"], "region,L1"),
         ("train", {}, [], "final.region,L2"),
     ])
@@ -359,7 +354,7 @@ class TestClassifyCommand:
         arrays = ("final.theta.1",) if command == "train" else \
             ("grad.1", "hessian.1.0", "u_p.1")
         if extra:
-            arrays += ("grad_std_error.1", "raw_hessian_mean.0.1")
+            arrays += ("grad_std_error.1",)
         assert set(arrays) <= {key for key, _ in leaves}
 
     def test_threads_flag_rejected(self, tmp_path):
@@ -558,41 +553,26 @@ class TestEscapeTrapCommands:
         assert (code, out) == (2, "")
         assert err.startswith(f"error: {key}: ")
 
-    def test_trap_relaxation_with_alpha_exits_2(self, tmp_path, capsys,
-                                                monkeypatch):
-        # relaxation only scales the log cap of the derived step size.
-        def no_chain(*args, **kwargs):
-            raise AssertionError("the trap chain ran")
-
-        monkeypatch.setattr(trainer, "verify_trap", no_chain)
-        cfg = write_config(tmp_path, "t.json", {
-            "command": "trap", "seed": 1, "runs": 20, "alpha": 0.05,
-            "relaxation": 7.0,
-        })
-        code, out, err = run_cli(capsys, ["trap", "--config", cfg])
-        assert (code, out) == (2, "")
-        assert err.startswith("error: relaxation: ")
-
-    @pytest.mark.parametrize("relaxation", [0.0, -1.0, 1e-30])
     def test_trap_without_an_admissible_step_exits_2(self, tmp_path, capsys,
-                                                     monkeypatch, relaxation):
-        # No alpha in [1e-12, cap] meets the log cap; the command stops
-        # before the chain, which would need about 1e24 steps per run.
+                                                     monkeypatch):
+        # At varrho = 1e-3 the log cap is 2.27e-12, which not even
+        # alpha = 1e-12 meets; the command stops before the chain, which
+        # would need about 1e24 steps per run.
         def no_chain(*args, **kwargs):
             raise AssertionError("the trap chain ran")
 
         monkeypatch.setattr(trainer, "verify_trap", no_chain)
         cfg = write_config(tmp_path, "t.json", {
-            "command": "trap", "seed": 1, "runs": 5, "relaxation": relaxation,
+            "command": "trap", "seed": 1, "runs": 5, "varrho": 1e-3,
         })
         code, out, err = run_cli(capsys, ["trap", "--config", cfg])
         assert (code, out) == (2, "")
-        assert "log cap" in err
+        assert err == ("error: trap: no step size in [1e-12, 3.7037e-06] meets "
+                       "the log cap alpha ln(1/alpha) <= 2.27e-12\n")
 
     @pytest.mark.parametrize("cfg", [
-        # alpha = 1.1e-7 from the Prop. 3 rule: kappa_0 = 1.3e14 steps per run.
-        {"command": "trap", "seed": 2, "runs": 20, "relaxation": 0.001,
-         "zeta": 2.0, "varrho": 0.5},
+        # alpha = 7.1e-7 from the Prop. 3 rule: kappa_0 = 3.2e12 steps per run.
+        {"command": "trap", "seed": 2, "runs": 20, "varrho": 0.05},
         {"command": "trap", "seed": 1, "runs": 5, "alpha": 1e-5},
         # The step cap cap_factor * kappa_hat_0 grows as alpha^(-1/2).
         {"command": "escape", "seed": 1, "runs": 200, "alpha": 1e-12},
@@ -694,6 +674,27 @@ class TestCncCommand:
             <= 3.0 * payload["std_error"]
 
 
+    def test_enumerate_above_the_cap_exits_before_the_hessian(self, tmp_path,
+                                                              capsys, monkeypatch):
+        # Without u the direction is the top Hessian eigenvector; above the
+        # enumeration cap that Hessian is 2p DP gradients, and 'enumerate'
+        # is refused before them.
+        from pgsosp.mdp import random_mdp
+
+        def no_hessian(*args, **kwargs):
+            raise AssertionError("the Hessian was built")
+
+        monkeypatch.setattr(cli, "exact_hessian", no_hessian)
+        mdp = random_mdp(1, n_states=2, n_actions=2, horizon=12)
+        assert not oracle.is_enumerable(mdp)
+        cfg = write_config(tmp_path, "c.json", {
+            "command": "cnc", "problem": {"kind": "mdp", "mdp": mdp.to_json()},
+            "theta": [0.1, 0.2, 0.3, 0.4], "n": 10, "seed": 1,
+            "method": "enumerate"})
+        code, out, err = run_cli(capsys, ["cnc", "--config", cfg])
+        assert (code, out) == (2, "")
+        assert err == "error: method 'enumerate' but the MDP exceeds the cap\n"
+
     def test_u_defaults_to_the_top_hessian_eigenvector(self, tmp_path, capsys):
         from pgsosp.mdp import random_mdp
         from pgsosp.policy import TabularSoftmax
@@ -715,11 +716,36 @@ class TestCncCommand:
         assert payload["enumeration"] == cli.sosp.cnc_enumerate(mdp, family, theta, u)
 
 
-def _readme_blocks(language):
-    """The README's fenced code blocks in the given language, as text."""
+def _readme():
     readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
     with open(readme, encoding="utf-8") as fh:
-        return re.findall(rf"```{language}\n(.*?)```", fh.read(), re.S)
+        return fh.read()
+
+
+def _readme_blocks(language):
+    """The README's fenced code blocks in the given language, as text."""
+    return re.findall(rf"```{language}\n(.*?)```", _readme(), re.S)
+
+
+def _schema_keys(kind, path):
+    """(dotted path, key) of every key under kind, nested blocks and every
+    block of a OneOf included."""
+    blocks = kind.blocks.values() if isinstance(kind, util.OneOf) else [kind]
+    for block in blocks:
+        if isinstance(block, util.Block):
+            for key, sub in block.kinds.items():
+                yield f"{path}.{key}", key
+                yield from _schema_keys(sub, f"{path}.{key}")
+
+
+def test_every_schema_key_is_named_in_the_readme():
+    # Every config key of every command, the problem kinds and the MDP
+    # block included, appears in backticks somewhere in the README.
+    text = _readme()
+    missing = sorted({path for command, schema in cli._SCHEMAS.items()
+                      for path, key in _schema_keys(schema, command)
+                      if key != "command" and f"`{key}`" not in text})
+    assert missing == []
 
 
 def test_readme_configs_read_against_their_schema(tmp_path):
@@ -733,12 +759,17 @@ def test_readme_configs_read_against_their_schema(tmp_path):
         assert cli.load_config(str(path), json.loads(text)["command"])
 
 
+def _readme_strict_saddle():
+    """The README's classify config of the strict-saddle witness MDP."""
+    [cfg] = [cfg for cfg in map(json.loads, _readme_blocks("json"))
+             if cfg["command"] == "classify" and cfg["problem"]["kind"] == "mdp"]
+    return cfg
+
+
 def test_readme_strict_saddle_is_labelled_l2(tmp_path, capsys):
     # The README's witness MDP at the uniform policy: the gradient vanishes
     # exactly and the Hessian has eigenvalues of both signs.
-    [cfg] = [cfg for cfg in map(json.loads, _readme_blocks("json"))
-             if cfg["command"] == "classify" and cfg["problem"]["kind"] == "mdp"]
-    path = write_config(tmp_path, "saddle.json", cfg)
+    path = write_config(tmp_path, "saddle.json", _readme_strict_saddle())
     code, out, _ = run_cli(capsys, ["classify", "--config", path,
                                     "--theta=0,0,0,0,0,0"])
     assert code == 0
@@ -751,6 +782,24 @@ def test_readme_strict_saddle_is_labelled_l2(tmp_path, capsys):
     mdp, family = cli.build_problem(cli.load_config(path, "classify")["problem"])
     assert oracle.exact_objective(mdp, family, np.zeros(6)) == \
         pytest.approx(3.78125, abs=1e-12)
+
+
+def test_readme_strict_saddle_in_closed_form():
+    # With p = pi(stay|A) and q = pi(stay|B), J = 3.75 - p/8 + p^2/8 + q/4
+    # - q^2/4; Z's logits do not enter.  At the uniform policy the curvature
+    # is +1/32 along A's sum-zero logit direction and -1/16 along B's.
+    mdp, family = cli.build_problem(_readme_strict_saddle()["problem"])
+    for theta in util.derive_rng(0, 13).uniform(-3.0, 3.0, (50, 6)):
+        p, q = 1.0 / (1.0 + np.exp(theta[[1, 3]] - theta[[0, 2]]))
+        want = 3.75 - p / 8 + p ** 2 / 8 + q / 4 - q ** 2 / 4
+        assert oracle.exact_objective(mdp, family, theta) == \
+            pytest.approx(want, rel=0, abs=1e-14)
+    hess = oracle.exact_hessian(mdp, family, np.zeros(6))
+    u_a = np.array([1.0, -1.0, 0.0, 0.0, 0.0, 0.0]) / math.sqrt(2.0)
+    u_b = np.array([0.0, 0.0, 1.0, -1.0, 0.0, 0.0]) / math.sqrt(2.0)
+    assert u_a @ hess @ u_a == pytest.approx(1 / 32, abs=1e-12)
+    assert u_b @ hess @ u_b == pytest.approx(-1 / 16, abs=1e-12)
+    assert u_a @ hess @ u_b == pytest.approx(0.0, abs=1e-12)
 
 
 def test_readme_library_example_prints_its_line(capsys):
@@ -794,6 +843,7 @@ class TestOmegaFromFisher:
 
         mdp = random_mdp(35, n_states=2, n_actions=2, horizon=5, gamma=0.9)
         cfg = {k: v for k, v in CONSTANTS_CFG.items() if k != "omega"}
+        cfg["p"] = 4
         cfg["omega_from_fisher"] = {
             "problem": {"kind": "mdp", "mdp": mdp.to_json()},
             "theta": [0.7377, 0.2681, -0.0069, -0.6729],
@@ -820,10 +870,9 @@ ESCAPE_ALL_KEYS = {
     "command": "escape", "seed": 5, "runs": 30, "alpha": 2e-3,
     "contrast": False, "chi": 0.9, "epsilon": 1.1, "sigma_h0": 8.0,
     "cap_factor": 7, "eigenvalues": [1.5, -1.0, 0.5],
-    "noise": {"kind": "sphere", "scale": 0.8, "frozen": False},
+    "noise": {"kind": "sphere", "scale": 0.8},
     "iota_sq": 0.4,
 }
-# Every trap key but relaxation, which only the derived step size reads.
 TRAP_ALL_KEYS = {
     "command": "trap", "seed": 3, "runs": 40, "alpha": 0.05, "zeta": 1.5,
     "varrho": 2.0, "noise_sigma": 0.4, "delta": 0.3, "theta0": [0.3, -0.2],
@@ -852,10 +901,10 @@ class TestBenchmarkBuilders:
         assert out == canonical_json(asdict(expected))
 
     def test_trap_every_key_matches_builder(self, tmp_path, capsys):
-        # A relaxation of 1e4 lifts the log cap: alpha is the cap 0.3.
+        # With alpha left out it is the Prop. 3 rule's, below its log cap.
         derived = {key: value for key, value in TRAP_ALL_KEYS.items()
                    if key != "alpha"}
-        for keys in (TRAP_ALL_KEYS, dict(derived, relaxation=1e4)):
+        for keys in (TRAP_ALL_KEYS, derived):
             cfg = write_config(tmp_path, "t.json", keys)
             code, out, _ = run_cli(capsys, ["trap", "--config", cfg])
             assert code == 0
@@ -955,11 +1004,14 @@ _BANDIT_CNC = {
       "epsilon": 0.1, "chi": 1.0}, "horizon"),
     ({"command": "classify", "problem": {"kind": "example1", "gamma": "x"},
       "epsilon": 0.1, "chi": 1.0}, "gamma"),
+    # Noise is drawn fresh at every step: there is no frozen setting.
     ({"command": "escape", "seed": 1,
-      "noise": {"kind": "rademacher", "frozen": "no"}}, "noise.frozen"),
+      "noise": {"kind": "rademacher", "frozen": "no"}},
+     "error: noise: unknown key 'frozen'"),
     ({**_SADDLE_TRAIN, "problem": {
         "kind": "quadratic_saddle",
-        "noise": {"kind": "rademacher", "frozen": True}}}, "noise.frozen"),
+        "noise": {"kind": "rademacher", "frozen": True}}},
+     "error: problem.noise: unknown key 'frozen'"),
     ({"command": "trap", "seed": 1, "runs": 2.7}, "runs: must be"),
     ({**_BANDIT_CNC, "problem": {**_BANDIT_CNC["problem"], "mdp": {
         **_BANDIT_CNC["problem"]["mdp"], "horizon": 2.7}}},
@@ -1130,10 +1182,29 @@ def _wrong(kind):
         yield "", value
 
 
-# Keys that once had a kind and that no command reads any more, with a value
-# of that kind: each is now an unknown key.
-_DELETED = {"constants": {"seed": 1, "zeta": 1.0, "varrho": 1.0},
-            "train": {"delta": 0.1}}
+# Keys, by dotted path, that once had a kind and that no command reads any
+# more, with a value of that kind: each is now an unknown key.
+_DELETED = {"constants": {"seed": 1, "zeta": 1.0, "varrho": 1.0,
+                          "omega_from_fisher.problem.noise.frozen": False},
+            "classify": {"raw_hessian": False, "problem.noise.frozen": False},
+            "train": {"delta": 0.1, "batch_size": 1,
+                      "problem.noise.frozen": False},
+            "escape": {"noise.frozen": False},
+            "trap": {"relaxation": 1.0},
+            "cnc": {"problem.noise.frozen": False}}
+
+
+def _with_deleted(kind, dotted, value):
+    """A value of kind, with value at the dotted path of a deleted key; a
+    OneOf takes the block that has the path's next key."""
+    key, _, rest = dotted.partition(".")
+    if isinstance(kind, util.OneOf):
+        tag, block = next((tag, block) for tag, block in kind.blocks.items()
+                          if key in block.kinds)
+        return {**_with_deleted(block, dotted, value), "kind": tag}
+    assert rest or key not in kind.kinds
+    return {**_good(kind),
+            key: _with_deleted(kind.kinds[key], rest, value) if rest else value}
 
 
 def _schema_cases():
@@ -1144,10 +1215,9 @@ def _schema_cases():
                 if dotted != "command":
                     cfg["command"] = command
                 cases.setdefault(f"{command}:{dotted}", []).append(cfg)
-        for key, value in _DELETED.get(command, {}).items():
-            assert key not in schema.kinds
-            cases[f"{command}:{key}"] = [{**_good(schema), "command": command,
-                                          key: value}]
+        for dotted, value in _DELETED.get(command, {}).items():
+            cases[f"{command}:{dotted}"] = [
+                {**_with_deleted(schema, dotted, value), "command": command}]
     return [pytest.param(case, configs, id=case)
             for case, configs in sorted(cases.items())]
 
@@ -1158,7 +1228,8 @@ def test_every_schema_key_rejects_a_wrong_kind(tmp_path, capsys, case, configs):
     dotted path when given a value of the wrong kind; a deleted key exits 2
     as unknown whatever its value."""
     command, dotted = case.split(":")
-    want = (f"error: config: unknown key {dotted!r}"
+    where, _, key = dotted.rpartition(".")
+    want = (f"error: {where or 'config'}: unknown key {key!r}"
             if dotted in _DELETED.get(command, {}) else f"error: {dotted}: ")
     for cfg in configs:
         path = write_config(tmp_path, "bad.json", cfg)

@@ -1,6 +1,6 @@
 import math
 import sys
-from dataclasses import asdict, replace
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -240,13 +240,6 @@ class TestRun:
         record = run(source, config, np.zeros(2))
         assert record.rows == []
 
-    def test_batch_extension_flag(self):
-        source = StronglyConcaveSource(1.0, np.zeros(2), noise_sigma=0.1)
-        config = TrainerConfig(alpha=0.1, max_iters=3, epsilon=0.1, chi=1.0,
-                               seed=0, batch_size=4)
-        record = run(source, config, np.array([0.1, 0.1]))
-        assert record.metadata["batch_extension"] is True
-
 
 def _walk_one(mdp, family, theta, uniforms):
     """The trajectory _walk builds from one row of 2h+1 uniforms."""
@@ -307,23 +300,24 @@ class TestMdpSample:
                            match=r"action probabilities leave \[0, 1\]"):
             source.sample_gradient(np.array([3.0, 3.0]), derive_rng(0))
 
-    @pytest.mark.parametrize("batch_size", [1, 2])
-    def test_run_reads_one_stream_in_update_order(self, batch_size):
-        # Draw j of sample i of update k is uniform (k*b + i)*(2h+1) + j.
+    @pytest.mark.parametrize("report_every", [1, 2])
+    def test_run_reads_one_stream_in_update_order(self, report_every):
+        # Draw j of update k is uniform k*(2h+1) + j; a reported row reads
+        # no draws.
         mdp, family, theta = _SAMPLE_CASES["tabular-random"]()
         alpha, seed, width = 0.5, 12, 2 * mdp.horizon + 1
         record = run(MdpPolicySource(mdp, family),
-                     TrainerConfig(alpha=alpha, max_iters=3, epsilon=0.3,
-                                   chi=1.0, seed=seed, batch_size=batch_size),
+                     TrainerConfig(alpha=alpha, max_iters=4, epsilon=0.3,
+                                   chi=1.0, seed=seed, report_every=report_every),
                      theta)
-        uniforms = derive_rng(seed).random(3 * batch_size * width)
-        uniforms = uniforms.reshape(3, batch_size, width)
-        for k in range(3):
-            samples = [pg_estimate(_walk_one(mdp, family, theta, row), family, theta)
-                       for row in uniforms[k]]
-            theta = theta + alpha * (np.sum(samples, axis=0) / batch_size)
-            assert record.rows[k + 1].k == k + 1
-            assert np.array_equal(record.rows[k + 1].theta, theta)
+        rows = {row.k: row.theta for row in record.rows}
+        assert sorted(rows) == list(range(0, 5, report_every))
+        uniforms = derive_rng(seed).random((4, width))
+        for k in range(4):
+            traj = _walk_one(mdp, family, theta, uniforms[k])
+            theta = theta + alpha * pg_estimate(traj, family, theta)
+            if k + 1 in rows:
+                assert np.array_equal(rows[k + 1], theta)
 
     def test_synthetic_noise_reads_the_run_stream(self):
         source = QuadraticSaddleSource([1.0, -1.0],
@@ -508,11 +502,13 @@ class TestTrap:
         rhs = 2.0 / (27.0 * (grad_bound ** 2 + 1.0 + 0.09) ** 2)
         assert alpha * math.log(1.0 / alpha) <= rhs + 1e-12
 
-    @pytest.mark.parametrize("relaxation", [0.0, -1.0, 1e-30])
-    def test_benchmark_alpha_without_admissible_step_raises(self, relaxation):
-        # Not even alpha = 1e-12 meets the log cap: no step size is returned.
+    def test_benchmark_alpha_without_admissible_step_raises(self):
+        # At varrho = 1e-3 the log cap is 2.27e-12: not even alpha = 1e-12
+        # meets it, so no step size is returned.
         with pytest.raises(PreconditionError, match="log cap"):
-            prop3_step_size(0.2, 1.0, 1.0, 1.0, 0.3, (1.0 + 0.3) ** 2, relaxation)
+            prop3_step_size(0.2, 1.0, 1.0, 1e-3, 0.3, (1e-3 + 0.3) ** 2)
+        with pytest.raises(PreconditionError, match="log cap"):
+            default_trap_benchmark(runs=2, seed=0, varrho=1e-3)
 
 
 class TestExample1Vectorized:
@@ -582,16 +578,12 @@ def _reference_escape(source, alpha, runs, seed, chi, epsilon, sigma_h0,
     escape_step = np.full(runs, -1, dtype=np.int64)
     gain_at_kappa = None
     rng = derive_rng(seed)
-    frozen_noise = None
-    if source.noise.frozen:
-        frozen_noise = _reference_draw(source.noise, rng, runs, dim)
     gains = np.zeros(runs)
     for step in range(1, cap + 1):
         active = escape_step < 0
         if not active.any():
             break
-        noise = frozen_noise if frozen_noise is not None \
-            else _reference_draw(source.noise, rng, runs, dim)
+        noise = _reference_draw(source.noise, rng, runs, dim)
         d = np.where(active[:, None], d + alpha * (source._slope(d) + noise), d)
         gains = np.where(active, source._value(d), gains)
         newly = active & (gains >= threshold)
@@ -615,20 +607,16 @@ def _reference_escape(source, alpha, runs, seed, chi, epsilon, sigma_h0,
 
 
 def _reference_trap(source, alpha, runs, seed, delta, varrho, theta0):
-    """verify_trap as a per-step loop (frozen noise drawn once, as escape
-    draws it); also returns the step at which each run first left."""
+    """verify_trap as a per-step loop; also returns the step at which each
+    run first left."""
     kappa = trap_budget(alpha, delta)
     dim = source.dim
     d = np.tile(np.asarray(theta0, dtype=float) - source.center, (runs, 1))
     stayed = np.ones(runs, dtype=bool)
     left_at = np.full(runs, -1, dtype=np.int64)
     rng = derive_rng(seed)
-    frozen_noise = None
-    if source.noise.frozen:
-        frozen_noise = _reference_draw(source.noise, rng, runs, dim)
     for step in range(1, kappa + 1):
-        noise = frozen_noise if frozen_noise is not None \
-            else _reference_draw(source.noise, rng, runs, dim)
+        noise = _reference_draw(source.noise, rng, runs, dim)
         d = d + alpha * (source._slope(d) + noise)
         stayed &= np.linalg.norm(d, axis=1) <= varrho
         left_at[~stayed & (left_at < 0)] = step
@@ -645,13 +633,12 @@ def _assert_same(got, want):
 
 
 def _noises(u, other):
-    """Every noise kind, unfrozen and frozen; u is the escape direction and
-    other a unit vector orthogonal to it."""
-    specs = [NoiseSpec("rademacher", 1.0), NoiseSpec("sphere", 1.5),
-             NoiseSpec("signed_direction", 0.8, direction=u),
-             NoiseSpec("signed_direction", 1.0, direction=(u + other) / math.sqrt(2.0)),
-             NoiseSpec("orthogonal", 1.0, direction=u), NoiseSpec("zero")]
-    return specs + [replace(spec, frozen=True) for spec in specs]
+    """Every noise kind; u is the escape direction and other a unit vector
+    orthogonal to it."""
+    return [NoiseSpec("rademacher", 1.0), NoiseSpec("sphere", 1.5),
+            NoiseSpec("signed_direction", 0.8, direction=u),
+            NoiseSpec("signed_direction", 1.0, direction=(u + other) / math.sqrt(2.0)),
+            NoiseSpec("orthogonal", 1.0, direction=u), NoiseSpec("zero")]
 
 
 _ESCAPE_SPECTRA = {
@@ -782,25 +769,19 @@ class TestBlockSteppedChains:
         assert res.kappa_0 == 69
         assert sum(rows) == res.kappa_0 * runs
 
-    @pytest.mark.parametrize("kind, frozen", [("rademacher", False),
-                                              ("signed_direction", False),
-                                              ("rademacher", True)])
+    @pytest.mark.parametrize("kind", ["rademacher", "signed_direction"])
     def test_escape_draws_at_most_one_block_past_the_last_escape(
-            self, monkeypatch, kind, frozen):
+            self, monkeypatch, kind):
         u = np.array([1.0, 0.0])
         source = QuadraticSaddleSource(
             [1.0, -1.0],
-            NoiseSpec(kind, 1.0, direction=u if kind != "rademacher" else None,
-                      frozen=frozen))
+            NoiseSpec(kind, 1.0, direction=u if kind != "rademacher" else None))
         args = dict(alpha=1e-3, runs=40, seed=6, chi=1.0, epsilon=1.0,
                     sigma_h0=10.0)
         _, steps = _reference_escape(source, **args)
         rows = self._count_rows(monkeypatch)
         res = verify_escape(source, **args)
         block = _block_steps(40, 2)
-        if frozen:
-            assert rows == [40]
-            return
         assert sum(rows) <= (res.step_cap + block) * 40
         if (steps > 0).all():
             assert sum(rows) < (steps.max() + block) * 40
