@@ -274,11 +274,17 @@ class TestClassifyCommand:
         assert exc.value.code == 2
         assert "--theta-csv" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("extra, flag", [
-        ({"n": 7}, []), ({"seed": 3}, []), ({}, ["--seed", "9"]),
-    ], ids=["n", "seed", "seed-flag"])
+    @pytest.mark.parametrize("extra, flag, want", [
+        ({"n": 7}, [], "error: n: "), ({"seed": 3}, [], "error: seed: "),
+        # raw_hessian was an estimated-only setting and is now deleted: the
+        # schema refuses it at load, whatever its value.
+        ({"raw_hessian": True}, [], "error: config: unknown key 'raw_hessian'"),
+        ({"raw_hessian": False}, [], "error: config: unknown key 'raw_hessian'"),
+        ({}, ["--seed", "9"], "error: --seed: "),
+    ], ids=["n", "seed", "raw_hessian", "raw_hessian-false", "seed-flag"])
     def test_oracle_mode_rejects_sampling_settings(self, tmp_path, capsys,
-                                                   monkeypatch, extra, flag):
+                                                   monkeypatch, extra, flag,
+                                                   want):
         def no_problem(*args, **kwargs):
             raise AssertionError("the problem was built")
 
@@ -287,8 +293,7 @@ class TestClassifyCommand:
         code, out, err = run_cli(capsys, ["classify", "--config", cfg,
                                           "--theta", "0.3,0.6", *flag])
         assert (code, out) == (2, "")
-        name = next(iter(extra), "--seed")
-        assert err.startswith(f"error: {name}: ")
+        assert err.startswith(want)
 
     def test_estimated_mode_needs_a_seed(self, tmp_path, capsys, monkeypatch):
         cfg = dict(CLASSIFY_CFG, mode="estimated", n=20)
@@ -553,22 +558,30 @@ class TestEscapeTrapCommands:
         assert (code, out) == (2, "")
         assert err.startswith(f"error: {key}: ")
 
+    @pytest.mark.parametrize("varrho", [0.0, -1.0, 1e-30, 1e-3])
     def test_trap_without_an_admissible_step_exits_2(self, tmp_path, capsys,
-                                                     monkeypatch):
-        # At varrho = 1e-3 the log cap is 2.27e-12, which not even
-        # alpha = 1e-12 meets; the command stops before the chain, which
-        # would need about 1e24 steps per run.
+                                                     monkeypatch, varrho):
+        # At varrho <= 0 the noise cap zeta varrho^2 / (3 sigma^2) leaves no
+        # positive step; at varrho = 1e-3 the log cap is 2.27e-12, which not
+        # even alpha = 1e-12 meets.  The command stops before the chain,
+        # which would need about 1e24 steps per run.
         def no_chain(*args, **kwargs):
             raise AssertionError("the trap chain ran")
 
         monkeypatch.setattr(trainer, "verify_trap", no_chain)
         cfg = write_config(tmp_path, "t.json", {
-            "command": "trap", "seed": 1, "runs": 5, "varrho": 1e-3,
+            "command": "trap", "seed": 1, "runs": 5, "varrho": varrho,
         })
         code, out, err = run_cli(capsys, ["trap", "--config", cfg])
         assert (code, out) == (2, "")
-        assert err == ("error: trap: no step size in [1e-12, 3.7037e-06] meets "
-                       "the log cap alpha ln(1/alpha) <= 2.27e-12\n")
+        if varrho <= 0:
+            assert err == f"error: varrho: must be positive, got {varrho!r}\n"
+        elif varrho == 1e-3:
+            assert err == ("error: trap: no step size in [1e-12, 3.7037e-06] "
+                           "meets the log cap alpha ln(1/alpha) <= 2.27e-12\n")
+        else:
+            assert err.startswith("error: trap: no step size in [1e-12, ")
+            assert "the log cap" in err
 
     @pytest.mark.parametrize("cfg", [
         # alpha = 7.1e-7 from the Prop. 3 rule: kappa_0 = 3.2e12 steps per run.

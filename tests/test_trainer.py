@@ -502,13 +502,17 @@ class TestTrap:
         rhs = 2.0 / (27.0 * (grad_bound ** 2 + 1.0 + 0.09) ** 2)
         assert alpha * math.log(1.0 / alpha) <= rhs + 1e-12
 
-    def test_benchmark_alpha_without_admissible_step_raises(self):
-        # At varrho = 1e-3 the log cap is 2.27e-12: not even alpha = 1e-12
-        # meets it, so no step size is returned.
-        with pytest.raises(PreconditionError, match="log cap"):
-            prop3_step_size(0.2, 1.0, 1.0, 1e-3, 0.3, (1e-3 + 0.3) ** 2)
-        with pytest.raises(PreconditionError, match="log cap"):
-            default_trap_benchmark(runs=2, seed=0, varrho=1e-3)
+    @pytest.mark.parametrize("varrho", [0.0, -1.0, 1e-30, 1e-3])
+    def test_benchmark_alpha_without_admissible_step_raises(self, varrho):
+        # At varrho <= 0 the noise cap zeta varrho^2 / (3 sigma^2) leaves no
+        # positive step; at varrho = 1e-3 the log cap is 2.27e-12, which not
+        # even alpha = 1e-12 meets.  Either way no step size is returned.
+        error, match = ((ConfigError, "varrho: must be positive") if varrho <= 0
+                        else (PreconditionError, "log cap"))
+        with pytest.raises(error, match=match):
+            prop3_step_size(0.2, 1.0, 1.0, varrho, 0.3, (varrho + 0.3) ** 2)
+        with pytest.raises(error, match=match):
+            default_trap_benchmark(runs=2, seed=0, varrho=varrho)
 
 
 class TestExample1Vectorized:
