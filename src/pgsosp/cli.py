@@ -4,9 +4,11 @@ Each subcommand reads one JSON config whose "command" key names it.
 ``load_config`` reads it once against ``_SCHEMAS``, the kind of every key
 of every block: an unknown or missing key, or a value of the wrong kind,
 fails there with its dotted path.  Handlers pass the typed values on, and
-the library code that uses them checks their ranges.  Outputs are
-deterministic given config and seed (canonical JSON, fixed float
-formatting), so repeated invocations produce byte-identical artifacts.
+the library code that uses them checks their ranges.  A run is fixed by its
+config (and, for ``classify``, by ``--theta``): the seed is a config key
+like any other.  The result is canonical JSON (sorted keys, repr floats),
+on stdout and, with ``--out``, in a file, so repeated invocations produce
+byte-identical artifacts.
 
 Exit codes: 0 success, 2 config/validation error, 3 I/O error,
 4 acceptance-check failure.
@@ -37,8 +39,7 @@ from .oracle import (
 )
 from .policy import ExampleOnePiecewise, RegularityConstants, TabularSoftmax, \
     estimate_regularity, make_family
-from .util import Block, OneOf, _read, canonical_json, derive_rng, format_float, \
-    json_ready, write_csv
+from .util import Block, OneOf, _read, canonical_json, derive_rng, write_csv
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -80,31 +81,31 @@ _SCHEMAS = {
         iota="number"),
         required=("command", "r_min", "r_max", "gamma", "h", "p")),
     "classify": Block(dict(
-        command="text", seed="integer", problem=_PROBLEM, epsilon="number",
+        command="text", seed="seed", problem=_PROBLEM, epsilon="number",
         chi="number", mode="text", n="integer"),
         required=("command", "problem", "epsilon", "chi")),
     "train": Block(dict(
         command="text", problem=_PROBLEM, theta0="vector", alpha="number",
-        max_iters="integer", epsilon="number", chi="number", seed="integer",
+        max_iters="integer", epsilon="number", chi="number", seed="seed",
         report_every="integer", kappa_hat_0="integer"),
         required=("command", "problem", "theta0", "alpha", "max_iters", "epsilon",
                   "chi", "seed")),
     "escape": Block(dict(
-        command="text", seed="integer", runs="integer", alpha="number",
+        command="text", seed="seed", runs="integer", alpha="number",
         contrast="flag", chi="number", epsilon="number", sigma_h0="number",
         cap_factor="integer", eigenvalues="vector", noise=_NOISE, iota_sq="number"),
         required=("command", "seed")),
     "trap": Block(dict(
-        command="text", seed="integer", runs="integer", alpha="number", zeta="number",
+        command="text", seed="seed", runs="integer", alpha="number", zeta="number",
         varrho="number", noise_sigma="number", delta="number", theta0="vector"),
         required=("command", "seed")),
     "oracle-check": Block(dict(
-        command="text", seed="integer", n_mdps="integer", max_states="integer",
+        command="text", seed="seed", n_mdps="integer", max_states="integer",
         max_actions="integer", max_horizon="integer"),
         required=("command", "seed")),
     "cnc": Block(dict(
         command="text", problem=_PROBLEM, theta="vector", u="vector", n="integer",
-        seed="integer", method="text"),
+        seed="seed", method="text"),
         required=("command", "problem", "theta", "n", "seed")),
 }
 
@@ -173,41 +174,15 @@ def build_source(spec: dict):
     return trainer.StronglyConcaveSource(**keys)
 
 
-def _resolve_seed(cfg: dict, args) -> int | None:
-    """--seed, else the config's seed; None when neither is given."""
-    seed = cfg.get("seed") if args.seed is None else args.seed
-    if seed is not None and seed < 0:
-        raise ConfigError(f"seed: must be at least 0, got {seed}")
-    return seed
-
-
 # ---------------------------------------------------------------------------
 # Output helpers
 # ---------------------------------------------------------------------------
 
 def _emit(payload: dict, args, filename: str = "summary.json") -> None:
-    if args.format == "csv":
-        text = "".join(f"{key},{value}\n" for key, value
-                       in [("key", "value"),
-                           *sorted(_flatten(json_ready(payload)).items())])
-    else:
-        text = canonical_json(payload)
+    text = canonical_json(payload)
     sys.stdout.write(text)
     if args.out:
-        _write_out(args.out, filename,
-                   text if args.format == "json" else canonical_json(payload))
-
-
-def _flatten(obj, prefix: str = ""):
-    if isinstance(obj, (dict, list)):
-        flat = {}
-        for key, value in obj.items() if isinstance(obj, dict) else enumerate(obj):
-            flat.update(_flatten(value, f"{prefix}{key}."))
-        return flat
-    key = prefix[:-1] if prefix else "value"
-    if isinstance(obj, float):
-        return {key: format_float(obj)}
-    return {key: "" if obj is None else obj}
+        _write_out(args.out, filename, text)
 
 
 def _write_out(out_dir: str, name: str, text: str) -> None:
@@ -328,28 +303,22 @@ def _parse_theta(args) -> np.ndarray:
 
 
 def cmd_classify(cfg: dict, args) -> int:
-    if cfg.get("mode") != "estimated":
+    if cfg.get("mode", "oracle") == "oracle":
         for key in ("n", "seed"):
             if key in cfg:
                 raise ConfigError(f"{key}: only the estimated mode reads it")
-        if args.seed is not None:
-            raise ConfigError("--seed: only the estimated mode draws")
     mdp, family = build_problem(cfg["problem"])
     theta = _parse_theta(args)
     _check_length("theta", theta, family.param_dim)
     report = sosp.second_order_report(
-        mdp, family, theta, **_builder_keys(cfg, "command", "seed", "problem"),
-        seed=_resolve_seed(cfg, args),
-    )
+        mdp, family, theta, **_builder_keys(cfg, "command", "problem"))
     _emit(report.to_json(), args, "classify.json")
     return EXIT_OK
 
 
 def cmd_train(cfg: dict, args) -> int:
     source = build_source(cfg["problem"])
-    config = trainer.TrainerConfig(
-        seed=_resolve_seed(cfg, args),
-        **_builder_keys(cfg, "command", "problem", "theta0", "seed"))
+    config = trainer.TrainerConfig(**_builder_keys(cfg, "command", "problem", "theta0"))
     record = trainer.run(source, config, cfg["theta0"])
     payload = record.summary()
     _emit(payload, args, "summary.json")
@@ -363,15 +332,13 @@ def cmd_train(cfg: dict, args) -> int:
 
 
 def cmd_escape(cfg: dict, args) -> int:
-    result = trainer.default_escape_benchmark(seed=_resolve_seed(cfg, args),
-                                              **_builder_keys(cfg, "command", "seed"))
+    result = trainer.default_escape_benchmark(**_builder_keys(cfg, "command"))
     _emit(asdict(result), args, "escape.json")
     return EXIT_OK
 
 
 def cmd_trap(cfg: dict, args) -> int:
-    result = trainer.default_trap_benchmark(seed=_resolve_seed(cfg, args),
-                                            **_builder_keys(cfg, "command", "seed"))
+    result = trainer.default_trap_benchmark(**_builder_keys(cfg, "command"))
     payload = asdict(result)
     payload["bound"] = 1.0 - result.delta * math.log(1.0 / result.delta)
     _emit(payload, args, "trap.json")
@@ -379,7 +346,7 @@ def cmd_trap(cfg: dict, args) -> int:
 
 
 def cmd_oracle_check(cfg: dict, args) -> int:
-    seed = _resolve_seed(cfg, args)
+    seed = cfg["seed"]
     sizes = {}
     for key, default, low in (("n_mdps", 20, 1), ("max_states", 4, 2),
                               ("max_actions", 3, 2), ("max_horizon", 6, 2)):
@@ -450,7 +417,6 @@ def cmd_cnc(cfg: dict, args) -> int:
     method = cfg.get("method", "auto")
     if method not in ("auto", "enumerate", "mc"):
         raise ConfigError(f"method: expected auto, enumerate or mc, got {method!r}")
-    seed = _resolve_seed(cfg, args)
     by_enumeration = method in ("auto", "enumerate") and is_enumerable(mdp)
     if method == "enumerate" and not by_enumeration:
         # Checked before u is derived: above the cap that is 2p DP gradients.
@@ -465,7 +431,8 @@ def cmd_cnc(cfg: dict, args) -> int:
     if by_enumeration:
         payload["enumeration"] = sosp.cnc_enumerate(mdp, family, theta, u)
     if method in ("auto", "mc"):
-        mean, stderr = sosp.cnc_estimate(mdp, family, theta, u, cfg["n"], seed)
+        mean, stderr = sosp.cnc_estimate(mdp, family, theta, u, cfg["n"],
+                                          cfg["seed"])
         payload["mean_sq_projection"] = mean
         payload["std_error"] = stderr
         payload["iota_sq_floor"] = sosp.iota_sq_floor(mean, stderr)
@@ -493,11 +460,8 @@ def build_parser() -> argparse.ArgumentParser:
     for name in _SCHEMAS:
         cmd = sub.add_parser(name)
         cmd.add_argument("--config", required=True, help="JSON config path")
-        cmd.add_argument("--out", default=None, help="output directory")
-        if "seed" in _SCHEMAS[name].kinds:
-            cmd.add_argument("--seed", type=int, default=None,
-                             help="override config seed")
-        cmd.add_argument("--format", choices=("json", "csv"), default="json")
+        cmd.add_argument("--out", default=None,
+                         help="directory to write the canonical JSON result to")
         if name == "classify":
             cmd.add_argument("--theta", default=None,
                              help="inline comma-separated parameter vector")

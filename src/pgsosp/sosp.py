@@ -168,7 +168,7 @@ def second_order_report(mdp: TabularMdp, family, theta: np.ndarray,
             g.mean, h.symmetrized, epsilon, chi, mode="estimated",
             grad_std_error=g.std_error, n_samples=n,
         )
-    raise ConfigError(f"unknown report mode {mode!r}")
+    raise ConfigError(f"mode: must be oracle or estimated, got {mode!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -253,7 +253,15 @@ def paper_constants(regularity, r_min: float, r_max: float, gamma: float,
     _check_gamma(gamma)
     if r_max <= 0 or r_min < 0 or h < 1 or p < 1:
         raise ConfigError("paper_constants: need r_max > 0, r_min >= 0, h, p >= 1")
+    if r_min > r_max:
+        raise ConfigError(f"r_min: must be at most r_max = {r_max!r}, got {r_min!r}")
     g, l, u, w = regularity.G, regularity.L, regularity.U, regularity.W
+    for key, bound in (("G", g), ("L", l), ("U", u), ("W", w)):
+        if bound is not None and bound < 0:
+            raise ConfigError(f"regularity.{key}: must be at least 0, got {bound!r}")
+    for key, value in (("chi", chi), ("omega", omega), ("iota", iota)):
+        if value is not None and value <= 0:
+            raise ConfigError(f"{key}: must be positive, got {value!r}")
     chi_derived = False
     if chi is None:
         if w is None:

@@ -99,6 +99,11 @@ def _integer(value):
     return value if isinstance(value, int) and not isinstance(value, bool) else None
 
 
+def _seed(value):
+    seed = _integer(value)
+    return seed if seed is not None and seed >= 0 else None
+
+
 def _array(value, depth: int):
     """Nested lists of numbers, depth deep and none empty, as a float array."""
     try:
@@ -119,6 +124,7 @@ def _box(value):
 _KINDS = {
     "number": ("a finite number", _number),
     "integer": ("an integer", _integer),
+    "seed": ("an integer at least 0", _seed),
     "flag": ("true or false", lambda v: v if isinstance(v, bool) else None),
     "text": ("text", lambda v: v if isinstance(v, str) else None),
     "vector": ("a non-empty list of numbers", lambda v: _array(v, 1)),

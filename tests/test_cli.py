@@ -1,3 +1,4 @@
+import argparse
 import inspect
 import json
 import math
@@ -17,13 +18,12 @@ from pgsosp.util import canonical_json
 
 
 def _json_leaves(obj, prefix=""):
-    """(dotted key, CSV cell) of every leaf of a parsed JSON payload."""
+    """(dotted key, value) of every leaf of a parsed JSON payload."""
     if isinstance(obj, (dict, list)):
         items = obj.items() if isinstance(obj, dict) else enumerate(obj)
         return [leaf for key, value in items
                 for leaf in _json_leaves(value, f"{prefix}{key}.")]
-    cell = repr(obj) if isinstance(obj, float) else "" if obj is None else obj
-    return [(prefix[:-1], cell)]
+    return [(prefix[:-1], obj)]
 
 
 def write_config(tmp_path, name, payload):
@@ -111,22 +111,32 @@ class TestConstantsCommand:
         assert code == 2
         assert "command" in err
 
-    def test_csv_format(self, tmp_path, capsys):
-        cfg = write_config(tmp_path, "c.json", CONSTANTS_CFG)
-        code, out, _ = run_cli(capsys, ["constants", "--config", cfg,
-                                        "--format", "csv"])
-        assert code == 0
-        assert out.startswith("key,value")
-        assert any(line.startswith("ell,") for line in out.splitlines())
-
-    def test_csv_without_iota_leaves_k_empty(self, tmp_path, capsys):
+    def test_without_iota_k_is_null(self, tmp_path, capsys):
         cfg = {k: v for k, v in CONSTANTS_CFG.items() if k != "iota"}
         path = write_config(tmp_path, "c.json", cfg)
-        code, out, _ = run_cli(capsys, ["constants", "--config", path,
-                                        "--format", "csv"])
+        code, out, _ = run_cli(capsys, ["constants", "--config", path])
         assert code == 0
-        assert "K," in out.splitlines()
-        assert "None" not in out
+        payload = json.loads(out)
+        assert payload["K"] is None and payload["alpha"] is not None
+
+    @pytest.mark.parametrize("extra, key", [
+        # Out-of-range inputs once printed constants from them and exited 0.
+        (dict(r_min=5.0, r_max=1.0, chi=-1.0, iota=-2.0), "r_min"),
+        (dict(regularity={"G": -1.0, "L": -1.0, "U": -1.0, "W": -5.0},
+              omega=-1.0, r_min=0.0), "regularity.G"),
+        (dict(r_min=1.5), "r_min"),
+        (dict(regularity={"G": 1.0, "L": -1.0, "U": 1.0, "W": 1.0}), "regularity.L"),
+        (dict(regularity={"G": 1.0, "L": 1.0, "U": -0.5, "W": 1.0}), "regularity.U"),
+        (dict(regularity={"G": 1.0, "L": 1.0, "U": 1.0, "W": -1.0}), "regularity.W"),
+        (dict(chi=0.0), "chi"), (dict(chi=-1.0), "chi"),
+        (dict(omega=0.0), "omega"), (dict(iota=0.0), "iota"),
+    ], ids=["r_min-chi-iota", "bounds-omega", "r_min-above-r_max", "L", "U", "W",
+            "chi-0", "chi-negative", "omega-0", "iota-0"])
+    def test_out_of_range_input_exits_2(self, tmp_path, capsys, extra, key):
+        path = write_config(tmp_path, "c.json", dict(CONSTANTS_CFG, **extra))
+        code, out, err = run_cli(capsys, ["constants", "--config", path])
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: {key}: "), err
 
     @pytest.mark.parametrize("key, value", [("n_states", 7), ("n_actions", 9)])
     def test_example_one_estimate_rejects_a_layout(self, tmp_path, capsys,
@@ -274,35 +284,43 @@ class TestClassifyCommand:
         assert exc.value.code == 2
         assert "--theta-csv" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("extra, flag, want", [
-        ({"n": 7}, [], "error: n: "), ({"seed": 3}, [], "error: seed: "),
+    @pytest.mark.parametrize("extra, want", [
+        ({"n": 7}, "error: n: "), ({"seed": 3}, "error: seed: "),
+        ({"mode": "oracle", "seed": 3}, "error: seed: "),
         # raw_hessian was an estimated-only setting and is now deleted: the
         # schema refuses it at load, whatever its value.
-        ({"raw_hessian": True}, [], "error: config: unknown key 'raw_hessian'"),
-        ({"raw_hessian": False}, [], "error: config: unknown key 'raw_hessian'"),
-        ({}, ["--seed", "9"], "error: --seed: "),
-    ], ids=["n", "seed", "raw_hessian", "raw_hessian-false", "seed-flag"])
+        ({"raw_hessian": True}, "error: config: unknown key 'raw_hessian'"),
+        ({"raw_hessian": False}, "error: config: unknown key 'raw_hessian'"),
+    ], ids=["n", "seed", "seed-explicit-oracle", "raw_hessian", "raw_hessian-false"])
     def test_oracle_mode_rejects_sampling_settings(self, tmp_path, capsys,
-                                                   monkeypatch, extra, flag,
-                                                   want):
+                                                   monkeypatch, extra, want):
         def no_problem(*args, **kwargs):
             raise AssertionError("the problem was built")
 
         monkeypatch.setattr(cli, "build_problem", no_problem)
         cfg = write_config(tmp_path, "c.json", dict(CLASSIFY_CFG, **extra))
         code, out, err = run_cli(capsys, ["classify", "--config", cfg,
-                                          "--theta", "0.3,0.6", *flag])
+                                          "--theta", "0.3,0.6"])
         assert (code, out) == (2, "")
         assert err.startswith(want)
 
+    @pytest.mark.parametrize("extra", [{}, {"n": 5}, {"n": 5, "seed": 1}])
+    def test_unknown_mode_is_named(self, tmp_path, capsys, extra):
+        # n and seed are refused only in the oracle mode; another mode is
+        # refused by name, not as a sampling setting.
+        cfg = write_config(tmp_path, "c.json",
+                           dict(CLASSIFY_CFG, mode="bogus", **extra))
+        code, out, err = run_cli(capsys, ["classify", "--config", cfg,
+                                          "--theta", "0.3,0.6"])
+        assert (code, out) == (2, "")
+        assert err == "error: mode: must be oracle or estimated, got 'bogus'\n"
+
     def test_estimated_mode_needs_a_seed(self, tmp_path, capsys, monkeypatch):
         cfg = dict(CLASSIFY_CFG, mode="estimated", n=20)
-        outs = []
-        for extra, flag in (({"seed": 0}, []), ({}, ["--seed", "0"])):
-            path = write_config(tmp_path, "c.json", dict(cfg, **extra))
-            outs.append(run_cli(capsys, ["classify", "--config", path,
-                                         "--theta", "0.2,0.3", *flag]))
-        assert outs[0][0] == 0 and outs[0] == outs[1]
+        path = write_config(tmp_path, "c.json", dict(cfg, seed=0))
+        code, out, _ = run_cli(capsys, ["classify", "--config", path,
+                                        "--theta", "0.2,0.3"])
+        assert code == 0 and json.loads(out)["mode"] == "estimated"
 
         def no_draw(*args, **kwargs):
             raise AssertionError("the estimate was drawn")
@@ -343,19 +361,14 @@ class TestClassifyCommand:
     ])
     def test_csv_rows_are_the_json_leaves(self, tmp_path, capsys, command,
                                           extra, flags, region):
-        # Arrays come out one row per index and the region as its value,
-        # not as numpy array text or Region.L2.
+        # Arrays come out as JSON lists, one leaf per index, and the region
+        # as its value, not as numpy array text or Region.L2.
         base = CLASSIFY_CFG if command == "classify" else TRAIN_CFG
         cfg = write_config(tmp_path, "c.json", dict(base, **extra))
         code, out, _ = run_cli(capsys, [command, "--config", cfg, *flags])
         assert code == 0
-        code, csv, _ = run_cli(capsys, [command, "--config", cfg, *flags,
-                                        "--format", "csv"])
-        assert code == 0
-        rows = csv.splitlines()
-        assert rows[0] == "key,value" and region in rows
         leaves = _json_leaves(json.loads(out))
-        assert rows[1:] == sorted(f"{key},{value}" for key, value in leaves)
+        assert region in {f"{key},{value}" for key, value in leaves}
         arrays = ("final.theta.1",) if command == "train" else \
             ("grad.1", "hessian.1.0", "u_p.1")
         if extra:
@@ -536,17 +549,6 @@ class TestEscapeTrapCommands:
         code, out, err = run_cli(capsys, ["escape", "--config", cfg])
         assert (code, out) == (2, "")
         assert "iota_sq" in err and "Traceback" not in err
-
-    def test_csv_null_is_an_empty_cell(self, tmp_path, capsys):
-        cfg = write_config(tmp_path, "e.json", {
-            "command": "escape", "seed": 1, "runs": 20, "alpha": 1e-4,
-            "contrast": True,
-        })
-        code, out, _ = run_cli(capsys, ["escape", "--config", cfg,
-                                        "--format", "csv"])
-        assert code == 0
-        assert "mean_escape_steps,\n" in out
-        assert "None" not in out
 
     @pytest.mark.parametrize("key, value", [("cap_factor", 0), ("iota_sq", -1.0),
                                             ("iota_sq", 0.0)])
@@ -813,6 +815,43 @@ def test_readme_strict_saddle_in_closed_form():
     assert u_a @ hess @ u_a == pytest.approx(1 / 32, abs=1e-12)
     assert u_b @ hess @ u_b == pytest.approx(-1 / 16, abs=1e-12)
     assert u_a @ hess @ u_b == pytest.approx(0.0, abs=1e-12)
+
+
+def test_readme_strict_saddle_train_leaves_l2(tmp_path, capsys):
+    # The README's train config on the witness MDP, from theta0 = 0: row
+    # k = 0 is the saddle (L2); by row k = 10 every seed has left L2, and
+    # the README seed ends below the saddle's J = 3.78125.
+    [cfg] = [cfg for cfg in map(json.loads, _readme_blocks("json"))
+             if cfg["command"] == "train" and cfg["problem"]["kind"] == "mdp"]
+    assert cfg["theta0"] == [0.0] * 6
+    assert cfg["problem"] == _readme_strict_saddle()["problem"]
+    for seed in range(1, 11):
+        path = write_config(tmp_path, "t.json", dict(cfg, seed=seed))
+        out_dir = tmp_path / f"out{seed}"
+        code, out, _ = run_cli(capsys, ["train", "--config", path,
+                                        "--out", str(out_dir)])
+        assert code == 0
+        rows = (out_dir / "trace.csv").read_text().splitlines()
+        header = rows[0].split(",")
+        k, region = header.index("k"), header.index("region")
+        row0, row10 = (row.split(",") for row in rows[1:3])
+        assert (row0[k], row0[region]) == ("0", "L2")
+        assert row10[k] == "10" and row10[region] != "L2"
+        if seed == cfg["seed"]:
+            assert json.loads(out)["final"]["objective"] < 3.78125
+
+
+def test_every_subcommand_flag_is_named_in_the_readme():
+    # Every flag of every subcommand appears in the README, and every --flag
+    # the README names outside its Install section is a subcommand's.
+    text = _readme()
+    flags = set().union(*_subcommand_flags().values())
+    named = set(re.findall(r"(?<![\w-])--[a-z][\w-]*", text))
+    assert flags - named == set()
+    outside_install = re.sub(r"## Install and test\n.*?(?=\n## )", "", text,
+                             flags=re.S)
+    assert set(re.findall(r"(?<![\w-])--[a-z][\w-]*", outside_install)) - flags \
+        == set()
 
 
 def test_readme_library_example_prints_its_line(capsys):
@@ -1152,11 +1191,12 @@ def test_config_not_utf8_exits_2(tmp_path, capsys):
 
 
 # A value of each kind that the reader accepts, and values it must reject.
-_GOOD = {"number": 1.0, "integer": 1, "flag": False, "text": "x",
+_GOOD = {"number": 1.0, "integer": 1, "seed": 1, "flag": False, "text": "x",
          "vector": [1.0], "box": [[0.0, 1.0]], "matrix": [[1.0]],
          "tensor": [[[1.0]]]}
 _WRONG = {"number": ["x", True, float("nan"), float("inf"), [1.0]],
           "integer": [2.5, True, "x"],
+          "seed": [-1, 2.5, True, "x"],
           "flag": ["no", 1, None],
           "text": [1.0, True, ["x"]],
           "vector": [[], [True, 1], ["a", 1.0], 1.0]}
@@ -1251,39 +1291,53 @@ def test_every_schema_key_rejects_a_wrong_kind(tmp_path, capsys, case, configs):
         assert err.startswith(want), (cfg, err)
 
 
-def test_seed_flag_only_on_commands_that_draw(tmp_path, capsys):
-    """--seed exists where the schema has a seed: constants draws nothing."""
+def _subcommand_flags():
+    """{subcommand: its flags}, --help left out."""
+    parser = cli.build_parser()
+    [sub] = [action for action in parser._actions
+             if isinstance(action, argparse._SubParsersAction)]
+    return {name: {flag for action in cmd._actions for flag in action.option_strings
+                   if flag.startswith("--")} - {"--help"}
+            for name, cmd in sub.choices.items()}
+
+
+def test_subcommand_flags_are_config_out_and_theta(tmp_path, capsys):
+    """A run is fixed by its config (and --theta for classify): the seed is a
+    config key only, and the result is JSON only, so --seed and --format are
+    usage errors on every subcommand."""
+    flags = _subcommand_flags()
+    assert flags == {name: {"--config", "--out"} | ({"--theta"} if name == "classify"
+                                                    else set())
+                     for name in cli._SCHEMAS}
+    assert sum(map(len, flags.values())) == 15
     path = write_config(tmp_path, "c.json", CONSTANTS_CFG)
-    with pytest.raises(SystemExit) as exc:
-        main(["constants", "--config", path, "--seed", "1"])
-    assert exc.value.code == 2
-    assert "--seed" in capsys.readouterr().err
-    assert [name for name, schema in cli._SCHEMAS.items()
-            if "seed" not in schema.kinds] == ["constants"]
-
-    cfg = dict(CLASSIFY_CFG, mode="estimated", n=50)
-    outs = []
-    for seed_cfg, flag in ((5, ["--seed", "9"]), (9, [])):
-        path = write_config(tmp_path, "e.json", dict(cfg, seed=seed_cfg))
-        code, out, _ = run_cli(capsys, ["classify", "--config", path,
-                                        "--theta", "0.2,0.3", *flag])
-        assert code == 0
-        outs.append(out)
-    assert outs[0] == outs[1]
+    for name in flags:
+        for flag, value in (("--seed", "1"), ("--format", "csv")):
+            with pytest.raises(SystemExit) as exc:
+                main([name, "--config", path, flag, value])
+            captured = capsys.readouterr()
+            assert (exc.value.code, captured.out) == (2, "")
+            assert f"unrecognized arguments: {flag} {value}" in captured.err
 
 
-@pytest.mark.parametrize("how", ["config", "flag"])
-def test_negative_seed_exits_2(tmp_path, capsys, how):
+@pytest.mark.parametrize("how, want", [
+    ("config", "error: seed: must be an integer at least 0, got -1\n"),
+    # --seed is no option at all, whatever its value.
+    ("flag", "error: unrecognized arguments: --seed -2\n"),
+], ids=["config", "flag"])
+def test_negative_seed_exits_2(tmp_path, capsys, how, want):
     cfg = {"command": "escape", "seed": -1 if how == "config" else 1, "runs": 5}
     argv = ["escape", "--config", write_config(tmp_path, "e.json", cfg)]
-    if how == "flag":
-        argv += ["--seed", "-2"]
-    code, out, err = run_cli(capsys, argv)
+    try:
+        code = main(argv + (["--seed", "-2"] if how == "flag" else []))
+    except SystemExit as exc:
+        code = exc.code
+    out, err = capsys.readouterr()
     assert (code, out) == (2, "")
-    assert err.startswith("error: seed: must be at least 0")
+    assert err.endswith(want)
 
 
-def test_seed_comes_from_config_or_flag_only(tmp_path, capsys, monkeypatch):
+def test_seed_comes_from_the_config_only(tmp_path, capsys, monkeypatch):
     """The environment does not reach the seed: SOSP_PG_SEED changes nothing."""
     path = write_config(tmp_path, "e.json", {
         "command": "escape", "seed": 1, "runs": 20, "alpha": 0.001})
