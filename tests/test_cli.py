@@ -532,6 +532,22 @@ class TestEscapeTrapCommands:
             assert payload["escape_fraction"] == 0.0
             assert payload["mean_escape_steps"] is None
 
+    def test_csv_null_is_an_empty_cell(self, tmp_path, capsys):
+        # CSV output is gone: asking for it is a usage error, and the no-escape
+        # mean step count, once an empty CSV cell, prints as JSON null, never
+        # as Python's None.
+        cfg = write_config(tmp_path, "e.json", {
+            "command": "escape", "seed": 1, "runs": 20, "alpha": 1e-4,
+            "contrast": True,
+        })
+        with pytest.raises(SystemExit) as exc:
+            main(["escape", "--config", cfg, "--format", "csv"])
+        assert (exc.value.code, capsys.readouterr().out) == (2, "")
+        code, out, _ = run_cli(capsys, ["escape", "--config", cfg])
+        assert code == 0
+        assert json.loads(out)["mean_escape_steps"] is None
+        assert "null" in out and "None" not in out
+
     @pytest.mark.parametrize("noise", [
         {"kind": "zero"},
         {"kind": "rademacher", "scale": 0.0},
