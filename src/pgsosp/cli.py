@@ -3,8 +3,10 @@
 Each subcommand reads one JSON config whose "command" key names it.
 ``load_config`` reads it once against ``_SCHEMAS``, the kind of every key
 of every block: an unknown or missing key, or a value of the wrong kind,
-fails there with its dotted path.  Handlers pass the typed values on, and
-the library code that uses them checks their ranges.  A run is fixed by its
+fails there with its dotted path.  A key's range is part of its kind
+(``positive``, ``fraction``, ``count`` ...), so an out-of-range value fails
+there too, before any work.  Handlers pass the typed values on, and the
+library checks only relations between values.  A run is fixed by its
 config (and, for ``classify``, by ``--theta``): the seed is a config key
 like any other.  The result is canonical JSON (sorted keys, repr floats),
 on stdout and, with ``--out``, in a file, so repeated invocations produce
@@ -39,7 +41,7 @@ from .oracle import (
 )
 from .policy import ExampleOnePiecewise, RegularityConstants, TabularSoftmax, \
     estimate_regularity, make_family
-from .util import Block, OneOf, _read, canonical_json, derive_rng, write_csv
+from .util import Block, OneOf, _at, _read, canonical_json, derive_rng, write_csv
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -62,50 +64,53 @@ _PROBLEM = OneOf({
                       policy="text")),
     "quadratic_saddle": Block(dict(kind="text", eigenvalues="vector", noise=_NOISE,
                                    cubic="number")),
-    "strongly_concave": Block(dict(kind="text", zeta="number", theta_star="vector",
-                                   noise_sigma="number")),
+    "strongly_concave": Block(dict(kind="text", zeta="positive", theta_star="vector",
+                                   noise_sigma="nonnegative")),
 })
 
 _SCHEMAS = {
     "constants": Block(dict(
         command="text",
-        regularity=Block(dict(G="number", L="number", U="number", W="number"),
+        regularity=Block(dict(G="nonnegative", L="nonnegative", U="nonnegative",
+                              W="nonnegative"),
                          required=("G", "L", "U")),
-        estimate=Block(dict(family="text", n_states="integer", n_actions="integer",
+        estimate=Block(dict(family="text", n_states="count", n_actions="count",
                             box="box", grid="integer"),
                        required=("family", "box", "grid")),
-        r_min="number", r_max="number", gamma="number", h="integer", p="integer",
-        epsilon="number", chi="number", delta="number", omega="number",
+        r_min="nonnegative", r_max="positive", gamma="fraction", h="count",
+        p="count", epsilon="positive", chi="positive", delta="fraction",
+        omega="positive",
         omega_from_fisher=Block(dict(problem=_PROBLEM, theta="vector"),
                                 required=("problem", "theta")),
-        iota="number"),
+        iota="positive"),
         required=("command", "r_min", "r_max", "gamma", "h", "p")),
     "classify": Block(dict(
-        command="text", seed="seed", problem=_PROBLEM, epsilon="number",
-        chi="number", mode="text", n="integer"),
+        command="text", seed="natural", problem=_PROBLEM, epsilon="positive",
+        chi="positive", mode="text", n="count"),
         required=("command", "problem", "epsilon", "chi")),
     "train": Block(dict(
-        command="text", problem=_PROBLEM, theta0="vector", alpha="number",
-        max_iters="integer", epsilon="number", chi="number", seed="seed",
-        report_every="integer", kappa_hat_0="integer"),
+        command="text", problem=_PROBLEM, theta0="vector", alpha="nonnegative",
+        max_iters="natural", epsilon="positive", chi="positive", seed="natural",
+        report_every="count", kappa_hat_0="count"),
         required=("command", "problem", "theta0", "alpha", "max_iters", "epsilon",
                   "chi", "seed")),
     "escape": Block(dict(
-        command="text", seed="seed", runs="integer", alpha="number",
-        contrast="flag", chi="number", epsilon="number", sigma_h0="number",
-        cap_factor="integer", eigenvalues="vector", noise=_NOISE, iota_sq="number"),
+        command="text", seed="natural", runs="count", alpha="positive",
+        contrast="flag", chi="positive", epsilon="positive", sigma_h0="positive",
+        cap_factor="count", eigenvalues="vector", noise=_NOISE, iota_sq="positive"),
         required=("command", "seed")),
     "trap": Block(dict(
-        command="text", seed="seed", runs="integer", alpha="number", zeta="number",
-        varrho="number", noise_sigma="number", delta="number", theta0="vector"),
+        command="text", seed="natural", runs="count", alpha="positive",
+        zeta="positive", varrho="positive", noise_sigma="nonnegative",
+        delta="fraction", theta0="vector"),
         required=("command", "seed")),
     "oracle-check": Block(dict(
-        command="text", seed="seed", n_mdps="integer", max_states="integer",
+        command="text", seed="natural", n_mdps="count", max_states="integer",
         max_actions="integer", max_horizon="integer"),
         required=("command", "seed")),
     "cnc": Block(dict(
-        command="text", problem=_PROBLEM, theta="vector", u="vector", n="integer",
-        seed="seed", method="text"),
+        command="text", problem=_PROBLEM, theta="vector", u="vector", n="count",
+        seed="natural", method="text"),
         required=("command", "problem", "theta", "n", "seed")),
 }
 
@@ -127,36 +132,42 @@ def load_config(path: str, command: str) -> dict:
     return _read(cfg, _SCHEMAS[command])
 
 
-def _builder_keys(cfg: dict, *drop: str) -> dict:
-    """The keys of a read config block as builder keywords, noise built."""
+def _builder_keys(cfg: dict, *drop: str, path: str = "") -> dict:
+    """The keys of a read config block at path as builder keywords, noise built."""
     keys = {key: value for key, value in cfg.items() if key not in drop}
     if "noise" in keys:
-        keys["noise"] = trainer.NoiseSpec(**keys["noise"])
+        keys["noise"] = _at(f"{path}.noise" if path else "noise",
+                            trainer.NoiseSpec, **keys["noise"])
     return keys
 
 
 def build_problem(spec: dict):
-    """(mdp, family) from a read problem block; MDP-backed kinds only."""
+    """(mdp, family) from a read problem block; MDP-backed kinds only.  An
+    MDP file is read like an inline MDP, and its errors name mdp_path."""
     kind = spec["kind"]
     if kind == "example1":
-        return mdp_mod.example_one_mdp(**_builder_keys(spec, "kind")), \
+        return _at("problem", mdp_mod.example_one_mdp, **_builder_keys(spec, "kind")), \
             ExampleOnePiecewise()
     if kind == "mdp":
         if "mdp" in spec and "mdp_path" in spec:
             raise ConfigError("problem.mdp_path: give 'mdp' or 'mdp_path', not both")
         if "mdp" in spec:
-            mdp = mdp_mod._mdp_at(spec["mdp"], "problem.mdp")
+            where, values = "problem.mdp", spec["mdp"]
         elif "mdp_path" in spec:
+            where = "problem.mdp_path"
             try:
-                mdp = mdp_mod.load_mdp(spec["mdp_path"])
+                with open(spec["mdp_path"], "r", encoding="utf-8") as fh:
+                    obj = json.load(fh)
             except OSError as exc:
-                raise ConfigError(f"problem.mdp_path: cannot read: {exc}") from None
+                raise ConfigError(f"{where}: cannot read: {exc}") from None
             except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-                raise ConfigError(f"problem.mdp_path: not valid JSON: {exc}") from None
+                raise ConfigError(f"{where}: not valid JSON: {exc}") from None
+            values = _read(obj, mdp_mod._MDP_BLOCK, where)
         else:
             raise ConfigError("problem: mdp kind needs 'mdp' or 'mdp_path'")
-        family = make_family(spec.get("policy", "tabular_softmax"),
-                             mdp.n_states, mdp.n_actions)
+        mdp = _at(where, mdp_mod.TabularMdp, **values)
+        family = _at("problem.policy", make_family, spec.get("policy", "tabular_softmax"),
+                     mdp.n_states, mdp.n_actions)
         mdp_mod._shape_check(mdp, family)
         return mdp, family
     raise ConfigError(f"problem.kind: {kind!r} is not an MDP-backed problem")
@@ -168,7 +179,7 @@ def build_source(spec: dict):
     if kind in ("example1", "mdp"):
         mdp, family = build_problem(spec)
         return trainer.MdpPolicySource(mdp, family)
-    keys = _builder_keys(spec, "kind")
+    keys = _builder_keys(spec, "kind", path="problem")
     if kind == "quadratic_saddle":
         return trainer.QuadraticSaddleSource(**keys)
     return trainer.StronglyConcaveSource(**keys)
@@ -227,8 +238,8 @@ def cmd_constants(cfg: dict, args) -> int:
             if block["family"] == "example_one" and key in block:
                 raise ConfigError(f"estimate.{key}: the example_one family has "
                                   "a fixed three-state layout")
-        family = make_family(block["family"], block.get("n_states"),
-                             block.get("n_actions"))
+        family = _at("estimate.family", make_family, block["family"],
+                     block.get("n_states"), block.get("n_actions"))
         if cfg["p"] != family.param_dim:
             raise ConfigError(f"p: the estimated family has family.param_dim = "
                               f"{family.param_dim}, got p = {cfg['p']}")
@@ -346,14 +357,13 @@ def cmd_trap(cfg: dict, args) -> int:
 
 
 def cmd_oracle_check(cfg: dict, args) -> int:
-    seed = cfg["seed"]
+    seed, n_mdps = cfg["seed"], cfg.get("n_mdps", 20)
     sizes = {}
-    for key, default, low in (("n_mdps", 20, 1), ("max_states", 4, 2),
-                              ("max_actions", 3, 2), ("max_horizon", 6, 2)):
+    for key, default in (("max_states", 4), ("max_actions", 3), ("max_horizon", 6)):
         sizes[key] = cfg.get(key, default)
-        if sizes[key] < low:
-            raise ConfigError(f"{key}: must be at least {low}, got {sizes[key]!r}")
-    n_mdps, max_states, max_actions, max_horizon = sizes.values()
+        if sizes[key] < 2:
+            raise ConfigError(f"{key}: must be at least 2, got {sizes[key]!r}")
+    max_states, max_actions, max_horizon = sizes.values()
     checks = dict.fromkeys(
         ("gradient_two_way", "gradient_fd", "perf_diff", "occupancy_mass",
          "advantage_centering", "fisher_psd"), 0)

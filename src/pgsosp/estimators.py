@@ -138,11 +138,8 @@ def batch_gradient(mdp: TabularMdp, family, theta: np.ndarray, n: int,
 
 
 def _std_error(samples: np.ndarray) -> np.ndarray:
-    """Standard error of the mean of the rows of samples; zero for one row."""
-    n = len(samples)
-    if n > 1:
-        return samples.std(axis=0, ddof=1) / math.sqrt(n)
-    return np.zeros(samples.shape[1:])
+    """Standard error of the mean of the rows of samples (at least two)."""
+    return samples.std(axis=0, ddof=1) / math.sqrt(len(samples))
 
 
 def batch_hessian(mdp: TabularMdp, family, theta: np.ndarray, n: int,

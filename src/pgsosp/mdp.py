@@ -17,7 +17,6 @@ zero-probability tail entry.
 """
 from __future__ import annotations
 
-import json
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
@@ -25,7 +24,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .policy import EXAMPLE_ONE_REWARD, EXAMPLE_ONE_TRANSITION
-from .util import Block, _read, derive_rng, frozen_array
+from .util import Block, derive_rng, frozen_array
 
 _ROW_SUM_TOL = 1e-12
 
@@ -130,26 +129,9 @@ class TabularMdp:
 _MDP_KINDS = dict(n_states="integer", n_actions="integer", transition="tensor",
                   reward="matrix", rho0="vector", gamma="number", horizon="integer",
                   r_min="number", r_max="number")
-# The JSON object layout of an MDP; TabularMdp checks the shapes and ranges.
+# The JSON object layout of an MDP, inline or in a file; TabularMdp checks
+# the shapes and ranges, so an MDP is checked once however it is built.
 _MDP_BLOCK = Block(_MDP_KINDS, required=tuple(_MDP_KINDS))
-
-
-def mdp_from_dict(obj: dict) -> TabularMdp:
-    """Build a TabularMdp from the JSON object layout, naming bad keys."""
-    return _mdp_at(_read(obj, _MDP_BLOCK, "mdp"), "mdp")
-
-
-def _mdp_at(values: dict, path: str) -> TabularMdp:
-    """TabularMdp(**values) from a read block; its errors name the block."""
-    try:
-        return TabularMdp(**values)
-    except ConfigError as exc:
-        raise ConfigError(f"{path}: {exc}") from None
-
-
-def load_mdp(path: str) -> TabularMdp:
-    with open(path, "r", encoding="utf-8") as fh:
-        return mdp_from_dict(json.load(fh))
 
 
 def example_one_mdp(gamma: float = 0.5, horizon: int = 1) -> TabularMdp:
@@ -238,8 +220,6 @@ def rollout_batch(mdp: TabularMdp, family, theta: np.ndarray, n: int,
     is the first integer in [0, 2^63 - 1) drawn from derive_rng(seed, i);
     _walk maps them to the row's states and actions.
     """
-    if n < 1:
-        raise ConfigError("batch size must be >= 1")
     _shape_check(mdp, family)
     width = 2 * mdp.horizon + 1
     draws = np.empty((n, width))

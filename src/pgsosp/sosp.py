@@ -80,8 +80,6 @@ def sym_eig_max(h_matrix: np.ndarray) -> tuple[float, np.ndarray]:
 
 def classify_values(grad_norm: float, lambda_max: float, epsilon: float,
                     chi: float) -> Region:
-    if epsilon <= 0 or chi <= 0:
-        raise ConfigError("classification needs epsilon > 0 and chi > 0")
     if grad_norm > epsilon:
         return Region.L1
     if lambda_max > math.sqrt(chi * epsilon):
@@ -151,8 +149,8 @@ def second_order_report(mdp: TabularMdp, family, theta: np.ndarray,
     """Classify a parameter point from oracle or estimated derivatives.
 
     mode="oracle" uses the exact DP/enumeration pipeline; mode="estimated"
-    averages n Monte-Carlo samples (symmetrized Hessian mean) and records
-    the gradient standard errors.
+    averages n >= 2 Monte-Carlo samples (symmetrized Hessian mean) and
+    records the gradient standard errors.
     """
     theta = np.asarray(theta, dtype=float)
     if mode == "oracle":
@@ -160,8 +158,10 @@ def second_order_report(mdp: TabularMdp, family, theta: np.ndarray,
         hess = exact_hessian(mdp, family, theta)
         return report_from_grad_hessian(grad, hess, epsilon, chi, mode="oracle")
     if mode == "estimated":
-        if not n or n < 1 or seed is None:
-            raise ConfigError("estimated mode needs n >= 1 and a seed")
+        for key, value in (("n", n), ("seed", seed)):
+            if value is None:
+                raise ConfigError(f"{key}: required with mode 'estimated'")
+        _check_samples(n)
         g = batch_gradient(mdp, family, theta, n, seed)
         h = batch_hessian(mdp, family, theta, n, seed + 1)
         return report_from_grad_hessian(
@@ -199,20 +199,17 @@ class PaperConstants:
 
 def smoothness_ell(g: float, l: float, r_max: float, gamma: float, h: int) -> float:
     """ell = r_max * h * (h G^2 + L) / (1 - gamma)."""
-    _check_gamma(gamma)
     return r_max * h * (h * g * g + l) / (1.0 - gamma)
 
 
 def deviation_sigma(g: float, r_max: float, gamma: float) -> float:
     """sigma = G * r_max / (1 - gamma)^2."""
-    _check_gamma(gamma)
     return g * r_max / (1.0 - gamma) ** 2
 
 
 def hessian_estimator_sigma(g: float, l: float, r_max: float, gamma: float,
                             h: int, p: int) -> float:
     """sigma_H0 = 2 p sqrt(p) h r_max (h G^2 + L) / (1 - gamma)."""
-    _check_gamma(gamma)
     return 2.0 * p * math.sqrt(p) * h * r_max * (h * g * g + l) / (1.0 - gamma)
 
 
@@ -224,7 +221,6 @@ def hessian_lipschitz_chi(g: float, l: float, w: float, r_max: float,
           + (r_max G/(1-gamma)) * max{L, gamma G^2/(1-gamma), W/G,
             L gamma/(1-gamma), (G(1+gamma) + L gamma(1-gamma))/(1-gamma^2)}
     """
-    _check_gamma(gamma)
     if g <= 0.0:
         return 0.0
     one_m = 1.0 - gamma
@@ -250,18 +246,9 @@ def paper_constants(regularity, r_min: float, r_max: float, gamma: float,
     chi is taken as given when supplied; otherwise it is derived from W
     (and flagged), which then must be present in the regularity estimates.
     """
-    _check_gamma(gamma)
-    if r_max <= 0 or r_min < 0 or h < 1 or p < 1:
-        raise ConfigError("paper_constants: need r_max > 0, r_min >= 0, h, p >= 1")
     if r_min > r_max:
         raise ConfigError(f"r_min: must be at most r_max = {r_max!r}, got {r_min!r}")
     g, l, u, w = regularity.G, regularity.L, regularity.U, regularity.W
-    for key, bound in (("G", g), ("L", l), ("U", u), ("W", w)):
-        if bound is not None and bound < 0:
-            raise ConfigError(f"regularity.{key}: must be at least 0, got {bound!r}")
-    for key, value in (("chi", chi), ("omega", omega), ("iota", iota)):
-        if value is not None and value <= 0:
-            raise ConfigError(f"{key}: must be positive, got {value!r}")
     chi_derived = False
     if chi is None:
         if w is None:
@@ -280,11 +267,6 @@ def paper_constants(regularity, r_min: float, r_max: float, gamma: float,
     )
 
 
-def _check_gamma(gamma: float) -> None:
-    if not (0.0 < gamma < 1.0):
-        raise ConfigError(f"gamma must be in (0, 1), got {gamma!r}")
-
-
 # ---------------------------------------------------------------------------
 # Step sizes and budgets
 # ---------------------------------------------------------------------------
@@ -294,11 +276,12 @@ def theorem_step_size(epsilon: float, chi: float, r_min: float, omega: float,
     """alpha <= min{eps^2 / (2 sqrt(chi eps) r_min^2 omega^2),
                     2 eps^2 / ((eps^2 + sigma^2) ell)}.
 
-    sigma = 0 is allowed (the second branch degenerates to 2 / ell).
+    sigma = 0 is allowed (the second branch degenerates to 2 / ell); chi
+    and ell are not, and G = 0 makes a derived chi 0, and ell too if L = 0.
     """
-    if min(epsilon, chi, r_min, omega, ell) <= 0 or sigma < 0:
-        raise ConfigError("theorem_step_size: inputs must be positive "
-                          "(sigma may be zero)")
+    if chi <= 0 or ell <= 0:
+        raise ConfigError(f"regularity: the step size needs chi > 0 and ell > 0, "
+                          f"got chi = {chi!r} and ell = {ell!r}")
     first = epsilon ** 2 / (2.0 * math.sqrt(chi * epsilon) * r_min ** 2 * omega ** 2)
     second = 2.0 * epsilon ** 2 / ((epsilon ** 2 + sigma ** 2) * ell)
     return min(first, second)
@@ -307,10 +290,6 @@ def theorem_step_size(epsilon: float, chi: float, r_min: float, omega: float,
 def iteration_budget(alpha: float, r_max: float, gamma: float, iota: float,
                      chi: float, epsilon: float, delta: float) -> int:
     """K = ceil(6 r_max / (alpha^2 (1-gamma) iota^2 sqrt(chi eps)) * ln(1/delta)) + 1."""
-    if min(alpha, r_max, iota, chi, epsilon) <= 0:
-        raise ConfigError("iteration_budget: inputs must be positive")
-    _check_gamma(gamma)
-    _check_delta(delta)
     value = (
         6.0 * r_max
         / (alpha ** 2 * (1.0 - gamma) * iota ** 2 * math.sqrt(chi * epsilon))
@@ -330,8 +309,6 @@ def escape_budget(alpha: float, sigma_h0: float, chi: float,
     Requires alpha < min{1/sigma_H0, 1/sigma_H0^2} so that the numerator's
     argument stays positive.
     """
-    if min(alpha, sigma_h0, chi, epsilon) <= 0:
-        raise ConfigError("escape_budget: inputs must be positive")
     if not escape_budget_admissible(alpha, sigma_h0):
         raise PreconditionError(
             f"escape_budget needs alpha < min(1/sigma_H0, 1/sigma_H0^2) = "
@@ -344,9 +321,6 @@ def escape_budget(alpha: float, sigma_h0: float, chi: float,
 
 def trap_budget(alpha: float, delta: float) -> int:
     """kappa_0 = floor((1/alpha^2) ln(1/delta))."""
-    if alpha <= 0:
-        raise ConfigError("trap_budget: alpha must be positive")
-    _check_delta(delta)
     return math.floor(math.log(1.0 / delta) / alpha ** 2)
 
 
@@ -360,11 +334,6 @@ def prop3_step_size(delta: float, zeta: float, ell: float, varrho: float,
     G^2 r_max^2 / (1-gamma)^2.  Raises PreconditionError when not even
     alpha = 1e-12 meets the log cap (for instance a small varrho).
     """
-    _check_delta(delta)
-    _check_varrho(varrho)
-    if min(zeta, ell) <= 0 or sigma < 0 or grad_bound_sq < 0:
-        raise ConfigError("prop3_step_size: inputs must be positive "
-                          "(sigma and grad_bound_sq may be zero)")
     noise_cap = zeta * varrho ** 2 / (3.0 * sigma ** 2) if sigma else math.inf
     cap = min(delta, 1.0 / zeta, zeta / ell ** 2, noise_cap, 1.0 / math.e)
     rhs = 2.0 * zeta * varrho ** 4 / (
@@ -389,23 +358,14 @@ def prop3_step_size(delta: float, zeta: float, ell: float, varrho: float,
     return lo
 
 
-def _check_delta(delta: float) -> None:
-    if not (0.0 < delta < 1.0):
-        raise ConfigError(f"delta must be in (0, 1), got {delta!r}")
-
-
-def _check_varrho(varrho: float) -> None:
-    if varrho <= 0:
-        raise ConfigError(f"varrho: must be positive, got {varrho!r}")
-
-
 # ---------------------------------------------------------------------------
 # Correlated negative curvature
 # ---------------------------------------------------------------------------
 
 def cnc_estimate(mdp: TabularMdp, family, theta: np.ndarray, u: np.ndarray,
                  n: int, seed: int) -> tuple[float, float]:
-    """Monte-Carlo mean of <g(tau), u>^2 over n trajectories."""
+    """Monte-Carlo mean of <g(tau), u>^2 over n >= 2 trajectories."""
+    _check_samples(n)
     u = _unit_check(u)
     vals = (pg_sample_block(mdp, family, theta, n, seed) @ u) ** 2
     return float(vals.sum() / n), float(_std_error(vals))
@@ -428,9 +388,17 @@ def cnc_enumerate(mdp: TabularMdp, family, theta: np.ndarray,
             probs @ (_pg_rows(mdp, scores, states, actions, rewards) @ u) ** 2))
 
 
-def _unit_check(u: np.ndarray, what: str = "direction u") -> np.ndarray:
-    """u as a float array; a ConfigError naming `what` unless |u| = 1 within 1e-10."""
+def _unit_check(u: np.ndarray, key: str = "u") -> np.ndarray:
+    """u as a float array; a ConfigError naming key unless |u| = 1 within 1e-10."""
     u = np.asarray(u, dtype=float)
-    if abs(float(np.linalg.norm(u)) - 1.0) > 1e-10:
-        raise ConfigError(f"{what} must be a unit vector")
+    norm = float(np.linalg.norm(u))
+    if abs(norm - 1.0) > 1e-10:
+        raise ConfigError(f"{key}: must be a unit vector, got norm {norm!r}")
     return u
+
+
+def _check_samples(n: int) -> None:
+    """A sampled estimate needs n >= 2 draws: one draw has no standard error."""
+    if n < 2:
+        raise ConfigError(f"n: a sampled estimate needs at least 2 draws for its "
+                          f"standard error, got {n!r}")

@@ -38,7 +38,6 @@ from .mdp import TabularMdp, _shape_check, _walk
 from .oracle import exact_gradient, exact_hessian, exact_objective
 from .sosp import (
     Region,
-    _check_varrho,
     _unit_check,
     escape_budget,
     prop3_step_size,
@@ -73,14 +72,15 @@ class NoiseSpec:
     direction: np.ndarray | None = None
 
     def __post_init__(self):
-        if self.kind not in ("rademacher", "sphere", "signed_direction",
-                             "orthogonal", "zero"):
-            raise ConfigError(f"unknown noise kind {self.kind!r}")
+        kinds = ("rademacher", "sphere", "signed_direction", "orthogonal", "zero")
+        if self.kind not in kinds:
+            raise ConfigError(f"kind: must be one of {', '.join(kinds)}, "
+                              f"got {self.kind!r}")
         if self.kind in ("signed_direction", "orthogonal"):
             if self.direction is None:
-                raise ConfigError(f"noise kind {self.kind!r} needs a direction")
+                raise ConfigError(f"direction: required with kind {self.kind!r}")
             # iota_sq reads |direction| = 1 exactly, not within 1e-10.
-            u = _unit_check(self.direction, "noise direction")
+            u = _unit_check(self.direction, "direction")
             object.__setattr__(self, "direction", frozen_array(u / np.linalg.norm(u)))
 
     def draw(self, rng: np.random.Generator, n: int, dim: int) -> np.ndarray:
@@ -324,7 +324,7 @@ def run(source, config: TrainerConfig, theta0: np.ndarray) -> RunRecord:
     """
     theta = np.array(theta0, dtype=float)
     if theta.shape != (source.dim,):
-        raise ConfigError(f"theta0 must have shape ({source.dim},)")
+        raise ConfigError(f"theta0: must be {source.dim} numbers, got {theta.tolist()}")
     rows: list[RunRow] = []
     varsigma = 0
     diverged_at = None
@@ -418,11 +418,6 @@ class EscapeResult:
     runs: int
 
 
-def _check_runs(runs: int) -> None:
-    if runs < 1:
-        raise ConfigError(f"runs: must be at least 1, got {runs!r}")
-
-
 def verify_escape(source: QuadraticSaddleSource, alpha: float, runs: int,
                   seed: int, chi: float, epsilon: float, sigma_h0: float,
                   cap_factor: int = 10,
@@ -437,11 +432,6 @@ def verify_escape(source: QuadraticSaddleSource, alpha: float, runs: int,
     explicitly for violation (contrast) runs.  mean_escape_steps is None
     when no run escapes.
     """
-    _check_runs(runs)
-    if cap_factor < 1:
-        raise ConfigError(f"cap_factor: must be at least 1, got {cap_factor!r}")
-    if iota_sq is not None and iota_sq <= 0:
-        raise ConfigError(f"iota_sq: must be positive, got {iota_sq!r}")
     if source.lambda_max < math.sqrt(chi * epsilon) - 1e-12:
         raise PreconditionError(
             f"saddle source needs lambda_max >= sqrt(chi*eps) = "
@@ -568,8 +558,6 @@ def verify_trap(source: QuadraticSaddleSource, alpha: float, runs: int,
     The ball is centered on the source's center; theta0 must lie inside
     the inner ball of radius varrho/sqrt(3).
     """
-    _check_varrho(varrho)
-    _check_runs(runs)
     theta0 = np.asarray(theta0, dtype=float)
     if theta0.shape != (source.dim,):
         raise ConfigError(

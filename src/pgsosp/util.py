@@ -4,8 +4,9 @@ Randomness policy: every stochastic operation derives its stream from a
 counter-based Philox generator keyed by (seed, *indices).  Streams for
 different indices are statistically independent and order-independent.
 
-Config values are read once, by ``_read``, against a schema of kinds; the
-code after it takes typed values as they come.
+Config values are read once, by ``_read``, against a schema of kinds; a
+kind carries a single key's range, so the code after it takes typed values
+as they come and checks only relations between values.
 """
 from __future__ import annotations
 
@@ -99,9 +100,12 @@ def _integer(value):
     return value if isinstance(value, int) and not isinstance(value, bool) else None
 
 
-def _seed(value):
-    seed = _integer(value)
-    return seed if seed is not None and seed >= 0 else None
+def _ranged(read, inside):
+    """A reader: read's typed value when inside holds for it, else None."""
+    def ranged(value):
+        typed = read(value)
+        return typed if typed is not None and inside(typed) else None
+    return ranged
 
 
 def _array(value, depth: int):
@@ -123,8 +127,12 @@ def _box(value):
 # kind: (what a value must be, reader returning the typed value or None)
 _KINDS = {
     "number": ("a finite number", _number),
+    "positive": ("a number above 0", _ranged(_number, lambda x: x > 0)),
+    "nonnegative": ("a number at least 0", _ranged(_number, lambda x: x >= 0)),
+    "fraction": ("a number in (0, 1)", _ranged(_number, lambda x: 0 < x < 1)),
     "integer": ("an integer", _integer),
-    "seed": ("an integer at least 0", _seed),
+    "natural": ("an integer at least 0", _ranged(_integer, lambda x: x >= 0)),
+    "count": ("an integer at least 1", _ranged(_integer, lambda x: x >= 1)),
     "flag": ("true or false", lambda v: v if isinstance(v, bool) else None),
     "text": ("text", lambda v: v if isinstance(v, str) else None),
     "vector": ("a non-empty list of numbers", lambda v: _array(v, 1)),
@@ -165,3 +173,11 @@ def _read(value, kind, path: str = ""):
     if typed is None:
         raise ConfigError(f"{path}: must be {what}, got {value!r}")
     return typed
+
+
+def _at(path: str, build, *args, **kwargs):
+    """build(*args, **kwargs), a ConfigError it raises prefixed by path."""
+    try:
+        return build(*args, **kwargs)
+    except ConfigError as exc:
+        raise ConfigError(f"{path}: {exc}") from None

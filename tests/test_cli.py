@@ -121,7 +121,8 @@ class TestConstantsCommand:
 
     @pytest.mark.parametrize("extra, key", [
         # Out-of-range inputs once printed constants from them and exited 0.
-        (dict(r_min=5.0, r_max=1.0, chi=-1.0, iota=-2.0), "r_min"),
+        # iota's kind is read at load, before r_min is related to r_max.
+        (dict(r_min=5.0, r_max=1.0, chi=-1.0, iota=-2.0), "iota"),
         (dict(regularity={"G": -1.0, "L": -1.0, "U": -1.0, "W": -5.0},
               omega=-1.0, r_min=0.0), "regularity.G"),
         (dict(r_min=1.5), "r_min"),
@@ -330,7 +331,7 @@ class TestClassifyCommand:
         code, out, err = run_cli(capsys, ["classify", "--config", path,
                                           "--theta", "0.2,0.3"])
         assert (code, out) == (2, "")
-        assert err == "error: estimated mode needs n >= 1 and a seed\n"
+        assert err == "error: seed: required with mode 'estimated'\n"
 
     def test_estimated_mode_on_mdp(self, tmp_path, capsys):
         bandit = {
@@ -593,7 +594,7 @@ class TestEscapeTrapCommands:
         code, out, err = run_cli(capsys, ["trap", "--config", cfg])
         assert (code, out) == (2, "")
         if varrho <= 0:
-            assert err == f"error: varrho: must be positive, got {varrho!r}\n"
+            assert err == f"error: varrho: must be a number above 0, got {varrho!r}\n"
         elif varrho == 1e-3:
             assert err == ("error: trap: no step size in [1e-12, 3.7037e-06] "
                            "meets the log cap alpha ln(1/alpha) <= 2.27e-12\n")
@@ -1011,12 +1012,13 @@ _BANDIT_CNC = {
     ({"command": "trap", "seed": 1, "delta": 0.0}, "delta"),
     ({"command": "trap", "seed": 1, "zeta": -1.0}, "zeta"),
     ({"command": "trap", "seed": 1, "varrho": 0.0}, "varrho"),
-    # With alpha given no step-size rule reads varrho; the trap checks it
-    # before the inner-ball check, which a negative radius would word oddly.
+    # With alpha given no step-size rule reads varrho; its kind stops it at
+    # load, before the inner-ball check, which a negative radius would word
+    # oddly.
     ({"command": "trap", "seed": 1, "runs": 20, "alpha": 0.05, "varrho": 0.0},
-     "error: varrho: must be positive"),
+     "error: varrho: must be a number above 0"),
     ({"command": "trap", "seed": 1, "runs": 20, "alpha": 0.05, "varrho": -1.0,
-      "theta0": [0.0, 0.0]}, "error: varrho: must be positive"),
+      "theta0": [0.0, 0.0]}, "error: varrho: must be a number above 0"),
     ({"command": "escape", "seed": 1, "runs": 0}, "runs"),
     ({"command": "escape", "seed": 1, "eigenvalues": []}, "eigenvalues"),
     ({"command": "escape", "seed": 1, "noise": _SADDLE_3D_NOISE}, "noise"),
@@ -1206,13 +1208,20 @@ def test_config_not_utf8_exits_2(tmp_path, capsys):
     assert "config is not valid JSON" in err
 
 
-# A value of each kind that the reader accepts, and values it must reject.
-_GOOD = {"number": 1.0, "integer": 1, "seed": 1, "flag": False, "text": "x",
+# A value of each kind that the reader accepts, and values it must reject:
+# a range kind's wrong values include the numbers just outside its range.
+_GOOD = {"number": 1.0, "positive": 1.0, "nonnegative": 1.0, "fraction": 0.5,
+         "integer": 1, "natural": 1, "count": 1, "flag": False, "text": "x",
          "vector": [1.0], "box": [[0.0, 1.0]], "matrix": [[1.0]],
          "tensor": [[[1.0]]]}
-_WRONG = {"number": ["x", True, float("nan"), float("inf"), [1.0]],
+_NOT_A_NUMBER = ["x", True, float("nan"), float("inf"), [1.0]]
+_WRONG = {"number": _NOT_A_NUMBER,
+          "positive": _NOT_A_NUMBER + [0, -1e-300],
+          "nonnegative": _NOT_A_NUMBER + [-1e-300],
+          "fraction": _NOT_A_NUMBER + [0, 1],
           "integer": [2.5, True, "x"],
-          "seed": [-1, 2.5, True, "x"],
+          "natural": [-1, 2.5, True, "x"],
+          "count": [0, 2.5, True, "x"],
           "flag": ["no", 1, None],
           "text": [1.0, True, ["x"]],
           "vector": [[], [True, 1], ["a", 1.0], 1.0]}
@@ -1221,13 +1230,14 @@ for _kind in ("box", "matrix", "tensor"):
 
 
 def _good(kind):
-    """A value of kind: a block holds its required keys only."""
+    """A value of kind: a block holds its required keys only.  A kind missing
+    from _GOOD reads as None, so its cases fail instead of the collection."""
     if isinstance(kind, util.OneOf):
         tag, block = next(iter(kind.blocks.items()))
         return {**_good(block), "kind": tag}
     if isinstance(kind, util.Block):
         return {key: _good(kind.kinds[key]) for key in kind.required}
-    return _GOOD[kind]
+    return _GOOD.get(kind)
 
 
 def _wrong(kind):
@@ -1247,8 +1257,7 @@ def _wrong(kind):
             for dotted, value in _wrong(sub):
                 yield ".".join(filter(None, (key, dotted))), {**base, key: value}
         return
-    for value in _WRONG[kind]:
-        yield "", value
+    yield from (("", value) for value in _WRONG.get(kind, ()))
 
 
 # Keys, by dotted path, that once had a kind and that no command reads any
@@ -1289,6 +1298,15 @@ def _schema_cases():
                 {**_with_deleted(schema, dotted, value), "command": command}]
     return [pytest.param(case, configs, id=case)
             for case, configs in sorted(cases.items())]
+
+
+def test_schema_tables_cover_every_kind():
+    # A kind missing here would give its keys no wrong-kind case; the
+    # README's list of kinds names every kind.
+    assert set(_GOOD) == set(_WRONG) == set(util._KINDS)
+    [kinds] = re.findall(r"\nEach config key has one kind.*?\n\n(.*?)\n\n",
+                         _readme(), re.S)
+    assert [kind for kind in util._KINDS if f"*{kind}*" not in kinds] == []
 
 
 @pytest.mark.parametrize("case, configs", _schema_cases())
@@ -1414,3 +1432,118 @@ class TestSyntheticTrainSources:
         code, _, err = run_cli(capsys, ["classify", "--config", cfg,
                                         "--theta", "0,0"])
         assert code == 2
+
+
+def _no_work(*args, **kwargs):
+    raise AssertionError("work started")
+
+
+_ESTIMATE_CONSTANTS = {
+    **{key: value for key, value in CONSTANTS_CFG.items() if key != "regularity"},
+    "estimate": {"family": "tabular_softmax", "n_states": 1, "n_actions": 2,
+                 "box": [[-1.0, 1.0]] * 2, "grid": 3}}
+
+
+@pytest.mark.parametrize("cfg, work, want", [
+    ({**CLASSIFY_CFG, "epsilon": 0}, (cli.sosp, "second_order_report"),
+     "epsilon: must be a number above 0, got 0"),
+    ({**CLASSIFY_CFG, "chi": -1}, (cli.sosp, "second_order_report"),
+     "chi: must be a number above 0, got -1"),
+    ({**CONSTANTS_CFG, "r_max": 0}, (cli.sosp, "paper_constants"),
+     "r_max: must be a number above 0, got 0"),
+    ({**CONSTANTS_CFG, "gamma": 1.2}, (cli.sosp, "paper_constants"),
+     "gamma: must be a number in (0, 1), got 1.2"),
+    # Without omega, delta was once echoed and the grid estimated.
+    ({**_ESTIMATE_CONSTANTS, "delta": 0, "omega": None},
+     (cli, "estimate_regularity"), "delta: must be a number in (0, 1), got 0"),
+    ({"command": "escape", "seed": 1, "epsilon": 0}, (trainer, "verify_escape"),
+     "epsilon: must be a number above 0, got 0"),
+], ids=["classify-epsilon", "classify-chi", "constants-r_max", "constants-gamma",
+        "constants-estimate-delta", "escape-epsilon"])
+def test_out_of_range_value_stops_before_any_work(tmp_path, capsys, monkeypatch,
+                                                   cfg, work, want):
+    monkeypatch.setattr(*work, _no_work)
+    cfg = {key: value for key, value in cfg.items() if value is not None}
+    argv = [cfg["command"], "--config", write_config(tmp_path, "c.json", cfg)]
+    if cfg["command"] == "classify":
+        argv.append("--theta=0.3,0.6")
+    assert run_cli(capsys, argv) == (2, "", f"error: {want}\n")
+
+
+@pytest.mark.parametrize("command", ["classify", "cnc"])
+def test_one_draw_exits_2(tmp_path, capsys, monkeypatch, command):
+    # One draw has no standard error.  On this bandit at theta = 0, where
+    # |grad J| = 0.354, it once printed a standard error of 0 and, for
+    # classify, a confident L3.
+    monkeypatch.setattr(cli.mdp_mod, "rollout_batch", _no_work)
+    cfg = {**_BANDIT_CNC, "n": 1, "seed": 1}
+    argv = [command]
+    if command == "classify":
+        cfg = {"command": "classify", "problem": cfg["problem"], "epsilon": 0.1,
+               "chi": 1.0, "mode": "estimated", "n": 1, "seed": 1}
+        argv.append("--theta=0,0")
+    else:
+        cfg["method"] = "mc"
+    argv += ["--config", write_config(tmp_path, "c.json", cfg)]
+    assert run_cli(capsys, argv) == (2, "", "error: n: a sampled estimate needs "
+                                            "at least 2 draws for its standard "
+                                            "error, got 1\n")
+
+
+_STRICT_SADDLE_FILE = os.path.join(os.path.dirname(__file__), os.pardir,
+                                   "examples", "strict_saddle_mdp.json")
+
+
+def test_strict_saddle_file_reads_like_the_inline_mdp(tmp_path, capsys):
+    inline = _readme_strict_saddle()
+    with open(_STRICT_SADDLE_FILE, encoding="utf-8") as fh:
+        assert json.load(fh) == inline["problem"]["mdp"]
+    outs = []
+    for problem in (inline["problem"], {"kind": "mdp", "mdp_path": _STRICT_SADDLE_FILE}):
+        path = write_config(tmp_path, "c.json", {**inline, "problem": problem})
+        outs.append(run_cli(capsys, ["classify", "--config", path,
+                                     "--theta=0,0,0,0,0,0"]))
+    assert outs[0][0] == 0 and outs[0] == outs[1]
+
+
+@pytest.mark.parametrize("change, want", [
+    ({"horizon": 2.5}, "problem.mdp_path.horizon: must be an integer, got 2.5"),
+    ({"gamma": 1.5}, "problem.mdp_path: gamma: must be in (0, 1), got 1.5"),
+    ({"extra": 1}, "problem.mdp_path: unknown key 'extra'"),
+], ids=["horizon", "gamma", "extra"])
+def test_mdp_file_errors_name_mdp_path(tmp_path, capsys, change, want):
+    # An MDP file is read against the inline block's schema and checked by
+    # the same TabularMdp, so its errors name the key that holds it.
+    with open(_STRICT_SADDLE_FILE, encoding="utf-8") as fh:
+        mdp = {**json.load(fh), **change}
+    problem = {"kind": "mdp", "mdp_path": write_config(tmp_path, "m.json", mdp)}
+    path = write_config(tmp_path, "c.json", {**CLASSIFY_CFG, "problem": problem})
+    assert run_cli(capsys, ["classify", "--config", path, "--theta=0,0,0,0,0,0"]) \
+        == (2, "", f"error: {want}\n")
+
+
+@pytest.mark.parametrize("cfg, where", [
+    ({**CLASSIFY_CFG, "problem": {"kind": "example1", "gamma": 1.5}}, "problem"),
+    ({**CLASSIFY_CFG, "problem": {"kind": "example1", "horizon": 0}}, "problem"),
+    ({**CLASSIFY_CFG, "problem": {**_BANDIT_CNC["problem"], "policy": "nope"}},
+     "problem.policy"),
+    ({**_ESTIMATE_CONSTANTS, "estimate": {**_ESTIMATE_CONSTANTS["estimate"],
+                                          "family": "nope"}}, "estimate.family"),
+    ({**_BANDIT_CNC, "u": [1.0, 1.0]}, "u"),
+    ({"command": "train", "problem": {"kind": "example1"}, "theta0": [0.1],
+      "alpha": 0.01, "max_iters": 5, "epsilon": 0.3, "chi": 1.0, "seed": 1},
+     "theta0"),
+    ({"command": "escape", "seed": 1, "noise": {"kind": "bogus"}}, "noise"),
+    ({"command": "escape", "seed": 1, "noise": {"kind": "signed_direction"}},
+     "noise"),
+    ({**_SADDLE_TRAIN, "problem": {"kind": "quadratic_saddle",
+                                   "noise": {"kind": "bogus"}}}, "problem.noise"),
+], ids=["example1-gamma", "example1-horizon", "policy", "estimate-family", "cnc-u",
+        "train-theta0", "noise-kind", "noise-direction-missing", "train-noise-kind"])
+def test_a_value_error_names_its_key(tmp_path, capsys, cfg, where):
+    argv = [cfg["command"], "--config", write_config(tmp_path, "c.json", cfg)]
+    if cfg["command"] == "classify":
+        argv.append("--theta=0.3,0.6")
+    code, out, err = run_cli(capsys, argv)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {where}: "), err

@@ -193,12 +193,15 @@ class TestFisher:
 
 
 class TestBatchGradient:
+    # One row has no standard error: numpy warns and gives nan.
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_n_one_equals_single_estimate(self):
         mdp, family = make_random_problem(15, horizon=4)
         theta = np.linspace(-0.4, 0.4, family.param_dim)
         est = batch_gradient(mdp, family, theta, 1, seed=77)
         traj = sample_trajectory(mdp, family, theta, sub_seed(77, 0))
         assert np.array_equal(est.mean, pg_estimate(traj, family, theta))
+        assert np.isnan(est.std_error).all()
 
     def test_bandit_large_sample(self, bandit, bandit_family):
         est = batch_gradient(bandit, bandit_family, np.zeros(2), 100_000, seed=5)

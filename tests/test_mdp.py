@@ -5,10 +5,10 @@ import pytest
 
 from pgsosp.errors import ConfigError
 from pgsosp.mdp import (
+    _MDP_BLOCK,
     TabularMdp,
     _walk,
     example_one_mdp,
-    mdp_from_dict,
     occupancy,
     occupancy_mass,
     perf_diff_tail_tolerance,
@@ -18,7 +18,7 @@ from pgsosp.mdp import (
     value_functions,
 )
 from pgsosp.policy import ExampleOnePiecewise, TabularSoftmax
-from pgsosp.util import derive_rng
+from pgsosp.util import _at, _read, derive_rng
 
 from conftest import make_random_problem, sub_seed
 from trajectory_reference import (
@@ -35,6 +35,11 @@ def single_state_mdp(gamma=0.5, horizon=3, reward=1.0):
         reward=np.array([[reward]]), rho0=np.array([1.0]),
         gamma=gamma, horizon=horizon, r_min=reward, r_max=reward,
     )
+
+
+def _from_json(obj):
+    """An MDP from its JSON object, read as the CLI reads an `mdp` block."""
+    return _at("mdp", TabularMdp, **_read(obj, _MDP_BLOCK, "mdp"))
 
 
 class TestValidation:
@@ -77,7 +82,7 @@ class TestValidation:
 
     def test_json_round_trip(self):
         mdp, _ = make_random_problem(0)
-        again = mdp_from_dict(mdp.to_json())
+        again = _from_json(mdp.to_json())
         assert np.array_equal(again.transition, mdp.transition)
         assert np.array_equal(again.reward, mdp.reward)
 
@@ -85,19 +90,19 @@ class TestValidation:
         obj = single_state_mdp().to_json()
         obj["extra"] = 1
         with pytest.raises(ConfigError, match="extra"):
-            mdp_from_dict(obj)
+            _from_json(obj)
 
     def test_json_shape_error_names_the_block(self):
         obj = single_state_mdp().to_json()
         obj["reward"] = [[1.0, 0.0]]
         with pytest.raises(ConfigError, match=r"^mdp: reward: expected shape"):
-            mdp_from_dict(obj)
+            _from_json(obj)
 
     def test_json_missing_key(self):
         obj = single_state_mdp().to_json()
         del obj["rho0"]
         with pytest.raises(ConfigError, match="rho0"):
-            mdp_from_dict(obj)
+            _from_json(obj)
 
 
 class TestSampling:

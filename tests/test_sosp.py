@@ -1,9 +1,11 @@
 import math
+import re
 from dataclasses import asdict
 
 import numpy as np
 import pytest
 
+from pgsosp import cli
 from pgsosp.errors import ConfigError, PreconditionError
 from pgsosp.policy import RegularityConstants
 from pgsosp.sosp import (
@@ -26,7 +28,7 @@ from pgsosp.sosp import (
     theorem_step_size,
     trap_budget,
 )
-from pgsosp.util import derive_rng
+from pgsosp.util import _read, derive_rng
 from formula_reference import trap_benchmark_alpha
 from paper_checks import analytic_example1, cnc_lower_bound
 
@@ -114,8 +116,13 @@ class TestClassification:
         assert labels[0] in (Region.L1, Region.L2, Region.L3)
 
     def test_requires_positive_tolerances(self):
-        with pytest.raises(ConfigError):
-            classify_values(0.1, 0.1, 0.0, 1.0)
+        # classify_values takes epsilon and chi as read: their kind is
+        # positive, so classify stops at load on 0.
+        schema = cli._SCHEMAS["classify"].kinds
+        for key in ("epsilon", "chi"):
+            with pytest.raises(ConfigError,
+                               match=rf"^{key}: must be a number above 0, got 0.0$"):
+                _read(0.0, schema[key], key)
 
 
 class TestSecondOrderReport:
@@ -228,8 +235,12 @@ class TestStepSizesAndBudgets:
         assert a2 == a1 / 2.0
 
     def test_theorem_step_size_validation(self):
-        with pytest.raises(ConfigError):
-            theorem_step_size(0.1, 1.0, 0.0, 1.0, 1.0, 1.0)
+        # chi and ell are derived from the regularity bounds, and G = 0 makes
+        # a derived chi 0, and ell too when L = 0.
+        for chi, ell in ((0.0, 1.0), (1.0, 0.0)):
+            with pytest.raises(ConfigError, match=r"^regularity: the step size "
+                                                  r"needs chi > 0 and ell > 0"):
+                theorem_step_size(0.1, chi, 1.0, 1.0, 1.0, ell)
 
     def test_iteration_budget_example(self):
         k = iteration_budget(0.01, 1.0, 0.5, 1.0, 1.0, 1.0, 0.1)
@@ -297,19 +308,30 @@ class TestStepSizesAndBudgets:
         assert prop3_step_size(0.3, 1e-4, 1e-4, 1.0, 0.1, 0.0) \
             == pytest.approx(1.0 / 300.0)
 
-    @pytest.mark.parametrize("kwargs, match", [
-        (dict(delta=1.0), "delta must be in"),
-        (dict(varrho=0.0), "varrho: must be positive, got 0.0"),
-        (dict(zeta=0.0), "prop3_step_size: inputs"),
-        (dict(ell=-1.0), "prop3_step_size: inputs"),
-        (dict(sigma=-0.1), "prop3_step_size: inputs"),
-        (dict(grad_bound_sq=-1.0), "prop3_step_size: inputs"),
+    # The trap command derives every prop3_step_size input from its keys:
+    # ell = zeta, sigma = noise_sigma, grad_bound_sq = (zeta varrho +
+    # noise_sigma)^2.  So the inputs' ranges are those keys' kinds, and an
+    # input out of range stops trap at load.  The ids are those of the
+    # library checks these cases replace.
+    @pytest.mark.parametrize("key, value, want", [
+        pytest.param("delta", 1.0, "a number in (0, 1)",
+                     id="kwargs0-delta must be in"),
+        pytest.param("varrho", 0.0, "a number above 0",
+                     id="kwargs1-varrho: must be positive, got 0.0"),
+        pytest.param("zeta", 0.0, "a number above 0",
+                     id="kwargs2-prop3_step_size: inputs"),
+        pytest.param("zeta", -1.0, "a number above 0",  # ell
+                     id="kwargs3-prop3_step_size: inputs"),
+        pytest.param("noise_sigma", -0.1, "a number at least 0",  # sigma
+                     id="kwargs4-prop3_step_size: inputs"),
+        pytest.param("varrho", -1.0, "a number above 0",  # grad_bound_sq
+                     id="kwargs5-prop3_step_size: inputs"),
     ])
-    def test_prop3_rejects_inputs(self, kwargs, match):
-        args = dict(delta=0.2, zeta=1.0, ell=1.0, varrho=1.0, sigma=0.3,
-                    grad_bound_sq=1.69)
-        with pytest.raises(ConfigError, match=match):
-            prop3_step_size(**{**args, **kwargs})
+    def test_prop3_rejects_inputs(self, key, value, want):
+        cfg = {"command": "trap", "seed": 0, key: value}
+        with pytest.raises(ConfigError, match=rf"^{key}: must be {re.escape(want)}, "
+                                              rf"got {value!r}$"):
+            _read(cfg, cli._SCHEMAS["trap"])
 
     def test_trap_rule_matches_the_earlier_trap_copy_bit_for_bit(self):
         # The trap benchmark's own copy of the rule, kept as it was, at its

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import make_random_problem
-from pgsosp import util
+from pgsosp import cli, util
 from pgsosp.errors import ConfigError, PolicyDomainError, PreconditionError
 from pgsosp.mdp import _walk, example_one_mdp
 from pgsosp.oracle import (
@@ -504,14 +504,18 @@ class TestTrap:
 
     @pytest.mark.parametrize("varrho", [0.0, -1.0, 1e-30, 1e-3])
     def test_benchmark_alpha_without_admissible_step_raises(self, varrho):
-        # At varrho <= 0 the noise cap zeta varrho^2 / (3 sigma^2) leaves no
-        # positive step; at varrho = 1e-3 the log cap is 2.27e-12, which not
-        # even alpha = 1e-12 meets.  Either way no step size is returned.
-        error, match = ((ConfigError, "varrho: must be positive") if varrho <= 0
-                        else (PreconditionError, "log cap"))
-        with pytest.raises(error, match=match):
+        # At varrho <= 0 no ball exists, and the trap schema's positive kind
+        # stops the config at load; at varrho = 1e-3 the log cap is 2.27e-12,
+        # which not even alpha = 1e-12 meets.  Either way no step size is
+        # returned.
+        if varrho <= 0:
+            with pytest.raises(ConfigError, match="^varrho: must be a number above 0"):
+                util._read({"command": "trap", "seed": 0, "varrho": varrho},
+                           cli._SCHEMAS["trap"])
+            return
+        with pytest.raises(PreconditionError, match="log cap"):
             prop3_step_size(0.2, 1.0, 1.0, varrho, 0.3, (varrho + 0.3) ** 2)
-        with pytest.raises(error, match=match):
+        with pytest.raises(PreconditionError, match="log cap"):
             default_trap_benchmark(runs=2, seed=0, varrho=varrho)
 
 
