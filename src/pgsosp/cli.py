@@ -141,20 +141,20 @@ def _builder_keys(cfg: dict, *drop: str, path: str = "") -> dict:
     return keys
 
 
-def build_problem(spec: dict):
-    """(mdp, family) from a read problem block; MDP-backed kinds only.  An
-    MDP file is read like an inline MDP, and its errors name mdp_path."""
+def build_problem(spec: dict, path: str = "problem"):
+    """(mdp, family) from a read problem block at path; MDP-backed kinds only.
+    An MDP file is read like an inline MDP, and its errors name mdp_path."""
     kind = spec["kind"]
     if kind == "example1":
-        return _at("problem", mdp_mod.example_one_mdp, **_builder_keys(spec, "kind")), \
+        return _at(path, mdp_mod.example_one_mdp, **_builder_keys(spec, "kind")), \
             ExampleOnePiecewise()
     if kind == "mdp":
         if "mdp" in spec and "mdp_path" in spec:
-            raise ConfigError("problem.mdp_path: give 'mdp' or 'mdp_path', not both")
+            raise ConfigError(f"{path}.mdp_path: give 'mdp' or 'mdp_path', not both")
         if "mdp" in spec:
-            where, values = "problem.mdp", spec["mdp"]
+            where, values = f"{path}.mdp", spec["mdp"]
         elif "mdp_path" in spec:
-            where = "problem.mdp_path"
+            where = f"{path}.mdp_path"
             try:
                 with open(spec["mdp_path"], "r", encoding="utf-8") as fh:
                     obj = json.load(fh)
@@ -164,13 +164,13 @@ def build_problem(spec: dict):
                 raise ConfigError(f"{where}: not valid JSON: {exc}") from None
             values = _read(obj, mdp_mod._MDP_BLOCK, where)
         else:
-            raise ConfigError("problem: mdp kind needs 'mdp' or 'mdp_path'")
+            raise ConfigError(f"{path}: mdp kind needs 'mdp' or 'mdp_path'")
         mdp = _at(where, mdp_mod.TabularMdp, **values)
-        family = _at("problem.policy", make_family, spec.get("policy", "tabular_softmax"),
-                     mdp.n_states, mdp.n_actions)
+        family = _at(f"{path}.policy", make_family,
+                     spec.get("policy", "tabular_softmax"), mdp.n_states, mdp.n_actions)
         mdp_mod._shape_check(mdp, family)
         return mdp, family
-    raise ConfigError(f"problem.kind: {kind!r} is not an MDP-backed problem")
+    raise ConfigError(f"{path}.kind: {kind!r} is not an MDP-backed problem")
 
 
 def build_source(spec: dict):
@@ -180,9 +180,13 @@ def build_source(spec: dict):
         mdp, family = build_problem(spec)
         return trainer.MdpPolicySource(mdp, family)
     keys = _builder_keys(spec, "kind", path="problem")
-    if kind == "quadratic_saddle":
-        return trainer.QuadraticSaddleSource(**keys)
-    return trainer.StronglyConcaveSource(**keys)
+    build = trainer.QuadraticSaddleSource if kind == "quadratic_saddle" \
+        else trainer.StronglyConcaveSource
+    try:
+        return build(**keys)
+    except ConfigError as exc:
+        # A source names its own keys, which sit in the problem block here.
+        raise ConfigError(f"problem.{exc}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -222,7 +226,8 @@ def cmd_constants(cfg: dict, args) -> int:
                                   "since alpha, K, kappa_hat_0 and kappa_0 read it")
     if fisher:
         # The probe's problem is built, and so checked, before any work.
-        probe_mdp, probe_family = build_problem(fisher["problem"])
+        probe_mdp, probe_family = build_problem(fisher["problem"],
+                                                "omega_from_fisher.problem")
         _check_length("omega_from_fisher.theta", fisher["theta"],
                       probe_family.param_dim)
         if cfg["p"] != probe_family.param_dim:

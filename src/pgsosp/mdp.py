@@ -241,12 +241,12 @@ def occupancy(mdp: TabularMdp, family, theta: np.ndarray) -> np.ndarray:
 
 
 def _visitation(mdp: TabularMdp, pi: np.ndarray) -> np.ndarray:
-    """(h, S) rows gamma^t P_t of the state distribution under pi (S, A)."""
-    kernel = np.einsum("sa,sat->st", pi, mdp.transition)
-    rows = np.empty((mdp.horizon, mdp.n_states))
+    """(h, ..., S) rows gamma^t P_t of the state distribution under pi (..., S, A)."""
+    kernel = np.einsum("...sa,sat->...st", pi, mdp.transition)
+    rows = np.empty((mdp.horizon,) + pi.shape[:-1])
     rows[0] = mdp.rho0
     for t in range(1, mdp.horizon):
-        rows[t] = mdp.gamma * (rows[t - 1] @ kernel)
+        rows[t] = mdp.gamma * np.einsum("...s,...st->...t", rows[t - 1], kernel)
     return rows
 
 
@@ -255,29 +255,25 @@ def occupancy_mass(mdp: TabularMdp) -> float:
 
 
 def value_functions(mdp: TabularMdp, family, theta: np.ndarray):
-    """The t = 0 slices (V_0, Q_0, A_0) of value_stack's backward induction.
-
-    V_h = 0,  Q_t(s,a) = R(s,a) + gamma * sum_s' P(s'|s,a) V_{t+1}(s'),
-    V_t(s) = sum_a pi(a|s) Q_t(s,a),  A = Q - V (advantages sum to zero
-    under pi at every state).
-    """
+    """The t = 0 slices V_0, Q_0 and A_0 = Q_0 - V_0 of value_stack (the
+    advantages sum to zero under pi at every state)."""
     _shape_check(mdp, family)
     v, q = value_stack(mdp, family, theta)
     return v[0], q[0], q[0] - v[0][:, None]
 
 
 def value_stack(mdp: TabularMdp, family, theta: np.ndarray):
-    """All backward-induction slices: V[t] and Q[t] for t = 0..h.
-
-    V[h] = 0.  Used by the exact gradient, which needs time-indexed values.
-    """
+    """Backward induction at theta (p,) or at a block (..., p): V (h + 1, ..., S)
+    and Q (h, ..., S, A) with V[h] = 0, Q[t](s,a) = R(s,a) + gamma * sum_s'
+    P(s'|s,a) V[t+1](s') and V[t](s) = sum_a pi(a|s) Q[t](s,a).  Einsums, not
+    matmuls, give a point the same bits alone or in a block."""
     pi = family.probs(theta)
-    h = mdp.horizon
-    v = np.zeros((h + 1, mdp.n_states))
-    q = np.zeros((h, mdp.n_states, mdp.n_actions))
-    for t in range(h - 1, -1, -1):
-        q[t] = mdp.reward + mdp.gamma * (mdp.transition @ v[t + 1])
-        v[t] = (pi * q[t]).sum(axis=1)
+    v = np.zeros((mdp.horizon + 1,) + pi.shape[:-1])
+    q = np.empty((mdp.horizon,) + pi.shape)
+    for t in range(mdp.horizon - 1, -1, -1):
+        q[t] = mdp.reward + mdp.gamma * np.einsum("sat,...t->...sa",
+                                                  mdp.transition, v[t + 1])
+        v[t] = np.einsum("...sa,...sa->...s", pi, q[t])
     return v, q
 
 
@@ -290,11 +286,8 @@ def performance_difference_check(mdp: TabularMdp, family, theta_a: np.ndarray,
     """
     v_a, _, _ = value_functions(mdp, family, theta_a)
     v_b, _, adv_b = value_functions(mdp, family, theta_b)
-    lhs = float(mdp.rho0 @ (v_a - v_b))
-    d_a = occupancy(mdp, family, theta_a)
-    pi_a = family.probs(theta_a)
-    rhs = float((d_a[:, None] * pi_a * adv_b).sum())
-    return lhs, rhs
+    rhs = (occupancy(mdp, family, theta_a)[:, None] * family.probs(theta_a) * adv_b).sum()
+    return float(mdp.rho0 @ (v_a - v_b)), float(rhs)
 
 
 def perf_diff_tail_tolerance(mdp: TabularMdp) -> float:

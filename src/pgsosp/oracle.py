@@ -4,7 +4,8 @@ Three independent routes are maintained deliberately:
 
 * dynamic programming (always available): objective and gradient from
   finite-horizon backward induction, with the gradient in the exact
-  time-indexed visitation form over mdp._visitation's rows;
+  time-indexed visitation form over mdp._visitation's rows, at theta (p,)
+  or at a block (..., p) in one pass, with a point's bits the same in both;
 * trajectory enumeration (small problems only): probability-weighted sums
   over every length-h trajectory, which realize the score-function forms
   of the gradient and Hessian as literal finite sums.  The tree is grown
@@ -12,7 +13,7 @@ Three independent routes are maintained deliberately:
   first, and yielded one trajectory at a time; _enumeration_sum walks it
   once per call, reducing chunks of _ENUM_CHUNK trajectories with the
   Monte-Carlo batch routines and p(tau) in place of 1/n;
-* central finite differences, used as the cross-check on both.
+* central finite differences over one (2p, p) block, the cross-check on both.
 
 The enumeration cap keeps every oracle call interactive; beyond it only
 the DP objective/gradient are offered and Hessians fall back to finite
@@ -28,7 +29,7 @@ import numpy as np
 
 from .errors import EnumerationCapError, OracleConsistencyError
 from .estimators import _hessian_sum, _pg_rows
-from .mdp import TabularMdp, _visitation, value_stack, value_functions
+from .mdp import TabularMdp, _visitation, value_stack
 
 ENUM_CAP = 1_000_000
 _ENUM_CHUNK = 1024  # nodes per tree block and trajectories per reduced chunk
@@ -74,7 +75,6 @@ def enumerate_trajectories(
         raise EnumerationCapError(
             f"enumeration bound {enumeration_size_bound(mdp):.3g} exceeds cap {ENUM_CAP}"
         )
-    theta = np.asarray(theta, dtype=float)
     pi = family.probs(theta)
     last = mdp.horizon - 1
 
@@ -114,7 +114,6 @@ def _enumeration_sum(mdp: TabularMdp, family, theta: np.ndarray, term):
     """Sum over the enumeration of term(scores, states, actions, rewards,
     probs): scores is family.score(theta), the rest one chunk's (m, h) arrays
     and (m,) probabilities, m <= _ENUM_CHUNK; from 0.0, chunk after chunk."""
-    theta = np.asarray(theta, dtype=float)
     scores = family.score(theta)
     items = enumerate_trajectories(mdp, family, theta)
     total = 0.0
@@ -129,10 +128,11 @@ def _enumeration_sum(mdp: TabularMdp, family, theta: np.ndarray, term):
 # Objective
 # ---------------------------------------------------------------------------
 
-def exact_objective(mdp: TabularMdp, family, theta: np.ndarray) -> float:
-    """J = E_rho0[V_0] from backward induction (h-truncated)."""
-    v, _, _ = value_functions(mdp, family, theta)
-    return float(mdp.rho0 @ v)
+def exact_objective(mdp: TabularMdp, family, theta: np.ndarray):
+    """J = E_rho0[V_0] from backward induction (h-truncated): a float at
+    theta (p,), an array (...) over a block theta (..., p)."""
+    j = np.einsum("...s,s->...", value_stack(mdp, family, theta)[0][0], mdp.rho0)
+    return float(j) if j.ndim == 0 else j
 
 
 # ---------------------------------------------------------------------------
@@ -140,20 +140,17 @@ def exact_objective(mdp: TabularMdp, family, theta: np.ndarray) -> float:
 # ---------------------------------------------------------------------------
 
 def _gradient_visitation(mdp: TabularMdp, family, theta: np.ndarray) -> np.ndarray:
-    """Time-indexed policy-gradient-theorem form.
+    """Time-indexed policy-gradient-theorem form at theta (p,) or a block (..., p).
 
-    grad J = sum_t sum_s gamma^t P_t(s) sum_a Q_t(s,a) * d pi(a|s), where
-    Q_t comes from the same backward induction as the objective.  With
-    time-indexed weights the identity with the score-function route is
-    exact at truncation h, not merely up to tail terms.
+    grad J = sum_s sum_a W(s,a) * d pi(a|s), W = sum_t gamma^t P_t(s) Q_t(s,a),
+    with Q_t from the objective's backward induction.  With time-indexed
+    weights the identity with the score-function route is exact at
+    truncation h, not merely up to tail terms.
     """
-    theta = np.asarray(theta, dtype=float)
     _, q = value_stack(mdp, family, theta)
-    grad_pi = family.dprobs(theta)
-    grad = np.zeros(family.param_dim)
-    for t, w in enumerate(_visitation(mdp, family.probs(theta))):
-        grad += np.einsum("s,sa,sap->p", w, q[t], grad_pi)
-    return grad
+    weights = np.einsum("t...s,t...sa->...sa",
+                        _visitation(mdp, family.probs(theta)), q)
+    return np.einsum("...sa,...sap->...p", weights, family.dprobs(theta))
 
 
 def _gradient_enumeration(mdp: TabularMdp, family, theta: np.ndarray) -> np.ndarray:
@@ -165,15 +162,17 @@ def _gradient_enumeration(mdp: TabularMdp, family, theta: np.ndarray) -> np.ndar
 
 
 def exact_gradient(mdp: TabularMdp, family, theta: np.ndarray) -> np.ndarray:
-    """Exact gradient by the DP route; on an enumerable MDP it is checked
-    against enumeration, raising OracleConsistencyError beyond _route_gap's
-    tolerance."""
+    """Exact gradient by the DP route, (p,) or (..., p); on an enumerable
+    MDP each point is checked against enumeration, raising
+    OracleConsistencyError beyond _route_gap's tolerance."""
+    theta = np.asarray(theta, dtype=float)
     grad = _gradient_visitation(mdp, family, theta)
     if is_enumerable(mdp):
-        gap, tol = _route_gap(_gradient_enumeration(mdp, family, theta), grad)
-        if gap > tol:
-            raise OracleConsistencyError(f"gradient routes disagree: |enum - dp| = "
-                                         f"{gap:.3e} (tolerance {tol:.3e})")
+        for i in np.ndindex(theta.shape[:-1]):
+            gap, tol = _route_gap(_gradient_enumeration(mdp, family, theta[i]), grad[i])
+            if gap > tol:
+                raise OracleConsistencyError(f"gradient routes disagree: |enum - dp| = "
+                                             f"{gap:.3e} (tolerance {tol:.3e})")
     return grad
 
 
@@ -196,15 +195,14 @@ def exact_hessian(mdp: TabularMdp, family, theta: np.ndarray) -> np.ndarray:
     the enumeration probabilities; otherwise central finite differences of
     the DP gradient.
     """
-    theta = np.asarray(theta, dtype=float)
     if is_enumerable(mdp):
         hessians = family.hess(theta)
         total = _enumeration_sum(
             mdp, family, theta,
             lambda scores, *chunk: _hessian_sum(mdp, scores, hessians, *chunk))
         return (total + total.T) / 2.0
-    grad = lambda th: _gradient_visitation(mdp, family, th)
-    return fd_hessian_from_gradient(grad, theta)
+    return fd_hessian_from_gradient(lambda th: _gradient_visitation(mdp, family, th),
+                                    theta)
 
 
 # ---------------------------------------------------------------------------
@@ -212,24 +210,24 @@ def exact_hessian(mdp: TabularMdp, family, theta: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def fd_gradient(func, theta: np.ndarray, step: float = 1e-5) -> np.ndarray:
-    """Central-difference gradient of a scalar function."""
+    """Central-difference gradient of a scalar function of a (2p, p) block."""
     return _central_differences(func, theta, step)
 
 
 def fd_hessian_from_gradient(grad_func, theta: np.ndarray,
                              step: float = 1e-4) -> np.ndarray:
-    """Central-difference Jacobian of a gradient function, symmetrized."""
+    """Central-difference Jacobian of a gradient function of a (2p, p)
+    block, symmetrized."""
     hess = _central_differences(grad_func, theta, step)
     return (hess + hess.T) / 2.0
 
 
 def _central_differences(func, theta: np.ndarray, step: float) -> np.ndarray:
     """(func(theta + step e_j) - func(theta - step e_j)) / (2 step) for each
-    coordinate j, stacked along a new last axis."""
+    coordinate j, stacked along a new last axis; func answers all 2p points
+    in one call, as a (2p, p) block."""
     theta = np.asarray(theta, dtype=float)
-    columns = []
-    for j in range(theta.size):
-        bump = np.zeros_like(theta)
-        bump[j] = step
-        columns.append((func(theta + bump) - func(theta - bump)) / (2.0 * step))
-    return np.stack(columns, axis=-1)
+    p = theta.size
+    bumps = step * np.eye(p)
+    values = func(np.concatenate((theta + bumps, theta - bumps)))
+    return np.moveaxis((values[:p] - values[p:]) / (2.0 * step), 0, -1)

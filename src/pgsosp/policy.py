@@ -385,7 +385,10 @@ def estimate_regularity(
         hi = (slice(None),) * axis + (slice(1, None),)
         diff = hessians[hi] - hessians[lo]
         diff[~(on[lo] & on[hi])] = 0.0
-        norms = np.linalg.norm(diff, 2, axis=(-2, -1))
+        # An SVD only where the Hessian moved (softmax: at the axis's state).
+        moved = diff.any(axis=(-2, -1))
+        norms = np.zeros(moved.shape)
+        norms[moved] = np.linalg.norm(diff[moved], 2, axis=(-2, -1))
         steps = np.diff(axes[axis]).reshape((-1,) + (1,) * (norms.ndim - axis - 1))
         ratios = np.divide(norms, steps, out=np.zeros_like(norms),
                            where=steps > 0.0)

@@ -150,7 +150,7 @@ class QuadraticSaddleSource:
         noise = NoiseSpec("rademacher") if noise is None else noise
         if noise.direction is not None and noise.direction.shape != (self.dim,):
             raise ConfigError(
-                f"noise: direction has {noise.direction.size} components, "
+                f"noise.direction: has {noise.direction.size} components, "
                 f"the source has dimension {self.dim}"
             )
         self.noise = noise

@@ -38,6 +38,9 @@ def run_cli(capsys, argv):
     return code, captured.out, captured.err
 
 
+_BANDIT_MDP = {"n_states": 1, "n_actions": 2, "transition": [[[1.0], [1.0]]],
+               "reward": [[1.0, 0.0]], "rho0": [1.0], "gamma": 0.5, "horizon": 1,
+               "r_min": 0.0, "r_max": 1.0}
 CONSTANTS_CFG = {
     "command": "constants",
     "regularity": {"G": 1.0, "L": 1.0, "U": 1.0, "W": 1.0},
@@ -204,6 +207,25 @@ class TestConstantsCommand:
         assert (code, out) == (2, "")
         assert err == (f"error: p: the omega_from_fisher probe has "
                        f"family.param_dim = 4, got p = {p}\n")
+
+    @pytest.mark.parametrize("problem, message", [
+        ({"kind": "example1", "gamma": 1.5},
+         "omega_from_fisher.problem: gamma: must be in (0, 1), got 1.5"),
+        ({"kind": "mdp", "mdp": _BANDIT_MDP, "policy": "gaussian"},
+         "omega_from_fisher.problem.policy: unknown policy family 'gaussian'; "
+         "expected one of ('tabular_softmax', 'example_one')"),
+        ({"kind": "mdp", "mdp": {**_BANDIT_MDP, "reward": [[1.0]]}},
+         "omega_from_fisher.problem.mdp: reward: expected shape (1, 2), got (1, 1)"),
+        ({"kind": "mdp"},
+         "omega_from_fisher.problem: mdp kind needs 'mdp' or 'mdp_path'"),
+    ], ids=["example1-gamma", "policy", "mdp-reward", "no-mdp"])
+    def test_probe_problem_errors_name_the_probe_block(self, tmp_path, capsys,
+                                                        problem, message):
+        cfg = dict(CONSTANTS_CFG, omega_from_fisher={"problem": problem,
+                                                     "theta": [0.3, 0.6]})
+        path = write_config(tmp_path, "c.json", cfg)
+        assert run_cli(capsys, ["constants", "--config", path]) == \
+            (2, "", f"error: {message}\n")
 
     def test_oversized_grid_named_before_allocation(self, tmp_path, capsys):
         # 10^6 points per axis over p = 4 axes: 10^24 grid points, which
@@ -998,10 +1020,7 @@ _SADDLE_TRAIN = {"command": "train", "seed": 1, "theta0": [0.0, 0.0],
                  "alpha": 1e-3, "max_iters": 5, "epsilon": 0.5, "chi": 1.0}
 _BANDIT_CNC = {
     "command": "cnc", "n": 100, "seed": 1, "theta": [0.0, 0.0],
-    "problem": {"kind": "mdp", "policy": "tabular_softmax", "mdp": {
-        "n_states": 1, "n_actions": 2, "transition": [[[1.0], [1.0]]],
-        "reward": [[1.0, 0.0]], "rho0": [1.0], "gamma": 0.5, "horizon": 1,
-        "r_min": 0.0, "r_max": 1.0}},
+    "problem": {"kind": "mdp", "policy": "tabular_softmax", "mdp": _BANDIT_MDP},
 }
 
 
@@ -1142,6 +1161,18 @@ def test_malformed_synthetic_config_exits_2(tmp_path, capsys, cfg, key):
     assert key in err
 
 
+@pytest.mark.parametrize("cfg, key", [
+    ({**_SADDLE_TRAIN,
+      "problem": {"kind": "quadratic_saddle", "noise": _SADDLE_3D_NOISE}},
+     "problem.noise.direction"),
+    ({"command": "escape", "seed": 1, "noise": _SADDLE_3D_NOISE}, "noise.direction"),
+], ids=["train", "escape"])
+def test_noise_direction_dimension_names_its_key(tmp_path, capsys, cfg, key):
+    path = write_config(tmp_path, "c.json", cfg)
+    assert run_cli(capsys, [cfg["command"], "--config", path]) == (
+        2, "", f"error: {key}: has 3 components, the source has dimension 2\n")
+
+
 @pytest.mark.parametrize("command", ["cnc", "constants"])
 def test_mdp_and_mdp_path_together_exit_2(tmp_path, capsys, monkeypatch, command):
     def no_work(*args, **kwargs):
@@ -1154,8 +1185,9 @@ def test_mdp_and_mdp_path_together_exit_2(tmp_path, capsys, monkeypatch, command
     problem = {**_BANDIT_CNC["problem"],
                "mdp_path": os.path.join(str(tmp_path), "no-such-mdp.json")}
     if command == "cnc":
-        cfg = {**_BANDIT_CNC, "problem": problem}
+        cfg, where = {**_BANDIT_CNC, "problem": problem}, "problem"
     else:
+        where = "omega_from_fisher.problem"
         cfg = {k: v for k, v in CONSTANTS_CFG.items() if k != "regularity"}
         cfg.update(estimate={"family": "tabular_softmax", "n_states": 1,
                              "n_actions": 2, "box": [[-1.0, 1.0]] * 2, "grid": 3},
@@ -1163,7 +1195,7 @@ def test_mdp_and_mdp_path_together_exit_2(tmp_path, capsys, monkeypatch, command
     path = write_config(tmp_path, "c.json", cfg)
     code, out, err = run_cli(capsys, [command, "--config", path])
     assert (code, out) == (2, "")
-    assert err.startswith("error: problem.mdp_path: ")
+    assert err.startswith(f"error: {where}.mdp_path: ")
 
 
 @pytest.mark.parametrize("command", ["classify", "cnc"])

@@ -1,11 +1,13 @@
+import json
 import math
+import os
 
 import numpy as np
 import pytest
 
-from pgsosp.errors import EnumerationCapError
+from pgsosp.errors import EnumerationCapError, OracleConsistencyError
 from pgsosp import oracle
-from pgsosp.mdp import TabularMdp, example_one_mdp, random_mdp
+from pgsosp.mdp import TabularMdp, _visitation, example_one_mdp, random_mdp, value_stack
 from pgsosp.oracle import (
     _gradient_enumeration,
     _gradient_visitation,
@@ -184,6 +186,135 @@ class TestFiniteDifferences:
             assert np.array_equal(
                 fd_hessian_from_gradient(grad, theta, step),
                 formula_reference.fd_hessian_from_gradient(grad, theta, step))
+
+
+def _block_problems():
+    """(label, mdp, family, points (4, p)) for the block tests: random MDPs
+    with S 1-4, A 1-3 and h 1-10, example1 inside and outside the unit box
+    and the strict-saddle witness."""
+    problems = []
+    for seed in range(24):
+        rng = derive_rng(seed, 56)
+        n_s, n_a = int(rng.integers(1, 5)), int(rng.integers(1, 4))
+        mdp = random_mdp(seed + 900, n_states=n_s, n_actions=n_a,
+                         horizon=int(rng.integers(1, 11)), gamma=0.9,
+                         branching=int(rng.integers(1, 4)))
+        family = TabularSoftmax(n_s, n_a)
+        problems.append((f"random-{seed}", mdp, family,
+                         rng.uniform(-2.0, 2.0, (4, family.param_dim))))
+    rng = derive_rng(1, 57)
+    for horizon in (1, 3):
+        problems.append((f"example1-inside-h{horizon}", example_one_mdp(horizon=horizon),
+                         ExampleOnePiecewise(), rng.uniform(0.0, 1.0, (4, 2))))
+        problems.append((f"example1-outside-h{horizon}", example_one_mdp(horizon=horizon),
+                         ExampleOnePiecewise(), rng.uniform(-1.3, -1.0, (4, 2))))
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "examples",
+                        "strict_saddle_mdp.json")
+    with open(path, encoding="utf-8") as fh:
+        witness = TabularMdp(**json.load(fh))
+    points = np.concatenate([np.zeros((1, 6)), rng.uniform(-1.0, 1.0, (3, 6))])
+    problems.append(("witness", witness, TabularSoftmax(3, 2), points))
+    return problems
+
+
+BLOCK_PROBLEMS = _block_problems()
+# Each as a (...) + (one point's result) array: value_stack and _visitation
+# put the time axis first.
+BLOCK_FUNCTIONS = {
+    "value_stack.v": lambda mdp, family, t: np.moveaxis(
+        value_stack(mdp, family, t)[0], 0, -2),
+    "value_stack.q": lambda mdp, family, t: np.moveaxis(
+        value_stack(mdp, family, t)[1], 0, -3),
+    "_visitation": lambda mdp, family, t: np.moveaxis(
+        _visitation(mdp, family.probs(t)), 0, -2),
+    "exact_objective": exact_objective,
+    "_gradient_visitation": _gradient_visitation,
+    "exact_gradient": exact_gradient,
+}
+
+
+class TestBlocks:
+    """Every block-capable DP function answers a (B, p) or (B1, B2, p)
+    block with the bits of its single-point calls, row by row."""
+
+    @pytest.mark.parametrize("name", BLOCK_FUNCTIONS)
+    @pytest.mark.parametrize("label, mdp, family, points", BLOCK_PROBLEMS,
+                             ids=[label for label, *_ in BLOCK_PROBLEMS])
+    def test_rows_equal_single_point_calls(self, name, label, mdp, family, points):
+        func = BLOCK_FUNCTIONS[name]
+        if name == "exact_gradient" and is_enumerable(mdp) and \
+                enumeration_size_bound(mdp) > 5000:
+            points = points[:2]  # each point is checked by enumeration
+        singles = [func(mdp, family, theta) for theta in points]
+        assert isinstance(singles[0], float) == (name == "exact_objective")
+        for block in (points, points.reshape(2, -1, points.shape[-1])):
+            got = func(mdp, family, block)
+            assert got.shape == block.shape[:-1] + np.shape(singles[0])
+            for i, idx in enumerate(np.ndindex(block.shape[:-1])):
+                assert np.array_equal(got[idx], singles[i]), (name, idx)
+
+    def test_each_point_of_an_enumerable_block_is_cross_checked(self, monkeypatch):
+        mdp, family = make_random_problem(58, horizon=3)
+        points = derive_rng(8, 58).uniform(-1, 1, (2, 3, family.param_dim))
+        checked = []
+
+        def counted(mdp, family, theta):
+            checked.append(theta)
+            return _gradient_enumeration(mdp, family, theta)
+
+        monkeypatch.setattr(oracle, "_gradient_enumeration", counted)
+        exact_gradient(mdp, family, points)
+        assert np.array_equal(np.array(checked), points.reshape(6, -1))
+
+    def test_a_disagreeing_point_raises(self, monkeypatch):
+        mdp, family = make_random_problem(59, horizon=3)
+        points = derive_rng(9, 59).uniform(-1, 1, (3, family.param_dim))
+        far = points[2]
+
+        def off_at_far(mdp, family, theta):
+            grad = _gradient_enumeration(mdp, family, theta)
+            return grad + 1.0 if np.array_equal(theta, far) else grad
+
+        monkeypatch.setattr(oracle, "_gradient_enumeration", off_at_far)
+        exact_gradient(mdp, family, points[:2])
+        with pytest.raises(OracleConsistencyError, match="routes disagree"):
+            exact_gradient(mdp, family, points)
+
+
+class TestCentralDifferencesBlock:
+    @pytest.mark.parametrize("shape", [(), (3,), (2, 2)])
+    def test_one_call_on_the_shifted_points(self, shape):
+        theta = np.array([0.5, -1.0, 2.0])
+        calls = []
+
+        def func(block):
+            calls.append(np.array(block))
+            return np.zeros((len(block),) + shape)
+
+        oracle._central_differences(func, theta, 0.25)
+        assert len(calls) == 1
+        bumps = 0.25 * np.eye(3)
+        assert np.array_equal(calls[0], np.concatenate((theta + bumps, theta - bumps)))
+
+    def test_above_cap_hessian_is_one_dp_pass(self, monkeypatch):
+        rng = derive_rng(2, 45)
+        n_s, n_a = 4, 3
+        mdp = TabularMdp(n_states=n_s, n_actions=n_a,
+                         transition=rng.dirichlet(np.ones(n_s), size=(n_s, n_a)),
+                         reward=rng.uniform(0.2, 1.0, (n_s, n_a)),
+                         rho0=np.full(n_s, 0.25), gamma=0.5, horizon=10,
+                         r_min=0.2, r_max=1.0)
+        assert not is_enumerable(mdp)
+        family = TabularSoftmax(n_s, n_a)
+        shapes = []
+
+        def counted(mdp, family, theta):
+            shapes.append(np.shape(theta))
+            return _gradient_visitation(mdp, family, theta)
+
+        monkeypatch.setattr(oracle, "_gradient_visitation", counted)
+        exact_hessian(mdp, family, rng.uniform(-1, 1, family.param_dim))
+        assert shapes == [(2 * family.param_dim, family.param_dim)]
 
 
 class TestEnumeration:
