@@ -434,7 +434,7 @@ def cmd_cnc(cfg: dict, args) -> int:
         raise ConfigError(f"method: expected auto, enumerate or mc, got {method!r}")
     by_enumeration = method in ("auto", "enumerate") and is_enumerable(mdp)
     if method == "enumerate" and not by_enumeration:
-        # Checked before u is derived: above the cap that is 2p DP gradients.
+        # Checked before u is derived: above the cap that is a DP pass over 2p points.
         raise ConfigError("method 'enumerate' but the MDP exceeds the cap")
     if "u" in cfg:
         u = cfg["u"]
