@@ -75,7 +75,7 @@ _SCHEMAS = {
                               W="nonnegative"),
                          required=("G", "L", "U")),
         estimate=Block(dict(family="text", n_states="count", n_actions="count",
-                            box="box", grid="integer"),
+                            box="box", grid="plural"),
                        required=("family", "box", "grid")),
         r_min="nonnegative", r_max="positive", gamma="fraction", h="count",
         p="count", epsilon="positive", chi="positive", delta="fraction",
@@ -105,8 +105,8 @@ _SCHEMAS = {
         delta="fraction", theta0="vector"),
         required=("command", "seed")),
     "oracle-check": Block(dict(
-        command="text", seed="natural", n_mdps="count", max_states="integer",
-        max_actions="integer", max_horizon="integer"),
+        command="text", seed="natural", n_mdps="count", max_states="plural",
+        max_actions="plural", max_horizon="plural"),
         required=("command", "seed")),
     "cnc": Block(dict(
         command="text", problem=_PROBLEM, theta="vector", u="vector", n="count",
@@ -363,12 +363,9 @@ def cmd_trap(cfg: dict, args) -> int:
 
 def cmd_oracle_check(cfg: dict, args) -> int:
     seed, n_mdps = cfg["seed"], cfg.get("n_mdps", 20)
-    sizes = {}
-    for key, default in (("max_states", 4), ("max_actions", 3), ("max_horizon", 6)):
-        sizes[key] = cfg.get(key, default)
-        if sizes[key] < 2:
-            raise ConfigError(f"{key}: must be at least 2, got {sizes[key]!r}")
-    max_states, max_actions, max_horizon = sizes.values()
+    max_states, max_actions, max_horizon = (
+        cfg.get(key, default) for key, default in
+        (("max_states", 4), ("max_actions", 3), ("max_horizon", 6)))
     checks = dict.fromkeys(
         ("gradient_two_way", "gradient_fd", "perf_diff", "occupancy_mass",
          "advantage_centering", "fisher_psd"), 0)
@@ -399,16 +396,25 @@ def cmd_oracle_check(cfg: dict, args) -> int:
         scale = max(1.0, float(np.linalg.norm(grad)))
         tally("gradient_fd", np.linalg.norm(fd - grad) <= 1e-4 * scale)
 
+        # One backward induction for the pair (theta, theta_b) and the
+        # visitation rows gamma^t P_t at theta answer the value identities.
         theta_b = rng.uniform(-1.0, 1.0, family.param_dim)
-        lhs, rhs = mdp_mod.performance_difference_check(mdp, family, theta, theta_b)
-        tally("perf_diff", abs(lhs - rhs) <= mdp_mod.perf_diff_tail_tolerance(mdp))
-
-        d = mdp_mod.occupancy(mdp, family, theta)
-        tally("occupancy_mass", abs(d.sum() - mdp_mod.occupancy_mass(mdp)) <= 1e-10)
-
-        _, _, adv = mdp_mod.value_functions(mdp, family, theta)
+        v, q = mdp_mod.value_stack(mdp, family, np.stack((theta, theta_b)))
+        adv = q - v[:-1, ..., None]                     # A_t, (h, 2, S, A)
         pi = family.probs(theta)
-        tally("advantage_centering", np.abs((pi * adv).sum(axis=1)).max() <= 1e-12)
+        rows = mdp_mod._visitation(mdp, pi)
+
+        # Performance difference in time-indexed form, exact at truncation h:
+        # rho0 (V^a_0 - V^b_0) = sum_t sum_s rows_t(s) sum_a pi_a(a|s) A^b_t(s,a).
+        lhs = float(mdp.rho0 @ (v[0, 0] - v[0, 1]))
+        rhs = float(np.einsum("ts,sa,tsa->", rows, pi, adv[:, 1]))
+        tally("perf_diff", abs(lhs - rhs) <= 1e-12 * max(1.0, abs(lhs)))
+
+        mass = (1.0 - mdp.gamma ** h) / (1.0 - mdp.gamma)
+        tally("occupancy_mass", abs(rows.sum() - mass) <= 1e-10)
+
+        centered = np.einsum("sa,tsa->ts", pi, adv[:, 0])
+        tally("advantage_centering", np.abs(centered).max() <= 1e-12)
 
         tally("fisher_psd", fisher_matrix(mdp, family, theta).lambda_min >= -1e-10)
 

@@ -2,10 +2,10 @@
 
 An MDP is the tuple (states, actions, P, R, rho0, gamma) with a stored
 truncation horizon h and reward bounds [r_min, r_max].  All infinite sums
-(visitation measure, value functions, the objective) are truncated at h;
-identities that are exact only for the infinite-horizon quantities are
-asserted elsewhere with the analytic tail bound gamma^h * r_max / (1 - gamma)
-folded into their tolerances.
+(visitation measure, value functions, the objective) are truncated at h,
+and the identities between them are stated in time-indexed form (the
+visitation rows gamma^t P_t against Q_t and V_t), which is exact at
+truncation h: no identity here needs a tail bound.
 
 All types are immutable after construction.  Rollouts are arrays of
 (n, h) trajectory blocks and are pure given their seed: rollout_batch
@@ -250,18 +250,6 @@ def _visitation(mdp: TabularMdp, pi: np.ndarray) -> np.ndarray:
     return rows
 
 
-def occupancy_mass(mdp: TabularMdp) -> float:
-    return (1.0 - mdp.gamma ** mdp.horizon) / (1.0 - mdp.gamma)
-
-
-def value_functions(mdp: TabularMdp, family, theta: np.ndarray):
-    """The t = 0 slices V_0, Q_0 and A_0 = Q_0 - V_0 of value_stack (the
-    advantages sum to zero under pi at every state)."""
-    _shape_check(mdp, family)
-    v, q = value_stack(mdp, family, theta)
-    return v[0], q[0], q[0] - v[0][:, None]
-
-
 def value_stack(mdp: TabularMdp, family, theta: np.ndarray):
     """Backward induction at theta (p,) or at a block (..., p): V (h + 1, ..., S)
     and Q (h, ..., S, A) with V[h] = 0, Q[t](s,a) = R(s,a) + gamma * sum_s'
@@ -275,23 +263,6 @@ def value_stack(mdp: TabularMdp, family, theta: np.ndarray):
                                                   mdp.transition, v[t + 1])
         v[t] = np.einsum("...sa,...sa->...s", pi, q[t])
     return v, q
-
-
-def performance_difference_check(mdp: TabularMdp, family, theta_a: np.ndarray,
-                                 theta_b: np.ndarray):
-    """Both sides of the performance-difference identity at truncation h.
-
-    lhs = E_rho0[V^a - V^b];  rhs = sum_s d^a(s) sum_a pi_a(a|s) A^b(s,a).
-    The two agree within 2 * gamma^h * r_max / (1 - gamma).
-    """
-    v_a, _, _ = value_functions(mdp, family, theta_a)
-    v_b, _, adv_b = value_functions(mdp, family, theta_b)
-    rhs = (occupancy(mdp, family, theta_a)[:, None] * family.probs(theta_a) * adv_b).sum()
-    return float(mdp.rho0 @ (v_a - v_b)), float(rhs)
-
-
-def perf_diff_tail_tolerance(mdp: TabularMdp) -> float:
-    return 2.0 * mdp.gamma ** mdp.horizon * mdp.r_max / (1.0 - mdp.gamma)
 
 
 def random_mdp(seed: int, n_states: int = 3, n_actions: int = 2,

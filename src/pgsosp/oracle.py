@@ -210,24 +210,20 @@ def exact_hessian(mdp: TabularMdp, family, theta: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def fd_gradient(func, theta: np.ndarray, step: float = 1e-5) -> np.ndarray:
-    """Central-difference gradient of a scalar function of a (2p, p) block."""
-    return _central_differences(func, theta, step)
-
-
-def fd_hessian_from_gradient(grad_func, theta: np.ndarray,
-                             step: float = 1e-4) -> np.ndarray:
-    """Central-difference Jacobian of a gradient function of a (2p, p)
-    block, symmetrized."""
-    hess = _central_differences(grad_func, theta, step)
-    return (hess + hess.T) / 2.0
-
-
-def _central_differences(func, theta: np.ndarray, step: float) -> np.ndarray:
     """(func(theta + step e_j) - func(theta - step e_j)) / (2 step) for each
     coordinate j, stacked along a new last axis; func answers all 2p points
-    in one call, as a (2p, p) block."""
+    in one call, as a (2p, p) block.  For a scalar func this is the
+    central-difference gradient."""
     theta = np.asarray(theta, dtype=float)
     p = theta.size
     bumps = step * np.eye(p)
     values = func(np.concatenate((theta + bumps, theta - bumps)))
     return np.moveaxis((values[:p] - values[p:]) / (2.0 * step), 0, -1)
+
+
+def fd_hessian_from_gradient(grad_func, theta: np.ndarray,
+                             step: float = 1e-4) -> np.ndarray:
+    """Central-difference Jacobian of a gradient function of a (2p, p)
+    block (fd_gradient of each component), symmetrized."""
+    hess = fd_gradient(grad_func, theta, step)
+    return (hess + hess.T) / 2.0

@@ -344,15 +344,13 @@ def estimate_regularity(
     tables, which add nothing to any maximum.  The grid holds
     grid_density ** p points of S * A * (p + 1) ** 2 table entries each;
     more than GRID_ENTRY_CAP entries in all are rejected before anything
-    is allocated.
+    is allocated.  lo <= hi on each axis and grid_density >= 2 are the
+    ranges of the config's box and plural kinds, checked at load.
     """
     box = tuple((float(lo), float(hi)) for lo, hi in domain_box)
     if len(box) != family.param_dim:
-        raise ConfigError(
-            f"domain_box has {len(box)} axes, family needs {family.param_dim}"
-        )
-    if grid_density < 2 or any(hi < lo for lo, hi in box):
-        raise ConfigError("domain_box must be nonempty with grid_density >= 2")
+        raise ConfigError(f"estimate.box: has {len(box)} axes, the family needs "
+                          f"{family.param_dim}")
     n_s, n_a, p = family.n_states, family.n_actions, family.param_dim
     n_points = grid_density ** p
     if n_points * n_s * n_a * (p + 1) ** 2 > GRID_ENTRY_CAP:

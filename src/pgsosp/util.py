@@ -121,7 +121,8 @@ def _array(value, depth: int):
 
 def _box(value):
     box = _array(value, 2)
-    return box if box is not None and box.shape[1] == 2 else None
+    if box is not None and box.shape[1] == 2 and (box[:, 0] <= box[:, 1]).all():
+        return box
 
 
 # kind: (what a value must be, reader returning the typed value or None)
@@ -133,10 +134,11 @@ _KINDS = {
     "integer": ("an integer", _integer),
     "natural": ("an integer at least 0", _ranged(_integer, lambda x: x >= 0)),
     "count": ("an integer at least 1", _ranged(_integer, lambda x: x >= 1)),
+    "plural": ("an integer at least 2", _ranged(_integer, lambda x: x >= 2)),
     "flag": ("true or false", lambda v: v if isinstance(v, bool) else None),
     "text": ("text", lambda v: v if isinstance(v, str) else None),
     "vector": ("a non-empty list of numbers", lambda v: _array(v, 1)),
-    "box": ("a list of [lo, hi] number pairs", _box),
+    "box": ("a list of [lo, hi] number pairs with lo <= hi", _box),
     "matrix": ("a list of lists of numbers", lambda v: _array(v, 2)),
     "tensor": ("a list of lists of lists of numbers", lambda v: _array(v, 3)),
 }

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from pgsosp.mdp import TabularMdp, example_one_mdp, random_mdp
+from pgsosp.mdp import TabularMdp, _visitation, example_one_mdp, random_mdp, value_stack
 from pgsosp.policy import ExampleOnePiecewise, TabularSoftmax
 from pgsosp.util import derive_rng
 
@@ -59,3 +59,23 @@ def make_random_problem(seed, n_states=3, n_actions=2, horizon=4, gamma=0.5):
                      horizon=horizon, gamma=gamma)
     family = TabularSoftmax(n_states, n_actions)
     return mdp, family
+
+
+def performance_difference(mdp, family, theta_a, theta_b):
+    """Both sides (lhs, rhs) of the performance-difference identity (Kakade &
+    Langford, ICML 2002) in its time-indexed form, exact at truncation h:
+
+        rho0 (V^a_0 - V^b_0)
+            = sum_t sum_s gamma^t P^a_t(s) sum_a pi_a(a|s) (Q^b_t - V^b_t)(s, a),
+
+    with P^a_t the state distribution at step t under pi_a.  The two sides
+    agree to rounding, within perf_diff_tolerance(lhs)."""
+    v, q = value_stack(mdp, family, np.stack((theta_a, theta_b)))
+    pi_a = family.probs(theta_a)
+    rhs = np.einsum("ts,sa,tsa->", _visitation(mdp, pi_a), pi_a,
+                    q[:, 1] - v[:-1, 1, :, None])
+    return float(mdp.rho0 @ (v[0, 0] - v[0, 1])), float(rhs)
+
+
+def perf_diff_tolerance(lhs):
+    return 1e-12 * max(1.0, abs(lhs))

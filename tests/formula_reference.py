@@ -2,9 +2,10 @@
 the example1 policy tables.
 
 The library writes the Prop. 3 step-size rule once
-(`sosp.prop3_step_size`) and the central-difference loop once
-(`oracle._central_differences`).  Before that, the trap benchmark had its
-own copy of the rule and each finite-difference function its own loop.
+(`sosp.prop3_step_size`) and the central differences once
+(`oracle.fd_gradient`, which `oracle.fd_hessian_from_gradient` calls and
+then symmetrizes).  Before that, the trap benchmark had its own copy of
+the rule and each finite-difference function its own loop.
 `ExampleOnePiecewise` picks its start-state branch once per point
 (`_start`); before that, each table method chose the branch itself and
 `score` and `hess` divided whole `probs`/`dprobs` tables.  Those copies

@@ -11,12 +11,7 @@ import numpy as np
 
 from pgsosp.cli import main as cli_main
 from pgsosp.estimators import pg_sample_block
-from pgsosp.mdp import (
-    TabularMdp,
-    perf_diff_tail_tolerance,
-    performance_difference_check,
-    random_mdp,
-)
+from pgsosp.mdp import TabularMdp, random_mdp
 from pgsosp.oracle import (
     _gradient_enumeration,
     enumerate_trajectories,
@@ -49,7 +44,7 @@ from pgsosp.trainer import (
 )
 from pgsosp.util import derive_rng
 
-from conftest import record_acceptance
+from conftest import perf_diff_tolerance, performance_difference, record_acceptance
 from paper_checks import (analytic_example1, coupled_quadratic_run,
                           example1_sosp_study, verify_prop1)
 from trajectory_reference import Trajectory, hessian_estimate, pg_estimate
@@ -95,8 +90,8 @@ def test_ac01_oracle_identity_suite():
         ok &= float(np.linalg.norm(fd - grad)) <= 1e-4 * scale
 
         theta_b = rng.uniform(-1.5, 1.5, family.param_dim)
-        lhs, rhs = performance_difference_check(mdp, family, theta, theta_b)
-        ok &= abs(lhs - rhs) <= perf_diff_tail_tolerance(mdp)
+        lhs, rhs = performance_difference(mdp, family, theta, theta_b)
+        ok &= abs(lhs - rhs) <= perf_diff_tolerance(lhs)
     announce(1, "oracle identity suite (50 random MDPs)", ok, started, 30)
 
 

@@ -687,6 +687,60 @@ class TestOracleCheckCommand:
         assert two_way["failed"] == two_way["checked"] == 3
         assert all(entry["pass"] for entry in payload["identities"].values())
 
+    def test_perf_diff_is_exact_at_the_horizon(self, tmp_path, capsys, monkeypatch):
+        # Moving 1e-9 of the t = 0 visitation mass from state 1 to state 0
+        # keeps every row's mass and the Fisher weights positive, so only
+        # perf_diff fails.  A tolerance of the tail 2 gamma^h r_max / (1 - gamma),
+        # 0.25 to 1.0 here, would absorb it.
+        def shifted(mdp, pi):
+            rows = visitation(mdp, pi)
+            rows[0, ..., 0] += 1e-9
+            rows[0, ..., 1] -= 1e-9
+            return rows
+
+        visitation = cli.mdp_mod._visitation
+        monkeypatch.setattr(cli.mdp_mod, "_visitation", shifted)
+        cfg = write_config(tmp_path, "o.json", {
+            "command": "oracle-check", "seed": 0, "n_mdps": 6,
+        })
+        code, out, _ = run_cli(capsys, ["oracle-check", "--config", cfg])
+        assert code == 4
+        identities = json.loads(out)["identities"]
+        perf_diff = identities.pop("perf_diff")
+        assert perf_diff["failed"] == perf_diff["checked"] == 6
+        assert all(entry["pass"] for entry in identities.values())
+
+    def test_perfbench_size_run_is_three_dp_passes_per_mdp(self, tmp_path, capsys,
+                                                           monkeypatch):
+        # Per MDP: value_stack for the gradient, the FD block and the
+        # (theta, theta_b) pair; _visitation for the gradient, the value
+        # identities and the Fisher matrix.  oracle imports both by name.
+        calls = {"value_stack": 0, "_visitation": 0}
+
+        def counted(name, func):
+            def call(*args):
+                calls[name] += 1
+                return func(*args)
+            return call
+
+        for name in calls:
+            wrapped = counted(name, getattr(cli.mdp_mod, name))
+            monkeypatch.setattr(cli.mdp_mod, name, wrapped)
+            monkeypatch.setattr(oracle, name, wrapped)
+        cfg = write_config(tmp_path, "o.json", {
+            "command": "oracle-check", "seed": 0, "n_mdps": 40,
+            "max_states": 4, "max_actions": 3, "max_horizon": 4,
+        })
+        code, out, _ = run_cli(capsys, ["oracle-check", "--config", cfg])
+        assert code == 0
+        assert calls == {"value_stack": 3 * 40, "_visitation": 3 * 40}
+        entry = {"checked": 40, "failed": 0, "pass": True}
+        assert json.loads(out) == {
+            "n_mdps": 40, "all_pass": True,
+            "identities": dict.fromkeys(
+                ("gradient_two_way", "gradient_fd", "perf_diff", "occupancy_mass",
+                 "advantage_centering", "fisher_psd"), entry)}
+
 
 class TestCncCommand:
     def test_floor_matches_empirical_iota_sq(self, tmp_path, capsys, bandit,
@@ -1243,8 +1297,8 @@ def test_config_not_utf8_exits_2(tmp_path, capsys):
 # A value of each kind that the reader accepts, and values it must reject:
 # a range kind's wrong values include the numbers just outside its range.
 _GOOD = {"number": 1.0, "positive": 1.0, "nonnegative": 1.0, "fraction": 0.5,
-         "integer": 1, "natural": 1, "count": 1, "flag": False, "text": "x",
-         "vector": [1.0], "box": [[0.0, 1.0]], "matrix": [[1.0]],
+         "integer": 1, "natural": 1, "count": 1, "plural": 2, "flag": False,
+         "text": "x", "vector": [1.0], "box": [[0.0, 1.0]], "matrix": [[1.0]],
          "tensor": [[[1.0]]]}
 _NOT_A_NUMBER = ["x", True, float("nan"), float("inf"), [1.0]]
 _WRONG = {"number": _NOT_A_NUMBER,
@@ -1254,11 +1308,13 @@ _WRONG = {"number": _NOT_A_NUMBER,
           "integer": [2.5, True, "x"],
           "natural": [-1, 2.5, True, "x"],
           "count": [0, 2.5, True, "x"],
+          "plural": [1, 2.5, True, "x"],
           "flag": ["no", 1, None],
           "text": [1.0, True, ["x"]],
           "vector": [[], [True, 1], ["a", 1.0], 1.0]}
 for _kind in ("box", "matrix", "tensor"):
     _WRONG[_kind] = _WRONG["vector"] + [[1.0, 2.0]]
+_WRONG["box"] = _WRONG["box"] + [[[1.0, 0.0]]]
 
 
 def _good(kind):
@@ -1561,6 +1617,13 @@ def test_mdp_file_errors_name_mdp_path(tmp_path, capsys, change, want):
      "problem.policy"),
     ({**_ESTIMATE_CONSTANTS, "estimate": {**_ESTIMATE_CONSTANTS["estimate"],
                                           "family": "nope"}}, "estimate.family"),
+    ({**_ESTIMATE_CONSTANTS, "estimate": {**_ESTIMATE_CONSTANTS["estimate"],
+                                          "box": [[0, 1], [1, 0]], "grid": 5}},
+     "estimate.box"),
+    ({**_ESTIMATE_CONSTANTS, "estimate": {**_ESTIMATE_CONSTANTS["estimate"],
+                                          "box": [[-1, 1]] * 3}}, "estimate.box"),
+    ({**_ESTIMATE_CONSTANTS, "estimate": {**_ESTIMATE_CONSTANTS["estimate"],
+                                          "grid": 1}}, "estimate.grid"),
     ({**_BANDIT_CNC, "u": [1.0, 1.0]}, "u"),
     ({"command": "train", "problem": {"kind": "example1"}, "theta0": [0.1],
       "alpha": 0.01, "max_iters": 5, "epsilon": 0.3, "chi": 1.0, "seed": 1},
@@ -1570,7 +1633,8 @@ def test_mdp_file_errors_name_mdp_path(tmp_path, capsys, change, want):
      "noise"),
     ({**_SADDLE_TRAIN, "problem": {"kind": "quadratic_saddle",
                                    "noise": {"kind": "bogus"}}}, "problem.noise"),
-], ids=["example1-gamma", "example1-horizon", "policy", "estimate-family", "cnc-u",
+], ids=["example1-gamma", "example1-horizon", "policy", "estimate-family",
+        "estimate-box-empty", "estimate-box-axes", "estimate-grid-one", "cnc-u",
         "train-theta0", "noise-kind", "noise-direction-missing", "train-noise-kind"])
 def test_a_value_error_names_its_key(tmp_path, capsys, cfg, where):
     argv = [cfg["command"], "--config", write_config(tmp_path, "c.json", cfg)]

@@ -10,17 +10,15 @@ from pgsosp.mdp import (
     _walk,
     example_one_mdp,
     occupancy,
-    occupancy_mass,
-    perf_diff_tail_tolerance,
-    performance_difference_check,
     random_mdp,
     rollout_batch,
-    value_functions,
+    value_stack,
 )
 from pgsosp.policy import ExampleOnePiecewise, TabularSoftmax
 from pgsosp.util import _at, _read, derive_rng
 
-from conftest import make_random_problem, sub_seed
+from conftest import (make_random_problem, perf_diff_tolerance,
+                      performance_difference, sub_seed)
 from trajectory_reference import (
     Trajectory,
     discounted_return,
@@ -276,7 +274,8 @@ class TestOccupancy:
         theta = rng.uniform(-2, 2, family.param_dim)
         d = occupancy(mdp, family, theta)
         assert d.min() >= 0.0
-        assert abs(d.sum() - occupancy_mass(mdp)) <= 1e-10
+        mass = (1.0 - mdp.gamma ** mdp.horizon) / (1.0 - mdp.gamma)
+        assert abs(d.sum() - mass) <= 1e-10
 
     def test_visit_frequency_consistency(self):
         # Discounted empirical visit measure over many rollouts matches the
@@ -295,38 +294,43 @@ class TestOccupancy:
 
 
 class TestValueFunctions:
+    # The t = 0 slices of value_stack: V_0, Q_0 and A_0 = Q_0 - V_0.
     def test_single_state_two_steps(self):
         mdp = single_state_mdp(gamma=0.5, horizon=2)
-        v, q, a = value_functions(mdp, TabularSoftmax(1, 1), np.zeros(1))
-        assert v == pytest.approx([1.5], abs=1e-12)
-        assert q == pytest.approx(np.array([[1.5]]), abs=1e-12)
-        assert a == pytest.approx(np.array([[0.0]]), abs=1e-12)
+        v, q = value_stack(mdp, TabularSoftmax(1, 1), np.zeros(1))
+        assert v[0] == pytest.approx([1.5], abs=1e-12)
+        assert q[0] == pytest.approx(np.array([[1.5]]), abs=1e-12)
+        assert q[0] - v[0][:, None] == pytest.approx(np.array([[0.0]]), abs=1e-12)
 
     def test_horizon_one_q_is_reward(self):
         mdp, family = make_random_problem(7, horizon=1)
-        _, q, _ = value_functions(mdp, family, np.zeros(family.param_dim))
-        assert np.allclose(q, mdp.reward, atol=1e-14)
+        _, q = value_stack(mdp, family, np.zeros(family.param_dim))
+        assert np.allclose(q[0], mdp.reward, atol=1e-14)
 
     def test_bandit_uniform(self, bandit, bandit_family):
-        v, q, a = value_functions(bandit, bandit_family, np.zeros(2))
-        assert v == pytest.approx([0.5], abs=1e-12)
-        assert a == pytest.approx(np.array([[0.5, -0.5]]), abs=1e-12)
+        v, q = value_stack(bandit, bandit_family, np.zeros(2))
+        assert v[0] == pytest.approx([0.5], abs=1e-12)
+        assert q[0] - v[0][:, None] == pytest.approx(np.array([[0.5, -0.5]]),
+                                                     abs=1e-12)
 
     @pytest.mark.parametrize("seed", range(6))
     def test_advantage_centering(self, seed):
         mdp, family = make_random_problem(seed, horizon=5)
         rng = derive_rng(seed, 98)
         theta = rng.uniform(-2, 2, family.param_dim)
-        _, _, adv = value_functions(mdp, family, theta)
+        v, q = value_stack(mdp, family, theta)
         pi = family.probs(theta)
-        assert np.abs((pi * adv).sum(axis=1)).max() <= 1e-12
+        assert np.abs((pi * (q[0] - v[0][:, None])).sum(axis=1)).max() <= 1e-12
 
 
 class TestPerformanceDifference:
+    # The time-indexed identity of conftest.performance_difference is exact
+    # at truncation h, so every pair agrees to 1e-12 relative, long horizons
+    # included.
     def test_identical_policies(self):
         mdp, family = make_random_problem(8)
         theta = np.linspace(-1, 1, family.param_dim)
-        lhs, rhs = performance_difference_check(mdp, family, theta, theta)
+        lhs, rhs = performance_difference(mdp, family, theta, theta)
         assert lhs == pytest.approx(0.0, abs=1e-12)
         assert rhs == pytest.approx(0.0, abs=1e-12)
 
@@ -334,8 +338,7 @@ class TestPerformanceDifference:
         # pi_a ~ (1, 0) via a large logit gap, pi_b uniform.
         theta_a = np.array([30.0, 0.0])
         theta_b = np.zeros(2)
-        lhs, rhs = performance_difference_check(bandit, bandit_family,
-                                                theta_a, theta_b)
+        lhs, rhs = performance_difference(bandit, bandit_family, theta_a, theta_b)
         assert lhs == pytest.approx(0.5, abs=1e-9)
         assert rhs == pytest.approx(0.5, abs=1e-9)
 
@@ -345,8 +348,8 @@ class TestPerformanceDifference:
         rng = derive_rng(9, 97)
         ta = rng.uniform(-1, 1, family.param_dim)
         tb = rng.uniform(-1, 1, family.param_dim)
-        lhs, rhs = performance_difference_check(mdp, family, ta, tb)
-        assert abs(lhs - rhs) <= 2.0 * 0.5 ** 30 * mdp.r_max / 0.5
+        lhs, rhs = performance_difference(mdp, family, ta, tb)
+        assert abs(lhs - rhs) <= perf_diff_tolerance(lhs)
 
     @pytest.mark.parametrize("seed", range(0, 100, 1))
     def test_random_pairs_within_tail(self, seed):
@@ -354,8 +357,8 @@ class TestPerformanceDifference:
         rng = derive_rng(seed, 96)
         ta = rng.uniform(-2, 2, family.param_dim)
         tb = rng.uniform(-2, 2, family.param_dim)
-        lhs, rhs = performance_difference_check(mdp, family, ta, tb)
-        assert abs(lhs - rhs) <= perf_diff_tail_tolerance(mdp)
+        lhs, rhs = performance_difference(mdp, family, ta, tb)
+        assert abs(lhs - rhs) <= perf_diff_tolerance(lhs)
 
 
 class TestExampleOneMdp:

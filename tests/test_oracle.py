@@ -291,7 +291,7 @@ class TestCentralDifferencesBlock:
             calls.append(np.array(block))
             return np.zeros((len(block),) + shape)
 
-        oracle._central_differences(func, theta, 0.25)
+        oracle.fd_gradient(func, theta, 0.25)
         assert len(calls) == 1
         bumps = 0.25 * np.eye(3)
         assert np.array_equal(calls[0], np.concatenate((theta + bumps, theta - bumps)))

@@ -190,10 +190,6 @@ class TestRegularity:
         reg = estimate_regularity(fam, [(-1, 1), (-1, 1)], 7)
         assert reg.W is not None and reg.W >= 0.0
 
-    def test_empty_box_rejected(self):
-        with pytest.raises(ConfigError):
-            estimate_regularity(TabularSoftmax(1, 2), [(0, 1), (1, 0)], 5)
-
 
 class TestPolicyParams:
     def test_make_family(self):
