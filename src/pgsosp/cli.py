@@ -4,8 +4,11 @@ Each subcommand reads one JSON config whose "command" key names it.
 ``load_config`` reads it once against ``_SCHEMAS``, the kind of every key
 of every block: an unknown or missing key, or a value of the wrong kind,
 fails there with its dotted path.  A key's range is part of its kind
-(``positive``, ``fraction``, ``count`` ...), so an out-of-range value fails
-there too, before any work.  Handlers pass the typed values on, and the
+(``positive``, ``fraction``, ``count`` ..., and for a word-valued key such
+as ``mode`` or ``method`` its tuple of words), and a tagged block's tag
+(a problem's ``kind``, an estimate's ``family``) picks the keys it takes
+and needs, so an out-of-range value or a key of another tag fails there
+too, before any work.  Handlers pass the typed values on, and the
 library checks only relations between values.  A run is fixed by its
 config (and, for ``classify``, by ``--theta``): the seed is a config key
 like any other.  The result is canonical JSON (sorted keys, repr floats),
@@ -39,8 +42,8 @@ from .oracle import (
     fd_gradient,
     is_enumerable,
 )
-from .policy import ExampleOnePiecewise, RegularityConstants, TabularSoftmax, \
-    estimate_regularity, make_family
+from .policy import FAMILY_TAGS, ExampleOnePiecewise, RegularityConstants, \
+    TabularSoftmax, estimate_regularity, make_family
 from .util import Block, OneOf, _at, _read, canonical_json, derive_rng, write_csv
 
 EXIT_OK = 0
@@ -57,16 +60,27 @@ _NOISE = Block(dict(kind="text", scale="number", direction="vector"),
                required=("kind",))
 
 # The keys of each problem kind; example1 passes its keys to example_one_mdp,
-# the synthetic kinds theirs to their trainer builders.
-_PROBLEM = OneOf({
+# the synthetic kinds theirs to their trainer builders.  Only train takes a
+# synthetic kind; the other commands read an MDP.
+_MDP_PROBLEM = OneOf({
     "example1": Block(dict(kind="text", gamma="number", horizon="integer")),
     "mdp": Block(dict(kind="text", mdp=mdp_mod._MDP_BLOCK, mdp_path="text",
-                      policy="text")),
-    "quadratic_saddle": Block(dict(kind="text", eigenvalues="vector", noise=_NOISE,
-                                   cubic="number")),
+                      policy=FAMILY_TAGS)),
+})
+_PROBLEM = OneOf({
+    **_MDP_PROBLEM.blocks,
+    "quadratic_saddle": Block(dict(kind="text", eigenvalues="vector", noise=_NOISE)),
     "strongly_concave": Block(dict(kind="text", zeta="positive", theta_star="vector",
                                    noise_sigma="nonnegative")),
 })
+
+# The keys of each estimated family: example_one has a fixed three-state layout.
+_GRID = dict(family="text", box="box", grid="plural")
+_ESTIMATE = OneOf({
+    "tabular_softmax": Block(dict(_GRID, n_states="count", n_actions="count"),
+                             required=("n_states", "n_actions", "box", "grid")),
+    "example_one": Block(_GRID, required=("box", "grid")),
+}, key="family")
 
 _SCHEMAS = {
     "constants": Block(dict(
@@ -74,19 +88,17 @@ _SCHEMAS = {
         regularity=Block(dict(G="nonnegative", L="nonnegative", U="nonnegative",
                               W="nonnegative"),
                          required=("G", "L", "U")),
-        estimate=Block(dict(family="text", n_states="count", n_actions="count",
-                            box="box", grid="plural"),
-                       required=("family", "box", "grid")),
+        estimate=_ESTIMATE,
         r_min="nonnegative", r_max="positive", gamma="fraction", h="count",
         p="count", epsilon="positive", chi="positive", delta="fraction",
         omega="positive",
-        omega_from_fisher=Block(dict(problem=_PROBLEM, theta="vector"),
+        omega_from_fisher=Block(dict(problem=_MDP_PROBLEM, theta="vector"),
                                 required=("problem", "theta")),
         iota="positive"),
         required=("command", "r_min", "r_max", "gamma", "h", "p")),
     "classify": Block(dict(
-        command="text", seed="natural", problem=_PROBLEM, epsilon="positive",
-        chi="positive", mode="text", n="count"),
+        command="text", seed="natural", problem=_MDP_PROBLEM, epsilon="positive",
+        chi="positive", mode=("oracle", "estimated"), n="count"),
         required=("command", "problem", "epsilon", "chi")),
     "train": Block(dict(
         command="text", problem=_PROBLEM, theta0="vector", alpha="nonnegative",
@@ -109,26 +121,30 @@ _SCHEMAS = {
         max_actions="plural", max_horizon="plural"),
         required=("command", "seed")),
     "cnc": Block(dict(
-        command="text", problem=_PROBLEM, theta="vector", u="vector", n="count",
-        seed="natural", method="text"),
+        command="text", problem=_MDP_PROBLEM, theta="vector", u="vector", n="count",
+        seed="natural", method=("auto", "enumerate", "mc")),
         required=("command", "problem", "theta", "n", "seed")),
 }
 
 
-def load_config(path: str, command: str) -> dict:
-    """The config at path, read against the command's schema."""
+def _load_json(path: str, where: str):
+    """The JSON value in the file at path; its errors name where."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            cfg = json.load(fh)
+            return json.load(fh)
     except OSError as exc:
-        raise ConfigError(f"cannot read config: {exc}") from exc
+        raise ConfigError(f"{where}: cannot read: {exc}") from None
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-        raise ConfigError(f"config is not valid JSON: {exc}") from exc
-    if not isinstance(cfg, dict):
-        raise ConfigError("config: expected a JSON object")
-    got = cfg.get("command")
-    if got != command:
-        raise ConfigError(f"command: config says {got!r} but subcommand is {command!r}")
+        raise ConfigError(f"{where}: not valid JSON: {exc}") from None
+
+
+def load_config(path: str, command: str) -> dict:
+    """The config at path, read against the command's schema; a config for
+    another command fails on its command key first."""
+    cfg = _load_json(path, "config")
+    if isinstance(cfg, dict) and cfg.get("command") != command:
+        raise ConfigError(f"command: config says {cfg.get('command')!r} but "
+                          f"subcommand is {command!r}")
     return _read(cfg, _SCHEMAS[command])
 
 
@@ -142,41 +158,31 @@ def _builder_keys(cfg: dict, *drop: str, path: str = "") -> dict:
 
 
 def build_problem(spec: dict, path: str = "problem"):
-    """(mdp, family) from a read problem block at path; MDP-backed kinds only.
-    An MDP file is read like an inline MDP, and its errors name mdp_path."""
-    kind = spec["kind"]
-    if kind == "example1":
+    """(mdp, family) from a read _MDP_PROBLEM block at path.  An MDP file is
+    read like an inline MDP, and its errors name mdp_path."""
+    if spec["kind"] == "example1":
         return _at(path, mdp_mod.example_one_mdp, **_builder_keys(spec, "kind")), \
             ExampleOnePiecewise()
-    if kind == "mdp":
-        if "mdp" in spec and "mdp_path" in spec:
-            raise ConfigError(f"{path}.mdp_path: give 'mdp' or 'mdp_path', not both")
-        if "mdp" in spec:
-            where, values = f"{path}.mdp", spec["mdp"]
-        elif "mdp_path" in spec:
-            where = f"{path}.mdp_path"
-            try:
-                with open(spec["mdp_path"], "r", encoding="utf-8") as fh:
-                    obj = json.load(fh)
-            except OSError as exc:
-                raise ConfigError(f"{where}: cannot read: {exc}") from None
-            except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-                raise ConfigError(f"{where}: not valid JSON: {exc}") from None
-            values = _read(obj, mdp_mod._MDP_BLOCK, where)
-        else:
-            raise ConfigError(f"{path}: mdp kind needs 'mdp' or 'mdp_path'")
-        mdp = _at(where, mdp_mod.TabularMdp, **values)
-        family = _at(f"{path}.policy", make_family,
-                     spec.get("policy", "tabular_softmax"), mdp.n_states, mdp.n_actions)
-        mdp_mod._shape_check(mdp, family)
-        return mdp, family
-    raise ConfigError(f"{path}.kind: {kind!r} is not an MDP-backed problem")
+    if "mdp" in spec and "mdp_path" in spec:
+        raise ConfigError(f"{path}.mdp_path: give 'mdp' or 'mdp_path', not both")
+    if "mdp" in spec:
+        where, values = f"{path}.mdp", spec["mdp"]
+    elif "mdp_path" in spec:
+        where = f"{path}.mdp_path"
+        values = _read(_load_json(spec["mdp_path"], where), mdp_mod._MDP_BLOCK, where)
+    else:
+        raise ConfigError(f"{path}: mdp kind needs 'mdp' or 'mdp_path'")
+    mdp = _at(where, mdp_mod.TabularMdp, **values)
+    family = make_family(spec.get("policy", "tabular_softmax"),
+                         mdp.n_states, mdp.n_actions)
+    mdp_mod._shape_check(mdp, family)
+    return mdp, family
 
 
 def build_source(spec: dict):
     """Gradient source for training runs: MDP-backed or synthetic."""
     kind = spec["kind"]
-    if kind in ("example1", "mdp"):
+    if kind in _MDP_PROBLEM.blocks:
         mdp, family = build_problem(spec)
         return trainer.MdpPolicySource(mdp, family)
     keys = _builder_keys(spec, "kind", path="problem")
@@ -239,12 +245,8 @@ def cmd_constants(cfg: dict, args) -> int:
         reg = RegularityConstants(**{"W": None, **cfg["regularity"]})
     elif "estimate" in cfg:
         block = cfg["estimate"]
-        for key in ("n_states", "n_actions"):
-            if block["family"] == "example_one" and key in block:
-                raise ConfigError(f"estimate.{key}: the example_one family has "
-                                  "a fixed three-state layout")
-        family = _at("estimate.family", make_family, block["family"],
-                     block.get("n_states"), block.get("n_actions"))
+        family = make_family(block["family"], block.get("n_states"),
+                             block.get("n_actions"))
         if cfg["p"] != family.param_dim:
             raise ConfigError(f"p: the estimated family has family.param_dim = "
                               f"{family.param_dim}, got p = {cfg['p']}")
@@ -323,8 +325,8 @@ def cmd_classify(cfg: dict, args) -> int:
         for key in ("n", "seed"):
             if key in cfg:
                 raise ConfigError(f"{key}: only the estimated mode reads it")
-    mdp, family = build_problem(cfg["problem"])
     theta = _parse_theta(args)
+    mdp, family = build_problem(cfg["problem"])
     _check_length("theta", theta, family.param_dim)
     report = sosp.second_order_report(
         mdp, family, theta, **_builder_keys(cfg, "command", "problem"))
@@ -436,9 +438,7 @@ def cmd_cnc(cfg: dict, args) -> int:
     theta = cfg["theta"]
     _check_length("theta", theta, family.param_dim)
     method = cfg.get("method", "auto")
-    if method not in ("auto", "enumerate", "mc"):
-        raise ConfigError(f"method: expected auto, enumerate or mc, got {method!r}")
-    by_enumeration = method in ("auto", "enumerate") and is_enumerable(mdp)
+    by_enumeration = method != "mc" and is_enumerable(mdp)
     if method == "enumerate" and not by_enumeration:
         # Checked before u is derived: above the cap that is a DP pass over 2p points.
         raise ConfigError("method 'enumerate' but the MDP exceeds the cap")
@@ -451,7 +451,7 @@ def cmd_cnc(cfg: dict, args) -> int:
     payload = {"theta": theta.tolist(), "u": u.tolist(), "n": cfg["n"]}
     if by_enumeration:
         payload["enumeration"] = sosp.cnc_enumerate(mdp, family, theta, u)
-    if method in ("auto", "mc"):
+    if method != "enumerate":
         mean, stderr = sosp.cnc_estimate(mdp, family, theta, u, cfg["n"],
                                           cfg["seed"])
         payload["mean_sq_projection"] = mean

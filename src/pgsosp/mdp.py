@@ -112,19 +112,6 @@ class TabularMdp:
         object.__setattr__(self, "_trans_rows", _pick_rows(transition.cumsum(axis=2)))
         object.__setattr__(self, "_rho0_row", _pick_rows(rho0.cumsum())[0])
 
-    def to_json(self) -> dict:
-        return {
-            "n_states": self.n_states,
-            "n_actions": self.n_actions,
-            "transition": self.transition.tolist(),
-            "reward": self.reward.tolist(),
-            "rho0": self.rho0.tolist(),
-            "gamma": self.gamma,
-            "horizon": self.horizon,
-            "r_min": self.r_min,
-            "r_max": self.r_max,
-        }
-
 
 _MDP_KINDS = dict(n_states="integer", n_actions="integer", transition="tensor",
                   reward="matrix", rho0="vector", gamma="number", horizon="integer",

@@ -148,27 +148,26 @@ def second_order_report(mdp: TabularMdp, family, theta: np.ndarray,
                         seed: int | None = None) -> SecondOrderReport:
     """Classify a parameter point from oracle or estimated derivatives.
 
-    mode="oracle" uses the exact DP/enumeration pipeline; mode="estimated"
-    averages n >= 2 Monte-Carlo samples (symmetrized Hessian mean) and
-    records the gradient standard errors.
+    mode is one of the config's words: "oracle" uses the exact
+    DP/enumeration pipeline, and "estimated" averages n >= 2 Monte-Carlo
+    samples (symmetrized Hessian mean) and records the gradient standard
+    errors.
     """
     theta = np.asarray(theta, dtype=float)
     if mode == "oracle":
         grad = exact_gradient(mdp, family, theta)
         hess = exact_hessian(mdp, family, theta)
         return report_from_grad_hessian(grad, hess, epsilon, chi, mode="oracle")
-    if mode == "estimated":
-        for key, value in (("n", n), ("seed", seed)):
-            if value is None:
-                raise ConfigError(f"{key}: required with mode 'estimated'")
-        _check_samples(n)
-        g = batch_gradient(mdp, family, theta, n, seed)
-        h = batch_hessian(mdp, family, theta, n, seed + 1)
-        return report_from_grad_hessian(
-            g.mean, h.symmetrized, epsilon, chi, mode="estimated",
-            grad_std_error=g.std_error, n_samples=n,
-        )
-    raise ConfigError(f"mode: must be oracle or estimated, got {mode!r}")
+    for key, value in (("n", n), ("seed", seed)):
+        if value is None:
+            raise ConfigError(f"{key}: required with mode 'estimated'")
+    _check_samples(n)
+    g = batch_gradient(mdp, family, theta, n, seed)
+    h = batch_hessian(mdp, family, theta, n, seed + 1)
+    return report_from_grad_hessian(
+        g.mean, h.symmetrized, epsilon, chi, mode="estimated",
+        grad_std_error=g.std_error, n_samples=n,
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -9,15 +9,11 @@ kappa_hat_0 on an L2 row.
 
 Synthetic sources isolate the saddle-escape and trapping mechanics from
 MDP sampling noise.  ``QuadraticSaddleSource`` is the one synthetic
-model: J(t) = 1/2 (t-c)^T H (t-c) - cubic/6 |t-c|^3 with bounded i.i.d.
-gradient noise whose energy along the top eigenvector is controlled by
-construction (the curvature-correlation floor).  The cubic term is zero
-by default; a nonzero value makes the objective deviate from its own
-quadratic model, which the coupled-run gap test in tests/paper_checks.py
-needs (an exactly quadratic objective has identically zero gap).
-``StronglyConcaveSource`` is the same model with H = -zeta I, center t*
-and noise uniform on the sphere of radius noise_sigma (bounded, zero
-mean, second moment noise_sigma^2).
+model: J(t) = 1/2 (t-c)^T H (t-c) with bounded i.i.d. gradient noise
+whose energy along the top eigenvector is controlled by construction (the
+curvature-correlation floor).  ``StronglyConcaveSource`` is the same
+model with H = -zeta I, center t* and noise uniform on the sphere of
+radius noise_sigma (bounded, zero mean, second moment noise_sigma^2).
 
 ``QuadraticSaddleSource`` (built from its spectrum), ``StronglyConcaveSource``,
 ``default_escape_benchmark`` and ``default_trap_benchmark`` take config keys
@@ -132,14 +128,14 @@ def _row_norm(v: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 class QuadraticSaddleSource:
-    """Quadratic (optionally cubic-perturbed) objective with CNC noise.
+    """Quadratic objective with CNC noise.
 
     H = diag(eigenvalues), noise rademacher by default.  objective and gradient
     take one point or an (n, dim) block of points, with the same bits per row.
     """
 
     def __init__(self, eigenvalues=(1.0, -1.0), noise: NoiseSpec | None = None,
-                 center: np.ndarray | None = None, cubic: float = 0.0):
+                 center: np.ndarray | None = None):
         eigenvalues = np.asarray(eigenvalues, dtype=float)
         if eigenvalues.ndim != 1 or eigenvalues.size == 0:
             raise ConfigError(f"eigenvalues: need a non-empty vector (no empty "
@@ -155,7 +151,6 @@ class QuadraticSaddleSource:
             )
         self.noise = noise
         self.center = frozen_array(np.zeros(self.dim) if center is None else center)
-        self.cubic = float(cubic)
         # eigh, not argmax: on a tied spectrum the two pick different vectors.
         eigvals, eigvecs = np.linalg.eigh(self.h)
         self.lambda_max = float(eigvals[-1])
@@ -164,20 +159,11 @@ class QuadraticSaddleSource:
     def _value(self, d: np.ndarray):
         """J at offsets d = theta - center, row-wise over the last axis; a row
         has the same bits alone or inside a block."""
-        value = 0.5 * (d * (d @ self.h)).sum(axis=-1)
-        if self.cubic:
-            # Cube an array even for one row: numpy's scalar power rounds
-            # differently, and a row must not depend on the block size.
-            cubed = np.linalg.norm(d, axis=-1, keepdims=True) ** 3
-            value = value - self.cubic / 6.0 * cubed[..., 0]
-        return value
+        return 0.5 * (d * (d @ self.h)).sum(axis=-1)
 
     def _slope(self, d: np.ndarray) -> np.ndarray:
         """grad J at offsets d = theta - center, row-wise over the last axis."""
-        g = d @ self.h
-        if self.cubic:
-            g = g - 0.5 * self.cubic * np.linalg.norm(d, axis=-1, keepdims=True) * d
-        return g
+        return d @ self.h
 
     def objective(self, theta: np.ndarray):
         return self._value(np.asarray(theta, dtype=float) - self.center)
@@ -186,12 +172,7 @@ class QuadraticSaddleSource:
         return self._slope(np.asarray(theta, dtype=float) - self.center)
 
     def hessian(self, theta: np.ndarray) -> np.ndarray:
-        d = np.asarray(theta, dtype=float) - self.center
-        h = np.array(self.h)
-        r = float(np.linalg.norm(d))
-        if self.cubic and r > 0:
-            h = h - 0.5 * self.cubic * (r * np.eye(self.dim) + np.outer(d, d) / r)
-        return h
+        return np.array(self.h)
 
     def sample_gradient(self, theta, rng) -> np.ndarray:
         return self.gradient(theta) + self.noise.draw(rng, 1, self.dim)[0]

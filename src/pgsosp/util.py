@@ -5,8 +5,10 @@ counter-based Philox generator keyed by (seed, *indices).  Streams for
 different indices are statistically independent and order-independent.
 
 Config values are read once, by ``_read``, against a schema of kinds; a
-kind carries a single key's range, so the code after it takes typed values
-as they come and checks only relations between values.
+kind carries a single key's range (a word key's range is its tuple of
+words, and a tagged object's key set is picked by its tag), so the code
+after it takes typed values as they come and checks only relations
+between values.
 """
 from __future__ import annotations
 
@@ -82,9 +84,10 @@ class Block:
 
 @dataclass(frozen=True)
 class OneOf:
-    """A JSON object whose "kind" key picks its Block."""
+    """A JSON object whose tag, the word at key, picks its Block."""
 
     blocks: dict
+    key: str = "kind"
 
 
 def _number(value):
@@ -145,22 +148,26 @@ _KINDS = {
 
 
 def _read(value, kind, path: str = ""):
-    """value read as kind (a _KINDS name, Block or OneOf) at dotted path.
+    """value read as kind (a _KINDS name, a tuple of words, Block or OneOf)
+    at dotted path.
 
-    A Block reads to a dict of its given keys, each read as its kind;
-    every error is a ConfigError naming the path.
+    A tuple reads a value that is one of its words.  A Block reads to a
+    dict of its given keys, each read as its kind; every error is a
+    ConfigError naming the path.
     """
     where = path or "config"
+    if isinstance(kind, tuple):
+        if not (isinstance(value, str) and value in kind):
+            raise ConfigError(f"{path}: must be one of {', '.join(kind)}, "
+                              f"got {value!r}")
+        return value
     if isinstance(kind, (Block, OneOf)) and not isinstance(value, dict):
         raise ConfigError(f"{where}: must be an object, got {value!r}")
     if isinstance(kind, OneOf):
-        if "kind" not in value:
-            raise ConfigError(f"{path}: missing key 'kind'")
-        tag = value["kind"]
-        if not (isinstance(tag, str) and tag in kind.blocks):
-            raise ConfigError(f"{path}.kind: must be one of "
-                              f"{', '.join(kind.blocks)}, got {tag!r}")
-        kind = kind.blocks[tag]
+        if kind.key not in value:
+            raise ConfigError(f"{path}: missing key {kind.key!r}")
+        kind = kind.blocks[_read(value[kind.key], tuple(kind.blocks),
+                                 f"{path}.{kind.key}")]
     if isinstance(kind, Block):
         for key in value:
             if key not in kind.kinds:

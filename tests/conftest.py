@@ -61,6 +61,22 @@ def make_random_problem(seed, n_states=3, n_actions=2, horizon=4, gamma=0.5):
     return mdp, family
 
 
+def mdp_json(mdp):
+    """The JSON object of an MDP, as an inline `mdp` block or an MDP file
+    holds it."""
+    return {
+        "n_states": mdp.n_states,
+        "n_actions": mdp.n_actions,
+        "transition": mdp.transition.tolist(),
+        "reward": mdp.reward.tolist(),
+        "rho0": mdp.rho0.tolist(),
+        "gamma": mdp.gamma,
+        "horizon": mdp.horizon,
+        "r_min": mdp.r_min,
+        "r_max": mdp.r_max,
+    }
+
+
 def performance_difference(mdp, family, theta_a, theta_b):
     """Both sides (lhs, rhs) of the performance-difference identity (Kakade &
     Langford, ICML 2002) in its time-indexed form, exact at truncation h:

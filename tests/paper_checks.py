@@ -4,7 +4,8 @@
   bound of Prop. 1 (`verify_prop1`);
 * ac07: the main iteration stays next to its frozen quadratic model,
   which the saddle-escape argument rests on (`coupled_quadratic_run`,
-  on the one-draw pair of `sample_pair`);
+  on the one-draw pair of `sample_pair`; `CubicSaddleSource` gives it an
+  objective that leaves its quadratic model);
 * tests/test_sosp.py and tests/test_oracle.py: the closed-form
   curvature-correlation floor iota^2, with c0 summed over the
   enumeration (`cnc_lower_bound`);
@@ -34,7 +35,7 @@ from pgsosp.mdp import TabularMdp
 from pgsosp.oracle import _enumeration_sum, exact_hessian
 from pgsosp.policy import _BOX_HESSIAN, _INV_SQRT_2PI
 from pgsosp.sosp import sym_eig_max
-from pgsosp.trainer import MdpPolicySource
+from pgsosp.trainer import MdpPolicySource, QuadraticSaddleSource
 from pgsosp.util import derive_rng, frozen_array
 
 
@@ -78,6 +79,50 @@ def analytic_example1(theta: np.ndarray) -> Example1Analysis:
     grad = np.where(in_box[..., None], theta * _BOX_HESSIAN.diagonal(),  # H theta
                     j_out[..., None] * theta)
     return Example1Analysis(theta=theta, in_box=in_box, objective=j[()], grad=grad)
+
+
+# ---------------------------------------------------------------------------
+# A saddle objective that leaves its quadratic model
+# ---------------------------------------------------------------------------
+
+class CubicSaddleSource(QuadraticSaddleSource):
+    """J(t) = 1/2 (t-c)^T H (t-c) - cubic/6 |t-c|^3 with the noise of
+    QuadraticSaddleSource, which it is, bit for bit, at cubic = 0.
+
+    A nonzero cubic makes the objective deviate from its own quadratic
+    model, which the coupled-run gap test needs (an exactly quadratic
+    objective has identically zero gap).  objective and gradient take one
+    point or a block of points, and a row has the same bits alone or
+    inside a block.
+    """
+
+    def __init__(self, eigenvalues=(1.0, -1.0), noise=None, center=None,
+                 cubic: float = 0.0):
+        super().__init__(eigenvalues, noise, center)
+        self.cubic = float(cubic)
+
+    def _value(self, d: np.ndarray):
+        value = super()._value(d)
+        if self.cubic:
+            # Cube an array even for one row: numpy's scalar power rounds
+            # differently, and a row must not depend on the block size.
+            cubed = np.linalg.norm(d, axis=-1, keepdims=True) ** 3
+            value = value - self.cubic / 6.0 * cubed[..., 0]
+        return value
+
+    def _slope(self, d: np.ndarray) -> np.ndarray:
+        g = super()._slope(d)
+        if self.cubic:
+            g = g - 0.5 * self.cubic * np.linalg.norm(d, axis=-1, keepdims=True) * d
+        return g
+
+    def hessian(self, theta: np.ndarray) -> np.ndarray:
+        h = super().hessian(theta)
+        d = np.asarray(theta, dtype=float) - self.center
+        r = float(np.linalg.norm(d))
+        if self.cubic and r > 0:
+            h = h - 0.5 * self.cubic * (r * np.eye(self.dim) + np.outer(d, d) / r)
+        return h
 
 
 # ---------------------------------------------------------------------------

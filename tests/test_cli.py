@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 import pgsosp
+from conftest import mdp_json
 from pgsosp import cli, oracle, trainer, util
 from pgsosp.cli import main
 from pgsosp.util import canonical_json
@@ -155,7 +156,7 @@ class TestConstantsCommand:
         path = write_config(tmp_path, "c.json", dict(cfg, estimate=estimate))
         code, out, err = run_cli(capsys, ["constants", "--config", path])
         assert (code, out) == (2, "")
-        assert err.startswith(f"error: estimate.{key}: ")
+        assert err == f"error: estimate: unknown key {key!r}\n"
 
     def test_regularity_and_estimate_together_exit_2(self, tmp_path, capsys,
                                                      monkeypatch):
@@ -200,7 +201,7 @@ class TestConstantsCommand:
         monkeypatch.setattr(cli, "fisher_matrix", no_work)
         mdp = random_mdp(35, n_states=2, n_actions=2, horizon=5, gamma=0.9)
         cfg = dict(CONSTANTS_CFG, p=p, omega_from_fisher={
-            "problem": {"kind": "mdp", "mdp": mdp.to_json()},
+            "problem": {"kind": "mdp", "mdp": mdp_json(mdp)},
             "theta": [0.1, 0.2, 0.3, 0.4]})
         path = write_config(tmp_path, "c.json", cfg)
         code, out, err = run_cli(capsys, ["constants", "--config", path])
@@ -212,8 +213,8 @@ class TestConstantsCommand:
         ({"kind": "example1", "gamma": 1.5},
          "omega_from_fisher.problem: gamma: must be in (0, 1), got 1.5"),
         ({"kind": "mdp", "mdp": _BANDIT_MDP, "policy": "gaussian"},
-         "omega_from_fisher.problem.policy: unknown policy family 'gaussian'; "
-         "expected one of ('tabular_softmax', 'example_one')"),
+         "omega_from_fisher.problem.policy: must be one of tabular_softmax, "
+         "example_one, got 'gaussian'"),
         ({"kind": "mdp", "mdp": {**_BANDIT_MDP, "reward": [[1.0]]}},
          "omega_from_fisher.problem.mdp: reward: expected shape (1, 2), got (1, 1)"),
         ({"kind": "mdp"},
@@ -336,7 +337,7 @@ class TestClassifyCommand:
         code, out, err = run_cli(capsys, ["classify", "--config", cfg,
                                           "--theta", "0.3,0.6"])
         assert (code, out) == (2, "")
-        assert err == "error: mode: must be oracle or estimated, got 'bogus'\n"
+        assert err == "error: mode: must be one of oracle, estimated, got 'bogus'\n"
 
     def test_estimated_mode_needs_a_seed(self, tmp_path, capsys, monkeypatch):
         cfg = dict(CLASSIFY_CFG, mode="estimated", n=20)
@@ -750,7 +751,7 @@ class TestCncCommand:
         u = [0.6, -0.8]
         cfg = write_config(tmp_path, "c.json", {
             "command": "cnc",
-            "problem": {"kind": "mdp", "mdp": bandit.to_json(),
+            "problem": {"kind": "mdp", "mdp": mdp_json(bandit),
                         "policy": "tabular_softmax"},
             "theta": [0.3, -0.2], "u": u, "n": 3000, "seed": 5, "method": "mc",
         })
@@ -796,7 +797,7 @@ class TestCncCommand:
         mdp = random_mdp(1, n_states=2, n_actions=2, horizon=12)
         assert not oracle.is_enumerable(mdp)
         cfg = write_config(tmp_path, "c.json", {
-            "command": "cnc", "problem": {"kind": "mdp", "mdp": mdp.to_json()},
+            "command": "cnc", "problem": {"kind": "mdp", "mdp": mdp_json(mdp)},
             "theta": [0.1, 0.2, 0.3, 0.4], "n": 10, "seed": 1,
             "method": "enumerate"})
         code, out, err = run_cli(capsys, ["cnc", "--config", cfg])
@@ -811,7 +812,7 @@ class TestCncCommand:
             TabularSoftmax(2, 2)
         theta = np.array([0.3, -0.5, 0.8, 0.1])
         cfg = write_config(tmp_path, "c.json", {
-            "command": "cnc", "problem": {"kind": "mdp", "mdp": mdp.to_json()},
+            "command": "cnc", "problem": {"kind": "mdp", "mdp": mdp_json(mdp)},
             "theta": theta.tolist(), "n": 200, "seed": 3, "method": "enumerate"})
         code, out, _ = run_cli(capsys, ["cnc", "--config", cfg])
         assert code == 0
@@ -990,7 +991,7 @@ class TestOmegaFromFisher:
         cfg = {k: v for k, v in CONSTANTS_CFG.items() if k != "omega"}
         cfg["p"] = 4
         cfg["omega_from_fisher"] = {
-            "problem": {"kind": "mdp", "mdp": mdp.to_json()},
+            "problem": {"kind": "mdp", "mdp": mdp_json(mdp)},
             "theta": [0.7377, 0.2681, -0.0069, -0.6729],
         }
         path = write_config(tmp_path, "c.json", cfg)
@@ -1291,7 +1292,7 @@ def test_config_not_utf8_exits_2(tmp_path, capsys):
     path.write_bytes(b"\xff\xfe{}")
     code, out, err = run_cli(capsys, ["classify", "--config", str(path)])
     assert (code, out) == (2, "")
-    assert "config is not valid JSON" in err
+    assert err.startswith("error: config: not valid JSON: ")
 
 
 # A value of each kind that the reader accepts, and values it must reject:
@@ -1317,12 +1318,19 @@ for _kind in ("box", "matrix", "tensor"):
 _WRONG["box"] = _WRONG["box"] + [[[1.0, 0.0]]]
 
 
+# A word-valued key's kind is its tuple of words: its wrong values are
+# another word and values that are no word.
+_WRONG_WORD = ["bogus", 1.0, True, ["x"]]
+
+
 def _good(kind):
     """A value of kind: a block holds its required keys only.  A kind missing
     from _GOOD reads as None, so its cases fail instead of the collection."""
+    if isinstance(kind, tuple):
+        return kind[0]
     if isinstance(kind, util.OneOf):
         tag, block = next(iter(kind.blocks.items()))
-        return {**_good(block), "kind": tag}
+        return {**_good(block), kind.key: tag}
     if isinstance(kind, util.Block):
         return {key: _good(kind.kinds[key]) for key in kind.required}
     return _GOOD.get(kind)
@@ -1331,12 +1339,17 @@ def _good(kind):
 def _wrong(kind):
     """(dotted key path, value) pairs: each value is of kind but for the one
     key at that path, whose value is of the wrong kind."""
+    if isinstance(kind, tuple):
+        yield from (("", value) for value in _WRONG_WORD)
+        return
     if isinstance(kind, util.OneOf):
         yield "", "x"
+        yield kind.key, {**_good(kind), kind.key: "bogus"}
         for tag, block in kind.blocks.items():
             for dotted, value in _wrong(block):
                 if dotted:
-                    yield dotted, value if dotted == "kind" else {**value, "kind": tag}
+                    yield dotted, value if dotted == kind.key \
+                        else {**value, kind.key: tag}
         return
     if isinstance(kind, util.Block):
         yield "", "x"
@@ -1350,67 +1363,113 @@ def _wrong(kind):
 
 # Keys, by dotted path, that once had a kind and that no command reads any
 # more, with a value of that kind: each is now an unknown key.
-_DELETED = {"constants": {"seed": 1, "zeta": 1.0, "varrho": 1.0,
-                          "omega_from_fisher.problem.noise.frozen": False},
-            "classify": {"raw_hessian": False, "problem.noise.frozen": False},
+_DELETED = {"constants": {"seed": 1, "zeta": 1.0, "varrho": 1.0},
+            "classify": {"raw_hessian": False},
             "train": {"delta": 0.1, "batch_size": 1,
-                      "problem.noise.frozen": False},
+                      "problem.noise.frozen": False, "problem.cubic": 1.0},
             "escape": {"noise.frozen": False},
-            "trap": {"relaxation": 1.0},
-            "cnc": {"problem.noise.frozen": False}}
+            "trap": {"relaxation": 1.0}}
+
+# The problem block of each command that reads an MDP.  These once took the
+# train-only kinds too; such a problem now exits 2 naming its kind,
+# whatever its keys.
+_MDP_PROBLEM_AT = {"classify": "problem", "cnc": "problem",
+                   "constants": "omega_from_fisher.problem"}
 
 
-def _with_deleted(kind, dotted, value):
-    """A value of kind, with value at the dotted path of a deleted key; a
-    OneOf takes the block that has the path's next key."""
+def _train_only_problems():
+    """(dotted key, problem) of the train-only kinds: each of their keys with
+    a value of the wrong kind, and their deleted keys noise.frozen and cubic."""
+    train_only = util.OneOf({tag: block for tag, block in cli._PROBLEM.blocks.items()
+                             if tag not in cli._MDP_PROBLEM.blocks})
+    for dotted, problem in _wrong(train_only):
+        if dotted not in ("", "kind"):
+            yield dotted, problem
+    yield "noise.frozen", {"kind": "quadratic_saddle",
+                           "noise": {"kind": "x", "frozen": False}}
+    yield "cubic", {"kind": "quadratic_saddle", "cubic": 1.0}
+
+
+def _with_value(kind, dotted, value):
+    """A value of kind, with value at the dotted path; a OneOf takes the
+    block that has the path's next key, else its first block."""
     key, _, rest = dotted.partition(".")
     if isinstance(kind, util.OneOf):
-        tag, block = next((tag, block) for tag, block in kind.blocks.items()
-                          if key in block.kinds)
-        return {**_with_deleted(block, dotted, value), "kind": tag}
-    assert rest or key not in kind.kinds
+        tag, block = next(((tag, block) for tag, block in kind.blocks.items()
+                           if key in block.kinds), next(iter(kind.blocks.items())))
+        return {**_with_value(block, dotted, value), kind.key: tag}
     return {**_good(kind),
-            key: _with_deleted(kind.kinds[key], rest, value) if rest else value}
+            key: _with_value(kind.kinds[key], rest, value) if rest else value}
 
 
 def _schema_cases():
-    cases = {}
+    """(case, configs, the start of their error) for every schema key, every
+    deleted key and every train-only problem key under an MDP-only command."""
+    cases, wants = {}, {}
     for command, schema in cli._SCHEMAS.items():
         for dotted, cfg in _wrong(schema):
             if dotted:
                 if dotted != "command":
                     cfg["command"] = command
                 cases.setdefault(f"{command}:{dotted}", []).append(cfg)
+                wants[f"{command}:{dotted}"] = f"error: {dotted}: "
         for dotted, value in _DELETED.get(command, {}).items():
+            where, _, key = dotted.rpartition(".")
             cases[f"{command}:{dotted}"] = [
-                {**_with_deleted(schema, dotted, value), "command": command}]
-    return [pytest.param(case, configs, id=case)
+                {**_with_value(schema, dotted, value), "command": command}]
+            wants[f"{command}:{dotted}"] = \
+                f"error: {where or 'config'}: unknown key {key!r}"
+        place = _MDP_PROBLEM_AT.get(command)
+        for dotted, problem in _train_only_problems() if place else ():
+            case = f"{command}:{place}.{dotted}"
+            cases.setdefault(case, []).append(
+                {**_with_value(schema, place, problem), "command": command})
+            wants[case] = f"error: {place}.kind: must be one of example1, mdp, got "
+    return [pytest.param(case, configs, wants[case], id=case)
             for case, configs in sorted(cases.items())]
 
 
 def test_schema_tables_cover_every_kind():
     # A kind missing here would give its keys no wrong-kind case; the
-    # README's list of kinds names every kind.
+    # README's list of kinds names every kind, the word choice included.
     assert set(_GOOD) == set(_WRONG) == set(util._KINDS)
     [kinds] = re.findall(r"\nEach config key has one kind.*?\n\n(.*?)\n\n",
                          _readme(), re.S)
-    assert [kind for kind in util._KINDS if f"*{kind}*" not in kinds] == []
+    assert [kind for kind in [*util._KINDS, "choice"] if f"*{kind}*" not in kinds] \
+        == []
 
 
-@pytest.mark.parametrize("case, configs", _schema_cases())
-def test_every_schema_key_rejects_a_wrong_kind(tmp_path, capsys, case, configs):
+@pytest.mark.parametrize("case, configs, want", _schema_cases())
+def test_every_schema_key_rejects_a_wrong_kind(tmp_path, capsys, case, configs, want):
     """Every key of every schema, nested blocks included, exits 2 naming its
     dotted path when given a value of the wrong kind; a deleted key exits 2
-    as unknown whatever its value."""
-    command, dotted = case.split(":")
-    where, _, key = dotted.rpartition(".")
-    want = (f"error: {where or 'config'}: unknown key {key!r}"
-            if dotted in _DELETED.get(command, {}) else f"error: {dotted}: ")
+    as unknown whatever its value, and a train-only problem under a command
+    that reads an MDP exits 2 naming its kind."""
+    command = case.split(":")[0]
     for cfg in configs:
         path = write_config(tmp_path, "bad.json", cfg)
         code, out, err = run_cli(capsys, [command, "--config", path])
         assert (code, out) == (2, ""), (cfg, err)
         assert err.startswith(want), (cfg, err)
+
+
+def test_text_keys_are_tags_and_paths():
+    # A word-valued key takes its words as a kind, so a key left as free
+    # text is a command name, a OneOf tag, a file path or the noise kind,
+    # whose words NoiseSpec holds.
+    def free_text(kind, path):
+        tag = kind.key if isinstance(kind, util.OneOf) else None
+        for block in kind.blocks.values() if tag else [kind]:
+            if isinstance(block, util.Block):
+                for key, sub in block.kinds.items():
+                    if sub == "text" and key != tag:
+                        yield f"{path}.{key}"
+                    yield from free_text(sub, f"{path}.{key}")
+
+    left = {path for command, schema in cli._SCHEMAS.items()
+            for path in free_text(schema, command)
+            if not path.endswith((".command", ".mdp_path", ".noise.kind"))}
+    assert left == set()
 
 
 def _subcommand_flags():
@@ -1616,7 +1675,10 @@ def test_mdp_file_errors_name_mdp_path(tmp_path, capsys, change, want):
     ({**CLASSIFY_CFG, "problem": {**_BANDIT_CNC["problem"], "policy": "nope"}},
      "problem.policy"),
     ({**_ESTIMATE_CONSTANTS, "estimate": {**_ESTIMATE_CONSTANTS["estimate"],
-                                          "family": "nope"}}, "estimate.family"),
+                                          "family": "gaussian"}}, "estimate.family"),
+    ({**_ESTIMATE_CONSTANTS, "estimate": {"family": "tabular_softmax", "n_actions": 2,
+                                          "box": [[-1, 1]] * 2, "grid": 3}},
+     "estimate"),
     ({**_ESTIMATE_CONSTANTS, "estimate": {**_ESTIMATE_CONSTANTS["estimate"],
                                           "box": [[0, 1], [1, 0]], "grid": 5}},
      "estimate.box"),
@@ -1634,7 +1696,8 @@ def test_mdp_file_errors_name_mdp_path(tmp_path, capsys, change, want):
     ({**_SADDLE_TRAIN, "problem": {"kind": "quadratic_saddle",
                                    "noise": {"kind": "bogus"}}}, "problem.noise"),
 ], ids=["example1-gamma", "example1-horizon", "policy", "estimate-family",
-        "estimate-box-empty", "estimate-box-axes", "estimate-grid-one", "cnc-u",
+        "estimate-softmax-without-layout", "estimate-box-empty", "estimate-box-axes",
+        "estimate-grid-one", "cnc-u",
         "train-theta0", "noise-kind", "noise-direction-missing", "train-noise-kind"])
 def test_a_value_error_names_its_key(tmp_path, capsys, cfg, where):
     argv = [cfg["command"], "--config", write_config(tmp_path, "c.json", cfg)]
@@ -1643,3 +1706,44 @@ def test_a_value_error_names_its_key(tmp_path, capsys, cfg, where):
     code, out, err = run_cli(capsys, argv)
     assert (code, out) == (2, "")
     assert err.startswith(f"error: {where}: "), err
+
+
+@pytest.mark.parametrize("text, want", [
+    (None, "error: config: cannot read: "),
+    ("[1]", "error: config: must be an object, got [1]\n"),
+    # A config for another command fails on its command key first.
+    ('{"command": "train", "typo": 1}',
+     "error: command: config says 'train' but subcommand is 'classify'\n"),
+], ids=["missing", "not-an-object", "another-command"])
+def test_config_file_errors_name_config(tmp_path, capsys, text, want):
+    path = tmp_path / "c.json"
+    if text is not None:
+        path.write_text(text)
+    code, out, err = run_cli(capsys, ["classify", "--config", str(path),
+                                      "--theta=0,0"])
+    assert (code, out) == (2, "")
+    assert err.startswith(want), err
+
+
+_MISSING_MDP_FILE = {"kind": "mdp", "mdp_path": "no-such-mdp.json"}
+
+
+@pytest.mark.parametrize("cfg, theta, want", [
+    ({**CLASSIFY_CFG, "problem": _MISSING_MDP_FILE}, None,
+     "error: classify needs --theta\n"),
+    ({**CLASSIFY_CFG, "problem": _MISSING_MDP_FILE, "mode": "bogus"}, "0,0",
+     "error: mode: must be one of oracle, estimated, got 'bogus'\n"),
+    ({**CLASSIFY_CFG, "problem": _MISSING_MDP_FILE, "mode": "bogus"}, None,
+     "error: mode: must be one of oracle, estimated, got 'bogus'\n"),
+    ({**_BANDIT_CNC, "problem": _MISSING_MDP_FILE, "method": "bogus"}, None,
+     "error: method: must be one of auto, enumerate, mc, got 'bogus'\n"),
+], ids=["classify-no-theta", "classify-mode", "classify-mode-no-theta",
+        "cnc-method"])
+def test_config_and_flag_errors_come_before_the_problem(tmp_path, capsys, cfg,
+                                                        theta, want):
+    # The MDP file does not exist, so building the problem would name
+    # problem.mdp_path instead.
+    argv = [cfg["command"], "--config", write_config(tmp_path, "c.json", cfg)]
+    if theta is not None:
+        argv.append(f"--theta={theta}")
+    assert run_cli(capsys, argv) == (2, "", want)

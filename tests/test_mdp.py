@@ -17,7 +17,7 @@ from pgsosp.mdp import (
 from pgsosp.policy import ExampleOnePiecewise, TabularSoftmax
 from pgsosp.util import _at, _read, derive_rng
 
-from conftest import (make_random_problem, perf_diff_tolerance,
+from conftest import (make_random_problem, mdp_json, perf_diff_tolerance,
                       performance_difference, sub_seed)
 from trajectory_reference import (
     Trajectory,
@@ -80,24 +80,24 @@ class TestValidation:
 
     def test_json_round_trip(self):
         mdp, _ = make_random_problem(0)
-        again = _from_json(mdp.to_json())
+        again = _from_json(mdp_json(mdp))
         assert np.array_equal(again.transition, mdp.transition)
         assert np.array_equal(again.reward, mdp.reward)
 
     def test_json_unknown_key(self):
-        obj = single_state_mdp().to_json()
+        obj = mdp_json(single_state_mdp())
         obj["extra"] = 1
         with pytest.raises(ConfigError, match="extra"):
             _from_json(obj)
 
     def test_json_shape_error_names_the_block(self):
-        obj = single_state_mdp().to_json()
+        obj = mdp_json(single_state_mdp())
         obj["reward"] = [[1.0, 0.0]]
         with pytest.raises(ConfigError, match=r"^mdp: reward: expected shape"):
             _from_json(obj)
 
     def test_json_missing_key(self):
-        obj = single_state_mdp().to_json()
+        obj = mdp_json(single_state_mdp())
         del obj["rho0"]
         with pytest.raises(ConfigError, match="rho0"):
             _from_json(obj)

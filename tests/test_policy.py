@@ -196,8 +196,6 @@ class TestPolicyParams:
         fam = make_family("tabular_softmax", 2, 3)
         assert fam.param_dim == 6
         assert make_family("example_one").param_dim == 2
-        with pytest.raises(ConfigError):
-            make_family("gaussian")
 
 
 def _central_dprobs(fam, theta, step=1e-6):

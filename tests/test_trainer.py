@@ -35,9 +35,9 @@ from pgsosp.trainer import (
     verify_trap,
 )
 from pgsosp.util import derive_rng
-from paper_checks import (_example1_samples, analytic_example1,
-                          coupled_quadratic_run, example1_sosp_study,
-                          sample_pair, verify_prop1)
+from paper_checks import (CubicSaddleSource, _example1_samples,
+                          analytic_example1, coupled_quadratic_run,
+                          example1_sosp_study, sample_pair, verify_prop1)
 from trajectory_reference import Trajectory, hessian_estimate, pg_estimate
 
 INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
@@ -98,8 +98,8 @@ class TestSyntheticSources:
     def test_block_rows_equal_per_row_calls(self, eigenvalues, center, cubic):
         dim = len(eigenvalues)
         block = derive_rng(0, 63).standard_normal((64, dim))
-        source = QuadraticSaddleSource(eigenvalues, NoiseSpec("zero"),
-                                       center=np.array(center), cubic=cubic)
+        source = CubicSaddleSource(eigenvalues, NoiseSpec("zero"),
+                                   center=np.array(center), cubic=cubic)
         values = source.objective(block)
         grads = source.gradient(block)
         assert values.shape == (64,) and grads.shape == block.shape
@@ -417,8 +417,8 @@ class TestCoupledRun:
     def test_gap_shrinks_superlinearly_in_alpha(self):
         # A cubic term makes the objective leave its quadratic model; the
         # resulting gap decays faster than alpha (ratio >= 3 per halving).
-        source = QuadraticSaddleSource([1.0, -1.0],
-                                       NoiseSpec("rademacher", 1.0), cubic=1.0)
+        source = CubicSaddleSource([1.0, -1.0], NoiseSpec("rademacher", 1.0),
+                                   cubic=1.0)
         gaps = []
         for alpha in (1e-3, 5e-4):
             gaps.append(coupled_quadratic_run(source, np.array([0.3, 0.2]), alpha,
@@ -677,7 +677,7 @@ class TestBlockSteppedChains:
         eigenvalues = _ESCAPE_SPECTRA[shape]
         eigvecs = np.linalg.eigh(np.diag(eigenvalues))[1]
         for i, noise in enumerate(_noises(eigvecs[:, -1], eigvecs[:, 0])):
-            source = QuadraticSaddleSource(eigenvalues, noise, cubic=cubic)
+            source = CubicSaddleSource(eigenvalues, noise, cubic=cubic)
             args = dict(alpha=2e-3, runs=45, seed=i, chi=1.0, epsilon=1.0,
                         sigma_h0=10.0, cap_factor=2)
             if _no_floor(noise, noise.iota_sq(source.u_p)):
@@ -739,8 +739,8 @@ class TestBlockSteppedChains:
                     theta0=center + 0.1 / math.sqrt(dim))
         assert 752 % _block_steps(50, dim)
         for i, noise in enumerate(_noises(eigvecs[:, -1], eigvecs[:, 0])):
-            source = QuadraticSaddleSource(eigenvalues, noise, center=center,
-                                           cubic=cubic)
+            source = CubicSaddleSource(eigenvalues, noise, center=center,
+                                       cubic=cubic)
             want, _ = _reference_trap(source, seed=i, **args)
             assert want.kappa_0 == 752
             _assert_same(verify_trap(source, seed=i, **args), want)
